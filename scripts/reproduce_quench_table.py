@@ -28,10 +28,11 @@ def main():
     result = run_experiment(config)
     rep = result.report
 
+    r_mean = rep.spectral["r_mean"]  # null for sectors of fewer than 3 levels
     print(f"chain L={args.length}, h={args.h}, seed {args.seed}: "
           f"dim {rep.spectral['dim']}, "
           f"spectrum [{rep.spectral['e_min']:.3f}, {rep.spectral['e_max']:.3f}], "
-          f"mean gap ratio {rep.spectral['r_mean']:.5f}")
+          f"mean gap ratio {'null' if r_mean is None else f'{r_mean:.5f}'}")
     print(f"product-state energies: {rep.states['e1']:.4f} / {rep.states['e2']:.4f}, "
           f"shared eigenstate support {rep.states['overlap_sum']:.2e}")
     print()

@@ -3,23 +3,23 @@ predictions: exact diagonalization, analytic ensemble moments, Monte-Carlo
 oracles, and long-time dynamics."""
 
 from .dynamics import (TimeSeries, TimeStats, evolve_expectation,
-                       make_time_grid, product_series, read_series_csv,
-                       time_stats, write_series_csv)
+                       make_time_grid, read_series_csv, time_stats,
+                       write_series_csv)
 from .ergodic_ensemble import (DensityMatrix, MomentPrediction,
-                               cat_q_variance_closed_form,
-                               dense_second_moment_reference, ensemble_mean,
-                               second_moment_expectation, sector_block)
+                               cat_q_variance_closed_form, ensemble_mean,
+                               second_moment_expectation)
 from .errors import (ConstructionError, NumericalIntegrityError, PipelineError,
                      SectorError, StateValidationError)
 from .experiment import (ExperimentConfig, ExperimentReport, ExperimentResult,
                          HalfSpectra, ProductEigenstate,
+                         QuenchPrefix, SpectralPrefix,
                          diagonalize_split_halves, find_product_eigenstates,
-                         prepare_protocol_state, run_experiment,
-                         write_artifacts)
+                         prepare_protocol_state, prepare_quench,
+                         prepare_spectrum, run_experiment, write_artifacts)
 from .haar_oracle import (BlockUnitary, MomentEstimate, estimate_moments,
                           estimate_state_mean, sample_block_unitary)
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
-                       coarsen_partition, diagonalize, level_spacing_ratio)
+                       diagonalize, level_spacing_ratio)
 from .spin_chain import (DisorderRealization, HermitianOperator, SpinBasis,
                          build_basis, build_hamiltonian,
                          build_projector_observable, draw_disorder,

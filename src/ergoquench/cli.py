@@ -21,13 +21,10 @@ import numpy as np
 
 from .ergodic_ensemble import second_moment_expectation
 from .errors import PipelineError
-from .experiment import (ExperimentConfig, diagonalize_split_halves,
-                         find_product_eigenstates, prepare_protocol_state,
-                         run_experiment, write_artifacts)
+from .experiment import (ExperimentConfig, prepare_protocol_state,
+                         prepare_quench, prepare_spectrum, run_experiment,
+                         write_artifacts)
 from .haar_oracle import estimate_moments
-from .spectral import cluster_sectors, diagonalize, level_spacing_ratio
-from .spin_chain import (build_basis, build_hamiltonian,
-                         build_projector_observable, draw_disorder, symmetrized)
 
 ENV_OUTPUT_DIR = "ERGOQUENCH_OUTPUT_DIR"
 
@@ -88,15 +85,18 @@ def cmd_run(args) -> int:
         cfg = dataclasses.replace(config, disorder_seed=seed)
         result = run_experiment(cfg)
         write_artifacts(result, os.path.join(out_root, f"seed_{seed}"))
-        ratios.append(result.report.spectral["r_mean"])
-        print(f"run: seed {seed} done in "
-              f"{result.report.runtime_seconds:.1f} s, r_mean={ratios[-1]:.4f}")
-    aggregate = {
-        "seeds": seeds,
-        "r_mean_per_seed": ratios,
-        "r_mean_average": float(np.mean(ratios)),
-        "r_mean_std": float(np.std(ratios, ddof=1)) if len(ratios) > 1 else 0.0,
-    }
+        r_mean = result.report.spectral["r_mean"]
+        ratios.append(r_mean)
+        print(f"run: seed {seed} done in {result.report.runtime_seconds:.1f} s, "
+              f"r_mean={'null' if r_mean is None else f'{r_mean:.4f}'}")
+    # sectors too small for a gap ratio report null and are left out
+    defined = [r for r in ratios if r is not None]
+    average = std = None
+    if defined:
+        average = float(np.mean(defined))
+        std = float(np.std(defined, ddof=1)) if len(defined) > 1 else 0.0
+    aggregate = {"seeds": seeds, "r_mean_per_seed": ratios,
+                 "r_mean_average": average, "r_mean_std": std}
     path = os.path.join(out_root, "aggregate.json")
     with open(path, "w") as f:
         json.dump(aggregate, f, indent=2, sort_keys=True, allow_nan=False)
@@ -107,22 +107,16 @@ def cmd_run(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = _load_config(args.config)
-    basis = build_basis(config.L, config.total_sz)
-    disorder = draw_disorder(config.L, config.h, config.disorder_seed)
-    eig = diagonalize(build_hamiltonian(basis, config.J, disorder))
-    e = eig.energies
-    width = float(e[-1] - e[0])
-    tol = (config.degeneracy_tol if config.degeneracy_tol is not None
-           else 1e-8 * width)
-    partition = cluster_sectors(e, tol)
+    spec = prepare_spectrum(config)
+    e_min, e_max = spec.bounds
     print(json.dumps({
-        "dim": basis.dim,
-        "e_min": float(e[0]),
-        "e_max": float(e[-1]),
-        "spectral_width": width,
-        "r_mean": level_spacing_ratio(e),
-        "degeneracy_tol": tol,
-        "n_sectors": partition.n_sectors,
+        "dim": spec.basis.dim,
+        "e_min": e_min,
+        "e_max": e_max,
+        "spectral_width": e_max - e_min,
+        "r_mean": spec.r_mean,
+        "degeneracy_tol": spec.degeneracy_tol,
+        "n_sectors": spec.partition.n_sectors,
     }, indent=2, sort_keys=True))
     return 0
 
@@ -133,42 +127,20 @@ def cmd_oracle(args) -> int:
     if args.samples < 2:
         raise PipelineError("config", f"--samples must be >= 2, got {args.samples}")
     config = _load_config(args.config)
-    # reuse the pipeline up to state preparation, skipping the dynamics
-    basis = build_basis(config.L, config.total_sz)
-    disorder = draw_disorder(config.L, config.h, config.disorder_seed)
-    half = config.L // 2
-    eig = diagonalize(build_hamiltonian(basis, config.J, disorder))
-    e = eig.energies
-    tol = (config.degeneracy_tol if config.degeneracy_tol is not None
-           else 1e-8 * float(e[-1] - e[0]))
-    partition = cluster_sectors(e, tol)
-    ham_right = build_hamiltonian(basis, config.J, disorder,
-                                  bond_range=(half, config.L - 2),
-                                  field_sites=(half, config.L - 1))
-    splits = diagonalize_split_halves(config.L, config.J, disorder, config.total_sz)
-    prod1 = find_product_eigenstates(splits, basis, "near_min",
-                                     (float(e[0]), float(e[-1])))
-    prod2 = find_product_eigenstates(splits, basis, "near_max",
-                                     (float(e[0]), float(e[-1])))
-    phi1 = eig.vector_to_eigenbasis(prod1.vector)
-    phi2 = eig.vector_to_eigenbasis(prod2.vector)
-    observables = {
-        "H_R": symmetrized(eig.to_eigenbasis(ham_right.entries)),
-        "Q": build_projector_observable(phi1, phi2),
-    }
+    q = prepare_quench(config)
 
     out: dict = {"order": args.order, "n_samples": args.samples,
                  "protocols": {}}
     for protocol in config.protocols:
-        rho0 = prepare_protocol_state(phi1, phi2, protocol)
+        rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
         block = {}
-        for name, obs in observables.items():
-            est = estimate_moments(rho0, partition, [obs] * args.order,
+        for name, obs in q.observables.items():
+            est = estimate_moments(rho0, q.partition, [obs] * args.order,
                                    order=args.order, n_samples=args.samples,
                                    seed=config.disorder_seed)[0]
             entry = {"estimate": est.value, "std_error": est.std_error}
             if args.order <= 2:
-                pred = second_moment_expectation(rho0, partition, obs, obs)
+                pred = second_moment_expectation(rho0, q.partition, obs, obs)
                 entry["analytic"] = (pred.mean_a if args.order == 1
                                      else pred.second_moment)
             block[name] = entry

@@ -183,13 +183,6 @@ def time_stats(series: TimeSeries, n_subintervals: int = 10) -> TimeStats:
                      sigma_ci=sigma_ci, n_subintervals=n_subintervals)
 
 
-def product_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
-    """Pointwise product, e.g. for time-averaging O(t) O'(t)."""
-    if a.n_points != b.n_points or not np.array_equal(a.times, b.times):
-        raise ConstructionError("series grids differ; refuse to multiply")
-    return TimeSeries(times=a.times, values=a.values * b.values)
-
-
 def write_series_csv(path, series: TimeSeries):
     with open(path, "w") as f:
         f.write("t,value\n")

@@ -17,37 +17,37 @@ the averaged expectation values contract to sector-restricted traces:
       + sum_{i!=j} tr(rho^(ij) rho^(ji)) tr(A^(ji) B^(ij)) / (d_i d_j)
 
 Everything here works on matrices already expressed in the eigenbasis that
-defines the partition.  No d^2 x d^2 object is ever materialized on this
-path; `dense_second_moment_reference` builds one literally, but only as a
+defines the partition, real or complex as given.  No d^2 x d^2 object is
+ever materialized; the test suite assembles one literally as a
 small-dimension cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError, StateValidationError
 from .spectral import SectorPartition
-from .spin_chain import HermitianOperator
+from .spin_chain import HermitianOperator, as_inexact_array
 
 TRACE_ATOL = 1e-10
 TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
 PSD_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
-DENSE_REFERENCE_MAX_DIM = 64
 SHARED_SUPPORT_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
+    """Validated density matrix: Hermitian, unit trace, positive semidefinite.
+    Real input stays real."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        m = as_inexact_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidationError(f"density matrix must be square, got {m.shape}")
         herm = float(np.max(np.abs(m - m.conj().T)))
@@ -72,7 +72,7 @@ class DensityMatrix:
 
     @classmethod
     def from_state_vector(cls, psi: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(psi, dtype=np.complex128).ravel()
+        v = np.asarray(psi).ravel()
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-10:
             raise StateValidationError(f"state vector norm {norm:.12f} != 1")
@@ -81,13 +81,11 @@ class DensityMatrix:
 
 def _entries(rho) -> np.ndarray:
     """Accept DensityMatrix or a raw array (used by oracles and error-path tests)."""
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return np.ascontiguousarray(m, dtype=np.complex128)
+    return as_inexact_array(rho.entries if isinstance(rho, DensityMatrix) else rho)
 
 
 def _operator(op) -> np.ndarray:
-    m = op.entries if isinstance(op, HermitianOperator) else np.asarray(op)
-    return np.ascontiguousarray(m, dtype=np.complex128)
+    return as_inexact_array(op.entries if isinstance(op, HermitianOperator) else op)
 
 
 def _check_shapes(partition: SectorPartition, *mats: np.ndarray):
@@ -95,17 +93,6 @@ def _check_shapes(partition: SectorPartition, *mats: np.ndarray):
         if m.shape != (partition.dim, partition.dim):
             raise SectorError(
                 f"matrix shape {m.shape} does not match partition dim {partition.dim}")
-
-
-def sector_block(matrix, partition: SectorPartition, i: int, j: int) -> np.ndarray:
-    """Block of a matrix between sectors i and j (a copy)."""
-    m = np.asarray(matrix if not hasattr(matrix, "entries") else matrix.entries)
-    _check_shapes(partition, m)
-    n = partition.n_sectors
-    if not (0 <= i < n and 0 <= j < n):
-        raise SectorError(f"sector pair ({i}, {j}) outside 0..{n - 1}")
-    sl = partition.slices()
-    return m[sl[i], sl[j]].copy()
 
 
 def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -133,7 +120,7 @@ def ensemble_mean(rho, partition: SectorPartition) -> DensityMatrix:
     # dividing by the actual trace keeps marginally off-normalized inputs
     # (inside the gate above) from producing an invalid output state
     weights = np.repeat(t / partition.sizes, partition.sizes) / tr.real
-    return DensityMatrix(np.diag(weights.astype(np.complex128)))
+    return DensityMatrix(np.diag(weights))
 
 
 @dataclass(frozen=True)
@@ -147,16 +134,10 @@ class MomentPrediction:
     mean_a: float
     mean_b: float
     connected: float
-    term_breakdown: dict = field(default_factory=dict)
 
     @property
     def second_moment(self) -> float:
         return self.mean_a * self.mean_b + self.connected
-
-    @property
-    def mean_value(self) -> float:
-        """Convenience for the A == B case."""
-        return self.mean_a
 
 
 def second_moment_expectation(rho, partition: SectorPartition,
@@ -164,10 +145,7 @@ def second_moment_expectation(rho, partition: SectorPartition,
     """E[tr(sigma A)], E[tr(sigma B)], and E[tr(sigma A) tr(sigma B)] with
     sigma = U rho U^dag averaged over sector-block unitaries.
 
-    All inputs live in the basis defining the partition.  The four
-    contraction terms are recorded in term_breakdown under the keys
-    same_sector_symmetric / same_sector_antisymmetric / cross_direct /
-    cross_exchange, each with its total and the per-sector(-pair) pieces.
+    All inputs live in the basis defining the partition.
     """
     m = _entries(rho)
     a_mat = _operator(obs_a)
@@ -192,7 +170,7 @@ def second_moment_expectation(rho, partition: SectorPartition,
     mean_a = float(np.sum(t * a_tr.real / d))
     mean_b = float(np.sum(t * b_tr.real / d))
 
-    ab_diag = a_tr * b_tr  # a_i b_i, complex until the end
+    ab_diag = a_tr * b_tr  # a_i b_i; the real part is taken only at the end
     sym_pairs = (t**2 + p) / (d * (d + 1.0)) * 0.5 * (ab_diag + p_ab)
     anti_pairs = np.zeros_like(sym_pairs)
     big = d >= 2
@@ -213,96 +191,8 @@ def second_moment_expectation(rho, partition: SectorPartition,
         raise NumericalIntegrityError(
             f"second moment has imaginary residue {total.imag:.3e}")
     second = float(total.real)
-
-    breakdown = {
-        "same_sector_symmetric": {
-            "total": float(sym_pairs.sum().real), "per_sector": sym_pairs.real},
-        "same_sector_antisymmetric": {
-            "total": float(anti_pairs.sum().real), "per_sector": anti_pairs.real},
-        "cross_direct": {
-            "total": float(direct_pairs.sum().real), "per_pair": direct_pairs.real},
-        "cross_exchange": {
-            "total": float(exchange_pairs.sum().real), "per_pair": exchange_pairs.real},
-    }
     return MomentPrediction(mean_a=mean_a, mean_b=mean_b,
-                            connected=second - mean_a * mean_b,
-                            term_breakdown=breakdown)
-
-
-def dense_second_moment_reference(rho, partition: SectorPartition) -> np.ndarray:
-    """Literal d^2 x d^2 matrix E[sigma (x) sigma], assembled from the four
-    identity operators term by term.
-
-    Deliberately independent of the contraction path so the two can check
-    each other; guarded to dim <= 64 because of the quartic memory cost.
-    """
-    m = _entries(rho)
-    _check_shapes(partition, m)
-    d = partition.dim
-    if d > DENSE_REFERENCE_MAX_DIM:
-        raise ValueError(f"dense reference limited to dim <= {DENSE_REFERENCE_MAX_DIM}, "
-                         f"got {d}")
-    slices = partition.slices()
-    sizes = partition.sizes
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-
-    for i, sl in enumerate(slices):
-        di = int(sizes[i])
-        block = m[sl, sl]
-        t_i = block.trace().real
-        p_i = (block @ block).trace().real
-        w_sym = (t_i**2 + p_i) / (di * (di + 1.0))
-        idx = range(sl.start, sl.stop)
-        for nu in idx:
-            for nu2 in idx:
-                # (|nu,nu2> + |nu2,nu>) / 2 outer itself, summed over all pairs
-                pos = _two_body([(nu, nu2, 1.0), (nu2, nu, 1.0)], d)
-                _accumulate(out, pos, 0.25 * w_sym)
-        if di >= 2:
-            w_anti = (t_i**2 - p_i) / (di * (di - 1.0))
-            for nu in idx:
-                for nu2 in idx:
-                    if nu == nu2:
-                        continue
-                    pos = _two_body([(nu, nu2, 1.0), (nu2, nu, -1.0)], d)
-                    _accumulate(out, pos, 0.25 * w_anti)
-
-    for i, sl_i in enumerate(slices):
-        for j, sl_j in enumerate(slices):
-            if i == j:
-                continue
-            dij = float(sizes[i] * sizes[j])
-            w_direct = (m[sl_i, sl_i].trace() * m[sl_j, sl_j].trace()).real / dij
-            w_exch = (m[sl_i, sl_j] @ m[sl_j, sl_i]).trace().real / dij
-            for nu1 in range(sl_i.start, sl_i.stop):
-                for nu2 in range(sl_j.start, sl_j.stop):
-                    row = nu1 * d + nu2
-                    out[row, row] += w_direct
-                    out[row, nu2 * d + nu1] += w_exch
-    return out
-
-
-def _two_body(amplitudes, d):
-    """Collapse [(nu, nu2, amp), ...] into {flat_index: amplitude}."""
-    pos: dict[int, float] = {}
-    for nu, nu2, amp in amplitudes:
-        k = nu * d + nu2
-        pos[k] = pos.get(k, 0.0) + amp
-    return pos
-
-
-def _accumulate(out, pos, weight):
-    for r, ar in pos.items():
-        for c, ac in pos.items():
-            out[r, c] += weight * ar * ac
-
-
-def contract_with_pair(dense: np.ndarray, obs_a, obs_b) -> float:
-    """tr(dense * A (x) B) for a d^2 x d^2 dense second moment."""
-    a_mat = _operator(obs_a)
-    b_mat = _operator(obs_b)
-    val = np.trace(dense @ np.kron(a_mat, b_mat))
-    return float(val.real)
+                            connected=second - mean_a * mean_b)
 
 
 def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
@@ -316,8 +206,8 @@ def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
     Raises when sum_i |<i|phi1><i|phi2>| exceeds overlap_threshold, since
     the approximation discards exactly those shared-support terms.
     """
-    v1 = np.asarray(phi1_overlaps, dtype=np.complex128).ravel()
-    v2 = np.asarray(phi2_overlaps, dtype=np.complex128).ravel()
+    v1 = np.asarray(phi1_overlaps).ravel()
+    v2 = np.asarray(phi2_overlaps).ravel()
     if v1.shape != v2.shape:
         raise StateValidationError(f"overlap vectors differ in length: "
                                    f"{v1.shape} vs {v2.shape}")

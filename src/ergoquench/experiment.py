@@ -7,6 +7,8 @@ classical mixture ("mixed").  Observables are the right-half energy H_R
 and the swap operator Q between the two product states.  The run compares
 time-window statistics of the evolved expectation values against the
 analytic ensemble predictions, with optional Monte-Carlo cross-checks.
+`prepare_quench` is the one pipeline prefix that the run and the CLI's
+`spectrum` and `oracle` commands start from.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,8 +28,8 @@ from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
                                second_moment_expectation)
 from .errors import PipelineError, StateValidationError
 from .haar_oracle import estimate_moments
-from .spectral import (EigenSystem, cluster_sectors, diagonalize,
-                       level_spacing_ratio)
+from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
+                       diagonalize, level_spacing_ratio)
 from .spin_chain import (DisorderRealization, SpinBasis, build_basis,
                          build_hamiltonian, build_projector_observable,
                          draw_disorder, symmetrized)
@@ -92,17 +95,6 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.L, "J": self.J, "h": self.h,
-            "disorder_seed": self.disorder_seed, "total_sz": self.total_sz,
-            "protocol": self.protocol, "time_window": list(self.time_window),
-            "n_subintervals": self.n_subintervals,
-            "degeneracy_tol": self.degeneracy_tol,
-            "mc_samples": self.mc_samples, "output_dir": self.output_dir,
-            "prune_floor": self.prune_floor,
-        }
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ def _embed_product(hs: HalfSpectra, a: int, b: int, basis: SpinBasis) -> np.ndar
     idx = np.searchsorted(basis.states, configs)
     if np.any(basis.states[idx] != configs):
         raise PipelineError("build", "product state fell outside the target sector")
-    out = np.zeros(basis.dim, dtype=np.complex128)
+    out = np.zeros(basis.dim, dtype=amps.dtype)
     out[idx] = amps
     return out
 
@@ -194,8 +186,8 @@ def prepare_protocol_state(phi1: np.ndarray, phi2: np.ndarray,
                            protocol: str) -> DensityMatrix:
     """Initial state of a protocol: even superposition ("cat") or even
     mixture ("mixed") of two unit vectors."""
-    v1 = np.asarray(phi1, dtype=np.complex128).ravel()
-    v2 = np.asarray(phi2, dtype=np.complex128).ravel()
+    v1 = np.asarray(phi1).ravel()
+    v2 = np.asarray(phi2).ravel()
     for v in (v1, v2):
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise StateValidationError("protocol inputs must be unit vectors")
@@ -221,14 +213,6 @@ class ExperimentReport:
     timestamp: str = ""
     runtime_seconds: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config, "spectral": self.spectral,
-            "states": self.states, "protocols": self.protocols,
-            "closed_form": self.closed_form, "timestamp": self.timestamp,
-            "runtime_seconds": self.runtime_seconds,
-        }
-
 
 @dataclass
 class ExperimentResult:
@@ -240,60 +224,105 @@ class ExperimentResult:
     overlaps: np.ndarray  # columns: |<i|phi1>|, |<i|phi2>|
 
 
+@contextmanager
+def _stage(name: str):
+    """Tag any failure inside the block with the pipeline stage `name`."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class SpectralPrefix:
+    """Sector, disorder and full-chain spectrum of one realization."""
+
+    basis: SpinBasis
+    disorder: DisorderRealization
+    eig: EigenSystem
+    degeneracy_tol: float
+    partition: SectorPartition
+    r_mean: float | None  # None for sectors of fewer than 3 levels
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        return float(self.eig.energies[0]), float(self.eig.energies[-1])
+
+
+@dataclass(frozen=True)
+class QuenchPrefix(SpectralPrefix):
+    """The spectrum plus both product states, their eigenbasis coordinates
+    phi1/phi2 and the observables in the eigenbasis: everything the
+    dynamics, the ensemble theory and the Monte-Carlo oracle start from."""
+
+    prod1: ProductEigenstate
+    prod2: ProductEigenstate
+    phi1: np.ndarray
+    phi2: np.ndarray
+    observables: dict  # OBSERVABLE_NAMES -> HermitianOperator
+
+
+def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
+    """Build and diagonalize the full chain and partition its spectrum."""
+    with _stage("build"):
+        basis = build_basis(config.L, config.total_sz)
+        disorder = draw_disorder(config.L, config.h, config.disorder_seed)
+        ham = build_hamiltonian(basis, config.J, disorder)
+    with _stage("diagonalize"):
+        eig = diagonalize(ham)
+        energies = eig.energies
+        tol = (config.degeneracy_tol if config.degeneracy_tol is not None
+               else DEGENERACY_TOL_RELATIVE * float(energies[-1] - energies[0]))
+        # a gap ratio needs two adjacent spacings
+        r_mean = level_spacing_ratio(energies) if eig.dim >= 3 else None
+        return SpectralPrefix(basis=basis, disorder=disorder, eig=eig,
+                              degeneracy_tol=tol,
+                              partition=cluster_sectors(energies, tol),
+                              r_mean=r_mean)
+
+
+def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
+    """The shared pipeline prefix: spectrum, product states, observables."""
+    spec = prepare_spectrum(config)
+    half = config.L // 2
+    with _stage("build"):
+        ham_right = build_hamiltonian(spec.basis, config.J, spec.disorder,
+                                      bond_range=(half, config.L - 2),
+                                      field_sites=(half, config.L - 1))
+    with _stage("diagonalize"):
+        splits = diagonalize_split_halves(config.L, config.J, spec.disorder,
+                                          config.total_sz)
+        prod1 = find_product_eigenstates(splits, spec.basis, "near_min", spec.bounds)
+        prod2 = find_product_eigenstates(splits, spec.basis, "near_max", spec.bounds)
+        phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
+        phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
+        observables = {
+            "H_R": symmetrized(spec.eig.to_eigenbasis(ham_right.entries)),
+            "Q": build_projector_observable(phi1, phi2),
+        }
+        return QuenchPrefix(**vars(spec), prod1=prod1, prod2=prod2,
+                            phi1=phi1, phi2=phi2, observables=observables)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full pipeline for one disorder realization."""
     t_begin = time.perf_counter()
-    stage = "build"
-    try:
-        basis = build_basis(config.L, config.total_sz)
-        disorder = draw_disorder(config.L, config.h, config.disorder_seed)
-        half = config.L // 2
-        ham = build_hamiltonian(basis, config.J, disorder)
-        ham_right = build_hamiltonian(basis, config.J, disorder,
-                                      bond_range=(half, config.L - 2),
-                                      field_sites=(half, config.L - 1))
+    q = prepare_quench(config)
+    energies = q.eig.energies
 
-        stage = "diagonalize"
-        eig = diagonalize(ham)
-        energies = eig.energies
-        e_min, e_max = float(energies[0]), float(energies[-1])
-        width = e_max - e_min
-        tol = (config.degeneracy_tol if config.degeneracy_tol is not None
-               else DEGENERACY_TOL_RELATIVE * width)
-        partition = cluster_sectors(energies, tol)
-        r_mean = level_spacing_ratio(energies)
-
-        splits = diagonalize_split_halves(config.L, config.J, disorder,
-                                          config.total_sz)
-        bounds = (e_min, e_max)
-        prod1 = find_product_eigenstates(splits, basis, "near_min", bounds)
-        prod2 = find_product_eigenstates(splits, basis, "near_max", bounds)
-
-        phi1 = eig.vector_to_eigenbasis(prod1.vector)
-        phi2 = eig.vector_to_eigenbasis(prod2.vector)
-        h_r_eig = symmetrized(eig.to_eigenbasis(ham_right.entries))
-        q_eig = build_projector_observable(phi1, phi2)
-        observables = {"H_R": h_r_eig, "Q": q_eig}
-
-        shared = np.abs(phi1 * phi2)
-        states_info = {
-            "e1": prod1.energy, "e2": prod2.energy,
-            "overlap_max": float(shared.max()),
-            "overlap_sum": float(shared.sum()),
-            "product_inner": float(abs(np.vdot(prod1.vector, prod2.vector))),
-        }
-
-        stage = "evolve"
+    with _stage("evolve"):
         t0, t1, n_points = config.time_window
         grid = make_time_grid(t0, t1, n_points)
         series: dict = {}
         protocols_out: dict = {}
         for protocol in config.protocols:
-            rho0 = prepare_protocol_state(phi1, phi2, protocol)
-            mean_state = ensemble_mean(rho0, partition)
+            rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            mean_state = ensemble_mean(rho0, q.partition)
             block: dict = {}
-            for name, obs in observables.items():
-                prediction = second_moment_expectation(rho0, partition, obs, obs)
+            for name, obs in q.observables.items():
+                prediction = second_moment_expectation(rho0, q.partition, obs, obs)
                 ts = evolve_expectation(rho0, obs, energies, grid,
                                         prune_floor=config.prune_floor)
                 stats = time_stats(ts, config.n_subintervals)
@@ -308,10 +337,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "numeric_sigma_ci": stats.sigma_ci,
                 }
                 if config.mc_samples > 0:
-                    est1 = estimate_moments(rho0, partition, [obs], order=1,
+                    est1 = estimate_moments(rho0, q.partition, [obs], order=1,
                                             n_samples=config.mc_samples,
                                             seed=config.disorder_seed)[0]
-                    est2 = estimate_moments(rho0, partition, [obs, obs], order=2,
+                    est2 = estimate_moments(rho0, q.partition, [obs, obs], order=2,
                                             n_samples=config.mc_samples,
                                             seed=config.disorder_seed)[0]
                     entry["mc"] = {
@@ -323,32 +352,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 block[name] = entry
             protocols_out[protocol] = block
 
-        stage = "report"
+    with _stage("report"):
+        shared = np.abs(q.phi1 * q.phi2)
+        states_info = {
+            "e1": q.prod1.energy, "e2": q.prod2.energy,
+            "overlap_max": float(shared.max()),
+            "overlap_sum": float(shared.sum()),
+            "product_inner": float(abs(np.vdot(q.prod1.vector, q.prod2.vector))),
+        }
         closed: dict = {
             "applicable": states_info["overlap_sum"] <= SHARED_SUPPORT_THRESHOLD,
             "threshold": SHARED_SUPPORT_THRESHOLD,
             "overlap_sum": states_info["overlap_sum"],
         }
         if closed["applicable"]:
-            variance = cat_q_variance_closed_form(phi1, phi2)
+            variance = cat_q_variance_closed_form(q.phi1, q.phi2)
             closed["sigma_q"] = float(np.sqrt(variance))
 
+        e_min, e_max = q.bounds
         report = ExperimentReport(
-            config=dict(config.to_dict(), degeneracy_tol=tol),
-            spectral={"dim": basis.dim, "e_min": e_min, "e_max": e_max,
-                      "r_mean": r_mean, "n_sectors": partition.n_sectors},
+            config=dict(asdict(config), degeneracy_tol=q.degeneracy_tol),
+            spectral={"dim": q.basis.dim, "e_min": e_min, "e_max": e_max,
+                      "r_mean": q.r_mean, "n_sectors": q.partition.n_sectors},
             states=states_info,
             protocols=protocols_out,
             closed_form=closed,
             runtime_seconds=round(time.perf_counter() - t_begin, 3),
         )
-        overlaps = np.column_stack([np.abs(phi1), np.abs(phi2)])
+        overlaps = np.column_stack([np.abs(q.phi1), np.abs(q.phi2)])
         return ExperimentResult(report=report, series=series,
                                 energies=energies, overlaps=overlaps)
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(stage, str(exc)) from exc
 
 
 def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
@@ -368,7 +401,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
         written.append(path)
         with open(path, "w") as f:
             # allow_nan=False turns any non-finite value into a hard error here
-            json.dump(report.as_dict(), f, indent=2, sort_keys=True,
+            json.dump(asdict(report), f, indent=2, sort_keys=True,
                       allow_nan=False)
             f.write("\n")
 

@@ -44,7 +44,7 @@ class BlockUnitary:
             raise SectorError(f"matrix shape {m.shape} does not match "
                               f"partition dim {self.partition.dim}")
         slices = self.partition.slices()
-        out = np.empty_like(m)
+        out = np.empty(m.shape, dtype=np.complex128)
         for i, sl_i in enumerate(slices):
             for j, sl_j in enumerate(slices):
                 out[sl_i, sl_j] = self.blocks[i] @ m[sl_i, sl_j] @ self.blocks[j].conj().T
@@ -65,26 +65,6 @@ class MomentEstimate:
     n_samples: int
 
 
-def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, sample_index]))
-
-
-def _draw_ginibre_blocks(rng: np.random.Generator, sizes: np.ndarray) -> list[np.ndarray]:
-    """Per-sector Ginibre draws in a fixed layout: sector by sector, real
-    parts then imaginary parts, each row-major."""
-    total = int(np.sum(2 * sizes**2))
-    flat = rng.standard_normal(total)
-    blocks = []
-    pos = 0
-    for d in sizes:
-        d = int(d)
-        re = flat[pos:pos + d * d].reshape(d, d)
-        im = flat[pos + d * d:pos + 2 * d * d].reshape(d, d)
-        blocks.append((re + 1j * im) / np.sqrt(2.0))
-        pos += 2 * d * d
-    return blocks
-
-
 def _fix_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Rescale Q columns so the effective R diagonal is positive real;
     this removes the QR gauge ambiguity and yields exact Haar measure."""
@@ -95,34 +75,51 @@ def _fix_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
+def _haar_blocks(partition: SectorPartition, seed: int, first_index: int,
+                 count: int) -> list[np.ndarray]:
+    """Per-sector (count, d_i, d_i) stacks of Haar unitaries for samples
+    first_index .. first_index + count - 1.
+
+    Sample k draws its Ginibre entries from its own (seed, k) Philox
+    substream in a fixed layout: sector by sector, real parts then
+    imaginary parts, each row-major.
+    """
+    sizes = [int(d) for d in partition.sizes]
+    flat = np.empty((count, sum(2 * d * d for d in sizes)))
+    for k in range(count):
+        rng = np.random.Generator(np.random.Philox(key=[seed, first_index + k]))
+        rng.standard_normal(out=flat[k])
+    blocks = []
+    pos = 0
+    for d in sizes:
+        re = flat[:, pos:pos + d * d].reshape(count, d, d)
+        im = flat[:, pos + d * d:pos + 2 * d * d].reshape(count, d, d)
+        blocks.append(_fix_phases(*np.linalg.qr((re + 1j * im) / np.sqrt(2.0))))
+        pos += 2 * d * d
+    return blocks
+
+
 def sample_block_unitary(partition: SectorPartition, seed: int,
                          sample_index: int = 0) -> BlockUnitary:
     """Draw one block unitary from its own (seed, sample_index) substream."""
-    rng = _sample_rng(seed, sample_index)
-    blocks = []
-    for z in _draw_ginibre_blocks(rng, partition.sizes):
-        q, r = np.linalg.qr(z)
-        blocks.append(_fix_phases(q, r))
-    return BlockUnitary(partition=partition, blocks=tuple(blocks))
+    blocks = _haar_blocks(partition, seed, sample_index, 1)
+    return BlockUnitary(partition=partition, blocks=tuple(b[0] for b in blocks))
 
 
-def _sample_unitary_batch(partition: SectorPartition, seed: int,
-                          first_index: int, count: int) -> np.ndarray:
-    """(count, d, d) stack of block unitaries, matching sample_block_unitary
-    draw for draw."""
-    sizes = partition.sizes
-    per_sector = [np.empty((count, int(d), int(d)), dtype=np.complex128)
-                  for d in sizes]
-    for k in range(count):
-        rng = _sample_rng(seed, first_index + k)
-        for buf, z in zip(per_sector, _draw_ginibre_blocks(rng, sizes)):
-            buf[k] = z
+def _rotated_states(rho, partition: SectorPartition, n_samples: int,
+                    seed: int, chunk_size: int):
+    """Yield (first_index, sigma) per chunk, sigma the (count, d, d) stack
+    of U rho U^dag for samples first_index .. first_index + count - 1."""
+    m = _entries(rho)
     d = partition.dim
-    out = np.zeros((count, d, d), dtype=np.complex128)
-    for sl, z in zip(partition.slices(), per_sector):
-        q, r = np.linalg.qr(z)
-        out[:, sl, sl] = _fix_phases(q, r)
-    return out
+    chunk_size = _bounded_chunk(chunk_size, d)
+    for done in range(0, n_samples, chunk_size):
+        count = min(chunk_size, n_samples - done)
+        u = np.zeros((count, d, d), dtype=np.complex128)
+        for sl, q in zip(partition.slices(),
+                         _haar_blocks(partition, seed, done, count)):
+            u[:, sl, sl] = q
+        yield done, u @ m @ u.conj().transpose(0, 2, 1)
 
 
 def estimate_moments(rho, partition: SectorPartition, observables,
@@ -148,18 +145,11 @@ def estimate_moments(rho, partition: SectorPartition, observables,
                          f"got {len(obs)}")
     if not obs:
         raise ValueError("no observables given")
-    m = _entries(rho)
-    chunk_size = _bounded_chunk(chunk_size, partition.dim)
-
     per_obs = [np.empty(n_samples) for _ in obs]
-    done = 0
-    while done < n_samples:
-        count = min(chunk_size, n_samples - done)
-        u = _sample_unitary_batch(partition, seed, done, count)
-        sigma = u @ m @ u.conj().transpose(0, 2, 1)
+    for done, sigma in _rotated_states(rho, partition, n_samples, seed,
+                                       chunk_size):
         for vals, a in zip(per_obs, obs):
-            vals[done:done + count] = np.einsum("bij,ji->b", sigma, a).real
-        done += count
+            vals[done:done + len(sigma)] = np.einsum("bij,ji->b", sigma, a).real
 
     if order == 1:
         return [_summarize(v) for v in per_obs]
@@ -191,21 +181,14 @@ def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    m = _entries(rho)
-    d = m.shape[0]
-    chunk_size = _bounded_chunk(chunk_size, d)
+    d = partition.dim
     acc = np.zeros((d, d), dtype=np.complex128)
     acc_re2 = np.zeros((d, d))
     acc_im2 = np.zeros((d, d))
-    done = 0
-    while done < n_samples:
-        count = min(chunk_size, n_samples - done)
-        u = _sample_unitary_batch(partition, seed, done, count)
-        sigma = u @ m @ u.conj().transpose(0, 2, 1)
+    for _, sigma in _rotated_states(rho, partition, n_samples, seed, chunk_size):
         acc += sigma.sum(axis=0)
         acc_re2 += (sigma.real**2).sum(axis=0)
         acc_im2 += (sigma.imag**2).sum(axis=0)
-        done += count
 
     mean = acc / n_samples
     bessel = n_samples / (n_samples - 1.0)

@@ -33,22 +33,18 @@ class EigenSystem:
         return self.vectors.conj().T @ np.asarray(entries) @ self.vectors
 
     def vector_to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
-        return self.vectors.conj().T @ np.asarray(v, dtype=np.complex128)
+        return self.vectors.conj().T @ np.asarray(v)
 
 
 def diagonalize(op: HermitianOperator) -> EigenSystem:
     """Full eigendecomposition of a sector operator.
 
-    Real-symmetric matrices take the faster real LAPACK path; the returned
-    vectors are complex either way so downstream code has one dtype.
+    The vectors have the operator's dtype: real for a real-symmetric
+    operator, complex for a complex Hermitian one.
     """
     m = op.entries
     try:
-        if np.all(m.imag == 0.0):
-            energies, vectors = np.linalg.eigh(m.real)
-            vectors = vectors.astype(np.complex128)
-        else:
-            energies, vectors = np.linalg.eigh(m)
+        energies, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         raise NumericalIntegrityError(
@@ -137,39 +133,3 @@ def cluster_sectors(energies: np.ndarray, degeneracy_tol: float) -> SectorPartit
     gaps = np.diff(e)
     starts = np.concatenate(([0], np.nonzero(gaps > degeneracy_tol)[0] + 1))
     return SectorPartition(dim=len(e), starts=starts)
-
-
-def coarsen_partition(energies: np.ndarray,
-                      windows: list[tuple[float, float]]) -> SectorPartition:
-    """Merge all levels inside each energy window into one sector.
-
-    Windows are closed intervals and must be pairwise disjoint; levels not
-    covered by any window remain singleton sectors.  Windows that catch no
-    level are ignored.
-    """
-    e = np.asarray(energies, dtype=float)
-    if np.any(np.diff(e) < 0):
-        raise SectorError("energies must be sorted ascending")
-    wins = sorted(windows, key=lambda w: w[0])
-    for (lo, hi) in wins:
-        if hi < lo:
-            raise ValueError(f"window ({lo}, {hi}) has hi < lo")
-    for (_, hi_prev), (lo_next, _) in zip(wins, wins[1:]):
-        if lo_next <= hi_prev:
-            raise ValueError("energy windows overlap")
-
-    runs = []
-    for lo, hi in wins:
-        a = int(np.searchsorted(e, lo, side="left"))
-        b = int(np.searchsorted(e, hi, side="right"))
-        if b > a:
-            runs.append((a, b))
-
-    starts: list[int] = []
-    pos = 0
-    for a, b in runs:
-        starts.extend(range(pos, a))  # singletons before the window
-        starts.append(a)
-        pos = b
-    starts.extend(range(pos, len(e)))
-    return SectorPartition(dim=len(e), starts=np.asarray(starts, dtype=np.int64))

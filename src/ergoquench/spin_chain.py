@@ -12,7 +12,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,13 @@ from .errors import ConstructionError, SectorError
 
 HERMITICITY_ATOL = 1e-12
 NORM_ATOL = 1e-10
+
+
+def as_inexact_array(m) -> np.ndarray:
+    """Contiguous array at float64, or at complex128 for complex input, so
+    real data is never widened to complex."""
+    m = np.asarray(m)
+    return np.ascontiguousarray(m, dtype=np.result_type(m.dtype, np.float64))
 
 
 @dataclass(frozen=True)
@@ -33,14 +40,6 @@ class SpinBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    def index_of(self, state: int) -> int:
-        """Position of a configuration integer within the sector."""
-        i = int(np.searchsorted(self.states, state))
-        if i >= self.dim or self.states[i] != state:
-            raise SectorError(f"configuration {state:#x} not in sector "
-                              f"(L={self.n_sites}, Sz={self.total_sz})")
-        return i
 
     def occupations(self) -> np.ndarray:
         """(dim, L) array of bits, entry [a, j] is 1 if site j is up in state a."""
@@ -91,12 +90,13 @@ def draw_disorder(n_sites: int, h_bound: float, seed: int) -> DisorderRealizatio
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense operator on the sector, validated to be Hermitian on creation."""
+    """A dense operator on the sector, validated to be Hermitian on creation.
+    Real input stays real."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        m = as_inexact_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConstructionError(f"operator must be square, got {m.shape}")
         dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -112,7 +112,7 @@ class HermitianOperator:
 def symmetrized(entries: np.ndarray) -> HermitianOperator:
     """Wrap (M + M^dag)/2, for matrices Hermitian only up to rounding
     (e.g. after a basis rotation)."""
-    m = np.asarray(entries, dtype=np.complex128)
+    m = np.asarray(entries)
     return HermitianOperator(0.5 * (m + m.conj().T))
 
 
@@ -157,7 +157,7 @@ def build_hamiltonian(
     for j in sites:
         diag += disorder.h_fields[j] * z[:, j]
 
-    entries = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    entries = np.zeros((basis.dim, basis.dim))
     entries[np.diag_indices(basis.dim)] = diag
     for j in bonds:
         # sigma^x sigma^x + sigma^y sigma^y flips an anti-aligned pair with
@@ -188,8 +188,8 @@ def build_projector_observable(phi1: np.ndarray, phi2: np.ndarray) -> HermitianO
     Both vectors must be unit-normalized and of equal dimension.  For an
     orthonormal pair the result has trace 0 and squared trace 2.
     """
-    v1 = np.asarray(phi1, dtype=np.complex128).ravel()
-    v2 = np.asarray(phi2, dtype=np.complex128).ravel()
+    v1 = np.asarray(phi1).ravel()
+    v2 = np.asarray(phi2).ravel()
     if v1.shape != v2.shape:
         raise ConstructionError(f"vector dimensions differ: {v1.shape} vs {v2.shape}")
     for k, v in (("first", v1), ("second", v2)):

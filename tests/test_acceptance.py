@@ -14,10 +14,7 @@ import numpy as np
 import pytest
 
 from ergoquench.dynamics import evolve_expectation, make_time_grid
-from ergoquench.ergodic_ensemble import (DensityMatrix,
-                                         contract_with_pair,
-                                         dense_second_moment_reference,
-                                         ensemble_mean,
+from ergoquench.ergodic_ensemble import (DensityMatrix, ensemble_mean,
                                          second_moment_expectation)
 from ergoquench.experiment import ExperimentConfig, run_experiment, write_artifacts
 from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
@@ -27,6 +24,7 @@ from ergoquench.spectral import (SectorPartition, diagonalize,
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
 from conftest import random_density, random_hermitian, random_pure
+from dense_reference import contract_with_pair, dense_second_moment_reference
 
 
 def verdict(number, label, failures):

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from ergoquench.dynamics import (TimeSeries, evolve_expectation,
-                                 make_time_grid, product_series,
-                                 read_series_csv, time_stats,
+                                 make_time_grid, read_series_csv, time_stats,
                                  write_series_csv)
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.errors import ConstructionError, NumericalIntegrityError
@@ -199,19 +198,6 @@ class TestTimeStats:
 
 
 class TestSeriesUtilities:
-    def test_product_series_multiplies_pointwise(self):
-        t = make_time_grid(0.0, 1.0, 5)
-        a = TimeSeries(times=t, values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        b = TimeSeries(times=t, values=np.array([2.0, 2.0, 2.0, 2.0, 2.0]))
-        assert np.array_equal(product_series(a, b).values,
-                              [2.0, 4.0, 6.0, 8.0, 10.0])
-
-    def test_product_series_rejects_different_grids(self):
-        a = TimeSeries(times=make_time_grid(0.0, 1.0, 5), values=np.zeros(5))
-        b = TimeSeries(times=make_time_grid(0.0, 2.0, 5), values=np.zeros(5))
-        with pytest.raises(ConstructionError):
-            product_series(a, b)
-
     def test_csv_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         t = make_time_grid(3000.0, 13000.0, 300)

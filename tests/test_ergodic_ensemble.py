@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from ergoquench.ergodic_ensemble import (DensityMatrix,
                                          cat_q_variance_closed_form,
-                                         contract_with_pair,
-                                         dense_second_moment_reference,
-                                         ensemble_mean, sector_block,
+                                         ensemble_mean,
                                          second_moment_expectation)
 from ergoquench.errors import SectorError, StateValidationError
 from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
@@ -22,6 +20,7 @@ from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
 from ergoquench.spectral import SectorPartition
 
 from conftest import random_density, random_hermitian, random_pure
+from dense_reference import contract_with_pair, dense_second_moment_reference
 
 
 def singleton_oracle(rho, a, b):
@@ -219,19 +218,6 @@ class TestSecondMoment:
         assert pred.connected == pytest.approx(0.0, abs=1e-14)
         assert pred.second_moment == pytest.approx(pred.mean_a ** 2)
 
-    def test_term_breakdown_sums_to_total(self):
-        rng = np.random.default_rng(14)
-        rho = random_density(rng, 6)
-        part = SectorPartition(6, np.array([0, 2, 3]))
-        pred = second_moment_expectation(rho, part,
-                                         random_hermitian(rng, 6),
-                                         random_hermitian(rng, 6))
-        total = sum(v["total"] for v in pred.term_breakdown.values())
-        assert total == pytest.approx(pred.second_moment, rel=1e-12)
-        assert set(pred.term_breakdown) == {
-            "same_sector_symmetric", "same_sector_antisymmetric",
-            "cross_direct", "cross_exchange"}
-
     def test_trace_gate(self):
         part = SectorPartition.whole(3)
         a = random_hermitian(np.random.default_rng(15), 3)
@@ -331,24 +317,3 @@ class TestCatVarianceClosedForm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(StateValidationError):
             cat_q_variance_closed_form(np.zeros(3), np.zeros(4))
-
-
-class TestSectorBlock:
-    def test_extracts_expected_block(self):
-        rng = np.random.default_rng(22)
-        m = rng.normal(size=(5, 5))
-        part = SectorPartition(5, np.array([0, 2]))
-        blk = sector_block(m, part, 0, 1)
-        assert np.array_equal(blk, m[:2, 2:])
-
-    def test_returns_a_copy(self):
-        m = np.zeros((4, 4))
-        part = SectorPartition(4, np.array([0, 2]))
-        blk = sector_block(m, part, 0, 0)
-        blk[0, 0] = 5.0
-        assert m[0, 0] == 0.0
-
-    def test_out_of_range_sector(self):
-        part = SectorPartition(4, np.array([0, 2]))
-        with pytest.raises(SectorError):
-            sector_block(np.zeros((4, 4)), part, 0, 2)

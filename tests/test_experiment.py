@@ -1,5 +1,6 @@
 """End-to-end pipeline: configs, product-state search, runs, artifacts, CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -11,8 +12,8 @@ from ergoquench.dynamics import read_series_csv
 from ergoquench.errors import PipelineError, StateValidationError
 from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
                                    find_product_eigenstates,
-                                   prepare_protocol_state, run_experiment,
-                                   write_artifacts)
+                                   prepare_protocol_state, prepare_quench,
+                                   run_experiment, write_artifacts)
 from ergoquench.spectral import diagonalize
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
@@ -51,7 +52,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = fast_config(mc_samples=50)
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
     def test_from_file(self, tmp_path):
@@ -212,6 +213,19 @@ class TestReducedStates:
         assert np.trace(red_cat).real == pytest.approx(1.0, abs=1e-12)
 
 
+class TestPrepareQuench:
+    def test_real_pipeline_stays_real(self):
+        q = prepare_quench(fast_config())
+        arrays = {"eigenvectors": q.eig.vectors,
+                  "H_R": q.observables["H_R"].entries,
+                  "Q": q.observables["Q"].entries}
+        for protocol in ("cat", "mixed"):
+            arrays[protocol] = prepare_protocol_state(q.phi1, q.phi2,
+                                                      protocol).entries
+        assert {k: a.dtype for k, a in arrays.items()} == \
+            dict.fromkeys(arrays, np.float64)
+
+
 class TestRunExperiment:
     def test_small_run_report_structure(self):
         res = run_experiment(fast_config())
@@ -234,8 +248,8 @@ class TestRunExperiment:
         cfg = fast_config()
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
-        d1 = r1.report.as_dict()
-        d2 = r2.report.as_dict()
+        d1 = dataclasses.asdict(r1.report)
+        d2 = dataclasses.asdict(r2.report)
         for d in (d1, d2):
             d.pop("runtime_seconds")
             d.pop("timestamp")
@@ -354,3 +368,53 @@ class TestCli:
         assert main(["oracle", "--config", str(config_file),
                      "--order", "0", "--samples", "100"]) == 1
         assert "[config]" in capsys.readouterr().err
+
+
+SMALL_SECTORS = [{"L": 2}, {"L": 4, "total_sz": 4}]  # 2 levels, 1 level
+
+
+def write_config(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(raw, time_window=[100.0, 600.0, 200])))
+    return path
+
+
+def cli_args(command, path, tmp_path):
+    extra = {"run": ["--out", str(tmp_path / "out")],
+             "spectrum": [],
+             "oracle": ["--order", "2", "--samples", "50"]}[command]
+    return [command, "--config", str(path), *extra]
+
+
+class TestCliSharedPrefix:
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    @pytest.mark.parametrize("raw", SMALL_SECTORS)
+    def test_small_sector_reports_null_gap_ratio(self, command, raw,
+                                                 tmp_path, capsys):
+        assert main(cli_args(command, write_config(tmp_path, raw), tmp_path)) == 0
+        if command == "run":
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["spectral"]["r_mean"] is None
+        elif command == "spectrum":
+            assert json.loads(capsys.readouterr().out)["r_mean"] is None
+
+    def test_batch_average_skips_null_gap_ratios(self, tmp_path):
+        path = write_config(tmp_path, SMALL_SECTORS[0])
+        out = tmp_path / "batch"
+        assert main(["run", "--config", str(path), "--realizations", "2",
+                     "--out", str(out)]) == 0
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert agg["r_mean_per_seed"] == [None, None]
+        assert agg["r_mean_average"] is None and agg["r_mean_std"] is None
+
+    @pytest.mark.filterwarnings("ignore:.*exactly degenerate:UserWarning")
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    @pytest.mark.parametrize("raw,tag", [
+        ({"L": 4, "total_sz": 1}, "[build]"),              # parity mismatch
+        ({"L": 4, "J": 0.0, "h": 0.0}, "[diagonalize]"),   # no gap ratio at all
+    ])
+    def test_prefix_failure_has_the_same_stage_tag(self, command, raw, tag,
+                                                   tmp_path, capsys):
+        assert main(cli_args(command, write_config(tmp_path, raw), tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert tag in err and "[unexpected]" not in err

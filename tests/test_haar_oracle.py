@@ -58,6 +58,15 @@ class TestSampling:
         dense = u.to_matrix()
         assert np.max(np.abs(u.conjugate(m) - dense @ m @ dense.conj().T)) < 1e-12
 
+    def test_conjugate_of_real_matrix_is_complex(self):
+        part = SectorPartition(5, np.array([0, 2]))
+        u = sample_block_unitary(part, seed=4)
+        m = np.random.default_rng(7).normal(size=(5, 5))
+        dense = u.to_matrix()
+        rotated = u.conjugate(m)
+        assert rotated.dtype == np.complex128
+        assert np.max(np.abs(rotated - dense @ m @ dense.conj().T)) < 1e-12
+
     def test_conjugate_checks_shape(self):
         part = SectorPartition.whole(3)
         u = sample_block_unitary(part, seed=0)
@@ -140,6 +149,26 @@ class TestEstimateMoments:
         e2 = estimate_moments(rho, part, [a], order=1, n_samples=300,
                               seed=2, chunk_size=300)[0]
         assert e1.value == e2.value and e1.std_error == e2.std_error
+
+    def test_real_state_matches_its_complex_cast(self):
+        # a real rho must not lose the imaginary part of U rho U^dag
+        rng = np.random.default_rng(12)
+        part = SectorPartition(4, np.array([0, 1]))
+        g = rng.normal(size=(4, 4))
+        m = g @ g.T
+        rho = DensityMatrix(m / np.trace(m))
+        assert rho.entries.dtype == np.float64
+        a = random_hermitian(rng, 4)
+        as_complex = rho.entries.astype(complex)
+        got = estimate_moments(rho, part, [a, a], order=2, n_samples=64, seed=1)
+        want = estimate_moments(as_complex, part, [a, a], order=2,
+                                n_samples=64, seed=1)
+        assert got == want
+        mean, se_re, se_im = estimate_state_mean(rho, part, n_samples=64, seed=1)
+        assert mean.dtype == np.complex128 and np.any(se_im > 0.0)
+        for x, y in zip((mean, se_re, se_im),
+                        estimate_state_mean(as_complex, part, n_samples=64, seed=1)):
+            assert np.array_equal(x, y)
 
     def test_std_error_scales_as_root_n(self):
         rng = np.random.default_rng(6)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from ergoquench.errors import SectorError
 from ergoquench.spectral import (SectorPartition, cluster_sectors,
-                                 coarsen_partition, diagonalize,
-                                 level_spacing_ratio)
+                                 diagonalize, level_spacing_ratio)
 from ergoquench.spin_chain import HermitianOperator
 
 from conftest import random_hermitian
@@ -32,12 +31,12 @@ class TestDiagonalize:
         assert np.max(np.abs(rebuilt - op.entries)) < 1e-9 * scale
         assert eig.vectors.dtype == np.complex128
 
-    def test_real_input_takes_real_path_but_stays_complex(self):
+    def test_real_input_stays_real(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(20, 20))
         op = HermitianOperator((m + m.T) / 2)
         eig = diagonalize(op)
-        assert eig.vectors.dtype == np.complex128
+        assert eig.vectors.dtype == np.float64
         rebuilt = eig.vectors @ np.diag(eig.energies) @ eig.vectors.conj().T
         assert np.max(np.abs(rebuilt - op.entries)) < 1e-10
 
@@ -169,40 +168,3 @@ class TestClusterSectors:
         for sl in p.slices():
             if sl.stop - sl.start > 1:
                 assert np.max(np.diff(e[sl])) <= tol
-
-
-class TestCoarsenPartition:
-    def test_window_merges_covered_levels(self):
-        e = np.arange(10.0)
-        p = coarsen_partition(e, [(2.5, 5.5)])
-        # levels 3, 4, 5 merge; everything else stays singleton
-        assert list(p.starts) == [0, 1, 2, 3, 6, 7, 8, 9]
-
-    def test_two_windows_any_order(self):
-        e = np.arange(8.0)
-        p1 = coarsen_partition(e, [(0.0, 1.0), (5.0, 7.0)])
-        p2 = coarsen_partition(e, [(5.0, 7.0), (0.0, 1.0)])
-        assert np.array_equal(p1.starts, p2.starts)
-        assert list(p1.sizes) == [2, 1, 1, 1, 3]
-
-    def test_empty_window_ignored(self):
-        e = np.array([0.0, 1.0, 2.0])
-        p = coarsen_partition(e, [(0.4, 0.6)])
-        assert p.n_sectors == 3
-
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(ValueError):
-            coarsen_partition(np.arange(5.0), [(0.0, 2.0), (1.5, 3.0)])
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(ValueError):
-            coarsen_partition(np.arange(5.0), [(3.0, 1.0)])
-
-    def test_requires_sorted_energies(self):
-        with pytest.raises(SectorError):
-            coarsen_partition(np.array([1.0, 0.0]), [(0.0, 2.0)])
-
-    def test_closed_interval_endpoints_included(self):
-        e = np.array([0.0, 1.0, 2.0, 3.0])
-        p = coarsen_partition(e, [(1.0, 2.0)])
-        assert list(p.sizes) == [1, 2, 1]

@@ -84,16 +84,6 @@ class TestBasis:
         down = build_basis(1, -1)
         assert list(up.states) == [1] and list(down.states) == [0]
 
-    def test_index_of_round_trip(self):
-        basis = build_basis(6, 0)
-        for i, s in enumerate(basis.states):
-            assert basis.index_of(int(s)) == i
-
-    def test_index_of_missing_configuration(self):
-        basis = build_basis(4, 0)
-        with pytest.raises(SectorError):
-            basis.index_of(0b1111)  # wrong magnetization
-
     def test_occupations_match_popcount(self):
         basis = build_basis(5, 1)
         occ = basis.occupations()
