@@ -35,27 +35,40 @@ from .spin_chain import HermitianOperator, as_inexact_array
 TRACE_ATOL = 1e-10
 TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
 PSD_ATOL = 1e-10
+UNIT_NORM_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
 SHARED_SUPPORT_THRESHOLD = 0.05
+
+
+def _hermitian_unit_trace(entries) -> np.ndarray:
+    """The O(d^2) checks every density matrix passes: square, Hermitian,
+    unit trace."""
+    m = as_inexact_array(entries)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StateValidationError(f"density matrix must be square, got {m.shape}")
+    herm = float(np.max(np.abs(m - m.conj().T)))
+    if herm > 1e-12:
+        raise StateValidationError(f"not Hermitian, max deviation {herm:.3e}")
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    return m
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite.
-    Real input stays real."""
+    Real input stays real.
+
+    A general matrix is checked for positivity by an eigensolver; states
+    built by `from_state_vector` and `from_mixture` are positive by
+    construction, so those constructors check their inputs instead.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = as_inexact_array(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateValidationError(f"density matrix must be square, got {m.shape}")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-12:
-            raise StateValidationError(f"not Hermitian, max deviation {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        m = _hermitian_unit_trace(self.entries)
         off = m.copy()
         np.fill_diagonal(off, 0.0)
         if np.all(off == 0.0):
@@ -72,11 +85,28 @@ class DensityMatrix:
 
     @classmethod
     def from_state_vector(cls, psi: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(psi).ravel()
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-10:
-            raise StateValidationError(f"state vector norm {norm:.12f} != 1")
-        return cls(np.outer(v, v.conj()))
+        return cls.from_mixture([1.0], [psi])
+
+    @classmethod
+    def from_mixture(cls, weights, vectors) -> "DensityMatrix":
+        """sum_k weights[k] |vectors[k]><vectors[k]| for unit vectors and
+        nonnegative weights that sum to 1.  Such a sum is positive by
+        construction, so these inputs are checked instead of the spectrum."""
+        w = np.asarray(weights, dtype=np.float64).ravel()
+        if len(w) != len(vectors) or len(w) == 0:
+            raise StateValidationError(
+                f"{len(w)} weights for {len(vectors)} vectors")
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= TRACE_ATOL):
+            raise StateValidationError(
+                f"mixture weights must be >= 0 and sum to 1, got {w}")
+        v = np.column_stack([as_inexact_array(psi).ravel() for psi in vectors])
+        norms = np.linalg.norm(v, axis=0)
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_ATOL):  # NaN fails too
+            raise StateValidationError(f"state vector norms {norms} != 1")
+        state = object.__new__(cls)  # bypasses __post_init__'s eigensolver
+        object.__setattr__(state, "entries",
+                           _hermitian_unit_trace((v * w) @ v.conj().T))
+        return state
 
 
 def _entries(rho) -> np.ndarray:

@@ -54,7 +54,6 @@ class ExperimentConfig:
     degeneracy_tol: float | None = None  # None -> 1e-8 * spectral width
     mc_samples: int = 0
     output_dir: str = "runs"
-    prune_floor: float = 1e-14
 
     def __post_init__(self):
         if self.L < 2 or self.L % 2 != 0:
@@ -70,8 +69,6 @@ class ExperimentConfig:
             raise ValueError(f"disorder bound must be >= 0, got {self.h}")
         if self.mc_samples < 0:
             raise ValueError(f"mc_samples must be >= 0, got {self.mc_samples}")
-        if self.prune_floor < 0:
-            raise ValueError(f"prune_floor must be >= 0, got {self.prune_floor}")
         if self.degeneracy_tol is not None and self.degeneracy_tol < 0:
             raise ValueError("degeneracy_tol must be >= 0 or null")
         object.__setattr__(self, "time_window",
@@ -199,7 +196,7 @@ def prepare_protocol_state(phi1: np.ndarray, phi2: np.ndarray,
                 "phi1 + phi2 vanishes; the superposition state is degenerate")
         return DensityMatrix.from_state_vector(s / norm)
     if protocol == "mixed":
-        return DensityMatrix(0.5 * (np.outer(v1, v1.conj()) + np.outer(v2, v2.conj())))
+        return DensityMatrix.from_mixture([0.5, 0.5], [v1, v2])
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -323,8 +320,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             block: dict = {}
             for name, obs in q.observables.items():
                 prediction = second_moment_expectation(rho0, q.partition, obs, obs)
-                ts = evolve_expectation(rho0, obs, energies, grid,
-                                        prune_floor=config.prune_floor)
+                ts = evolve_expectation(rho0, obs, energies, grid)
                 stats = time_stats(ts, config.n_subintervals)
                 series[(protocol, name)] = ts
                 entry = {

@@ -7,7 +7,10 @@ sum it claims to be.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ergoquench import dynamics
 from ergoquench.dynamics import (TimeSeries, evolve_expectation,
                                  make_time_grid, read_series_csv, time_stats,
                                  write_series_csv)
@@ -18,7 +21,7 @@ from conftest import random_density, random_hermitian
 
 
 def dense_evolution(rho, obs, energies, times):
-    """O(t) term by term, no pruning, no recurrence."""
+    """O(t) term by term, one time point at a time."""
     d = len(energies)
     out = np.zeros(len(times))
     for k, t in enumerate(times):
@@ -90,40 +93,56 @@ class TestEvolveExpectation:
         obs = random_hermitian(rng, dim)
         energies = np.sort(rng.normal(size=dim))
         t = make_time_grid(0.0, 30.0, 257)
-        ts = evolve_expectation(rho, obs, energies, t, prune_floor=0.0)
+        ts = evolve_expectation(rho, obs, energies, t)
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(ts.values - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-    def test_phase_anchor_keeps_long_grids_accurate(self):
-        # cross the re-anchoring stride and compare against the dense sum
+    @pytest.mark.parametrize("n_points", [4_517, 37])
+    def test_long_grids_cross_block_boundaries(self, monkeypatch, n_points):
+        # blocks of 100 times: 4517 points end in a partial 46th block and
+        # reach t = 500, 37 points fit in less than one block
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 100 * 16 * 3)
         rng = np.random.default_rng(3)
         rho = random_density(rng, 3)
         obs = random_hermitian(rng, 3)
         energies = np.array([-1.0, 0.3, 2.2])
-        t = make_time_grid(0.0, 500.0, 4_500)
-        ts = evolve_expectation(rho, obs, energies, t, prune_floor=0.0)
+        t = make_time_grid(0.0, 500.0 * n_points / 4_517, n_points)
+        ts = evolve_expectation(rho, obs, energies, t)
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
-        assert np.max(np.abs(ts.values - ref)) < 1e-10
+        assert np.max(np.abs(ts.values - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-    def test_default_pruning_changes_nothing_measurable(self):
-        rng = np.random.default_rng(4)
-        rho = random_density(rng, 8)
-        obs = random_hermitian(rng, 8)
-        energies = np.sort(rng.normal(size=8))
-        t = make_time_grid(0.0, 10.0, 100)
-        kept = evolve_expectation(rho, obs, energies, t, prune_floor=0.0)
-        pruned = evolve_expectation(rho, obs, energies, t)
-        assert np.max(np.abs(kept.values - pruned.values)) < 1e-10
+    def test_grid_prefix_gives_series_prefix(self):
+        rng = np.random.default_rng(6)
+        rho = random_density(rng, 40)
+        obs = random_hermitian(rng, 40)
+        energies = np.sort(rng.normal(size=40))
+        t = make_time_grid(3000.0, 13000.0, 20_000)
+        full = evolve_expectation(rho, obs, energies, t).values
+        for k in (1_000, 6_999, 13_107):
+            head = evolve_expectation(rho, obs, energies, t[:k]).values
+            assert np.max(np.abs(head - full[:k])) < 1e-13 * max(1.0, np.max(np.abs(full)))
 
-    def test_aggressive_pruning_drops_small_terms(self):
-        # one dominant diagonal term, one tiny coherence far below the floor
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        rho[0, 1] = rho[1, 0] = 1e-9
-        obs = np.ones((2, 2), dtype=complex)
-        t = make_time_grid(0.0, 5.0, 60)
-        ts = evolve_expectation(rho, obs, np.array([0.0, 1.0]), t,
-                                prune_floor=1e-3)
-        assert np.allclose(ts.values, 1.0)
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           complex_data=st.booleans())
+    def test_matches_dense_sum_for_real_and_complex_data(self, dim, seed,
+                                                         complex_data):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim))
+        h = rng.normal(size=(dim, dim))
+        if complex_data:
+            g = g + 1j * rng.normal(size=(dim, dim))
+            h = h + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        rho = DensityMatrix(rho / np.trace(rho).real)
+        obs = (h + h.conj().T) / 2
+        energies = rng.uniform(-20.0, 20.0, size=dim)
+        t = make_time_grid(rng.uniform(0.0, 1e4), 1e4 + 50.0, 31)
+        ts = evolve_expectation(rho, obs, energies, t)
+        ref = dense_evolution(rho.entries, obs, energies, t)
+        # phases reach 4e5 rad, whose rounding (ulp 6e-11) both sums commit
+        scale = np.sum(np.abs(rho.entries * obs.T))
+        assert np.max(np.abs(ts.values - ref)) < 1e-9 * max(1.0, scale)
 
     def test_non_hermitian_input_rejected(self):
         m = np.zeros((2, 2), dtype=complex)
@@ -140,14 +159,6 @@ class TestEvolveExpectation:
                                np.eye(3, dtype=complex),
                                np.array([0.0, 1.0]),
                                make_time_grid(0.0, 1.0, 10))
-
-    def test_negative_prune_floor_rejected(self):
-        with pytest.raises(ValueError):
-            evolve_expectation(np.eye(2, dtype=complex) / 2,
-                               np.eye(2, dtype=complex),
-                               np.array([0.0, 1.0]),
-                               make_time_grid(0.0, 1.0, 10),
-                               prune_floor=-1.0)
 
 
 class TestTimeStats:

@@ -65,6 +65,30 @@ class TestDensityMatrix:
         with pytest.raises(StateValidationError):
             DensityMatrix.from_state_vector(np.array([1.0, 1.0]))
 
+    def test_general_non_psd_matrix_rejected(self):
+        # not diagonal, so only the eigensolver can see the -0.3 eigenvalue
+        with pytest.raises(StateValidationError, match="negative eigenvalue"):
+            DensityMatrix(np.array([[0.5, 0.8], [0.8, 0.5]]))
+
+    def test_from_mixture_matches_the_weighted_sum(self):
+        rng = np.random.default_rng(7)
+        v1, v2 = random_pure(rng, 5), random_pure(rng, 5)
+        state = DensityMatrix.from_mixture([0.25, 0.75], [v1, v2])
+        expected = (0.25 * np.outer(v1, v1.conj())
+                    + 0.75 * np.outer(v2, v2.conj()))
+        assert np.max(np.abs(state.entries - expected)) < 1e-15
+
+    @pytest.mark.parametrize("weights,vectors", [
+        ([1.5, -0.5], [[1.0, 0.0], [0.0, 1.0]]),   # negative weight
+        ([0.5, 0.4], [[1.0, 0.0], [0.0, 1.0]]),    # weights sum to 0.9
+        ([0.5, 0.5], [[1.0, 0.0], [1.0, 1.0]]),    # second vector not unit
+        ([1.0], [[1.0, 0.0], [0.0, 1.0]]),         # one weight, two vectors
+        ([float("nan"), 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_from_mixture_checks_its_inputs(self, weights, vectors):
+        with pytest.raises(StateValidationError):
+            DensityMatrix.from_mixture(weights, [np.array(v) for v in vectors])
+
 
 class TestEnsembleMean:
     def test_singleton_partition_is_dephasing(self):

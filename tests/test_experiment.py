@@ -9,6 +9,7 @@ import pytest
 
 from ergoquench.cli import main
 from ergoquench.dynamics import read_series_csv
+from ergoquench.ergodic_ensemble import PSD_ATOL, DensityMatrix
 from ergoquench.errors import PipelineError, StateValidationError
 from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
                                    find_product_eigenstates,
@@ -16,6 +17,8 @@ from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
                                    run_experiment, write_artifacts)
 from ergoquench.spectral import diagonalize
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
+
+from conftest import random_pure
 
 FAST_WINDOW = (100.0, 600.0, 2000)
 
@@ -39,7 +42,6 @@ class TestConfig:
         dict(time_window=(0.0, 1.0, 10)),  # too few points
         dict(h=-1.0),
         dict(mc_samples=-5),
-        dict(prune_floor=-1e-3),
         dict(degeneracy_tol=-1.0),
     ])
     def test_validation(self, bad):
@@ -49,6 +51,8 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"L": 6, "coupling": 2.0})
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"L": 6, "prune_floor": 1e-14})
 
     def test_dict_round_trip(self):
         cfg = fast_config(mc_samples=50)
@@ -157,6 +161,24 @@ class TestProtocolStates:
         v2 = np.zeros(4, dtype=complex); v2[2] = 1.0
         rho = prepare_protocol_state(v1, v2, "mixed")
         assert np.allclose(rho.entries, np.diag([0.5, 0.0, 0.5, 0.0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_states_from_unit_vectors_are_psd(self, seed):
+        # these constructors skip the eigensolver; run it here instead
+        rng = np.random.default_rng(seed)
+        d = 12
+        v1, v2, v3 = (random_pure(rng, d) for _ in range(3))
+        w = rng.uniform(size=3)
+        states = [
+            prepare_protocol_state(v1, v2, "cat"),
+            prepare_protocol_state(v1, v2, "mixed"),
+            prepare_protocol_state(v1.real / np.linalg.norm(v1.real),
+                                   v2.real / np.linalg.norm(v2.real), "mixed"),
+            DensityMatrix.from_mixture(w / w.sum(), [v1, v2, v3]),
+        ]
+        for state in states:
+            assert np.linalg.eigvalsh(state.entries).min() >= -PSD_ATOL
+            assert np.trace(state.entries).real == pytest.approx(1.0, abs=1e-12)
 
     def test_cat_of_opposite_vectors_rejected(self):
         v = np.array([1.0, 0.0], dtype=complex)
