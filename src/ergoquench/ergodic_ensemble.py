@@ -126,6 +126,8 @@ def _check_shapes(partition: SectorPartition, *mats: np.ndarray):
 
 
 def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    if len(starts) == m.shape[0]:
+        return m  # all-singleton partition: every block is one entry
     by_rows = np.add.reduceat(m, starts, axis=0)
     return np.add.reduceat(by_rows, starts, axis=1)
 

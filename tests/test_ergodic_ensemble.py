@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergoquench.ergodic_ensemble import (DensityMatrix,
+from ergoquench.ergodic_ensemble import (DensityMatrix, _block_sums,
                                          cat_q_variance_closed_form,
                                          ensemble_mean,
                                          second_moment_expectation)
@@ -155,6 +155,20 @@ def partitions_of(dim, rng, count=3):
             if n_cuts else np.array([], dtype=np.int64)
         out.append(SectorPartition(dim, np.concatenate(([0], cuts)).astype(np.int64)))
     return out
+
+
+class TestBlockSums:
+    def test_singleton_blocks_are_the_input(self):
+        m = np.random.default_rng(30).normal(size=(5, 5))
+        assert np.array_equal(_block_sums(m, SectorPartition.singletons(5).starts), m)
+
+    def test_mixed_partition_matches_a_per_block_loop(self):
+        rng = np.random.default_rng(31)
+        part = SectorPartition(7, np.array([0, 1, 4, 5]))
+        m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+        slices = part.slices()
+        want = np.array([[m[si, sj].sum() for sj in slices] for si in slices])
+        assert np.allclose(_block_sums(m, part.starts), want, rtol=0.0, atol=1e-13)
 
 
 class TestSecondMoment:

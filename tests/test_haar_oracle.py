@@ -12,7 +12,8 @@ import pytest
 
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.errors import SectorError
-from ergoquench.haar_oracle import (BlockUnitary, estimate_moments,
+from ergoquench.haar_oracle import (BlockUnitary, _ginibre_entries,
+                                    _haar_blocks, estimate_moments,
                                     estimate_state_mean, sample_block_unitary)
 from ergoquench.spectral import SectorPartition
 
@@ -80,6 +81,53 @@ class TestSampling:
         rng = np.random.default_rng(6)
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         assert np.max(np.abs(phased.conjugate(m) - u.conjugate(m))) < 1e-13
+
+
+class TestStream:
+    # sizes (1,) and (1, 2) use 2 and 10 words per sample, which the stream
+    # pads to 4 and 12, so sample offsets are not the raw word counts
+    @pytest.mark.parametrize("sizes", [(1,), (1, 2)])
+    def test_chunks_match_single_samples_bit_for_bit(self, sizes):
+        part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
+        first = _haar_blocks(part, 9, 0, 3)
+        second = _haar_blocks(part, 9, 3, 4)
+        for k in range(7):
+            single = sample_block_unitary(part, seed=9, sample_index=k).blocks
+            chunk, j = (first, k) if k < 3 else (second, k - 3)
+            for blk, one in zip(chunk, single):
+                assert np.array_equal(blk[j], one)
+
+    def test_different_seeds_differ(self):
+        part = SectorPartition(3, np.array([0, 1]))
+        for blk, other in zip(_haar_blocks(part, 4, 0, 2),
+                              _haar_blocks(part, 5, 0, 2)):
+            assert not np.allclose(blk[:, 0, 0], other[:, 0, 0])
+
+    def test_normals_have_gaussian_moments(self):
+        # sqrt(2) Re g and sqrt(2) Im g are standard normals; 1e5 of them
+        # give standard errors 1/sqrt(n), sqrt(2/n) and sqrt(96/n) for the
+        # mean, the variance and the fourth moment (E z^8 = 105)
+        g = _ginibre_entries(17, 0, 10_000, 5)
+        z = np.sqrt(2.0) * np.concatenate([g.real.ravel(), g.imag.ravel()])
+        n = z.size
+        assert n == 100_000
+        assert abs(z.mean()) <= 5.0 / np.sqrt(n)
+        assert abs(np.mean(z**2) - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+        assert abs(np.mean(z**4) - 3.0) <= 5.0 * np.sqrt(96.0 / n)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        u = sample_block_unitary(SectorPartition.whole(2), seed=seed)
+        assert u.max_unitarity_defect() < 1e-12
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "3"])
+    def test_seed_outside_range_rejected(self, seed):
+        part = SectorPartition.whole(2)
+        with pytest.raises(ValueError, match="seed"):
+            sample_block_unitary(part, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            estimate_moments(np.eye(2) / 2.0, part, [np.eye(2)], order=1,
+                             n_samples=4, seed=seed)
 
 
 class TestFirstEntryMoment:
