@@ -12,6 +12,12 @@ every block are computed exactly, so accuracy does not depend on the grid
 length, and the blocks are sized by PHASE_BLOCK_BYTES so that the phase
 matrix of a whole grid is never held.  Real data stays real: a real C is
 multiplied by the real cos and sin parts of U, never promoted to complex.
+
+C is filled one tile pair of `spin_chain.tile_pairs` at a time, and while a
+tile and its mirror are in cache they also add to the guard's two sums:
+the residue sum |C - C^dag| (each off-diagonal pair counts twice, once for
+each of its mirrored entries) and the scale sum |C|.  Only complex data
+still reads a whole matrix transposed, to form B - B^T below.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 
 from .ergodic_ensemble import _entries, _operator
 from .errors import ConstructionError, NumericalIntegrityError
+from .spin_chain import tile_pairs
 
 IMAG_RESIDUE_RTOL = 1e-6
 PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
@@ -87,7 +94,8 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     sum for Hermitian inputs.  Times are taken in blocks whose phases fill
     PHASE_BLOCK_BYTES, and each block's phases are computed exactly.  Inputs
     whose sum could carry an imaginary part above IMAG_RESIDUE_RTOL of the
-    series scale (non-Hermitian data) raise NumericalIntegrityError.
+    series scale (non-Hermitian data), or that hold a non-finite entry,
+    raise NumericalIntegrityError.
     """
     m = _entries(rho0)
     o = _operator(observable)
@@ -98,11 +106,9 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
         raise ConstructionError(
             f"state {m.shape} / observable {o.shape} do not match {d} energies")
 
-    coeff = m * o.T  # coeff[a, b] = rho_ab O_ba
-    # the anti-Hermitian part of coeff is all the imaginary part could be made of
-    residue = float(np.sum(np.abs(coeff - coeff.conj().T)))
-    series_scale = float(np.sum(np.abs(coeff)))
-    if residue > IMAG_RESIDUE_RTOL * max(series_scale, 1e-300):
+    coeff, residue, series_scale = _phase_coefficients(m, o)
+    # NaN and inf fail too
+    if not (residue <= IMAG_RESIDUE_RTOL * max(series_scale, 1e-300)):
         raise NumericalIntegrityError(
             f"imaginary residue bound {residue:.3e} exceeds "
             f"{IMAG_RESIDUE_RTOL:.0e} of series scale {series_scale:.3e}; "
@@ -120,6 +126,30 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
             v += np.einsum("tm,tm->t", s @ b, c)
         values[start:start + rows] = v
     return TimeSeries(times=t, values=values)
+
+
+def _phase_coefficients(m: np.ndarray, o: np.ndarray):
+    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba), the residue
+    sum |C - C^dag| and the scale sum |C|, filled and summed by tile pairs.
+
+    The anti-Hermitian part of C is all the imaginary part of the phase
+    sum could be made of.
+    """
+    coeff = np.empty_like(m, dtype=np.result_type(m, o))
+    residue = scale = 0.0
+    with np.errstate(invalid="ignore"):  # inf entries become a NaN residue
+        for r, c in tile_pairs(len(m)):
+            upper = coeff[r, c]
+            np.multiply(m[r, c], o[c, r].T, out=upper)
+            if r == c:
+                residue += float(np.sum(np.abs(upper - upper.conj().T)))
+                scale += float(np.sum(np.abs(upper)))
+            else:
+                lower = coeff[c, r]
+                np.multiply(m[c, r], o[r, c].T, out=lower)
+                residue += 2.0 * float(np.sum(np.abs(upper - lower.conj().T)))
+                scale += float(np.sum(np.abs(upper)) + np.sum(np.abs(lower)))
+    return coeff, residue, scale
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,14 @@ Everything here works on matrices already expressed in the eigenbasis that
 defines the partition, real or complex as given.  No d^2 x d^2 object is
 ever materialized; the test suite assembles one literally as a
 small-dimension cross-check.
+
+All inputs must be Hermitian, and the pair traces are taken without a
+transposed read: with X^T = conj(X),
+
+    R2[i, j] = tr(rho^(ij) rho^(ji)) = block sums of |rho|^2
+    M[i, j]  = tr(A^(ij) B^(ji))     = block sums of A o conj(B)
+
+(o the elementwise product), so every d x d pass reads memory in order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError, StateValidationError
 from .spectral import SectorPartition
-from .spin_chain import HermitianOperator, as_inexact_array
+from .spin_chain import (HERMITICITY_ATOL, HermitianOperator, as_inexact_array,
+                         hermitian_deviation)
 
 TRACE_ATOL = 1e-10
 TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
@@ -46,11 +55,11 @@ def _hermitian_unit_trace(entries) -> np.ndarray:
     m = as_inexact_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"density matrix must be square, got {m.shape}")
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > 1e-12:
+    herm = hermitian_deviation(m)
+    if not (herm <= HERMITICITY_ATOL):  # NaN and inf fail too
         raise StateValidationError(f"not Hermitian, max deviation {herm:.3e}")
     tr = m.trace()
-    if abs(tr - 1.0) > TRACE_ATOL:
+    if not (abs(tr - 1.0) <= TRACE_ATOL):
         raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     return m
 
@@ -177,12 +186,21 @@ def second_moment_expectation(rho, partition: SectorPartition,
     """E[tr(sigma A)], E[tr(sigma B)], and E[tr(sigma A) tr(sigma B)] with
     sigma = U rho U^dag averaged over sector-block unitaries.
 
-    All inputs live in the basis defining the partition.
+    All inputs live in the basis defining the partition and must be
+    Hermitian: the pair traces R2 = block sums of |rho|^2 and M = block
+    sums of A o conj(B) hold for Hermitian inputs only.  Raw arrays (not a
+    DensityMatrix or HermitianOperator) are checked to HERMITICITY_ATOL.
     """
     m = _entries(rho)
     a_mat = _operator(obs_a)
     b_mat = _operator(obs_b)
     _check_shapes(partition, m, a_mat, b_mat)
+    for given, mat in ((rho, m), (obs_a, a_mat), (obs_b, b_mat)):
+        if not isinstance(given, (DensityMatrix, HermitianOperator)):
+            dev = hermitian_deviation(mat)
+            if not (dev <= HERMITICITY_ATOL):
+                raise StateValidationError(
+                    f"input not Hermitian, max deviation {dev:.3e}")
     if abs(m.trace() - 1.0) > TRACE_GATE_ATOL:
         raise StateValidationError(
             f"input trace deviates from 1 by {abs(m.trace() - 1.0):.3e}")
@@ -192,11 +210,9 @@ def second_moment_expectation(rho, partition: SectorPartition,
     t = _sector_traces(m, starts).real
     a_tr = _sector_traces(a_mat, starts)
     b_tr = _sector_traces(b_mat, starts)
-    # R2[i, j] = tr(rho^(ij) rho^(ji)); elementwise |rho|^2 because rho is Hermitian
-    r2 = _block_sums((m * m.T).real, starts)
+    r2 = _block_sums((m * m.conj()).real, starts)  # R2[i, j] = tr(rho^(ij) rho^(ji))
     p = np.diagonal(r2)
-    # M[i, j] = tr(A^(ij) B^(ji))
-    ab = _block_sums(a_mat * b_mat.T, starts)
+    ab = _block_sums(a_mat * b_mat.conj(), starts)  # M[i, j] = tr(A^(ij) B^(ji))
     p_ab = np.diagonal(ab)
 
     mean_a = float(np.sum(t * a_tr.real / d))
@@ -209,15 +225,15 @@ def second_moment_expectation(rho, partition: SectorPartition,
     anti_pairs[big] = ((t[big]**2 - p[big]) / (d[big] * (d[big] - 1.0))
                        * 0.5 * (ab_diag[big] - p_ab[big]))
 
+    # sum_{i != j} u_i v_j, without the outer product
     u = t * a_tr / d
     v = t * b_tr / d
-    direct_pairs = np.outer(u, v)
-    np.fill_diagonal(direct_pairs, 0.0)
-    exchange_pairs = r2 * ab.T / np.outer(d, d)
-    np.fill_diagonal(exchange_pairs, 0.0)
+    direct = u.sum() * v.sum() - np.sum(u * v)
+    # sum_{i != j} R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
+    inv_d = 1.0 / d
+    exchange = inv_d @ ((r2 * ab) @ inv_d) - np.sum(p * p_ab * inv_d**2)
 
-    total = (sym_pairs.sum() + anti_pairs.sum()
-             + direct_pairs.sum() + exchange_pairs.sum())
+    total = sym_pairs.sum() + anti_pairs.sum() + direct + exchange
     scale = max(1.0, abs(total))
     if abs(total.imag) > IMAG_RESIDUE_RTOL * scale:
         raise NumericalIntegrityError(

@@ -14,6 +14,7 @@ analytic ensemble predictions, with optional Monte-Carlo cross-checks.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -24,7 +25,7 @@ import numpy as np
 from .dynamics import (evolve_expectation, make_time_grid, time_stats,
                        write_series_csv)
 from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
-                               cat_q_variance_closed_form, ensemble_mean,
+                               cat_q_variance_closed_form,
                                second_moment_expectation)
 from .errors import PipelineError, StateValidationError
 from .haar_oracle import estimate_moments
@@ -65,12 +66,15 @@ class ExperimentConfig:
             raise ValueError(f"time window [{t0}, {t1}] is empty")
         if int(n) < 100:
             raise ValueError(f"need at least 100 time points, got {n}")
-        if self.h < 0:
-            raise ValueError(f"disorder bound must be >= 0, got {self.h}")
+        if not math.isfinite(self.J):
+            raise ValueError(f"J must be finite, got {self.J}")
+        if not (0 <= self.h < math.inf):
+            raise ValueError(f"h (disorder bound) must be finite and >= 0, got {self.h}")
         if self.mc_samples < 0:
             raise ValueError(f"mc_samples must be >= 0, got {self.mc_samples}")
-        if self.degeneracy_tol is not None and self.degeneracy_tol < 0:
-            raise ValueError("degeneracy_tol must be >= 0 or null")
+        if self.degeneracy_tol is not None and not (0 <= self.degeneracy_tol < math.inf):
+            raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "
+                             f"got {self.degeneracy_tol}")
         object.__setattr__(self, "time_window",
                            (float(t0), float(t1), int(n)))
 
@@ -316,7 +320,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         protocols_out: dict = {}
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            mean_state = ensemble_mean(rho0, q.partition)
             block: dict = {}
             for name, obs in q.observables.items():
                 prediction = second_moment_expectation(rho0, q.partition, obs, obs)
@@ -324,8 +327,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 stats = time_stats(ts, config.n_subintervals)
                 series[(protocol, name)] = ts
                 entry = {
-                    "theory_mean": float(np.einsum(
-                        "ij,ji->", mean_state.entries, obs.entries).real),
+                    "theory_mean": prediction.mean_a,
                     "theory_sigma": float(np.sqrt(max(prediction.connected, 0.0))),
                     "numeric_mean": stats.mean,
                     "numeric_mean_ci": stats.mean_ci,

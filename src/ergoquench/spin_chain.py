@@ -20,6 +20,9 @@ from .errors import ConstructionError, SectorError
 
 HERMITICITY_ATOL = 1e-12
 NORM_ATOL = 1e-10
+# side of the square tiles in which d x d passes meet their adjoint: a tile
+# and its mirror stay in cache while one is read transposed
+ADJOINT_TILE = 128
 
 
 def as_inexact_array(m) -> np.ndarray:
@@ -27,6 +30,30 @@ def as_inexact_array(m) -> np.ndarray:
     real data is never widened to complex."""
     m = np.asarray(m)
     return np.ascontiguousarray(m, dtype=np.result_type(m.dtype, np.float64))
+
+
+def tile_pairs(dim: int):
+    """(rows, cols) slices of the tiles on and above the diagonal of a
+    dim x dim matrix; the mirror tile of a pair is [cols, rows]."""
+    for lo in range(0, dim, ADJOINT_TILE):
+        rows = slice(lo, lo + ADJOINT_TILE)
+        for hi in range(lo, dim, ADJOINT_TILE):
+            yield rows, slice(hi, hi + ADJOINT_TILE)
+
+
+def hermitian_deviation(m: np.ndarray) -> float:
+    """max |m - m^dag| of a square matrix, read one tile pair at a time.
+
+    Any non-finite entry makes the result NaN or inf, so a caller's
+    `not (dev <= tol)` rejects it.
+    """
+    if m.size == 0:
+        return 0.0
+    # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|: a tile covers its mirror.
+    # np.max, not max(), so that a NaN tile is not passed over
+    with np.errstate(invalid="ignore"):  # inf - inf is reported as NaN
+        return float(np.max([np.max(np.abs(m[r, c] - m[c, r].conj().T))
+                             for r, c in tile_pairs(m.shape[0])]))
 
 
 @dataclass(frozen=True)
@@ -99,8 +126,8 @@ class HermitianOperator:
         m = as_inexact_array(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConstructionError(f"operator must be square, got {m.shape}")
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if dev > HERMITICITY_ATOL:
+        dev = hermitian_deviation(m)
+        if not (dev <= HERMITICITY_ATOL):  # NaN and inf fail too
             raise ConstructionError(f"operator not Hermitian, max deviation {dev:.3e}")
         object.__setattr__(self, "entries", m)
 
@@ -111,9 +138,21 @@ class HermitianOperator:
 
 def symmetrized(entries: np.ndarray) -> HermitianOperator:
     """Wrap (M + M^dag)/2, for matrices Hermitian only up to rounding
-    (e.g. after a basis rotation)."""
-    m = np.asarray(entries)
-    return HermitianOperator(0.5 * (m + m.conj().T))
+    (e.g. after a basis rotation).
+
+    Each tile pair is averaged once and its mirror written as the adjoint,
+    which is bit-identical to averaging it: 0.5 * (x + conj y) and
+    conj(0.5 * (y + conj x)) round the same.
+    """
+    m = as_inexact_array(entries)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConstructionError(f"operator must be square, got {m.shape}")
+    out = np.empty_like(m)
+    for r, c in tile_pairs(m.shape[0]):
+        out[r, c] = 0.5 * (m[r, c] + m[c, r].conj().T)
+        if r != c:
+            out[c, r] = out[r, c].conj().T
+    return HermitianOperator(out)
 
 
 def build_hamiltonian(
@@ -197,4 +236,5 @@ def build_projector_observable(phi1: np.ndarray, phi2: np.ndarray) -> HermitianO
         if abs(norm - 1.0) > NORM_ATOL:
             raise ConstructionError(f"{k} vector not normalized, |norm-1|={abs(norm-1):.3e}")
     m = np.outer(v1, v2.conj())
-    return HermitianOperator(m + m.conj().T)
+    m += np.outer(v2, v1.conj())  # the adjoint of the first, no transpose read
+    return HermitianOperator(m)

@@ -16,6 +16,7 @@ from ergoquench.dynamics import (TimeSeries, evolve_expectation,
                                  write_series_csv)
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.errors import ConstructionError, NumericalIntegrityError
+from ergoquench.spin_chain import ADJOINT_TILE
 
 from conftest import random_density, random_hermitian
 
@@ -151,6 +152,52 @@ class TestEvolveExpectation:
         obs = np.eye(2, dtype=complex) + 1.0
         with pytest.raises(NumericalIntegrityError):
             evolve_expectation(m, obs, np.array([0.0, 1.0]),
+                               make_time_grid(0.0, 1.0, 10))
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_tiled_coefficients_match_the_literal_sums(self, complex_data):
+        rng = np.random.default_rng(41)
+        d = 2 * ADJOINT_TILE + 37
+        m, o = rng.normal(size=(2, d, d))
+        if complex_data:
+            m, o = m + 1j * rng.normal(size=(d, d)), o + 1j * rng.normal(size=(d, d))
+        coeff, residue, scale = dynamics._phase_coefficients(m, o)
+        assert coeff.dtype == m.dtype
+        literal = m * o.T
+        assert np.array_equal(coeff, literal)
+        assert residue == pytest.approx(np.sum(np.abs(literal - literal.conj().T)),
+                                        rel=1e-12)
+        assert scale == pytest.approx(np.sum(np.abs(literal)), rel=1e-12)
+
+    def test_complex_series_across_tiles(self):
+        rng = np.random.default_rng(43)
+        d = ADJOINT_TILE + 20
+        rho = random_density(rng, d, rank=2)
+        obs = random_hermitian(rng, d)
+        energies = np.sort(rng.uniform(-5.0, 5.0, size=d))
+        t = make_time_grid(0.0, 3.0, 7)
+        u = np.exp(-1j * np.multiply.outer(t, energies))
+        coeff = rho.entries * obs.entries.T
+        want = np.sum((u @ coeff) * u.conj(), axis=1).real
+        got = evolve_expectation(rho, obs, energies, t).values
+        assert np.max(np.abs(got - want)) < 1e-13 * np.sum(np.abs(coeff))
+
+    def test_non_hermitian_state_rejected_across_tiles(self):
+        rng = np.random.default_rng(42)
+        d = 2 * ADJOINT_TILE + 37
+        rho = random_density(rng, d, rank=2).entries.copy()
+        rho[d - 1, 1] += 1e-3  # in the farthest tile, no conjugate partner
+        obs = random_hermitian(rng, d)
+        t = make_time_grid(0.0, 1.0, 10)
+        with pytest.raises(NumericalIntegrityError, match="not Hermitian"):
+            evolve_expectation(rho, obs, np.linspace(-1.0, 1.0, d), t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observable_rejected(self, bad):
+        obs = np.eye(3)
+        obs[1, 1] = bad
+        with pytest.raises(NumericalIntegrityError):
+            evolve_expectation(np.eye(3) / 3, obs, np.array([0.0, 1.0, 2.0]),
                                make_time_grid(0.0, 1.0, 10))
 
     def test_shape_mismatch_rejected(self):

@@ -50,6 +50,13 @@ class TestDensityMatrix:
         with pytest.raises(StateValidationError):
             DensityMatrix(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.diag([0.5, 0.5, 0.0])
+        m[2, 2] = bad
+        with pytest.raises(StateValidationError, match="not Hermitian"):
+            DensityMatrix(m)
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(StateValidationError):
             DensityMatrix(np.diag([1.5, -0.5]))
@@ -272,6 +279,65 @@ class TestSecondMoment:
         pred = second_moment_expectation(random_density(rng, dim), part,
                                          *(random_hermitian(rng, dim),) * 2)
         assert pred.connected >= -1e-11
+
+
+def transposed_second_moment(rho, part, a, b):
+    """The contraction with the pair traces read against transposes,
+    R2 = block sums of rho o rho^T and M = block sums of A o B^T, and the
+    pair sums formed as outer products with the diagonal zeroed."""
+    starts, d = part.starts, part.sizes.astype(float)
+
+    def block_sums(m):
+        return np.add.reduceat(np.add.reduceat(m, starts, axis=0), starts, axis=1)
+
+    t = np.add.reduceat(np.diagonal(rho), starts).real
+    a_tr = np.add.reduceat(np.diagonal(a), starts)
+    b_tr = np.add.reduceat(np.diagonal(b), starts)
+    r2 = block_sums((rho * rho.T).real)
+    ab = block_sums(a * b.T)
+    p, p_ab = np.diagonal(r2), np.diagonal(ab)
+    ab_diag = a_tr * b_tr
+    sym = (t**2 + p) / (d * (d + 1.0)) * 0.5 * (ab_diag + p_ab)
+    big = d >= 2
+    anti = np.zeros_like(sym)
+    anti[big] = ((t[big]**2 - p[big]) / (d[big] * (d[big] - 1.0))
+                 * 0.5 * (ab_diag[big] - p_ab[big]))
+    direct = np.outer(t * a_tr / d, t * b_tr / d)
+    np.fill_diagonal(direct, 0.0)
+    exchange = r2 * ab.T / np.outer(d, d)
+    np.fill_diagonal(exchange, 0.0)
+    second = (sym.sum() + anti.sum() + direct.sum() + exchange.sum()).real
+    return float(np.sum(t * a_tr.real / d)), float(second)
+
+
+class TestHermitianPairTraces:
+    def test_matches_transposed_formulas_for_complex_inputs(self):
+        rng = np.random.default_rng(300)
+        d = 300
+        sizes = rng.integers(1, 12, size=d)
+        starts = np.cumsum(np.concatenate(([0], sizes)))
+        part = SectorPartition(d, starts[starts < d])
+        assert part.sizes.max() > 1 and part.n_sectors > 1
+        rho = random_density(rng, d, rank=3)
+        a, b = random_hermitian(rng, d), random_hermitian(rng, d)
+        pred = second_moment_expectation(rho, part, a, b)
+        mean_a, second = transposed_second_moment(rho.entries, part,
+                                                  a.entries, b.entries)
+        assert pred.mean_a == pytest.approx(mean_a, rel=1e-12)
+        assert pred.second_moment == pytest.approx(second, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["rho", "a", "b"])
+    def test_raw_non_hermitian_input_rejected(self, which):
+        rng = np.random.default_rng(301)
+        d = 5
+        inputs = {"rho": np.eye(d) / d, "a": np.diag(rng.normal(size=d)),
+                  "b": np.diag(rng.normal(size=d))}
+        inputs[which] = inputs[which].astype(complex)
+        inputs[which][0, 3] += 1e-6j  # no conjugate partner
+        with pytest.raises(StateValidationError, match="not Hermitian"):
+            second_moment_expectation(inputs["rho"],
+                                      SectorPartition(d, np.array([0, 2])),
+                                      inputs["a"], inputs["b"])
 
 
 class TestDenseReference:

@@ -43,6 +43,12 @@ class TestConfig:
         dict(h=-1.0),
         dict(mc_samples=-5),
         dict(degeneracy_tol=-1.0),
+        dict(J=float("nan")),
+        dict(J=float("inf")),
+        dict(h=float("nan")),
+        dict(h=float("inf")),
+        dict(degeneracy_tol=float("nan")),
+        dict(degeneracy_tol=float("inf")),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -428,6 +434,20 @@ class TestCliSharedPrefix:
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["r_mean_per_seed"] == [None, None]
         assert agg["r_mean_average"] is None and agg["r_mean_std"] is None
+
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    @pytest.mark.parametrize("field,text", [
+        ("h", "NaN"), ("J", "Infinity"), ("J", "-Infinity"),
+        ("degeneracy_tol", "NaN"),
+    ])
+    def test_non_finite_parameter_is_a_config_error(self, command, field, text,
+                                                    tmp_path, capsys):
+        path = tmp_path / "config.json"  # json reads NaN and Infinity literally
+        path.write_text(f'{{"L": 4, "{field}": {text}, '
+                        '"time_window": [100.0, 600.0, 200]}')
+        assert main(cli_args(command, path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "[config]" in err and f"{field} " in err
 
     @pytest.mark.filterwarnings("ignore:.*exactly degenerate:UserWarning")
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])

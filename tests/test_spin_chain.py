@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoquench.errors import ConstructionError, SectorError
-from ergoquench.spin_chain import (DisorderRealization, HermitianOperator,
-                                   build_basis, build_hamiltonian,
+from ergoquench.spin_chain import (ADJOINT_TILE, DisorderRealization,
+                                   HermitianOperator, build_basis,
+                                   build_hamiltonian,
                                    build_projector_observable, draw_disorder,
-                                   symmetrized)
+                                   hermitian_deviation, symmetrized)
 
 # Pauli matrices indexed by bit value (row/col 0 = down, 1 = up), so
 # sigma^z is diag(-1, +1) in this ordering.
@@ -126,6 +127,10 @@ class TestHermitianOperator:
         with pytest.raises(ConstructionError):
             HermitianOperator(np.zeros((2, 3)))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ConstructionError, match="not Hermitian"):
+            HermitianOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_symmetrized_accepts_rounding_noise(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(5, 5))
@@ -134,6 +139,68 @@ class TestHermitianOperator:
             HermitianOperator(h)
         op = symmetrized(h)
         assert np.max(np.abs(op.entries - op.entries.conj().T)) == 0.0
+
+
+# tile boundaries of the adjoint passes, and matrices of several tiles
+TILED_SIZES = sorted({1, 255, 256, 257, 600,
+                      ADJOINT_TILE - 1, ADJOINT_TILE, ADJOINT_TILE + 1})
+
+
+def random_complex_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g + g.conj().T
+
+
+class TestHermitianDeviation:
+    @pytest.mark.parametrize("d", TILED_SIZES)
+    @pytest.mark.parametrize("tile", ["diagonal", "far"])
+    def test_matches_whole_array_deviation(self, d, tile):
+        rng = np.random.default_rng(d)
+        m = random_complex_hermitian(rng, d)
+        m += 1e-9 * rng.normal(size=(d, d))  # noise everywhere, below the defect
+        # a defect in the first diagonal tile or in the farthest tile
+        where = (0, min(d - 1, ADJOINT_TILE // 3)) if tile == "diagonal" else (d - 1, 0)
+        m[where] += 1e-6j
+        whole = float(np.max(np.abs(m - m.conj().T)))
+        assert whole > 1e-6
+        assert hermitian_deviation(m) == whole
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (ADJOINT_TILE + 2, 1)])
+    def test_non_finite_entry_is_not_a_small_deviation(self, bad, where):
+        m = np.zeros((ADJOINT_TILE + 5, ADJOINT_TILE + 5))
+        m[where] = m[where[::-1]] = bad  # symmetric, so only its value is wrong
+        assert not (hermitian_deviation(m) <= 1.0)
+        with pytest.raises(ConstructionError):
+            HermitianOperator(m)
+
+
+class TestTiledAdjointPasses:
+    def test_symmetrized_is_bit_identical_to_the_whole_array_average(self):
+        rng = np.random.default_rng(600)
+        for m in (rng.normal(size=(600, 600)),
+                  rng.normal(size=(600, 600)) + 1j * rng.normal(size=(600, 600))):
+            assert np.array_equal(symmetrized(m).entries, 0.5 * (m + m.conj().T))
+
+    def test_symmetrized_rejects_nan(self):
+        m = np.eye(3)
+        m[1, 2] = np.nan
+        with pytest.raises(ConstructionError):
+            symmetrized(m)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_projector_matches_outer_plus_adjoint(self, complex_data):
+        rng = np.random.default_rng(7)
+        v1, v2 = rng.normal(size=(2, 300))
+        if complex_data:
+            v1, v2 = v1 + 1j * rng.normal(size=300), v2 + 1j * rng.normal(size=300)
+        v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+        m = np.outer(v1, v2.conj())
+        got = build_projector_observable(v1, v2).entries
+        if complex_data:  # complex products may round in either operand order
+            assert np.max(np.abs(got - (m + m.conj().T))) < 1e-16
+        else:
+            assert np.array_equal(got, m + m.T)
 
 
 class TestHamiltonian:
