@@ -7,11 +7,25 @@ phase sum
 
 evaluated on a uniform time grid.  With C = rho_0 * O^T (elementwise) and
 the phase matrix U[t, m] = exp(-i E_m t), the series is the row sum of
-(U C) * conj(U): one matrix product per block of times.  The phases of
-every block are computed exactly, so accuracy does not depend on the grid
-length, and the blocks are sized by PHASE_BLOCK_BYTES so that the phase
-matrix of a whole grid is never held.  Real data stays real: a real C is
-multiplied by the real cos and sin parts of U, never promoted to complex.
+(U C) * conj(U): one matrix product per block of times.  The blocks are
+sized by PHASE_BLOCK_BYTES so that the phase matrix of a whole grid is
+never held.  Real data stays real: a real C is multiplied by the real cos
+and sin parts of U, never promoted to complex.
+
+The grid is uniform, so every block repeats the same offsets from its
+first time.  cos and sin of E (t_r - t_0) for the r rows of one block are
+tabulated once per call, and each block's phases come from that table by
+angle addition with the block's start phase E t_start: d cos/sin values
+per block instead of one per (time, level) entry.  The offsets of a float
+grid differ from the table's by a few ulp of t; that difference
+eps = (t_j - t_start) - (t_r - t_0) is computed exactly per block and
+applied to first order, c -= s E eps and s += c E eps, with an error
+(E eps)^2 / 2 below OFFSET_PHASE_MAX^2 / 2, under one ulp.  A block whose
+max|E| max|eps| exceeds OFFSET_PHASE_MAX, which only a grid jittered
+within the uniformity tolerance can give, evaluates its phases directly.
+Every phase that reaches cos and sin, in the table, at a block start or
+in such a block, is an exact product E t (a two-product and a first-order
+term), so the phases carry no rounding that grows with t.
 
 C is filled one tile pair of `spin_chain.tile_pairs` at a time, and while a
 tile and its mirror are in cache they also add to the guard's two sums:
@@ -33,6 +47,9 @@ from .spin_chain import tile_pairs
 IMAG_RESIDUE_RTOL = 1e-6
 PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
 GRID_RTOL = 1e-12
+# largest max|E| max|eps| that a block corrects to first order: the error
+# (E eps)^2 / 2 stays below one ulp of a cosine
+OFFSET_PHASE_MAX = 2.0 ** -26
 
 
 @dataclass(frozen=True)
@@ -49,18 +66,11 @@ class TimeSeries:
     def __post_init__(self):
         t = np.ascontiguousarray(self.times, dtype=np.float64)
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if t.ndim != 1 or v.shape != t.shape:
+        _check_time_grid(t)
+        if v.shape != t.shape:
             raise ConstructionError(
                 f"times and values must be equal-length 1d arrays, "
                 f"got {t.shape} and {v.shape}")
-        if len(t) < 2:
-            raise ConstructionError("a time series needs at least 2 points")
-        dt = (t[-1] - t[0]) / (len(t) - 1)
-        if dt <= 0:
-            raise ConstructionError("time grid must be strictly increasing")
-        scale = max(abs(t[0]), abs(t[-1]), 1.0)
-        if np.max(np.abs(np.diff(t) - dt)) > GRID_RTOL * scale:
-            raise ConstructionError("time grid is not uniform")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -71,6 +81,25 @@ class TimeSeries:
     @property
     def dt(self) -> float:
         return float((self.times[-1] - self.times[0]) / (len(self.times) - 1))
+
+
+def _check_time_grid(t: np.ndarray) -> None:
+    """Raise ConstructionError unless t is a finite, uniform, strictly
+    increasing 1d grid of at least 2 points.  Uniformity is relative to
+    the grid magnitude: every spacing is within
+    GRID_RTOL * max(|t_0|, |t_-1|, 1) of the mean spacing."""
+    if t.ndim != 1:
+        raise ConstructionError(f"time grid must be a 1d array, got {t.shape}")
+    if len(t) < 2:
+        raise ConstructionError("a time series needs at least 2 points")
+    if not np.all(np.isfinite(t)):
+        raise ConstructionError("time grid has a non-finite entry")
+    dt = (t[-1] - t[0]) / (len(t) - 1)
+    if dt <= 0:
+        raise ConstructionError("time grid must be strictly increasing")
+    scale = max(abs(t[0]), abs(t[-1]), 1.0)
+    if np.max(np.abs(np.diff(t) - dt)) > GRID_RTOL * scale:
+        raise ConstructionError("time grid is not uniform")
 
 
 def make_time_grid(t_start: float, t_end: float, n_points: int) -> np.ndarray:
@@ -92,10 +121,15 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
 
     the real part of u C u^dag with u = exp(-i E t), which is the whole phase
     sum for Hermitian inputs.  Times are taken in blocks whose phases fill
-    PHASE_BLOCK_BYTES, and each block's phases are computed exactly.  Inputs
-    whose sum could carry an imaginary part above IMAG_RESIDUE_RTOL of the
-    series scale (non-Hermitian data), or that hold a non-finite entry,
-    raise NumericalIntegrityError.
+    PHASE_BLOCK_BYTES.  A block's c and s come by angle addition from its
+    start phase and a per-call table of cos/sin of E (t_r - t_0), with the
+    block's exact offset error eps applied to first order; a block with
+    max|E| max|eps| above OFFSET_PHASE_MAX takes cos and sin of its phases
+    directly.  All these phases are exact products E t.  The grid is
+    checked before any work: one that is not a uniform, increasing 1d grid
+    raises ConstructionError.  Inputs whose sum could carry an imaginary
+    part above IMAG_RESIDUE_RTOL of the series scale (non-Hermitian data),
+    or that hold a non-finite entry, raise NumericalIntegrityError.
     """
     m = _entries(rho0)
     o = _operator(observable)
@@ -105,6 +139,7 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     if m.shape != (d, d) or o.shape != (d, d):
         raise ConstructionError(
             f"state {m.shape} / observable {o.shape} do not match {d} energies")
+    _check_time_grid(t)
 
     coeff, residue, series_scale = _phase_coefficients(m, o)
     # NaN and inf fail too
@@ -117,15 +152,50 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     a = np.ascontiguousarray(coeff.real)  # no copy for real inputs
     b = coeff.imag - coeff.imag.T if np.iscomplexobj(coeff) else None
     rows = max(1, PHASE_BLOCK_BYTES // (16 * max(d, 1)))
+    offsets = t[:rows] - t[0]
+    table_c, table_s = _cos_sin_of_product(e, offsets[:, None])
+    e_max = float(np.max(np.abs(e), initial=0.0))
     values = np.empty(len(t))
     for start in range(0, len(t), rows):
-        phase = np.multiply.outer(t[start:start + rows], e)
-        c, s = np.cos(phase), np.sin(phase)
+        block = t[start:start + rows]
+        k = len(block)
+        eps = (block - block[0]) - offsets[:k]
+        drift = e_max * float(np.max(np.abs(eps)))
+        if drift > OFFSET_PHASE_MAX:
+            c, s = _cos_sin_of_product(e, block[:, None])
+        else:
+            base_c, base_s = _cos_sin_of_product(e, block[0])
+            tc, ts = table_c[:k], table_s[:k]
+            # cos(x + y) = cos x cos y - sin x sin y, sin(x + y) likewise
+            c = tc * base_c - ts * base_s
+            s = ts * base_c + tc * base_s
+            if drift > 0.0:
+                shift = np.multiply.outer(eps, e)
+                c, s = c - s * shift, s + c * shift
         v = np.einsum("tm,tm->t", c @ a, c) + np.einsum("tm,tm->t", s @ a, s)
         if b is not None:
             v += np.einsum("tm,tm->t", s @ b, c)
-        values[start:start + rows] = v
+        values[start:start + k] = v
     return TimeSeries(times=t, values=values)
+
+
+def _cos_sin_of_product(e: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the exact product e t (broadcast).  Dekker's
+    two-product gives fl(e t) = p and its rounding error err exactly, and
+    err, at most half an ulp of p, is applied to first order."""
+    p = e * t
+    e_hi, e_lo = _split(e)
+    t_hi, t_lo = _split(t)
+    err = ((e_hi * t_hi - p) + e_hi * t_lo + e_lo * t_hi) + e_lo * t_lo
+    c, s = np.cos(p), np.sin(p)
+    return c - s * err, s + c * err
+
+
+def _split(x):
+    """Veltkamp's split of x into a 26-bit high part and the rest."""
+    y = 134217729.0 * x  # 2^27 + 1
+    hi = y - (y - x)
+    return hi, x - hi
 
 
 def _phase_coefficients(m: np.ndarray, o: np.ndarray):
@@ -209,7 +279,3 @@ def write_series_csv(path, series: TimeSeries):
         for t, v in zip(series.times, series.values):
             f.write(f"{float(t):.17g},{float(v):.17g}\n")
 
-
-def read_series_csv(path) -> TimeSeries:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return TimeSeries(times=data[:, 0], values=data[:, 1])

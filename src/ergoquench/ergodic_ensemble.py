@@ -78,9 +78,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _hermitian_unit_trace(self.entries)
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.all(off == 0.0):
+        # diagonal iff every nonzero sits on the diagonal; no copy of m
+        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
             lo = float(m.diagonal().real.min())  # diagonal matrices need no solver
         else:
             lo = float(np.linalg.eigvalsh(m).min())

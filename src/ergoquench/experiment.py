@@ -245,7 +245,7 @@ class SpectralPrefix:
     eig: EigenSystem
     degeneracy_tol: float
     partition: SectorPartition
-    r_mean: float | None  # None for sectors of fewer than 3 levels
+    r_mean: float | None  # None for fewer than 3 levels or all levels equal
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -276,8 +276,9 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
         energies = eig.energies
         tol = (config.degeneracy_tol if config.degeneracy_tol is not None
                else DEGENERACY_TOL_RELATIVE * float(energies[-1] - energies[0]))
-        # a gap ratio needs two adjacent spacings
-        r_mean = level_spacing_ratio(energies) if eig.dim >= 3 else None
+        # a gap ratio needs two adjacent spacings, not all of them zero
+        defined = eig.dim >= 3 and energies[-1] > energies[0]
+        r_mean = level_spacing_ratio(energies) if defined else None
         return SpectralPrefix(basis=basis, disorder=disorder, eig=eig,
                               degeneracy_tol=tol,
                               partition=cluster_sectors(energies, tol),

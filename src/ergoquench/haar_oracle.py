@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ergodic_ensemble import _entries, _operator
-from .errors import SectorError
 from .spectral import SectorPartition
 
 DEFAULT_CHUNK = 2048
@@ -32,26 +31,6 @@ class BlockUnitary:
 
     partition: SectorPartition
     blocks: tuple
-
-    def to_matrix(self) -> np.ndarray:
-        d = self.partition.dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        for sl, blk in zip(self.partition.slices(), self.blocks):
-            out[sl, sl] = blk
-        return out
-
-    def conjugate(self, matrix) -> np.ndarray:
-        """U M U^dag, computed blockwise."""
-        m = _entries(matrix)
-        if m.shape != (self.partition.dim,) * 2:
-            raise SectorError(f"matrix shape {m.shape} does not match "
-                              f"partition dim {self.partition.dim}")
-        slices = self.partition.slices()
-        out = np.empty(m.shape, dtype=np.complex128)
-        for i, sl_i in enumerate(slices):
-            for j, sl_j in enumerate(slices):
-                out[sl_i, sl_j] = self.blocks[i] @ m[sl_i, sl_j] @ self.blocks[j].conj().T
-        return out
 
     def max_unitarity_defect(self) -> float:
         worst = 0.0

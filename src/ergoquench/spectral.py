@@ -40,7 +40,9 @@ def diagonalize(op: HermitianOperator) -> EigenSystem:
     """Full eigendecomposition of a sector operator.
 
     The vectors have the operator's dtype: real for a real-symmetric
-    operator, complex for a complex Hermitian one.
+    operator, complex for a complex Hermitian one.  A solver that fails to
+    converge, or whose energies overflow to inf or NaN (entries near the
+    float64 limit), raises NumericalIntegrityError.
     """
     m = op.entries
     try:
@@ -50,6 +52,10 @@ def diagonalize(op: HermitianOperator) -> EigenSystem:
         raise NumericalIntegrityError(
             f"eigensolver did not converge (dim={op.dim}, max|entry|={scale:.3e}): {exc}"
         ) from exc
+    if not np.all(np.isfinite(energies)):  # overflow inside the solver
+        raise NumericalIntegrityError(
+            f"eigensolver returned non-finite energies (dim={op.dim}, "
+            f"max|entry|={float(np.max(np.abs(m))):.3e})")
     return EigenSystem(energies=energies, vectors=vectors)
 
 

@@ -7,6 +7,7 @@ matters more here than fixture magic.
 
 import numpy as np
 
+from ergoquench.dynamics import TimeSeries
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.spin_chain import HermitianOperator
 
@@ -27,3 +28,28 @@ def random_hermitian(rng, dim):
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def block_matrix(u):
+    """The dense d x d matrix of a BlockUnitary."""
+    d = u.partition.dim
+    out = np.zeros((d, d), dtype=np.complex128)
+    for sl, blk in zip(u.partition.slices(), u.blocks):
+        out[sl, sl] = blk
+    return out
+
+
+def block_conjugate(u, m):
+    """U M U^dag for a BlockUnitary U, computed blockwise."""
+    slices = u.partition.slices()
+    out = np.empty(np.shape(m), dtype=np.complex128)
+    for i, sl_i in enumerate(slices):
+        for j, sl_j in enumerate(slices):
+            out[sl_i, sl_j] = u.blocks[i] @ m[sl_i, sl_j] @ u.blocks[j].conj().T
+    return out
+
+
+def read_series_csv(path):
+    """A series CSV written by `dynamics.write_series_csv`, read back."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return TimeSeries(times=data[:, 0], values=data[:, 1])

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from ergoquench import dynamics
 from ergoquench.dynamics import (TimeSeries, evolve_expectation,
-                                 make_time_grid, read_series_csv, time_stats,
-                                 write_series_csv)
+                                 make_time_grid, time_stats, write_series_csv)
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.errors import ConstructionError, NumericalIntegrityError
 from ergoquench.spin_chain import ADJOINT_TILE
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, read_series_csv
 
 
 def dense_evolution(rho, obs, energies, times):
@@ -32,6 +31,41 @@ def dense_evolution(rho, obs, energies, times):
                 acc += rho[m, n] * obs[n, m] * np.exp(-1j * (energies[m] - energies[n]) * t)
         out[k] = acc.real
     return out
+
+
+def extended_precision_series(coeff, energies, times):
+    """c.C.c + s.C.s for a real symmetric C, with the phases E t and the
+    sums in long double."""
+    c_ext = np.asarray(coeff, dtype=np.longdouble)
+    e_ext = np.asarray(energies, dtype=np.longdouble)
+    out = np.empty(len(times))
+    for k, t in enumerate(times):
+        phase = e_ext * np.longdouble(t)
+        c, s = np.cos(phase), np.sin(phase)
+        out[k] = float(c @ c_ext @ c + s @ c_ext @ s)
+    return out
+
+
+def real_inputs(rng, d):
+    g = rng.normal(size=(d, d))
+    rho = g @ g.T
+    h = rng.normal(size=(d, d))
+    return DensityMatrix(rho / np.trace(rho)), (h + h.T) / 2
+
+
+def count_direct_blocks(monkeypatch):
+    """Spy on the phase evaluations of evolve_expectation over 2d time
+    arrays: the first is the offset table, every later one a block
+    evaluated directly."""
+    shapes = []
+    real = dynamics._cos_sin_of_product
+
+    def spy(e, t):
+        shapes.append(np.ndim(t))
+        return real(e, t)
+
+    monkeypatch.setattr(dynamics, "_cos_sin_of_product", spy)
+    return lambda: shapes.count(2) - 1
 
 
 class TestTimeSeries:
@@ -122,6 +156,74 @@ class TestEvolveExpectation:
         for k in (1_000, 6_999, 13_107):
             head = evolve_expectation(rho, obs, energies, t[:k]).values
             assert np.max(np.abs(head - full[:k])) < 1e-13 * max(1.0, np.max(np.abs(full)))
+
+    def test_long_grid_matches_extended_precision(self):
+        # 3000..13000 in 20 000 points: dt is not a float, so block offsets
+        # differ from the table's by ulps and take the first-order correction
+        rng = np.random.default_rng(8)
+        d = 40
+        rho, obs = real_inputs(rng, d)
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=d))
+        t = make_time_grid(3000.0, 13000.0, 20_000)
+        values = evolve_expectation(rho, obs, energies, t).values
+        rows = dynamics.PHASE_BLOCK_BYTES // (16 * d)
+        starts = np.arange(0, len(t), rows)
+        edges = np.concatenate((starts, starts[1:] - 1, [len(t) - 1]))
+        picks = np.union1d(edges, rng.integers(0, len(t), size=12))
+        assert len(picks) >= 20
+        coeff = rho.entries * obs.T
+        ref = extended_precision_series(coeff, energies, t[picks])
+        # every phase is cos/sin of an exact product, so only the sums'
+        # rounding is left; rounded phases fl(E t) give 4e-13 here
+        assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
+
+    def test_jittered_grid_uses_the_corrected_table(self, monkeypatch):
+        # every time moved by up to half the uniformity tolerance; blocks of
+        # 40 times, so each block's offsets differ from the table's
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 40 * 16 * 16)
+        direct_blocks = count_direct_blocks(monkeypatch)
+        rng = np.random.default_rng(9)
+        rho = random_density(rng, 16)
+        obs = random_hermitian(rng, 16)
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=16))
+        t = make_time_grid(0.0, 30.0, 257)
+        t[1:-1] += rng.uniform(-0.5, 0.5, size=255) * dynamics.GRID_RTOL * 30.0
+        TimeSeries(times=t, values=np.zeros(257))  # still a uniform grid
+        got = evolve_expectation(rho, obs, energies, t).values
+        assert direct_blocks() == 0
+        ref = dense_evolution(rho.entries, obs.entries, energies, t)
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_far_jittered_grid_takes_direct_phases(self, monkeypatch):
+        # at t ~ 1e4 the same relative jitter moves times by ~1e-8, which
+        # puts max|E| max|eps| above OFFSET_PHASE_MAX in all blocks but the
+        # first (whose offsets are the table's own)
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 50 * 16 * 6)
+        direct_blocks = count_direct_blocks(monkeypatch)
+        rng = np.random.default_rng(10)
+        rho, obs = real_inputs(rng, 6)
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=6))
+        t = make_time_grid(3000.0, 13000.0, 400)
+        t[1:-1] += rng.uniform(-0.5, 0.5, size=398) * dynamics.GRID_RTOL * 13000.0
+        TimeSeries(times=t, values=np.zeros(400))
+        got = evolve_expectation(rho, obs, energies, t).values
+        assert direct_blocks() == 7
+        coeff = rho.entries * obs.T
+        ref = extended_precision_series(coeff, energies, t)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.sum(np.abs(coeff))
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 3.0], [1.0, 0.5, 0.0], [2.0],
+                                      [[0.0, 1.0], [2.0, 3.0]],
+                                      [0.0, np.nan, 2.0], [np.nan, 1.0, 2.0],
+                                      [0.0, 1.0, np.inf]])
+    def test_grid_checked_before_any_work(self, monkeypatch, grid):
+        def no_work(*args):
+            raise AssertionError("evolution started on a bad grid")
+
+        monkeypatch.setattr(dynamics, "_phase_coefficients", no_work)
+        with pytest.raises(ConstructionError):
+            evolve_expectation(np.eye(3) / 3, np.eye(3),
+                               np.array([0.0, 1.0, 2.0]), np.array(grid))
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),

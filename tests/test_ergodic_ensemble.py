@@ -19,7 +19,8 @@ from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
                                     sample_block_unitary)
 from ergoquench.spectral import SectorPartition
 
-from conftest import random_density, random_hermitian, random_pure
+from conftest import (block_conjugate, random_density, random_hermitian,
+                      random_pure)
 from dense_reference import contract_with_pair, dense_second_moment_reference
 
 
@@ -250,7 +251,7 @@ class TestSecondMoment:
         a = random_hermitian(rng, d)
         b = random_hermitian(rng, d)
         u = sample_block_unitary(part, seed=99)
-        rotated = DensityMatrix(u.conjugate(rho.entries))
+        rotated = DensityMatrix(block_conjugate(u, rho.entries))
         p1 = second_moment_expectation(rho, part, a, b)
         p2 = second_moment_expectation(rotated, part, a, b)
         assert p2.second_moment == pytest.approx(p1.second_moment, rel=1e-10)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ergoquench.cli import main
-from ergoquench.dynamics import read_series_csv
 from ergoquench.ergodic_ensemble import PSD_ATOL, DensityMatrix
 from ergoquench.errors import PipelineError, StateValidationError
 from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
@@ -18,7 +17,7 @@ from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
 from ergoquench.spectral import diagonalize
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
-from conftest import random_pure
+from conftest import random_pure, read_series_csv
 
 FAST_WINDOW = (100.0, 600.0, 2000)
 
@@ -449,14 +448,43 @@ class TestCliSharedPrefix:
         err = capsys.readouterr().err
         assert "[config]" in err and f"{field} " in err
 
-    @pytest.mark.filterwarnings("ignore:.*exactly degenerate:UserWarning")
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     @pytest.mark.parametrize("raw,tag", [
         ({"L": 4, "total_sz": 1}, "[build]"),              # parity mismatch
-        ({"L": 4, "J": 0.0, "h": 0.0}, "[diagonalize]"),   # no gap ratio at all
     ])
     def test_prefix_failure_has_the_same_stage_tag(self, command, raw, tag,
                                                    tmp_path, capsys):
         assert main(cli_args(command, write_config(tmp_path, raw), tmp_path)) == 1
         err = capsys.readouterr().err
         assert tag in err and "[unexpected]" not in err
+
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    def test_solver_overflow_is_a_diagonalize_error(self, command, monkeypatch,
+                                                    tmp_path, capsys):
+        # no finite config makes every LAPACK build overflow, so a stand-in
+        # eigh returns one overflowed energy
+        real_eigh = np.linalg.eigh
+
+        def overflowing_eigh(m):
+            energies, vectors = real_eigh(m)
+            energies[0] = -np.inf
+            return energies, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", overflowing_eigh)
+        path = write_config(tmp_path, {"L": 4})
+        assert main(cli_args(command, path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "[diagonalize]" in err and "non-finite energies" in err
+
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    def test_fully_degenerate_spectrum_reports_null_gap_ratio(self, command,
+                                                              tmp_path, capsys):
+        # J = h = 0: every level is 0, so only the gap ratio is undefined
+        path = write_config(tmp_path, {"L": 4, "J": 0.0, "h": 0.0})
+        assert main(cli_args(command, path, tmp_path)) == 0
+        if command == "run":
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["spectral"]["r_mean"] is None
+            assert report["spectral"]["n_sectors"] == 1
+        elif command == "spectrum":
+            assert json.loads(capsys.readouterr().out)["r_mean"] is None

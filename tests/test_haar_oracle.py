@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from ergoquench.ergodic_ensemble import DensityMatrix
-from ergoquench.errors import SectorError
 from ergoquench.haar_oracle import (BlockUnitary, _ginibre_entries,
                                     _haar_blocks, estimate_moments,
                                     estimate_state_mean, sample_block_unitary)
 from ergoquench.spectral import SectorPartition
 
-from conftest import random_density, random_hermitian, random_pure
+from conftest import (block_conjugate, block_matrix, random_density,
+                      random_hermitian, random_pure)
 
 
 def haar_first_entry_power(d, k):
@@ -34,7 +34,7 @@ class TestSampling:
 
     def test_full_matrix_is_block_diagonal_and_unitary(self):
         part = SectorPartition(6, np.array([0, 2]))
-        m = sample_block_unitary(part, seed=1).to_matrix()
+        m = block_matrix(sample_block_unitary(part, seed=1))
         assert np.max(np.abs(m @ m.conj().T - np.eye(6))) < 1e-12
         assert np.all(m[:2, 2:] == 0.0) and np.all(m[2:, :2] == 0.0)
 
@@ -56,23 +56,8 @@ class TestSampling:
         part = SectorPartition(7, np.array([0, 3, 5]))
         u = sample_block_unitary(part, seed=3)
         m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        dense = u.to_matrix()
-        assert np.max(np.abs(u.conjugate(m) - dense @ m @ dense.conj().T)) < 1e-12
-
-    def test_conjugate_of_real_matrix_is_complex(self):
-        part = SectorPartition(5, np.array([0, 2]))
-        u = sample_block_unitary(part, seed=4)
-        m = np.random.default_rng(7).normal(size=(5, 5))
-        dense = u.to_matrix()
-        rotated = u.conjugate(m)
-        assert rotated.dtype == np.complex128
-        assert np.max(np.abs(rotated - dense @ m @ dense.conj().T)) < 1e-12
-
-    def test_conjugate_checks_shape(self):
-        part = SectorPartition.whole(3)
-        u = sample_block_unitary(part, seed=0)
-        with pytest.raises(SectorError):
-            u.conjugate(np.zeros((4, 4), dtype=complex))
+        dense = block_matrix(u)
+        assert np.max(np.abs(block_conjugate(u, m) - dense @ m @ dense.conj().T)) < 1e-12
 
     def test_global_phase_cancels_in_conjugation(self):
         part = SectorPartition(5, np.array([0, 2]))
@@ -80,7 +65,8 @@ class TestSampling:
         phased = BlockUnitary(part, tuple(np.exp(0.7j) * b for b in u.blocks))
         rng = np.random.default_rng(6)
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        assert np.max(np.abs(phased.conjugate(m) - u.conjugate(m))) < 1e-13
+        assert np.max(np.abs(block_conjugate(phased, m)
+                             - block_conjugate(u, m))) < 1e-13
 
 
 class TestStream:

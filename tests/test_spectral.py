@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergoquench.errors import SectorError
+from ergoquench.errors import NumericalIntegrityError, SectorError
 from ergoquench.spectral import (SectorPartition, cluster_sectors,
                                  diagonalize, level_spacing_ratio)
 from ergoquench.spin_chain import HermitianOperator
@@ -39,6 +39,18 @@ class TestDiagonalize:
         assert eig.vectors.dtype == np.float64
         rebuilt = eig.vectors @ np.diag(eig.energies) @ eig.vectors.conj().T
         assert np.max(np.abs(rebuilt - op.entries)) < 1e-10
+
+    def test_non_finite_energies_raise(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def overflowing_eigh(m):
+            energies, vectors = real_eigh(m)
+            energies[-1] = np.inf
+            return energies, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", overflowing_eigh)
+        with pytest.raises(NumericalIntegrityError, match="non-finite energies"):
+            diagonalize(HermitianOperator(np.diag([3.0, 1.0, 2.0])))
 
     def test_to_eigenbasis_diagonalizes_own_operator(self):
         rng = np.random.default_rng(3)
