@@ -117,7 +117,7 @@ def cmd_spectrum(args) -> int:
         "r_mean": spec.r_mean,
         "degeneracy_tol": spec.degeneracy_tol,
         "n_sectors": spec.partition.n_sectors,
-    }, indent=2, sort_keys=True))
+    }, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

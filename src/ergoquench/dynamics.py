@@ -5,12 +5,24 @@ phase sum
 
     O(t) = sum_{m,n} rho_mn O_nm exp(-i (E_m - E_n) t)
 
-evaluated on a uniform time grid.  With C = rho_0 * O^T (elementwise) and
-the phase matrix U[t, m] = exp(-i E_m t), the series is the row sum of
-(U C) * conj(U): one matrix product per block of times.  The blocks are
-sized by PHASE_BLOCK_BYTES so that the phase matrix of a whole grid is
-never held.  Real data stays real: a real C is multiplied by the real cos
-and sin parts of U, never promoted to complex.
+evaluated on a uniform time grid.  Two kernels evaluate it, chosen by the
+input types alone:
+
+* Dense.  With C = rho_0 * O^T (elementwise) and the phase matrix
+  U[t, m] = exp(-i E_m t), the series is the row sum of (U C) * conj(U):
+  two n x d x d matrix products over the grid.
+* Factored.  A `PairOperator` Q = u v^dag + v u^dag read out on a
+  `DensityMatrix` that keeps its factors, rho_0 = sum_k w_k psi_k psi_k^dag
+  (built by `from_mixture` or `from_state_vector`), gives
+  O(t) = sum_k w_k 2 Re[(psi_k(t)^dag u)(v^dag psi_k(t))]: one product
+  of the phases with a d x 2r matrix, O(n d r) work for a rank-r state.
+  Any other pair of inputs, such as a general DensityMatrix with a
+  PairOperator, takes the dense kernel.
+
+Both take the phases one block of times at a time from one generator,
+with blocks sized by PHASE_BLOCK_BYTES so that the phase matrix of a whole
+grid is never held.  Real data stays real: real coefficients are
+multiplied by the real cos and sin parts of U, never promoted to complex.
 
 The grid is uniform, so every block repeats the same offsets from its
 first time.  cos and sin of E (t_r - t_0) for the r rows of one block are
@@ -27,11 +39,14 @@ Every phase that reaches cos and sin, in the table, at a block start or
 in such a block, is an exact product E t (a two-product and a first-order
 term), so the phases carry no rounding that grows with t.
 
-C is filled one tile pair of `spin_chain.tile_pairs` at a time, and while a
-tile and its mirror are in cache they also add to the guard's two sums:
-the residue sum |C - C^dag| (each off-diagonal pair counts twice, once for
-each of its mirrored entries) and the scale sum |C|.  Only complex data
-still reads a whole matrix transposed, to form B - B^T below.
+The dense kernel fills C one tile pair of `spin_chain.tile_pairs` at a
+time, and while a tile and its mirror are in cache they also add to the
+guard's two sums: the residue sum |C - C^dag| (each off-diagonal pair
+counts twice, once for each of its mirrored entries) and the scale sum
+|C|.  Only complex data still reads a whole matrix transposed, to form
+B - B^T in `_dense_series`.  The factored kernel needs no guard: its
+inputs are Hermitian by construction, and their constructors reject
+non-finite entries.
 """
 
 from __future__ import annotations
@@ -40,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic_ensemble import _entries, _operator
+from .ergodic_ensemble import DensityMatrix, _entries, _operator
 from .errors import ConstructionError, NumericalIntegrityError
-from .spin_chain import tile_pairs
+from .spin_chain import PairOperator, tile_pairs
 
 IMAG_RESIDUE_RTOL = 1e-6
 PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
@@ -114,33 +129,49 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
                        times: np.ndarray) -> TimeSeries:
     """Expectation-value series of one observable, all inputs in the eigenbasis.
 
-    With C = rho0 * observable.T (elementwise) and, for one block of times,
-    c = cos(E t) and s = sin(E t), each value is
-
-        O(t) = c.A.c + s.A.s + s.(B - B^T).c,    A = Re C, B = Im C,
-
-    the real part of u C u^dag with u = exp(-i E t), which is the whole phase
-    sum for Hermitian inputs.  Times are taken in blocks whose phases fill
-    PHASE_BLOCK_BYTES.  A block's c and s come by angle addition from its
-    start phase and a per-call table of cos/sin of E (t_r - t_0), with the
-    block's exact offset error eps applied to first order; a block with
-    max|E| max|eps| above OFFSET_PHASE_MAX takes cos and sin of its phases
-    directly.  All these phases are exact products E t.  The grid is
-    checked before any work: one that is not a uniform, increasing 1d grid
-    raises ConstructionError.  Inputs whose sum could carry an imaginary
-    part above IMAG_RESIDUE_RTOL of the series scale (non-Hermitian data),
-    or that hold a non-finite entry, raise NumericalIntegrityError.
+    A PairOperator u v^dag + v u^dag read out on a DensityMatrix that keeps
+    its factors, rho0 = sum_k w_k psi_k psi_k^dag, takes the factored path
+    (`_pair_series`); every other input is taken densely
+    (`_dense_series`).  Both evaluate the phases c = cos(E t) and
+    s = sin(E t) of one block of times at a time (`_phase_blocks`).  The
+    grid is checked before any work: one that is not a uniform, increasing
+    1d grid raises ConstructionError.
     """
-    m = _entries(rho0)
-    o = _operator(observable)
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
     d = len(e)
-    if m.shape != (d, d) or o.shape != (d, d):
-        raise ConstructionError(
-            f"state {m.shape} / observable {o.shape} do not match {d} energies")
-    _check_time_grid(t)
+    if (isinstance(observable, PairOperator) and isinstance(rho0, DensityMatrix)
+            and rho0.vectors is not None):
+        if not rho0.dim == observable.dim == d:
+            raise ConstructionError(
+                f"state dim {rho0.dim} / observable dim {observable.dim} "
+                f"do not match {d} energies")
+        _check_time_grid(t)
+        values = _pair_series(rho0.weights, rho0.vectors, observable, e, t)
+    else:
+        m = _entries(rho0)
+        o = _operator(observable)
+        if m.shape != (d, d) or o.shape != (d, d):
+            raise ConstructionError(
+                f"state {m.shape} / observable {o.shape} do not match {d} energies")
+        _check_time_grid(t)
+        values = _dense_series(m, o, e, t)
+    return TimeSeries(times=t, values=values)
 
+
+def _dense_series(m: np.ndarray, o: np.ndarray, e: np.ndarray,
+                  t: np.ndarray) -> np.ndarray:
+    """The series of a dense state m and observable o.  With
+    C = m * o.T (elementwise), each value is
+
+        O(t) = c.A.c + s.A.s + s.(B - B^T).c,    A = Re C, B = Im C,
+
+    the real part of u C u^dag with u = exp(-i E t), which is the whole
+    phase sum for Hermitian inputs.  Inputs whose sum could carry an
+    imaginary part above IMAG_RESIDUE_RTOL of the series scale
+    (non-Hermitian data), or that hold a non-finite entry, raise
+    NumericalIntegrityError.
+    """
     coeff, residue, series_scale = _phase_coefficients(m, o)
     # NaN and inf fail too
     if not (residue <= IMAG_RESIDUE_RTOL * max(series_scale, 1e-300)):
@@ -151,11 +182,58 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
 
     a = np.ascontiguousarray(coeff.real)  # no copy for real inputs
     b = coeff.imag - coeff.imag.T if np.iscomplexobj(coeff) else None
-    rows = max(1, PHASE_BLOCK_BYTES // (16 * max(d, 1)))
+    values = np.empty(len(t))
+    for start, c, s in _phase_blocks(e, t):
+        v = np.einsum("tm,tm->t", c @ a, c) + np.einsum("tm,tm->t", s @ a, s)
+        if b is not None:
+            v += np.einsum("tm,tm->t", s @ b, c)
+        values[start:start + len(c)] = v
+    return values
+
+
+def _pair_series(weights: np.ndarray, vectors: np.ndarray, obs: PairOperator,
+                 e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The series of Q = u v^dag + v u^dag in rho0 = sum_k w_k psi_k psi_k^dag,
+
+        O(t) = sum_k w_k 2 Re[(psi_k(t)^dag u)(v^dag psi_k(t))],
+
+    with psi_k(t) = exp(-i E t) psi_k.  The two sums are x_k = alpha_k.(c + i s)
+    and y_k = beta_k.(c - i s) with alpha_k = conj(psi_k) o u and
+    beta_k = conj(v) o psi_k, so a block of times costs one product of its
+    c and one of its s with the d x 2r matrix [alpha | beta]: O(n d r)
+    work for a rank-r state.  A complex [alpha | beta] enters that product
+    as its real view, so c and s stay real.  Both inputs are Hermitian by
+    construction, and their constructors reject non-finite entries.
+    """
+    r = len(weights)
+    g = np.concatenate((vectors.conj() * obs.u[:, None],
+                        vectors * obs.v.conj()[:, None]), axis=1)
+    as_real = g.view(np.float64) if np.iscomplexobj(g) else g
+    values = np.empty(len(t))
+    for start, c, s in _phase_blocks(e, t):
+        cg = (c @ as_real).view(g.dtype)
+        sg = (s @ as_real).view(g.dtype)
+        x = cg[:, :r] + 1j * sg[:, :r]
+        y = cg[:, r:] - 1j * sg[:, r:]
+        values[start:start + len(c)] = 2.0 * ((x * y).real @ weights)
+    return values
+
+
+def _phase_blocks(e: np.ndarray, t: np.ndarray):
+    """Yield (start, c, s) for consecutive blocks of times, c and s the
+    (k, d) cos and sin of E t for the k times from t[start] on.
+
+    Blocks hold PHASE_BLOCK_BYTES of phases.  A block's c and s come by
+    angle addition from its start phase and a per-call table of cos/sin of
+    E (t_r - t_0), with the block's exact offset error eps applied to first
+    order; a block with max|E| max|eps| above OFFSET_PHASE_MAX takes cos
+    and sin of its phases directly.  All these phases are exact products
+    E t.
+    """
+    rows = max(1, PHASE_BLOCK_BYTES // (16 * max(len(e), 1)))
     offsets = t[:rows] - t[0]
     table_c, table_s = _cos_sin_of_product(e, offsets[:, None])
     e_max = float(np.max(np.abs(e), initial=0.0))
-    values = np.empty(len(t))
     for start in range(0, len(t), rows):
         block = t[start:start + rows]
         k = len(block)
@@ -172,11 +250,7 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
             if drift > 0.0:
                 shift = np.multiply.outer(eps, e)
                 c, s = c - s * shift, s + c * shift
-        v = np.einsum("tm,tm->t", c @ a, c) + np.einsum("tm,tm->t", s @ a, s)
-        if b is not None:
-            v += np.einsum("tm,tm->t", s @ b, c)
-        values[start:start + k] = v
-    return TimeSeries(times=t, values=values)
+        yield start, c, s
 
 
 def _cos_sin_of_product(e: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:

@@ -28,18 +28,26 @@ transposed read: with X^T = conj(X),
     M[i, j]  = tr(A^(ij) B^(ji))     = block sums of A o conj(B)
 
 (o the elementwise product), so every d x d pass reads memory in order.
+
+When both observables are `spin_chain.PairOperator`s, A = x y^dag + y x^dag
+and B = z w^dag + w z^dag, neither is densified: a_i and b_i are sector sums
+of x o conj(y) + y o conj(x) and its B counterpart, M is a sum of four
+outer products of sector-sum vectors (`_pair_traces`), and the exchange
+sum over R2 o M takes four matrix-vector products with R2.  The formula
+itself is the same code for both.  R2 stays dense, and any other pair of
+observables is taken densely, a PairOperator by its `dense` form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError, StateValidationError
 from .spectral import SectorPartition
-from .spin_chain import (HERMITICITY_ATOL, HermitianOperator, as_inexact_array,
-                         hermitian_deviation)
+from .spin_chain import (HERMITICITY_ATOL, HermitianOperator, PairOperator,
+                         as_inexact_array, hermitian_deviation)
 
 TRACE_ATOL = 1e-10
 TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
@@ -71,10 +79,17 @@ class DensityMatrix:
 
     A general matrix is checked for positivity by an eigensolver; states
     built by `from_state_vector` and `from_mixture` are positive by
-    construction, so those constructors check their inputs instead.
+    construction, so those constructors check their inputs instead.  Such
+    a state also keeps its factors, entries = (vectors * weights) @
+    vectors^dag with the vectors as columns; both are None for a general
+    matrix.
     """
 
     entries: np.ndarray
+    weights: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
+    vectors: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         m = _hermitian_unit_trace(self.entries)
@@ -100,7 +115,7 @@ class DensityMatrix:
         """sum_k weights[k] |vectors[k]><vectors[k]| for unit vectors and
         nonnegative weights that sum to 1.  Such a sum is positive by
         construction, so these inputs are checked instead of the spectrum."""
-        w = np.asarray(weights, dtype=np.float64).ravel()
+        w = np.array(weights, dtype=np.float64).ravel()
         if len(w) != len(vectors) or len(w) == 0:
             raise StateValidationError(
                 f"{len(w)} weights for {len(vectors)} vectors")
@@ -114,6 +129,8 @@ class DensityMatrix:
         state = object.__new__(cls)  # bypasses __post_init__'s eigensolver
         object.__setattr__(state, "entries",
                            _hermitian_unit_trace((v * w) @ v.conj().T))
+        object.__setattr__(state, "weights", w)
+        object.__setattr__(state, "vectors", v)
         return state
 
 
@@ -123,6 +140,10 @@ def _entries(rho) -> np.ndarray:
 
 
 def _operator(op) -> np.ndarray:
+    """The dense matrix of an operator: the one place where a PairOperator
+    is densified, for consumers without a factored path."""
+    if isinstance(op, PairOperator):
+        return op.dense()
     return as_inexact_array(op.entries if isinstance(op, HermitianOperator) else op)
 
 
@@ -188,14 +209,24 @@ def second_moment_expectation(rho, partition: SectorPartition,
     All inputs live in the basis defining the partition and must be
     Hermitian: the pair traces R2 = block sums of |rho|^2 and M = block
     sums of A o conj(B) hold for Hermitian inputs only.  Raw arrays (not a
-    DensityMatrix or HermitianOperator) are checked to HERMITICITY_ATOL.
+    DensityMatrix, HermitianOperator or PairOperator) are checked to
+    HERMITICITY_ATOL.  When both observables are PairOperators, their
+    sector traces and M come from their vectors (`_pair_traces`); any
+    other pair is taken densely.
     """
     m = _entries(rho)
-    a_mat = _operator(obs_a)
-    b_mat = _operator(obs_b)
-    _check_shapes(partition, m, a_mat, b_mat)
-    for given, mat in ((rho, m), (obs_a, a_mat), (obs_b, b_mat)):
-        if not isinstance(given, (DensityMatrix, HermitianOperator)):
+    pairs = isinstance(obs_a, PairOperator) and isinstance(obs_b, PairOperator)
+    inputs = [(rho, m)]
+    if pairs:
+        if not obs_a.dim == obs_b.dim == partition.dim:
+            raise SectorError(f"pair operator dims {obs_a.dim}, {obs_b.dim} "
+                              f"do not match partition dim {partition.dim}")
+    else:
+        a_mat, b_mat = _operator(obs_a), _operator(obs_b)
+        inputs += [(obs_a, a_mat), (obs_b, b_mat)]
+    _check_shapes(partition, *(mat for _, mat in inputs))
+    for given, mat in inputs:
+        if not isinstance(given, (DensityMatrix, HermitianOperator, PairOperator)):
             dev = hermitian_deviation(mat)
             if not (dev <= HERMITICITY_ATOL):
                 raise StateValidationError(
@@ -206,13 +237,22 @@ def second_moment_expectation(rho, partition: SectorPartition,
 
     starts = partition.starts
     d = partition.sizes.astype(float)
+    inv_d = 1.0 / d
     t = _sector_traces(m, starts).real
-    a_tr = _sector_traces(a_mat, starts)
-    b_tr = _sector_traces(b_mat, starts)
     r2 = _block_sums((m * m.conj()).real, starts)  # R2[i, j] = tr(rho^(ij) rho^(ji))
     p = np.diagonal(r2)
-    ab = _block_sums(a_mat * b_mat.conj(), starts)  # M[i, j] = tr(A^(ij) B^(ji))
-    p_ab = np.diagonal(ab)
+    # M[i, j] = tr(A^(ij) B^(ji)), its diagonal P_i, and the exchange sum
+    # sum_ij R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
+    if pairs:
+        a_tr, b_tr, left, right = _pair_traces(obs_a, obs_b, starts)
+        p_ab = np.sum(left * right, axis=1)
+        r2_ab = np.sum((left * inv_d[:, None]) * (r2 @ (right * inv_d[:, None])))
+    else:
+        a_tr = _sector_traces(a_mat, starts)
+        b_tr = _sector_traces(b_mat, starts)
+        ab = _block_sums(a_mat * b_mat.conj(), starts)
+        p_ab = np.diagonal(ab)
+        r2_ab = inv_d @ ((r2 * ab) @ inv_d)
 
     mean_a = float(np.sum(t * a_tr.real / d))
     mean_b = float(np.sum(t * b_tr.real / d))
@@ -228,9 +268,8 @@ def second_moment_expectation(rho, partition: SectorPartition,
     u = t * a_tr / d
     v = t * b_tr / d
     direct = u.sum() * v.sum() - np.sum(u * v)
-    # sum_{i != j} R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
-    inv_d = 1.0 / d
-    exchange = inv_d @ ((r2 * ab) @ inv_d) - np.sum(p * p_ab * inv_d**2)
+    # sum_{i != j} R2_ij M_ji / (d_i d_j)
+    exchange = r2_ab - np.sum(p * p_ab * inv_d**2)
 
     total = sym_pairs.sum() + anti_pairs.sum() + direct + exchange
     scale = max(1.0, abs(total))
@@ -240,6 +279,26 @@ def second_moment_expectation(rho, partition: SectorPartition,
     second = float(total.real)
     return MomentPrediction(mean_a=mean_a, mean_b=mean_b,
                             connected=second - mean_a * mean_b)
+
+
+def _pair_traces(obs_a: PairOperator, obs_b: PairOperator, starts: np.ndarray):
+    """Sector traces a_i, b_i of A = x y^dag + y x^dag and B = z w^dag +
+    w z^dag, and M = block sums of A o conj(B) = left @ right.T.
+
+    A_kl conj(B_kl) splits into four products f_k g_l, one for each choice
+    of a member of (x, y) and one of (z, w): f = (x or y) o conj(z or w)
+    and g = conj(the other of x, y) o (the other of z, w).  Block sums of
+    f and g are the columns of left and right, O(d) work in all.
+    """
+    a_tr, b_tr = (np.add.reduceat(op.u * op.v.conj() + op.v * op.u.conj(), starts)
+                  for op in (obs_a, obs_b))
+    pa = np.column_stack([obs_a.u, obs_a.v])
+    pb = np.column_stack([obs_b.u, obs_b.v])
+    f = pa[:, :, None] * pb.conj()[:, None, :]
+    g = pa.conj()[:, ::-1, None] * pb[:, None, ::-1]
+    left = np.add.reduceat(f.reshape(len(pa), 4), starts, axis=0)
+    right = np.add.reduceat(g.reshape(len(pa), 4), starts, axis=0)
+    return a_tr, b_tr, left, right
 
 
 def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,

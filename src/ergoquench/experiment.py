@@ -27,7 +27,7 @@ from .dynamics import (evolve_expectation, make_time_grid, time_stats,
 from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
                                cat_q_variance_closed_form,
                                second_moment_expectation)
-from .errors import PipelineError, StateValidationError
+from .errors import NumericalIntegrityError, PipelineError, StateValidationError
 from .haar_oracle import estimate_moments
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
@@ -262,7 +262,7 @@ class QuenchPrefix(SpectralPrefix):
     prod2: ProductEigenstate
     phi1: np.ndarray
     phi2: np.ndarray
-    observables: dict  # OBSERVABLE_NAMES -> HermitianOperator
+    observables: dict  # "H_R" -> HermitianOperator, "Q" -> PairOperator
 
 
 def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
@@ -274,8 +274,13 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
     with _stage("diagonalize"):
         eig = diagonalize(ham)
         energies = eig.energies
+        width = float(energies[-1]) - float(energies[0])  # inf, not a warning
         tol = (config.degeneracy_tol if config.degeneracy_tol is not None
-               else DEGENERACY_TOL_RELATIVE * float(energies[-1] - energies[0]))
+               else DEGENERACY_TOL_RELATIVE * width)
+        if not (math.isfinite(width) and math.isfinite(tol)):
+            raise NumericalIntegrityError(
+                f"spectral width of [{energies[0]:.3e}, {energies[-1]:.3e}] "
+                f"overflows float64 (width {width}, degeneracy_tol {tol})")
         # a gap ratio needs two adjacent spacings, not all of them zero
         defined = eig.dim >= 3 and energies[-1] > energies[0]
         r_mean = level_spacing_ratio(energies) if defined else None

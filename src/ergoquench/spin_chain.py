@@ -221,20 +221,49 @@ def _resolve_interval(interval, last_valid, what) -> range:
     return range(lo, hi + 1)
 
 
-def build_projector_observable(phi1: np.ndarray, phi2: np.ndarray) -> HermitianOperator:
-    """The swap-like observable |phi1><phi2| + |phi2><phi1|.
+@dataclass(frozen=True)
+class PairOperator:
+    """The rank-2 Hermitian operator u v^dag + v u^dag, held as its two
+    vectors; the d x d matrix is formed only by `dense`.  Real input stays
+    real."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        u = as_inexact_array(self.u).ravel()
+        v = as_inexact_array(self.v).ravel()
+        if u.shape != v.shape:
+            raise ConstructionError(f"vector dimensions differ: {u.shape} vs {v.shape}")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise ConstructionError("pair operator vector has a non-finite entry")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.u)
+
+    @property
+    def nbytes(self) -> int:
+        return self.u.nbytes + self.v.nbytes
+
+    def dense(self) -> np.ndarray:
+        """The d x d matrix u v^dag + v u^dag."""
+        m = np.outer(self.u, self.v.conj())
+        m += np.outer(self.v, self.u.conj())  # the adjoint, no transpose read
+        return m
+
+
+def build_projector_observable(phi1: np.ndarray, phi2: np.ndarray) -> PairOperator:
+    """The swap-like observable |phi1><phi2| + |phi2><phi1|, as its two vectors.
 
     Both vectors must be unit-normalized and of equal dimension.  For an
-    orthonormal pair the result has trace 0 and squared trace 2.
+    orthonormal pair the operator has trace 0 and squared trace 2.
     """
-    v1 = np.asarray(phi1).ravel()
-    v2 = np.asarray(phi2).ravel()
-    if v1.shape != v2.shape:
-        raise ConstructionError(f"vector dimensions differ: {v1.shape} vs {v2.shape}")
-    for k, v in (("first", v1), ("second", v2)):
+    q = PairOperator(phi1, phi2)
+    for k, v in (("first", q.u), ("second", q.v)):
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not (abs(norm - 1.0) <= NORM_ATOL):  # NaN fails too
             raise ConstructionError(f"{k} vector not normalized, |norm-1|={abs(norm-1):.3e}")
-    m = np.outer(v1, v2.conj())
-    m += np.outer(v2, v1.conj())  # the adjoint of the first, no transpose read
-    return HermitianOperator(m)
+    return q

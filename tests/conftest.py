@@ -9,7 +9,7 @@ import numpy as np
 
 from ergoquench.dynamics import TimeSeries
 from ergoquench.ergodic_ensemble import DensityMatrix
-from ergoquench.spin_chain import HermitianOperator
+from ergoquench.spin_chain import HermitianOperator, PairOperator
 
 
 def random_density(rng, dim, rank=None):
@@ -25,9 +25,27 @@ def random_hermitian(rng, dim):
     return HermitianOperator((g + g.conj().T) / 2)
 
 
-def random_pure(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+def random_pure(rng, dim, complex_data=True):
+    v = rng.normal(size=dim)
+    if complex_data:
+        v = v + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def random_mixture(rng, dim, rank, complex_data):
+    """A DensityMatrix built from `rank` random unit vectors, so it keeps
+    its factors."""
+    w = rng.uniform(0.1, 1.0, size=rank)
+    return DensityMatrix.from_mixture(
+        w / w.sum(), [random_pure(rng, dim, complex_data) for _ in range(rank)])
+
+
+def random_pair(rng, dim, complex_data, equal_vectors=False):
+    """PairOperator of two random unit vectors, or of one vector twice (the
+    phi1 = phi2 case)."""
+    u = random_pure(rng, dim, complex_data)
+    v = u if equal_vectors else random_pure(rng, dim, complex_data)
+    return PairOperator(u, v)
 
 
 def block_matrix(u):

@@ -17,7 +17,8 @@ from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.errors import ConstructionError, NumericalIntegrityError
 from ergoquench.spin_chain import ADJOINT_TILE
 
-from conftest import random_density, random_hermitian, read_series_csv
+from conftest import (random_density, random_hermitian, random_mixture,
+                      random_pair, read_series_csv)
 
 
 def dense_evolution(rho, obs, energies, times):
@@ -307,6 +308,86 @@ class TestEvolveExpectation:
             evolve_expectation(np.eye(2, dtype=complex) / 2,
                                np.eye(3, dtype=complex),
                                np.array([0.0, 1.0]),
+                               make_time_grid(0.0, 1.0, 10))
+
+
+# offsets k * 0.5 from t_0 = 3000 are exact, so every block's eps is 0;
+# the default window's dt = 10000 / 19999 is not a float, so eps != 0
+PAIR_GRIDS = {"eps = 0": (3000.0, 12999.5, 20_000),
+              "eps != 0": (3000.0, 13000.0, 20_000)}
+
+
+class TestPairSeries:
+    @pytest.mark.parametrize("grid", PAIR_GRIDS)
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 8), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), complex_data=st.booleans(),
+           equal_vectors=st.booleans())
+    def test_matches_the_dense_path(self, grid, dim, rank, seed, complex_data,
+                                    equal_vectors):
+        rng = np.random.default_rng(seed)
+        rho = random_mixture(rng, dim, rank, complex_data)
+        q = random_pair(rng, dim, complex_data, equal_vectors)
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=dim))
+        t = make_time_grid(*PAIR_GRIDS[grid])
+        with pytest.MonkeyPatch.context() as mp:  # blocks of 1000 times
+            mp.setattr(dynamics, "PHASE_BLOCK_BYTES", 1000 * 16 * dim)
+            got = evolve_expectation(rho, q, energies, t).values
+            want = evolve_expectation(rho, q.dense(), energies, t).values
+        scale = np.sum(np.abs(rho.entries * q.dense().T))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_factored_inputs_skip_the_dense_kernel(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        rho = random_mixture(rng, 6, 2, False)
+        q = random_pair(rng, 6, False)
+        energies = np.sort(rng.normal(size=6))
+        t = make_time_grid(0.0, 30.0, 257)
+        want = dense_evolution(rho.entries, q.dense(), energies, t)
+
+        def no_dense(*args):
+            raise AssertionError("dense kernel used for factored inputs")
+
+        monkeypatch.setattr(dynamics, "_phase_coefficients", no_dense)
+        got = evolve_expectation(rho, q, energies, t).values
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("raw_array", [False, True])
+    def test_state_without_factors_takes_the_dense_path(self, monkeypatch,
+                                                         raw_array):
+        rng = np.random.default_rng(51)
+        entries = random_mixture(rng, 6, 2, True).entries
+        rho = entries if raw_array else DensityMatrix(entries)
+        q = random_pair(rng, 6, True)
+        energies = np.sort(rng.normal(size=6))
+        t = make_time_grid(0.0, 30.0, 257)
+
+        def no_pair(*args):
+            raise AssertionError("factored kernel used for a dense state")
+
+        monkeypatch.setattr(dynamics, "_pair_series", no_pair)
+        got = evolve_expectation(rho, q, energies, t).values
+        assert np.array_equal(got, evolve_expectation(rho, q.dense(),
+                                                      energies, t).values)
+
+    def test_grid_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("evolution started on a bad grid")
+
+        monkeypatch.setattr(dynamics, "_phase_blocks", no_work)
+        rng = np.random.default_rng(52)
+        with pytest.raises(ConstructionError):
+            evolve_expectation(random_mixture(rng, 3, 1, False),
+                               random_pair(rng, 3, False),
+                               np.array([0.0, 1.0, 2.0]),
+                               np.array([0.0, 1.0, 3.0]))
+
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(53)
+        with pytest.raises(ConstructionError):
+            evolve_expectation(random_mixture(rng, 3, 1, False),
+                               random_pair(rng, 4, False),
+                               np.array([0.0, 1.0, 2.0]),
                                make_time_grid(0.0, 1.0, 10))
 
 

@@ -20,7 +20,7 @@ from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
 from ergoquench.spectral import SectorPartition
 
 from conftest import (block_conjugate, random_density, random_hermitian,
-                      random_pure)
+                      random_mixture, random_pair, random_pure)
 from dense_reference import contract_with_pair, dense_second_moment_reference
 
 
@@ -77,6 +77,17 @@ class TestDensityMatrix:
         # not diagonal, so only the eigensolver can see the -0.3 eigenvalue
         with pytest.raises(StateValidationError, match="negative eigenvalue"):
             DensityMatrix(np.array([[0.5, 0.8], [0.8, 0.5]]))
+
+    def test_factors_kept_only_by_the_factored_constructors(self):
+        rng = np.random.default_rng(6)
+        v1, v2 = random_pure(rng, 5), random_pure(rng, 5)
+        mixed = DensityMatrix.from_mixture([0.25, 0.75], [v1, v2])
+        assert np.array_equal(mixed.weights, [0.25, 0.75])
+        assert np.array_equal(mixed.vectors, np.column_stack([v1, v2]))
+        pure = DensityMatrix.from_state_vector(v1)
+        assert pure.vectors.shape == (5, 1)
+        general = DensityMatrix(mixed.entries)
+        assert general.weights is None and general.vectors is None
 
     def test_from_mixture_matches_the_weighted_sum(self):
         rng = np.random.default_rng(7)
@@ -339,6 +350,41 @@ class TestHermitianPairTraces:
             second_moment_expectation(inputs["rho"],
                                       SectorPartition(d, np.array([0, 2])),
                                       inputs["a"], inputs["b"])
+
+
+class TestPairOperatorMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 12), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), complex_data=st.booleans(),
+           equal_vectors=st.booleans(), same_observable=st.booleans())
+    def test_matches_the_dense_operators(self, dim, rank, seed, complex_data,
+                                         equal_vectors, same_observable):
+        rng = np.random.default_rng(seed)
+        rho = random_mixture(rng, dim, rank, complex_data)
+        a = random_pair(rng, dim, complex_data, equal_vectors)
+        b = a if same_observable else random_pair(rng, dim, complex_data)
+        for part in partitions_of(dim, rng, count=1):  # singletons, whole, mixed
+            got = second_moment_expectation(rho, part, a, b)
+            want = second_moment_expectation(rho, part, a.dense(), b.dense())
+            for field in ("mean_a", "mean_b", "second_moment"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-12, abs=1e-15)
+
+    def test_one_pair_and_one_dense_operator(self):
+        rng = np.random.default_rng(310)
+        rho = random_mixture(rng, 7, 2, True)
+        a, b = random_pair(rng, 7, True), random_hermitian(rng, 7)
+        part = SectorPartition(7, np.array([0, 2, 3]))
+        got = second_moment_expectation(rho, part, a, b)
+        want = second_moment_expectation(rho, part, a.dense(), b)
+        assert got == want
+
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(311)
+        rho = random_mixture(rng, 5, 1, False)
+        a = random_pair(rng, 4, False)
+        with pytest.raises(SectorError):
+            second_moment_expectation(rho, SectorPartition.whole(5), a, a)
 
 
 class TestDenseReference:

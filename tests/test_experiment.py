@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from ergoquench.cli import main
-from ergoquench.ergodic_ensemble import PSD_ATOL, DensityMatrix
+from ergoquench.dynamics import evolve_expectation, make_time_grid, time_stats
+from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
+                                         second_moment_expectation)
 from ergoquench.errors import PipelineError, StateValidationError
 from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
                                    find_product_eigenstates,
@@ -245,7 +247,8 @@ class TestPrepareQuench:
         q = prepare_quench(fast_config())
         arrays = {"eigenvectors": q.eig.vectors,
                   "H_R": q.observables["H_R"].entries,
-                  "Q": q.observables["Q"].entries}
+                  "Q u": q.observables["Q"].u,
+                  "Q v": q.observables["Q"].v}
         for protocol in ("cat", "mixed"):
             arrays[protocol] = prepare_protocol_state(q.phi1, q.phi2,
                                                       protocol).entries
@@ -298,6 +301,31 @@ class TestRunExperiment:
         for protocol in ("cat", "mixed"):
             q = res.report.protocols[protocol]["Q"]
             assert abs(q["theory_mean"]) <= 2.0 * overlap + 1e-12
+
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"L": 4, "J": 0.0, "h": 0.0},  # phi1 = phi2, so Q = 2 phi phi^T
+    ])
+    def test_q_numbers_match_the_dense_operator(self, overrides):
+        config = fast_config(**overrides)
+        res = run_experiment(config)
+        q = prepare_quench(config)
+        dense = q.observables["Q"].dense()
+        grid = make_time_grid(*config.time_window)
+        for protocol in ("cat", "mixed"):
+            rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            pred = second_moment_expectation(rho0, q.partition, dense, dense)
+            series = evolve_expectation(rho0, dense, q.eig.energies, grid)
+            stats = time_stats(series, config.n_subintervals)
+            want = {"theory_mean": pred.mean_a,
+                    "theory_sigma": float(np.sqrt(max(pred.connected, 0.0))),
+                    "numeric_mean": stats.mean, "numeric_sigma": stats.sigma}
+            got = res.report.protocols[protocol]["Q"]
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+            gap = res.series[(protocol, "Q")].values - series.values
+            assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(series.values))
 
 
 class TestArtifacts:
@@ -475,6 +503,18 @@ class TestCliSharedPrefix:
         assert main(cli_args(command, path, tmp_path)) == 1
         err = capsys.readouterr().err
         assert "[diagonalize]" in err and "non-finite energies" in err
+
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    def test_overflowing_spectral_width_is_a_diagonalize_error(self, command,
+                                                               tmp_path, capsys):
+        # finite energies about -1.3e308 and 6e307: only their difference
+        # overflows, and it must fail before any evolution
+        path = write_config(tmp_path, {"L": 4, "J": 2e307})
+        assert main(cli_args(command, path, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert "[diagonalize]" in captured.err and "overflows" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     def test_fully_degenerate_spectrum_reports_null_gap_ratio(self, command,

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoquench.ergodic_ensemble import _pair_traces
 from ergoquench.errors import ConstructionError, SectorError
 from ergoquench.spin_chain import (ADJOINT_TILE, DisorderRealization,
-                                   HermitianOperator, build_basis,
+                                   HermitianOperator, PairOperator,
+                                   build_basis,
                                    build_hamiltonian,
                                    build_projector_observable, draw_disorder,
                                    hermitian_deviation, symmetrized)
@@ -196,7 +198,7 @@ class TestTiledAdjointPasses:
             v1, v2 = v1 + 1j * rng.normal(size=300), v2 + 1j * rng.normal(size=300)
         v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
         m = np.outer(v1, v2.conj())
-        got = build_projector_observable(v1, v2).entries
+        got = build_projector_observable(v1, v2).dense()
         if complex_data:  # complex products may round in either operand order
             assert np.max(np.abs(got - (m + m.conj().T))) < 1e-16
         else:
@@ -287,15 +289,37 @@ class TestProjectorObservable:
         v1 = np.zeros(4, dtype=complex); v1[0] = 1.0
         v2 = np.zeros(4, dtype=complex); v2[2] = 1.0
         q = build_projector_observable(v1, v2)
-        assert abs(np.trace(q.entries)) < 1e-14
-        assert abs(np.trace(q.entries @ q.entries) - 2.0) < 1e-14
-        assert np.allclose(q.entries @ v2, v1)
-        assert np.allclose(q.entries @ v1, v2)
+        # tr Q and tr(Q Q) from the vectors: the whole space as one sector
+        trace, _, left, right = _pair_traces(q, q, np.zeros(1, dtype=np.int64))
+        assert abs(trace[0]) < 1e-14
+        assert abs(left[0] @ right[0] - 2.0) < 1e-14
+        assert np.allclose(q.u * np.vdot(q.v, v2) + q.v * np.vdot(q.u, v2), v1)
+        assert np.allclose(q.u * np.vdot(q.v, v1) + q.v * np.vdot(q.u, v1), v2)
 
     def test_requires_normalized_inputs(self):
         v = np.ones(3, dtype=complex)
         with pytest.raises(ConstructionError):
             build_projector_observable(v, v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, which, bad):
+        vectors = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+        vectors[which][2] = bad
+        with pytest.raises(ConstructionError):
+            build_projector_observable(*vectors)
+        with pytest.raises(ConstructionError):
+            PairOperator(*vectors)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_holds_its_two_vectors_only(self, complex_data):
+        v1 = np.zeros(300, dtype=complex if complex_data else float)
+        v2 = v1.copy()
+        v1[0], v2[1] = 1.0, 1.0
+        q = build_projector_observable(v1, v2)
+        assert q.u.dtype == q.v.dtype == v1.dtype
+        assert q.dim == 300 and q.nbytes == v1.nbytes + v2.nbytes
+        assert not hasattr(q, "entries")
 
     def test_requires_matching_dimensions(self):
         with pytest.raises(ConstructionError):
