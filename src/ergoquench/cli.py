@@ -21,7 +21,7 @@ import numpy as np
 
 from .ergodic_ensemble import second_moment_expectation
 from .errors import PipelineError
-from .experiment import (ExperimentConfig, prepare_protocol_state,
+from .experiment import (ExperimentConfig, _stage, prepare_protocol_state,
                          prepare_quench, prepare_spectrum, run_experiment,
                          write_artifacts)
 from .haar_oracle import estimate_moments
@@ -131,21 +131,22 @@ def cmd_oracle(args) -> int:
 
     out: dict = {"order": args.order, "n_samples": args.samples,
                  "protocols": {}}
-    for protocol in config.protocols:
-        rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-        block = {}
-        for name, obs in q.observables.items():
-            est = estimate_moments(rho0, q.partition, [obs] * args.order,
-                                   order=args.order, n_samples=args.samples,
-                                   seed=config.disorder_seed)[0]
-            entry = {"estimate": est.value, "std_error": est.std_error}
-            if args.order <= 2:
-                pred = second_moment_expectation(rho0, q.partition, obs, obs)
-                entry["analytic"] = (pred.mean_a if args.order == 1
-                                     else pred.second_moment)
-            block[name] = entry
-        out["protocols"][protocol] = block
-    print(json.dumps(out, indent=2, sort_keys=True))
+    with _stage("oracle"):
+        for protocol in config.protocols:
+            rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            block = {}
+            for name, obs in q.observables.items():
+                est = estimate_moments(rho0, q.partition, [obs] * args.order,
+                                       order=args.order, n_samples=args.samples,
+                                       seed=config.disorder_seed)[0]
+                entry = {"estimate": est.value, "std_error": est.std_error}
+                if args.order <= 2:
+                    pred = second_moment_expectation(rho0, q.partition, obs, obs)
+                    entry["analytic"] = (pred.mean_a if args.order == 1
+                                         else pred.second_moment)
+                block[name] = entry
+            out["protocols"][protocol] = block
+    print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

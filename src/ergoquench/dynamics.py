@@ -10,7 +10,9 @@ input types alone:
 
 * Dense.  With C = rho_0 * O^T (elementwise) and the phase matrix
   U[t, m] = exp(-i E_m t), the series is the row sum of (U C) * conj(U):
-  two n x d x d matrix products over the grid.
+  two n x d x d matrix products over the grid.  C is the only d x d
+  array this kernel builds: a state that keeps its factors is never
+  formed whole, each tile of rho_0 is formed from them where C needs it.
 * Factored.  A `PairOperator` Q = u v^dag + v u^dag read out on a
   `DensityMatrix` that keeps its factors, rho_0 = sum_k w_k psi_k psi_k^dag
   (built by `from_mixture` or `from_state_vector`), gives
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic_ensemble import DensityMatrix, _entries, _operator
+from .ergodic_ensemble import _factors, _operator
 from .errors import ConstructionError, NumericalIntegrityError
 from .spin_chain import PairOperator, tile_pairs
 
@@ -140,29 +142,31 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
     d = len(e)
-    if (isinstance(observable, PairOperator) and isinstance(rho0, DensityMatrix)
-            and rho0.vectors is not None):
+    factors = _factors(rho0)
+    if isinstance(observable, PairOperator) and factors is not None:
         if not rho0.dim == observable.dim == d:
             raise ConstructionError(
                 f"state dim {rho0.dim} / observable dim {observable.dim} "
                 f"do not match {d} energies")
         _check_time_grid(t)
-        values = _pair_series(rho0.weights, rho0.vectors, observable, e, t)
+        values = _pair_series(*factors, observable, e, t)
     else:
-        m = _entries(rho0)
+        state = factors or _operator(rho0)  # factors stay factors
         o = _operator(observable)
-        if m.shape != (d, d) or o.shape != (d, d):
+        shape = (rho0.dim,) * 2 if factors else state.shape
+        if shape != (d, d) or o.shape != (d, d):
             raise ConstructionError(
-                f"state {m.shape} / observable {o.shape} do not match {d} energies")
+                f"state {shape} / observable {o.shape} do not match {d} energies")
         _check_time_grid(t)
-        values = _dense_series(m, o, e, t)
+        values = _dense_series(state, o, e, t)
     return TimeSeries(times=t, values=values)
 
 
-def _dense_series(m: np.ndarray, o: np.ndarray, e: np.ndarray,
+def _dense_series(m, o: np.ndarray, e: np.ndarray,
                   t: np.ndarray) -> np.ndarray:
-    """The series of a dense state m and observable o.  With
-    C = m * o.T (elementwise), each value is
+    """The series of a state m, a matrix or the factors (w, V) of
+    (V * w) @ V^dag, and a dense observable o.  With C = m * o.T
+    (elementwise), each value is
 
         O(t) = c.A.c + s.A.s + s.(B - B^T).c,    A = Re C, B = Im C,
 
@@ -272,25 +276,38 @@ def _split(x):
     return hi, x - hi
 
 
-def _phase_coefficients(m: np.ndarray, o: np.ndarray):
+def _phase_coefficients(m, o: np.ndarray):
     """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba), the residue
     sum |C - C^dag| and the scale sum |C|, filled and summed by tile pairs.
 
-    The anti-Hermitian part of C is all the imaginary part of the phase
-    sum could be made of.
+    m is a matrix, or the factors (w, V) of rho = (V * w) @ V^dag, whose
+    tile [r, c] is formed in place as (V[r] * w) @ V[c]^dag.  The
+    anti-Hermitian part of C is all the imaginary part of the phase sum
+    could be made of.
     """
-    coeff = np.empty_like(m, dtype=np.result_type(m, o))
+    if isinstance(m, tuple):
+        w, v = m
+        dim, dtype = len(v), v.dtype
+
+        def rho(r, c):
+            return (v[r] * w) @ v[c].conj().T
+    else:
+        dim, dtype = len(m), m.dtype
+
+        def rho(r, c):
+            return m[r, c]
+    coeff = np.empty((dim, dim), dtype=np.result_type(dtype, o))
     residue = scale = 0.0
     with np.errstate(invalid="ignore"):  # inf entries become a NaN residue
-        for r, c in tile_pairs(len(m)):
+        for r, c in tile_pairs(dim):
             upper = coeff[r, c]
-            np.multiply(m[r, c], o[c, r].T, out=upper)
+            np.multiply(rho(r, c), o[c, r].T, out=upper)
             if r == c:
                 residue += float(np.sum(np.abs(upper - upper.conj().T)))
                 scale += float(np.sum(np.abs(upper)))
             else:
                 lower = coeff[c, r]
-                np.multiply(m[c, r], o[r, c].T, out=lower)
+                np.multiply(rho(c, r), o[r, c].T, out=lower)
                 residue += 2.0 * float(np.sum(np.abs(upper - lower.conj().T)))
                 scale += float(np.sum(np.abs(upper)) + np.sum(np.abs(lower)))
     return coeff, residue, scale

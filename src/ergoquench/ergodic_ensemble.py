@@ -29,18 +29,22 @@ transposed read: with X^T = conj(X),
 
 (o the elementwise product), so every d x d pass reads memory in order.
 
-When both observables are `spin_chain.PairOperator`s, A = x y^dag + y x^dag
-and B = z w^dag + w z^dag, neither is densified: a_i and b_i are sector sums
-of x o conj(y) + y o conj(x) and its B counterpart, M is a sum of four
-outer products of sector-sum vectors (`_pair_traces`), and the exchange
-sum over R2 o M takes four matrix-vector products with R2.  The formula
-itself is the same code for both.  R2 stays dense, and any other pair of
-observables is taken densely, a PairOperator by its `dense` form.
+Rank-structured inputs never form a d x d matrix.  A state that keeps its
+factors, rho = sum_k w_k v_k v_k^dag (`DensityMatrix.from_mixture`), and a
+`spin_chain.PairOperator`, A = x y^dag + y x^dag, are both X = P S P^dag
+with a few columns in P (`_factored`).  For two such inputs the sector
+traces and the block sums of X o conj(Y) (R2 for the state with itself, M
+for the two observables) come from sector sums of products of their
+columns (`_pair_traces`), O(d r^2) work, with the block sums as two
+factors.  The exchange sum over R2 o M is then one pass over whichever of
+the two is dense, or O(d) when both are factored (`_weighted_pair_sum`).
+The formula itself is the same code for every combination; a pair with
+one dense member is taken densely, a PairOperator by its `dense` form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +58,7 @@ TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
 PSD_ATOL = 1e-10
 UNIT_NORM_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
+_FLOAT_MAX = np.finfo(np.float64).max
 SHARED_SUPPORT_THRESHOLD = 0.05
 
 
@@ -72,27 +77,24 @@ def _hermitian_unit_trace(entries) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite.
     Real input stays real.
 
-    A general matrix is checked for positivity by an eigensolver; states
+    A general matrix is checked for positivity by an eigensolver.  States
     built by `from_state_vector` and `from_mixture` are positive by
-    construction, so those constructors check their inputs instead.  Such
-    a state also keeps its factors, entries = (vectors * weights) @
-    vectors^dag with the vectors as columns; both are None for a general
-    matrix.
+    construction, so those constructors check their inputs instead, and
+    they keep only their factors: rho = (vectors * weights) @ vectors^dag
+    with the vectors as columns.  Their d x d `entries` are formed on first
+    use, for consumers without a factored path (the Monte-Carlo oracle,
+    `ensemble_mean`, plain-matrix code), and then kept.  `weights` and
+    `vectors` are None for a general matrix.
     """
 
-    entries: np.ndarray
-    weights: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
-    vectors: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
+    __slots__ = ("_entries", "weights", "vectors")
 
-    def __post_init__(self):
-        m = _hermitian_unit_trace(self.entries)
+    def __init__(self, entries):
+        m = _hermitian_unit_trace(entries)
         # diagonal iff every nonzero sits on the diagonal; no copy of m
         if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
             lo = float(m.diagonal().real.min())  # diagonal matrices need no solver
@@ -100,11 +102,19 @@ class DensityMatrix:
             lo = float(np.linalg.eigvalsh(m).min())
         if lo < -PSD_ATOL:
             raise StateValidationError(f"negative eigenvalue {lo:.3e}")
-        object.__setattr__(self, "entries", m)
+        self._entries = m
+        self.weights = self.vectors = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            v = self.vectors
+            self._entries = _hermitian_unit_trace((v * self.weights) @ v.conj().T)
+        return self._entries
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries if self.vectors is None else self.vectors)
 
     @classmethod
     def from_state_vector(cls, psi: np.ndarray) -> "DensityMatrix":
@@ -114,7 +124,8 @@ class DensityMatrix:
     def from_mixture(cls, weights, vectors) -> "DensityMatrix":
         """sum_k weights[k] |vectors[k]><vectors[k]| for unit vectors and
         nonnegative weights that sum to 1.  Such a sum is positive by
-        construction, so these inputs are checked instead of the spectrum."""
+        construction, so these inputs and the trace sum_k w_k |v_k|^2 are
+        checked instead of the spectrum, in O(d r) for r vectors."""
         w = np.array(weights, dtype=np.float64).ravel()
         if len(w) != len(vectors) or len(w) == 0:
             raise StateValidationError(
@@ -126,25 +137,38 @@ class DensityMatrix:
         norms = np.linalg.norm(v, axis=0)
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_ATOL):  # NaN fails too
             raise StateValidationError(f"state vector norms {norms} != 1")
-        state = object.__new__(cls)  # bypasses __post_init__'s eigensolver
-        object.__setattr__(state, "entries",
-                           _hermitian_unit_trace((v * w) @ v.conj().T))
-        object.__setattr__(state, "weights", w)
-        object.__setattr__(state, "vectors", v)
+        tr = float(w @ norms**2)
+        if not (abs(tr - 1.0) <= TRACE_ATOL):
+            raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        state = object.__new__(cls)  # bypasses __init__'s eigensolver
+        state._entries = None
+        state.weights, state.vectors = w, v
         return state
 
 
-def _entries(rho) -> np.ndarray:
-    """Accept DensityMatrix or a raw array (used by oracles and error-path tests)."""
-    return as_inexact_array(rho.entries if isinstance(rho, DensityMatrix) else rho)
+def _factors(rho):
+    """(weights, vectors) of a state that keeps its factors, else None."""
+    if isinstance(rho, DensityMatrix) and rho.vectors is not None:
+        return rho.weights, rho.vectors
+    return None
+
+
+def _factored(x):
+    """(P, S) with X = P S P^dag: the vectors and diag(weights) of a state
+    that keeps its factors, [u v] and the swap of a PairOperator; else None."""
+    if isinstance(x, PairOperator):
+        return np.column_stack([x.u, x.v]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    factors = _factors(x)
+    return None if factors is None else (factors[1], np.diag(factors[0]))
 
 
 def _operator(op) -> np.ndarray:
-    """The dense matrix of an operator: the one place where a PairOperator
-    is densified, for consumers without a factored path."""
+    """The dense matrix of an operator or state: the one place where a
+    PairOperator is densified, for consumers without a factored path."""
     if isinstance(op, PairOperator):
         return op.dense()
-    return as_inexact_array(op.entries if isinstance(op, HermitianOperator) else op)
+    return as_inexact_array(
+        op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else op)
 
 
 def _check_shapes(partition: SectorPartition, *mats: np.ndarray):
@@ -172,7 +196,7 @@ def ensemble_mean(rho, partition: SectorPartition) -> DensityMatrix:
     diagonal ensemble; for a single whole-space sector it is the
     microcanonical state 1/d.
     """
-    m = _entries(rho)
+    m = _operator(rho)
     _check_shapes(partition, m)
     tr = m.trace()
     if abs(tr - 1.0) > TRACE_GATE_ATOL:
@@ -210,49 +234,36 @@ def second_moment_expectation(rho, partition: SectorPartition,
     Hermitian: the pair traces R2 = block sums of |rho|^2 and M = block
     sums of A o conj(B) hold for Hermitian inputs only.  Raw arrays (not a
     DensityMatrix, HermitianOperator or PairOperator) are checked to
-    HERMITICITY_ATOL.  When both observables are PairOperators, their
-    sector traces and M come from their vectors (`_pair_traces`); any
-    other pair is taken densely.
+    HERMITICITY_ATOL.  A state that keeps its factors gives R2, and two
+    PairOperators give M, as two factors (`_pair_traces`); any other input
+    is taken densely.  A result that is not finite, or has an imaginary
+    residue, raises NumericalIntegrityError.
     """
-    m = _entries(rho)
-    pairs = isinstance(obs_a, PairOperator) and isinstance(obs_b, PairOperator)
-    inputs = [(rho, m)]
-    if pairs:
-        if not obs_a.dim == obs_b.dim == partition.dim:
-            raise SectorError(f"pair operator dims {obs_a.dim}, {obs_b.dim} "
-                              f"do not match partition dim {partition.dim}")
-    else:
-        a_mat, b_mat = _operator(obs_a), _operator(obs_b)
-        inputs += [(obs_a, a_mat), (obs_b, b_mat)]
-    _check_shapes(partition, *(mat for _, mat in inputs))
-    for given, mat in inputs:
-        if not isinstance(given, (DensityMatrix, HermitianOperator, PairOperator)):
+    for x in (rho, obs_a, obs_b):
+        factored = _factored(x)
+        if factored is not None:
+            if len(factored[0]) != partition.dim:
+                raise SectorError(f"factor dim {len(factored[0])} does not match "
+                                  f"partition dim {partition.dim}")
+            continue
+        mat = _operator(x)
+        _check_shapes(partition, mat)
+        if not isinstance(x, (DensityMatrix, HermitianOperator)):
             dev = hermitian_deviation(mat)
             if not (dev <= HERMITICITY_ATOL):
                 raise StateValidationError(
                     f"input not Hermitian, max deviation {dev:.3e}")
-    if abs(m.trace() - 1.0) > TRACE_GATE_ATOL:
-        raise StateValidationError(
-            f"input trace deviates from 1 by {abs(m.trace() - 1.0):.3e}")
 
     starts = partition.starts
     d = partition.sizes.astype(float)
     inv_d = 1.0 / d
-    t = _sector_traces(m, starts).real
-    r2 = _block_sums((m * m.conj()).real, starts)  # R2[i, j] = tr(rho^(ij) rho^(ji))
-    p = np.diagonal(r2)
-    # M[i, j] = tr(A^(ij) B^(ji)), its diagonal P_i, and the exchange sum
-    # sum_ij R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
-    if pairs:
-        a_tr, b_tr, left, right = _pair_traces(obs_a, obs_b, starts)
-        p_ab = np.sum(left * right, axis=1)
-        r2_ab = np.sum((left * inv_d[:, None]) * (r2 @ (right * inv_d[:, None])))
-    else:
-        a_tr = _sector_traces(a_mat, starts)
-        b_tr = _sector_traces(b_mat, starts)
-        ab = _block_sums(a_mat * b_mat.conj(), starts)
-        p_ab = np.diagonal(ab)
-        r2_ab = inv_d @ ((r2 * ab) @ inv_d)
+    t, _, r2 = _pair_traces(rho, rho, starts)  # R2[i, j] = tr(rho^(ij) rho^(ji))
+    t = t.real
+    if not (abs(t.sum() - 1.0) <= TRACE_GATE_ATOL):
+        raise StateValidationError(
+            f"input trace deviates from 1 by {abs(t.sum() - 1.0):.3e}")
+    a_tr, b_tr, ab = _pair_traces(obs_a, obs_b, starts)  # M[i, j] = tr(A^(ij) B^(ji))
+    p, p_ab = _diagonal(r2), _diagonal(ab)
 
     mean_a = float(np.sum(t * a_tr.real / d))
     mean_b = float(np.sum(t * b_tr.real / d))
@@ -268,37 +279,66 @@ def second_moment_expectation(rho, partition: SectorPartition,
     u = t * a_tr / d
     v = t * b_tr / d
     direct = u.sum() * v.sum() - np.sum(u * v)
-    # sum_{i != j} R2_ij M_ji / (d_i d_j)
-    exchange = r2_ab - np.sum(p * p_ab * inv_d**2)
+    # sum_{i != j} R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
+    exchange = _weighted_pair_sum(r2, ab, inv_d) - np.sum(p * p_ab * inv_d**2)
 
     total = sym_pairs.sum() + anti_pairs.sum() + direct + exchange
-    scale = max(1.0, abs(total))
-    if abs(total.imag) > IMAG_RESIDUE_RTOL * scale:
+    second = float(total.real)
+    connected = second - mean_a * mean_b
+    # NaN and inf fail too
+    if not (np.max(np.abs([total, mean_a, mean_b, connected])) <= _FLOAT_MAX):
+        raise NumericalIntegrityError(
+            f"second moment {second:.3e} (means {mean_a:.3e}, {mean_b:.3e}) "
+            "is not finite")
+    if not (abs(total.imag) <= IMAG_RESIDUE_RTOL * max(1.0, abs(total))):
         raise NumericalIntegrityError(
             f"second moment has imaginary residue {total.imag:.3e}")
-    second = float(total.real)
-    return MomentPrediction(mean_a=mean_a, mean_b=mean_b,
-                            connected=second - mean_a * mean_b)
+    return MomentPrediction(mean_a=mean_a, mean_b=mean_b, connected=connected)
 
 
-def _pair_traces(obs_a: PairOperator, obs_b: PairOperator, starts: np.ndarray):
-    """Sector traces a_i, b_i of A = x y^dag + y x^dag and B = z w^dag +
-    w z^dag, and M = block sums of A o conj(B) = left @ right.T.
+def _pair_traces(x, y, starts: np.ndarray):
+    """Sector traces of X and Y, and the block sums of X o conj(Y).
 
-    A_kl conj(B_kl) splits into four products f_k g_l, one for each choice
-    of a member of (x, y) and one of (z, w): f = (x or y) o conj(z or w)
-    and g = conj(the other of x, y) o (the other of z, w).  Block sums of
-    f and g are the columns of left and right, O(d) work in all.
+    For X = P S P^dag and Y = Q T Q^dag (`_factored`),
+    X_ab conj(Y_ab) = sum_cc' f_c(a) K_cc' conj(f_c'(b)) with f the
+    products p_k o conj(q_m) of their columns and K = S (x) conj(T).  So
+    with F the block sums of f, the block sums are left @ right.T for
+    left = F K and right = conj(F), returned as (left, right); and the
+    sector traces are sector sums of the rows of (P S) o conj(P).  Unless
+    both are factored, all three come from the dense matrices.
     """
-    a_tr, b_tr = (np.add.reduceat(op.u * op.v.conj() + op.v * op.u.conj(), starts)
-                  for op in (obs_a, obs_b))
-    pa = np.column_stack([obs_a.u, obs_a.v])
-    pb = np.column_stack([obs_b.u, obs_b.v])
-    f = pa[:, :, None] * pb.conj()[:, None, :]
-    g = pa.conj()[:, ::-1, None] * pb[:, None, ::-1]
-    left = np.add.reduceat(f.reshape(len(pa), 4), starts, axis=0)
-    right = np.add.reduceat(g.reshape(len(pa), 4), starts, axis=0)
-    return a_tr, b_tr, left, right
+    fx, fy = _factored(x), _factored(y)
+    if fx is None or fy is None:
+        xm, ym = _operator(x), _operator(y)
+        return (_sector_traces(xm, starts), _sector_traces(ym, starts),
+                _block_sums(xm * ym.conj(), starts))
+    x_tr, y_tr = (np.add.reduceat(np.sum((p @ s) * p.conj(), axis=1), starts)
+                  for p, s in (fx, fy))
+    (p, s), (q, t) = fx, fy
+    f = (p[:, :, None] * q.conj()[:, None, :]).reshape(len(p), -1)
+    sums = np.add.reduceat(f, starts, axis=0)
+    return x_tr, y_tr, (sums @ np.kron(s, t.conj()), sums.conj())
+
+
+def _diagonal(x) -> np.ndarray:
+    """Diagonal of a matrix, or of left @ right.T given as (left, right)."""
+    return np.sum(x[0] * x[1], axis=1) if isinstance(x, tuple) else np.diagonal(x)
+
+
+def _weighted_pair_sum(x, y, s: np.ndarray):
+    """sum_ij s_i s_j X_ij Y_ij, each of X and Y a matrix or the factors
+    (left, right) of left @ right.T.  No matrix is formed from factors:
+    with X = A B^T the sum is sum(A' o (Y B')) for a matrix Y and
+    sum((A'^T C) o (B'^T D)) for Y = C D^T, primes marking rows scaled by s.
+    """
+    if not isinstance(x, tuple):
+        x, y = y, x
+    if not isinstance(x, tuple):
+        return s @ ((x * y) @ s)
+    left, right = x[0] * s[:, None], x[1] * s[:, None]
+    if isinstance(y, tuple):
+        return np.sum((left.T @ y[0]) * (right.T @ y[1]))
+    return np.sum(left * (y @ right))
 
 
 def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
@@ -309,7 +349,8 @@ def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
     of phi1 and phi2, valid when no eigenstate supports both components.
 
     Arguments are the eigenbasis overlap vectors <i|phi1> and <i|phi2>.
-    Raises when sum_i |<i|phi1><i|phi2>| exceeds overlap_threshold, since
+    The result is 1/4 sum_{a != b} |w_ab|^4 with w = phi1 phi2^dag +
+    phi2 phi1^dag, evaluated in O(d) without forming w.  Raises when sum_i |<i|phi1><i|phi2>| exceeds overlap_threshold, since
     the approximation discards exactly those shared-support terms.
     """
     v1 = np.asarray(phi1_overlaps).ravel()
@@ -318,10 +359,15 @@ def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
         raise StateValidationError(f"overlap vectors differ in length: "
                                    f"{v1.shape} vs {v2.shape}")
     shared = float(np.sum(np.abs(v1 * v2)))
-    if shared > overlap_threshold:
+    if not (shared <= overlap_threshold):  # NaN fails too
         raise StateValidationError(
             f"shared eigenstate support {shared:.3e} exceeds threshold "
             f"{overlap_threshold:.3e}; closed form not applicable")
-    w = np.outer(v1, v2.conj()) + np.outer(v2, v1.conj())
-    quartic = np.abs(w) ** 4
-    return 0.25 * float(quartic.sum() - np.diagonal(quartic).sum())
+    # |w_ab|^2 = sum_i f_i(a) g_i(b) for w = v1 v2^dag + v2 v1^dag, so the
+    # quartic sum over all (a, b) is sum((F^T F) o (G^T G)), O(d)
+    cross = v1 * v2.conj()
+    f = np.column_stack([np.abs(v1)**2, cross, cross.conj(), np.abs(v2)**2])
+    g = f[:, [3, 1, 2, 0]]
+    quartic = np.sum((f.T @ f) * (g.T @ g)).real
+    diagonal = np.sum((2.0 * cross.real)**4)  # |w_aa|^4
+    return 0.25 * float(quartic - diagonal)

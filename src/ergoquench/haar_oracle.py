@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic_ensemble import _entries, _operator
+from .ergodic_ensemble import _FLOAT_MAX, _operator
+from .errors import NumericalIntegrityError
 from .spectral import SectorPartition
 
 DEFAULT_CHUNK = 2048
@@ -69,10 +70,10 @@ def _ginibre_entries(seed: int, first_index: int, count: int,
     one 53-bit uniform u = (word >> 11) 2^-53 in [0, 1).  Words
     0 .. n_entries - 1 of a sample are radii, words
     n_entries .. 2 n_entries - 1 angles, the rest padding.  Entry j is
-    sqrt(-log1p(-u_j)) exp(2 pi i u_(n_entries + j)), which is Box-Muller:
+    sqrt(-log(1 - u_j)) exp(2 pi i u_(n_entries + j)), which is Box-Muller:
     sqrt(2) times its real part (the cosine) and its imaginary part (the
-    sine) are two independent standard normals.  log1p(-u) never takes
-    the log of 0.
+    sine) are two independent standard normals.  u is a multiple of 2^-53
+    below 1, so 1 - u is exact and never 0.
     """
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -80,7 +81,7 @@ def _ginibre_entries(seed: int, first_index: int, count: int,
     stream = np.random.Generator(np.random.Philox(
         key=int(seed), counter=first_index * (width // 4)))
     u = stream.random((count, width))
-    radius = np.sqrt(-np.log1p(-u[:, :n_entries]))
+    radius = np.sqrt(-np.log(1.0 - u[:, :n_entries]))
     angle = 2.0 * np.pi * u[:, n_entries:2 * n_entries]
     # cos and sin straight into the two parts: at d = 16 this Box-Muller
     # step takes about 15 % less time than a complex exp
@@ -123,7 +124,7 @@ def _rotated_states(rho, partition: SectorPartition, n_samples: int,
                     seed: int, chunk_size: int):
     """Yield (first_index, sigma) per chunk, sigma the (count, d, d) stack
     of U rho U^dag for samples first_index .. first_index + count - 1."""
-    m = _entries(rho)
+    m = _operator(rho)
     d = partition.dim
     chunk_size = _bounded_chunk(chunk_size, d)
     for done in range(0, n_samples, chunk_size):
@@ -146,7 +147,8 @@ def estimate_moments(rho, partition: SectorPartition, observables,
     the per-sample product prod_j tr(U rho U^dag A_j).
 
     std_error is the sample standard deviation over the per-sample values
-    divided by sqrt(n_samples).
+    divided by sqrt(n_samples).  An estimate or standard error that is not
+    finite raises NumericalIntegrityError.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -174,9 +176,15 @@ def estimate_moments(rho, partition: SectorPartition, observables,
 
 def _summarize(values: np.ndarray) -> MomentEstimate:
     n = len(values)
-    return MomentEstimate(value=float(values.mean()),
-                          std_error=float(values.std(ddof=1) / np.sqrt(n)),
-                          n_samples=n)
+    est = MomentEstimate(value=float(values.mean()),
+                         std_error=float(values.std(ddof=1) / np.sqrt(n)),
+                         n_samples=n)
+    # NaN and inf fail too
+    if not (abs(est.value) <= _FLOAT_MAX and est.std_error <= _FLOAT_MAX):
+        raise NumericalIntegrityError(
+            f"Monte-Carlo estimate {est.value:.3e} with standard error "
+            f"{est.std_error:.3e} is not finite")
+    return est
 
 
 def _bounded_chunk(chunk_size: int, dim: int) -> int:

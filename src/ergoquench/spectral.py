@@ -16,6 +16,9 @@ import numpy as np
 from .errors import NumericalIntegrityError, SectorError
 from .spin_chain import HermitianOperator
 
+# rows of M per tile of EigenSystem.to_eigenbasis's sparse product M V
+SUPPORT_TILE = 64
+
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -29,8 +32,23 @@ class EigenSystem:
         return len(self.energies)
 
     def to_eigenbasis(self, entries: np.ndarray) -> np.ndarray:
-        """V^dag M V without re-symmetrization (callers wrap if needed)."""
-        return self.vectors.conj().T @ np.asarray(entries) @ self.vectors
+        """V^dag M V without re-symmetrization (callers wrap if needed).
+
+        M V is formed SUPPORT_TILE rows at a time, each tile multiplied
+        only with the rows of V where it has a nonzero column, and one
+        dense product V^dag (M V) follows.  A local Hamiltonian in the
+        sector basis has a few nonzeros per row, so M V costs far less
+        than a GEMM; a dense M has full support and takes V whole.
+        """
+        m = np.asarray(entries)
+        v = self.vectors
+        mv = np.empty((len(m), v.shape[1]), dtype=np.result_type(m, v))
+        for lo in range(0, len(m), SUPPORT_TILE):
+            tile = m[lo:lo + SUPPORT_TILE]
+            cols = np.flatnonzero(np.any(tile, axis=0))
+            mv[lo:lo + SUPPORT_TILE] = (tile @ v if len(cols) == len(v)
+                                        else tile[:, cols] @ v[cols])
+        return v.conj().T @ mv
 
     def vector_to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
         return self.vectors.conj().T @ np.asarray(v)

@@ -3,7 +3,7 @@ the tests check `second_moment_expectation` against at small dimension."""
 
 import numpy as np
 
-from ergoquench.ergodic_ensemble import _check_shapes, _entries, _operator
+from ergoquench.ergodic_ensemble import _check_shapes, _operator
 from ergoquench.spectral import SectorPartition
 
 DENSE_REFERENCE_MAX_DIM = 64
@@ -16,7 +16,7 @@ def dense_second_moment_reference(rho, partition: SectorPartition) -> np.ndarray
     Deliberately independent of the contraction path so the two can check
     each other; guarded to dim <= 64 because of the quartic memory cost.
     """
-    m = _entries(rho)
+    m = _operator(rho)
     _check_shapes(partition, m)
     d = partition.dim
     if d > DENSE_REFERENCE_MAX_DIM:
@@ -83,3 +83,11 @@ def contract_with_pair(dense: np.ndarray, obs_a, obs_b) -> float:
     b_mat = _operator(obs_b)
     val = np.trace(dense @ np.kron(a_mat, b_mat))
     return float(val.real)
+
+
+def quartic_overlap_reference(v1: np.ndarray, v2: np.ndarray) -> float:
+    """1/4 sum_{a != b} |w_ab|^4 with the d x d matrix w = v1 v2^dag +
+    v2 v1^dag formed literally: the oracle for `cat_q_variance_closed_form`."""
+    w = np.outer(v1, v2.conj()) + np.outer(v2, v1.conj())
+    quartic = np.abs(w) ** 4
+    return 0.25 * float(quartic.sum() - np.trace(quartic))

@@ -337,6 +337,26 @@ class TestPairSeries:
         scale = np.sum(np.abs(rho.entries * q.dense().T))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(1, 2 * ADJOINT_TILE + 5), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), complex_data=st.booleans())
+    def test_dense_observable_on_factors_matches_the_formed_state(
+            self, dim, rank, seed, complex_data):
+        # the dense kernel forms each tile of rho from the factors
+        rng = np.random.default_rng(seed)
+        rho = random_mixture(rng, dim, rank, complex_data)
+        g = rng.normal(size=(dim, dim))
+        if complex_data:
+            g = g + 1j * rng.normal(size=(dim, dim))
+        obs = (g + g.conj().T) / 2
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=dim))
+        t = make_time_grid(0.0, 40.0, 60)
+        got = evolve_expectation(rho, obs, energies, t).values
+        formed = rho.entries.copy()  # a raw array: no factors
+        want = evolve_expectation(formed, obs, energies, t).values
+        scale = np.sum(np.abs(formed * obs.T))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
     def test_factored_inputs_skip_the_dense_kernel(self, monkeypatch):
         rng = np.random.default_rng(50)
         rho = random_mixture(rng, 6, 2, False)

@@ -14,14 +14,16 @@ from ergoquench.ergodic_ensemble import (DensityMatrix, _block_sums,
                                          cat_q_variance_closed_form,
                                          ensemble_mean,
                                          second_moment_expectation)
-from ergoquench.errors import SectorError, StateValidationError
+from ergoquench.errors import (NumericalIntegrityError, SectorError,
+                               StateValidationError)
 from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
                                     sample_block_unitary)
 from ergoquench.spectral import SectorPartition
 
 from conftest import (block_conjugate, random_density, random_hermitian,
                       random_mixture, random_pair, random_pure)
-from dense_reference import contract_with_pair, dense_second_moment_reference
+from dense_reference import (contract_with_pair, dense_second_moment_reference,
+                             quartic_overlap_reference)
 
 
 def singleton_oracle(rho, a, b):
@@ -103,6 +105,8 @@ class TestDensityMatrix:
         ([0.5, 0.5], [[1.0, 0.0], [1.0, 1.0]]),    # second vector not unit
         ([1.0], [[1.0, 0.0], [0.0, 1.0]]),         # one weight, two vectors
         ([float("nan"), 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+        # each norm within UNIT_NORM_ATOL of 1, the trace 1 + 1.8e-10 not
+        ([0.5, 0.5], [[1.0 + 9e-11, 0.0], [0.0, 1.0 + 9e-11]]),
     ])
     def test_from_mixture_checks_its_inputs(self, weights, vectors):
         with pytest.raises(StateValidationError):
@@ -387,6 +391,49 @@ class TestPairOperatorMoments:
             second_moment_expectation(rho, SectorPartition.whole(5), a, a)
 
 
+def random_observable(rng, dim, complex_data, pair):
+    """A PairOperator, or a dense Hermitian array, real or complex."""
+    if pair:
+        return random_pair(rng, dim, complex_data)
+    g = rng.normal(size=(dim, dim))
+    if complex_data:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
+
+
+class TestFactoredStateMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 12), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), complex_data=st.booleans(),
+           pairs=st.sampled_from([(False, False), (True, True), (True, False)]))
+    def test_matches_the_dense_state(self, dim, rank, seed, complex_data, pairs):
+        # R2 from the factors against R2 from the formed matrix, with dense,
+        # pair and mixed observables
+        rng = np.random.default_rng(seed)
+        rho = random_mixture(rng, dim, rank, complex_data)
+        a, b = (random_observable(rng, dim, complex_data, pair) for pair in pairs)
+        dense_rho = rho.entries.copy()  # a raw array: no factors
+        for part in partitions_of(dim, rng, count=1):  # singletons, whole, mixed
+            got = second_moment_expectation(rho, part, a, b)
+            want = second_moment_expectation(dense_rho, part, a, b)
+            for field in ("mean_a", "mean_b", "second_moment"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), rel=1e-12, abs=1e-15)
+
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(312)
+        rho = random_mixture(rng, 5, 2, True)
+        a = random_pair(rng, 5, True)
+        with pytest.raises(SectorError):
+            second_moment_expectation(rho, SectorPartition.whole(4), a, a)
+
+    def test_non_finite_moment_rejected(self):
+        rho = DensityMatrix.from_state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        huge = np.array([[1e200, 0.0], [0.0, -1e200]])
+        with pytest.raises(NumericalIntegrityError, match="not finite"):
+            second_moment_expectation(rho, SectorPartition.whole(2), huge, huge)
+
+
 class TestDenseReference:
     def test_total_trace_is_one(self):
         rng = np.random.default_rng(16)
@@ -468,3 +515,28 @@ class TestCatVarianceClosedForm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(StateValidationError):
             cat_q_variance_closed_form(np.zeros(3), np.zeros(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           complex_data=st.booleans(), disjoint=st.booleans())
+    def test_matches_the_literal_quartic_sum(self, dim, seed, complex_data,
+                                             disjoint):
+        rng = np.random.default_rng(seed)
+        v1 = random_pure(rng, dim, complex_data)
+        v2 = random_pure(rng, dim, complex_data)
+        if disjoint and dim > 1:
+            k = int(rng.integers(1, dim))
+            v1[k:] = 0.0
+            v2[:k] = 0.0
+            v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+        want = quartic_overlap_reference(v1, v2)
+        got = cat_q_variance_closed_form(v1, v2, overlap_threshold=np.inf)
+        # the O(d) form sums 16 Gram terms of at most |v1|^4 |v2|^4 = 1
+        # each, so it rounds at that scale even where the result cancels
+        # to 0 (d = 1): abs is 1e-15 of 16
+        assert got == pytest.approx(want, rel=1e-13, abs=1.6e-14)
+
+    def test_nan_overlap_rejected(self):
+        v = np.array([np.nan, 1.0])
+        with pytest.raises(StateValidationError, match="shared"):
+            cat_q_variance_closed_form(v, v)

@@ -295,6 +295,23 @@ class TestRunExperiment:
         assert abs(entry["mc"]["mean"] - entry["theory_mean"]) <= \
             5.0 * entry["mc"]["mean_se"]
 
+    def test_protocol_states_are_never_formed_densely(self, monkeypatch):
+        formed = []
+        entries = DensityMatrix.entries
+
+        def recording(state):
+            if state.vectors is not None:
+                formed.append(state.vectors.shape)
+            return entries.fget(state)
+
+        monkeypatch.setattr(DensityMatrix, "entries", property(recording))
+        config = fast_config(L=8, mc_samples=0)
+        run_experiment(config)
+        assert formed == []
+        # the Monte-Carlo oracle still gets the dense entries
+        run_experiment(dataclasses.replace(config, mc_samples=2))
+        assert formed
+
     def test_q_theory_mean_is_tiny_for_small_overlap(self):
         res = run_experiment(fast_config())
         overlap = res.report.states["overlap_sum"]
@@ -515,6 +532,43 @@ class TestCliSharedPrefix:
         assert "[diagonalize]" in captured.err and "overflows" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    # a finite spectrum of width 9.5e160 whose second moments overflow
+    OVERFLOWING_MOMENTS = {"L": 4, "J": 1e160}
+
+    def test_overflowing_moment_fails_run_before_any_series(self, monkeypatch,
+                                                            tmp_path, capsys):
+        evolved = []
+        monkeypatch.setattr("ergoquench.experiment.evolve_expectation",
+                            lambda *args: evolved.append(args))
+        path = write_config(tmp_path, self.OVERFLOWING_MOMENTS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(cli_args("run", path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "[evolve]" in err and "not finite" in err
+        assert evolved == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_overflowing_moment_fails_oracle(self, order, tmp_path, capsys):
+        path = write_config(tmp_path, self.OVERFLOWING_MOMENTS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["oracle", "--config", str(path), "--order", order,
+                         "--samples", "8"]) == 1
+        captured = capsys.readouterr()
+        assert "[oracle]" in captured.err and "not finite" in captured.err
+        assert captured.out == ""
+
+    def test_spectrum_of_overflowing_moments_is_finite_json(self, tmp_path,
+                                                            capsys):
+        # the spectrum itself is finite, so spectrum succeeds with strict JSON
+        path = write_config(tmp_path, self.OVERFLOWING_MOMENTS)
+        assert main(cli_args("spectrum", path, tmp_path)) == 0
+
+        def reject(name):
+            raise ValueError(f"non-finite {name} in the output")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["spectral_width"] == pytest.approx(9.46e160, rel=1e-3)
 
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     def test_fully_degenerate_spectrum_reports_null_gap_ratio(self, command,

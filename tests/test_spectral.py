@@ -59,6 +59,33 @@ class TestDiagonalize:
         rotated = eig.to_eigenbasis(op.entries)
         assert np.max(np.abs(rotated - np.diag(eig.energies))) < 1e-10
 
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["dense", "sparse", "zero_rows", "complex"]))
+    def test_to_eigenbasis_matches_the_two_sided_product(self, dim, seed, kind):
+        # the support product M V must agree with V^dag M V however sparse
+        # M is: full, a few nonzeros per row, or whole tiles of zero rows
+        rng = np.random.default_rng(seed)
+        complex_data = kind == "complex"
+        m = rng.normal(size=(dim, dim))
+        if complex_data:
+            m = m + 1j * rng.normal(size=(dim, dim))
+        if kind != "dense":
+            m[rng.random((dim, dim)) > min(1.0, 5.0 / dim)] = 0.0
+        if kind == "zero_rows":
+            m[rng.random(dim) < 0.5] = 0.0
+            m[:min(dim, 70)] = 0.0  # at least one all-zero tile
+        h = rng.normal(size=(dim, dim))
+        if complex_data:
+            h = h + 1j * rng.normal(size=(dim, dim))
+        eig = diagonalize(HermitianOperator((h + h.conj().T) / 2))
+        v = eig.vectors
+        want = v.conj().T @ m @ v
+        got = eig.to_eigenbasis(m)
+        assert got.dtype == want.dtype
+        scale = max(float(np.max(np.abs(m))), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
     def test_vector_rotation_preserves_norm(self):
         rng = np.random.default_rng(4)
         op = random_hermitian(rng, 9)

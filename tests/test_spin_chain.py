@@ -290,7 +290,7 @@ class TestProjectorObservable:
         v2 = np.zeros(4, dtype=complex); v2[2] = 1.0
         q = build_projector_observable(v1, v2)
         # tr Q and tr(Q Q) from the vectors: the whole space as one sector
-        trace, _, left, right = _pair_traces(q, q, np.zeros(1, dtype=np.int64))
+        trace, _, (left, right) = _pair_traces(q, q, np.zeros(1, dtype=np.int64))
         assert abs(trace[0]) < 1e-14
         assert abs(left[0] @ right[0] - 2.0) < 1e-14
         assert np.allclose(q.u * np.vdot(q.v, v2) + q.v * np.vdot(q.u, v2), v1)
