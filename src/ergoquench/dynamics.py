@@ -151,7 +151,7 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
         _check_time_grid(t)
         values = _pair_series(*factors, observable, e, t)
     else:
-        state = factors or _operator(rho0)  # factors stay factors
+        state = factors or _operator(rho0)  # tiles of rho come from factors
         o = _operator(observable)
         shape = (rho0.dim,) * 2 if factors else state.shape
         if shape != (d, d) or o.shape != (d, d):
