@@ -5,21 +5,21 @@ phase sum
 
     O(t) = sum_{m,n} rho_mn O_nm exp(-i (E_m - E_n) t)
 
-evaluated on a uniform time grid.  Two kernels evaluate it, chosen by the
-input types alone:
+evaluated on a uniform time grid.  Two kernels evaluate it, chosen by
+one rule: if the state and the observable are both factored, as
+rho_0 = P S P^dag and O = Q T Q^dag with a few columns in P and Q (a
+`DensityMatrix` that keeps its factors, from `from_mixture` or
+`from_state_vector`, and a `PairOperator`; `ergodic_ensemble._factored`
+reads them), the factors are used; otherwise the pair is taken densely.
 
 * Dense.  With C = rho_0 * O^T (elementwise) and the phase matrix
   U[t, m] = exp(-i E_m t), the series is the row sum of (U C) * conj(U):
   two n x d x d matrix products over the grid.  C is the only d x d
-  array this kernel builds: a state that keeps its factors is never
-  formed whole, each tile of rho_0 is formed from them where C needs it.
-* Factored.  A `PairOperator` Q = u v^dag + v u^dag read out on a
-  `DensityMatrix` that keeps its factors, rho_0 = sum_k w_k psi_k psi_k^dag
-  (built by `from_mixture` or `from_state_vector`), gives
-  O(t) = sum_k w_k 2 Re[(psi_k(t)^dag u)(v^dag psi_k(t))]: one product
-  of the phases with a d x 2r matrix, O(n d r) work for a rank-r state.
-  Any other pair of inputs, such as a general DensityMatrix with a
-  PairOperator, takes the dense kernel.
+  array this kernel builds: a factored state is never formed whole,
+  each tile of rho_0 is formed from P and S where C needs it.
+* Factored.  O(t) = tr(S Z^dag T Z) with the q x r matrix
+  Z(t) = Q^dag exp(-i E t) P: one product of the phases with a d x qr
+  matrix, O(n d q r) work.
 
 Both take the phases one block of times at a time from one generator,
 with blocks sized by PHASE_BLOCK_BYTES so that the phase matrix of a whole
@@ -57,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic_ensemble import _factors, _operator
+from .ergodic_ensemble import _factored, _operator
 from .errors import ConstructionError, NumericalIntegrityError
-from .spin_chain import PairOperator, tile_pairs
+from .spin_chain import tile_pairs
 
 IMAG_RESIDUE_RTOL = 1e-6
 PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
@@ -95,10 +95,6 @@ class TimeSeries:
     def n_points(self) -> int:
         return len(self.times)
 
-    @property
-    def dt(self) -> float:
-        return float((self.times[-1] - self.times[0]) / (len(self.times) - 1))
-
 
 def _check_time_grid(t: np.ndarray) -> None:
     """Raise ConstructionError unless t is a finite, uniform, strictly
@@ -131,42 +127,37 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
                        times: np.ndarray) -> TimeSeries:
     """Expectation-value series of one observable, all inputs in the eigenbasis.
 
-    A PairOperator u v^dag + v u^dag read out on a DensityMatrix that keeps
-    its factors, rho0 = sum_k w_k psi_k psi_k^dag, takes the factored path
-    (`_pair_series`); every other input is taken densely
-    (`_dense_series`).  Both evaluate the phases c = cos(E t) and
-    s = sin(E t) of one block of times at a time (`_phase_blocks`).  The
-    grid is checked before any work: one that is not a uniform, increasing
-    1d grid raises ConstructionError.
+    A state and an observable that are both factored, rho0 = P S P^dag and
+    X = Q T Q^dag (a DensityMatrix that keeps its factors, a PairOperator),
+    take the factored kernel (`_factored_series`); every other pair is
+    taken densely (`_dense_series`), a factored state by its tiles.  Both
+    evaluate the phases c = cos(E t) and s = sin(E t) of one block of times
+    at a time (`_phase_blocks`).  The dimensions and then the grid are
+    checked before any work: inputs that do not match the energies, or a
+    grid that is not a uniform, increasing 1d grid, raise
+    ConstructionError.
     """
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
-    d = len(e)
-    factors = _factors(rho0)
-    if isinstance(observable, PairOperator) and factors is not None:
-        if not rho0.dim == observable.dim == d:
-            raise ConstructionError(
-                f"state dim {rho0.dim} / observable dim {observable.dim} "
-                f"do not match {d} energies")
-        _check_time_grid(t)
-        values = _pair_series(*factors, observable, e, t)
-    else:
-        state = factors or _operator(rho0)  # tiles of rho come from factors
-        o = _operator(observable)
-        shape = (rho0.dim,) * 2 if factors else state.shape
-        if shape != (d, d) or o.shape != (d, d):
-            raise ConstructionError(
-                f"state {shape} / observable {o.shape} do not match {d} energies")
-        _check_time_grid(t)
-        values = _dense_series(state, o, e, t)
-    return TimeSeries(times=t, values=values)
+    state, obs = _factored(rho0), _factored(observable)
+    factored = state is not None and obs is not None
+    state = state or _operator(rho0)
+    obs = obs if factored else _operator(observable)
+    shapes = [(len(x[0]),) * 2 if isinstance(x, tuple) else x.shape
+              for x in (state, obs)]
+    if shapes != [(len(e),) * 2] * 2:
+        raise ConstructionError(f"state {shapes[0]} / observable {shapes[1]} "
+                                f"do not match {len(e)} energies")
+    _check_time_grid(t)
+    kernel = _factored_series if factored else _dense_series
+    return TimeSeries(times=t, values=kernel(state, obs, e, t))
 
 
 def _dense_series(m, o: np.ndarray, e: np.ndarray,
                   t: np.ndarray) -> np.ndarray:
-    """The series of a state m, a matrix or the factors (w, V) of
-    (V * w) @ V^dag, and a dense observable o.  With C = m * o.T
-    (elementwise), each value is
+    """The series of a state m, a matrix or the factors (P, S) of
+    P S P^dag, and a dense observable o.  With C = m * o.T (elementwise),
+    each value is
 
         O(t) = c.A.c + s.A.s + s.(B - B^T).c,    A = Re C, B = Im C,
 
@@ -195,31 +186,28 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
     return values
 
 
-def _pair_series(weights: np.ndarray, vectors: np.ndarray, obs: PairOperator,
-                 e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The series of Q = u v^dag + v u^dag in rho0 = sum_k w_k psi_k psi_k^dag,
+def _factored_series(state, obs, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The series of rho0 = P S P^dag and X = Q T Q^dag, given as (P, S)
+    and (Q, T):
 
-        O(t) = sum_k w_k 2 Re[(psi_k(t)^dag u)(v^dag psi_k(t))],
+        O(t) = tr(S Z^dag T Z),    Z(t) = Q^dag exp(-i E t) P,
 
-    with psi_k(t) = exp(-i E t) psi_k.  The two sums are x_k = alpha_k.(c + i s)
-    and y_k = beta_k.(c - i s) with alpha_k = conj(psi_k) o u and
-    beta_k = conj(v) o psi_k, so a block of times costs one product of its
-    c and one of its s with the d x 2r matrix [alpha | beta]: O(n d r)
-    work for a rank-r state.  A complex [alpha | beta] enters that product
-    as its real view, so c and s stay real.  Both inputs are Hermitian by
-    construction, and their constructors reject non-finite entries.
+    Z a q x r matrix for r columns in P and q in Q.  With G = conj(Q) (x) P
+    taken row by row, a d x qr matrix, Z(t) = c.G - i s.G, so a block of
+    times costs one product of its c and one of its s with G: O(n d q r)
+    work.  A complex G enters those products as its real view, so c and s
+    stay real.  Both inputs are Hermitian by construction, and their
+    constructors reject non-finite entries.
     """
-    r = len(weights)
-    g = np.concatenate((vectors.conj() * obs.u[:, None],
-                        vectors * obs.v.conj()[:, None]), axis=1)
+    (p, s_mat), (q, t_mat) = state, obs
+    g = (q.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
     as_real = g.view(np.float64) if np.iscomplexobj(g) else g
     values = np.empty(len(t))
     for start, c, s in _phase_blocks(e, t):
-        cg = (c @ as_real).view(g.dtype)
-        sg = (s @ as_real).view(g.dtype)
-        x = cg[:, :r] + 1j * sg[:, :r]
-        y = cg[:, r:] - 1j * sg[:, r:]
-        values[start:start + len(c)] = 2.0 * ((x * y).real @ weights)
+        z = (c @ as_real).view(g.dtype) - 1j * (s @ as_real).view(g.dtype)
+        z = z.reshape(len(c), q.shape[1], p.shape[1])
+        values[start:start + len(c)] = np.einsum(
+            "kl,tml,mn,tnk->t", s_mat, z.conj(), t_mat, z).real
     return values
 
 
@@ -280,17 +268,17 @@ def _phase_coefficients(m, o: np.ndarray):
     """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba), the residue
     sum |C - C^dag| and the scale sum |C|, filled and summed by tile pairs.
 
-    m is a matrix, or the factors (w, V) of rho = (V * w) @ V^dag, whose
-    tile [r, c] is formed in place as (V[r] * w) @ V[c]^dag.  The
+    m is a matrix, or the factors (P, S) of rho = P S P^dag, whose tile
+    [r, c] is formed in place as (P[r] @ S) @ P[c]^dag.  The
     anti-Hermitian part of C is all the imaginary part of the phase sum
     could be made of.
     """
     if isinstance(m, tuple):
-        w, v = m
-        dim, dtype = len(v), v.dtype
+        p, s = m
+        dim, dtype = len(p), p.dtype
 
         def rho(r, c):
-            return (v[r] * w) @ v[c].conj().T
+            return (p[r] @ s) @ p[c].conj().T
     else:
         dim, dtype = len(m), m.dtype
 
@@ -329,10 +317,6 @@ class TimeStats:
     mean_ci: float
     sigma_ci: float
     n_subintervals: int
-
-    @property
-    def variance(self) -> float:
-        return self.sigma**2
 
 
 def _window_mean_sigma(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:

@@ -7,14 +7,21 @@ are analytic.  With sector blocks X^(ij) of an operator X and the shorthands
     t_i = tr rho^(ii)      p_i  = tr(rho^(ii) rho^(ii))
     a_i = tr A^(ii)        P_i  = tr(A^(ii) B^(ii))
 
-the averaged expectation values contract to sector-restricted traces:
+the averaged expectation values contract to sector-restricted traces.
+The mean is
 
-    E[tr(sigma A)]          = sum_i (t_i / d_i) a_i
-    E[tr(sigma A) tr(sigma B)] =
-        sum_i  (t_i^2 + p_i) / (d_i (d_i+1)) * (a_i b_i + P_i) / 2
-      + sum_i  (t_i^2 - p_i) / (d_i (d_i-1)) * (a_i b_i - P_i) / 2   [d_i >= 2]
-      + sum_{i!=j} t_i t_j a_i b_j / (d_i d_j)
-      + sum_{i!=j} tr(rho^(ij) rho^(ji)) tr(A^(ji) B^(ij)) / (d_i d_j)
+    E[tr(sigma A)] = sum_i (t_i / d_i) a_i
+
+and the connected part, E[tr(sigma A) tr(sigma B)] minus the product of
+the means, is the Haar covariance of each sector (Collins & Sniady,
+Commun. Math. Phys. 264, 773 (2006)), zero for a sector of one level,
+plus the exchange sum between sectors:
+
+    sum_{d_i >= 2} (d_i p_i - t_i^2) (d_i P_i - a_i b_i) / (d_i^2 (d_i^2 - 1))
+  + sum_{i!=j} tr(rho^(ij) rho^(ji)) tr(A^(ji) B^(ij)) / (d_i d_j)
+
+It is summed as it stands, never as a second moment minus the product of
+the means, which would cancel digits when the means are large.
 
 Everything here works on matrices already expressed in the eigenbasis that
 defines the partition, real or complex as given.  No d^2 x d^2 object is
@@ -37,9 +44,10 @@ traces and the block sums of X o conj(Y) (R2 for the state with itself, M
 for the two observables) come from sector sums of products of their
 columns (`_pair_traces`), O(d r^2) work, with the block sums as two
 factors.  The exchange sum over R2 o M is then one pass over whichever of
-the two is dense, or O(d) when both are factored (`_weighted_pair_sum`).
-The formula itself is the same code for every combination; a pair with
-one dense member is taken densely, a PairOperator by its `dense` form.
+the two is dense, or O(d) when both are factored (`_exchange_sum`).
+The formula itself is the same code for every combination: a pair whose
+members are both factored is taken from the factors, any other pair
+densely, a PairOperator by its `dense` form.
 """
 
 from __future__ import annotations
@@ -112,10 +120,6 @@ class DensityMatrix:
             self._entries = _hermitian_unit_trace((v * self.weights) @ v.conj().T)
         return self._entries
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries if self.vectors is None else self.vectors)
-
     @classmethod
     def from_state_vector(cls, psi: np.ndarray) -> "DensityMatrix":
         return cls.from_mixture([1.0], [psi])
@@ -146,20 +150,15 @@ class DensityMatrix:
         return state
 
 
-def _factors(rho):
-    """(weights, vectors) of a state that keeps its factors, else None."""
-    if isinstance(rho, DensityMatrix) and rho.vectors is not None:
-        return rho.weights, rho.vectors
-    return None
-
-
 def _factored(x):
     """(P, S) with X = P S P^dag: the vectors and diag(weights) of a state
-    that keeps its factors, [u v] and the swap of a PairOperator; else None."""
+    that keeps its factors, [u v] and the swap of a PairOperator; else None.
+    The one reader of the factors of an operand."""
     if isinstance(x, PairOperator):
         return np.column_stack([x.u, x.v]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    factors = _factors(x)
-    return None if factors is None else (factors[1], np.diag(factors[0]))
+    if isinstance(x, DensityMatrix) and x.vectors is not None:
+        return x.vectors, np.diag(x.weights)
+    return None
 
 
 def _operator(op) -> np.ndarray:
@@ -235,9 +234,12 @@ def second_moment_expectation(rho, partition: SectorPartition,
     sums of A o conj(B) hold for Hermitian inputs only.  Raw arrays (not a
     DensityMatrix, HermitianOperator or PairOperator) are checked to
     HERMITICITY_ATOL.  A state that keeps its factors gives R2, and two
-    PairOperators give M, as two factors (`_pair_traces`); any other input
-    is taken densely.  A result that is not finite, or has an imaginary
-    residue, raises NumericalIntegrityError.
+    factored observables give M, as two factors (`_pair_traces`); any
+    other pair is taken densely.  The connected part is the sum of the
+    sector covariances and the exchange sum (module docstring), never a
+    difference of the second moment and mean_a mean_b.  A result that is
+    not finite, or has an imaginary residue, raises
+    NumericalIntegrityError.
     """
     for x in (rho, obs_a, obs_b):
         factored = _factored(x)
@@ -256,44 +258,36 @@ def second_moment_expectation(rho, partition: SectorPartition,
 
     starts = partition.starts
     d = partition.sizes.astype(float)
-    inv_d = 1.0 / d
     t, _, r2 = _pair_traces(rho, rho, starts)  # R2[i, j] = tr(rho^(ij) rho^(ji))
     t = t.real
     if not (abs(t.sum() - 1.0) <= TRACE_GATE_ATOL):
         raise StateValidationError(
             f"input trace deviates from 1 by {abs(t.sum() - 1.0):.3e}")
     a_tr, b_tr, ab = _pair_traces(obs_a, obs_b, starts)  # M[i, j] = tr(A^(ij) B^(ji))
-    p, p_ab = _diagonal(r2), _diagonal(ab)
 
     mean_a = float(np.sum(t * a_tr.real / d))
     mean_b = float(np.sum(t * b_tr.real / d))
 
-    ab_diag = a_tr * b_tr  # a_i b_i; the real part is taken only at the end
-    sym_pairs = (t**2 + p) / (d * (d + 1.0)) * 0.5 * (ab_diag + p_ab)
-    anti_pairs = np.zeros_like(sym_pairs)
-    big = d >= 2
-    anti_pairs[big] = ((t[big]**2 - p[big]) / (d[big] * (d[big] - 1.0))
-                       * 0.5 * (ab_diag[big] - p_ab[big]))
-
-    # sum_{i != j} u_i v_j, without the outer product
-    u = t * a_tr / d
-    v = t * b_tr / d
-    direct = u.sum() * v.sum() - np.sum(u * v)
+    # the covariance of a sector of one level is zero; taken before
+    # _exchange_sum zeroes the diagonals of R2 and M
+    k = d >= 2
+    dk = d[k]
+    covariance = ((dk * _diagonal(r2)[k] - t[k]**2)
+                  * (dk * _diagonal(ab)[k] - a_tr[k] * b_tr[k])
+                  / (dk**2 * (dk**2 - 1.0)))
     # sum_{i != j} R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
-    exchange = _weighted_pair_sum(r2, ab, inv_d) - np.sum(p * p_ab * inv_d**2)
-
-    total = sym_pairs.sum() + anti_pairs.sum() + direct + exchange
-    second = float(total.real)
-    connected = second - mean_a * mean_b
+    connected = covariance.sum() + _exchange_sum(r2, ab, 1.0 / d)
+    total = mean_a * mean_b + connected  # the real part is taken only at the end
     # NaN and inf fail too
-    if not (np.max(np.abs([total, mean_a, mean_b, connected])) <= _FLOAT_MAX):
+    if not (np.max(np.abs([total, mean_a, mean_b])) <= _FLOAT_MAX):
         raise NumericalIntegrityError(
-            f"second moment {second:.3e} (means {mean_a:.3e}, {mean_b:.3e}) "
+            f"second moment {total.real:.3e} (means {mean_a:.3e}, {mean_b:.3e}) "
             "is not finite")
     if not (abs(total.imag) <= IMAG_RESIDUE_RTOL * max(1.0, abs(total))):
         raise NumericalIntegrityError(
             f"second moment has imaginary residue {total.imag:.3e}")
-    return MomentPrediction(mean_a=mean_a, mean_b=mean_b, connected=connected)
+    return MomentPrediction(mean_a=mean_a, mean_b=mean_b,
+                            connected=float(connected.real))
 
 
 def _pair_traces(x, y, starts: np.ndarray):
@@ -325,20 +319,26 @@ def _diagonal(x) -> np.ndarray:
     return np.sum(x[0] * x[1], axis=1) if isinstance(x, tuple) else np.diagonal(x)
 
 
-def _weighted_pair_sum(x, y, s: np.ndarray):
-    """sum_ij s_i s_j X_ij Y_ij, each of X and Y a matrix or the factors
+def _exchange_sum(x, y, s: np.ndarray):
+    """sum_{i != j} s_i s_j X_ij Y_ij, each of X and Y a matrix or the factors
     (left, right) of left @ right.T.  No matrix is formed from factors:
     with X = A B^T the sum is sum(A' o (Y B')) for a matrix Y and
     sum((A'^T C) o (B'^T D)) for Y = C D^T, primes marking rows scaled by s.
+    The i = i terms are left out, not summed and taken away, wherever one
+    of X and Y is a matrix: its diagonal is zeroed in place, which the
+    fresh block sums of `_pair_traces` allow.
     """
     if not isinstance(x, tuple):
         x, y = y, x
-    if not isinstance(x, tuple):
-        return s @ ((x * y) @ s)
+    if not isinstance(y, tuple):
+        np.fill_diagonal(y, 0.0)
+        if not isinstance(x, tuple):
+            return s @ ((x * y) @ s)
     left, right = x[0] * s[:, None], x[1] * s[:, None]
-    if isinstance(y, tuple):
-        return np.sum((left.T @ y[0]) * (right.T @ y[1]))
-    return np.sum(left * (y @ right))
+    if not isinstance(y, tuple):
+        return np.sum(left * (y @ right))
+    return (np.sum((left.T @ y[0]) * (right.T @ y[1]))
+            - np.sum(_diagonal(x) * _diagonal(y) * s**2))
 
 
 def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,

@@ -241,10 +241,6 @@ class PairOperator:
         object.__setattr__(self, "v", v)
 
     @property
-    def dim(self) -> int:
-        return len(self.u)
-
-    @property
     def nbytes(self) -> int:
         return self.u.nbytes + self.v.nbytes
 

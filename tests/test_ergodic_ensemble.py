@@ -41,7 +41,7 @@ def singleton_oracle(rho, a, b):
 class TestDensityMatrix:
     def test_maximally_mixed_accepted(self):
         dm = DensityMatrix(np.eye(3) / 3.0)
-        assert dm.dim == 3
+        assert np.array_equal(dm.entries, np.eye(3) / 3.0)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex)
@@ -226,6 +226,26 @@ class TestSecondMoment:
         est = estimate_moments(rho, part, [a, b], order=2,
                                n_samples=100_000, seed=23)[0]
         assert abs(est.value - pred) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_connected_part_of_a_large_mean(self, factored):
+        # means near 7 and a connected part near 2e-8: a connected part
+        # formed as the second moment minus mean_a mean_b loses about 9 of
+        # its digits
+        rng = np.random.default_rng(21)
+        d = 40
+        psi = random_pure(rng, d, complex_data=False)
+        x = rng.normal(size=(d, d))
+        x = x + x.T
+        np.fill_diagonal(x, 0.0)
+        a = np.diag(rng.uniform(5.0, 10.0, size=d)) + 1e-4 * x
+        rho = (DensityMatrix.from_state_vector(psi) if factored
+               else np.outer(psi, psi))
+        pred = second_moment_expectation(rho, SectorPartition.singletons(d), a, a)
+        w = psi**2
+        want = sum(w[i] * w[j] * a[i, j]**2
+                   for i in range(d) for j in range(d) if i != j)
+        assert pred.connected == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_pure_state_whole_space_closed_form(self):
         # rank-one input and one sector: E = (tr A tr B + tr(AB)) / d(d+1)

@@ -318,7 +318,7 @@ class TestProjectorObservable:
         v1[0], v2[1] = 1.0, 1.0
         q = build_projector_observable(v1, v2)
         assert q.u.dtype == q.v.dtype == v1.dtype
-        assert q.dim == 300 and q.nbytes == v1.nbytes + v2.nbytes
+        assert q.nbytes == v1.nbytes + v2.nbytes
         assert not hasattr(q, "entries")
 
     def test_requires_matching_dimensions(self):
