@@ -12,54 +12,62 @@ rho_0 = P S P^dag and O = Q T Q^dag with a few columns in P and Q (a
 `from_state_vector`, and a `PairOperator`; `ergodic_ensemble._factored`
 reads them), the factors are used; otherwise the pair is taken densely.
 
-* Dense.  With C = rho_0 * O^T (elementwise) and the phase matrix
-  U[t, m] = exp(-i E_m t), the series is the row sum of (U C) * conj(U):
-  two n x d x d matrix products over the grid.  C is the only d x d
-  array this kernel builds: a factored state is never formed whole,
-  each tile of rho_0 is formed from P and S where C needs it.
-* Factored.  O(t) = tr(S Z^dag T Z) with the q x r matrix
-  Z(t) = Q^dag exp(-i E t) P: one product of the phases with a d x qr
-  matrix, O(n d q r) work.
-
-Both take the phases one block of times at a time from one generator,
-with blocks sized by PHASE_BLOCK_BYTES so that the phase matrix of a whole
-grid is never held.  Real data stays real: real coefficients are
-multiplied by the real cos and sin parts of U, never promoted to complex.
-
-The grid is uniform, so every block repeats the same offsets from its
-first time.  cos and sin of E (t_r - t_0) for the r rows of one block are
-tabulated once per call, and each block's phases come from that table by
-angle addition with the block's start phase E t_start: d cos/sin values
-per block instead of one per (time, level) entry.  The offsets of a float
-grid differ from the table's by a few ulp of t; that difference
-eps = (t_j - t_start) - (t_r - t_0) is computed exactly per block and
-applied to first order, c -= s E eps and s += c E eps, with an error
-(E eps)^2 / 2 below OFFSET_PHASE_MAX^2 / 2, under one ulp.  A block whose
+Both take their phases u = exp(-i E t) from one generator,
+`_phase_factors`, which never holds the n x d phase matrix of a grid.  The
+grid is uniform, so it splits into sub-blocks of K = ceil(sqrt(n)) times,
+t[a K + b] = T_a + sigma_b, and u factors as exp(-i E T_a) exp(-i E sigma_b):
+d phases per block start T_a and per offset sigma_b, about 2 sqrt(n) d in
+all.  The offsets of a float grid differ from the table's by a few ulp of
+t; that difference eps = (t - T_a) - sigma_b is computed exactly per row
+and applied to first order, u (1 - i E eps), with an error (E eps)^2 / 2
+below OFFSET_PHASE_MAX^2 / 2, under one ulp.  A sub-block whose
 max|E| max|eps| exceeds OFFSET_PHASE_MAX, which only a grid jittered
 within the uniformity tolerance can give, evaluates its phases directly.
-Every phase that reaches cos and sin, in the table, at a block start or
-in such a block, is an exact product E t (a two-product and a first-order
-term), so the phases carry no rounding that grows with t.
+Every phase that reaches cos and sin, offset, block start or direct, is
+an exact product E t (a two-product and a first-order term), so the
+phases carry no rounding that grows with t.
 
-The dense kernel fills C one tile pair of `spin_chain.tile_pairs` at a
-time, and while a tile and its mirror are in cache they also add to the
-guard's two sums: the residue sum |C - C^dag| (each off-diagonal pair
-counts twice, once for each of its mirrored entries) and the scale sum
-|C|.  Only complex data still reads a whole matrix transposed, to form
-B - B^T in `_dense_series`.  The factored kernel needs no guard: its
-inputs are Hermitian by construction, and their constructors reject
-non-finite entries.
+* Factored.  O(t) = tr(S Z^dag T Z) with the q x r matrix
+  Z(t) = Q^dag u P = sum_m G_m u_m, G = conj(Q) (x) P a d x qr matrix.
+  The sum is contracted before the phases are expanded: the start phases
+  scale G, and one complex product of the offset table with the scaled G
+  of several starts gives Z at all their times.  O(n d q r) work from the
+  2 sqrt(n) d phases; no (time, level) array is formed.
+* Dense.  With C = rho_0 * O^T (elementwise), the series is the real part
+  of u C u^dag, c.A.c + s.A.s + s.(B - B^T).c for A = Re C, B = Im C and
+  c, s the cos and sin of E t.  Each block of PHASE_BLOCK_BYTES holds whole
+  sub-blocks, built by in-place angle addition, and the two quadratic
+  forms are x.U.x over the rows x of [c; s], one product per tile column
+  of U.  U holds the diagonal tiles of A and the upper tiles of A + A^T:
+  half the GEMM flops, and exact for any A, because the antisymmetric part
+  of A adds nothing to a quadratic form.  For complex data
+  s.(B - B^T).c is one whole product.  C is the only d x d array this
+  kernel builds: a factored state is never formed whole, each tile of
+  rho_0 is formed from P and S where C needs it.
+
+Real data stays real: real coefficients are multiplied by the real cos
+and sin, never promoted to complex.  The dense kernel fills C one tile
+pair of `spin_chain.tile_pairs` at a time, and while a tile and its
+mirror are in cache they also add to the guard's two sums, the residue
+sum |C - C^dag| (each off-diagonal pair counts twice, once for each of
+its mirrored entries) and the scale sum |C|, and then fold the mirror's
+real part into the upper tile, which gives U in Re C.  Only complex data
+still reads a whole matrix transposed, to form B - B^T in
+`_dense_series`.  The factored kernel needs no guard: its inputs are
+Hermitian by construction, and their constructors reject non-finite
+entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ergodic_ensemble import _factored, _operator
 from .errors import ConstructionError, NumericalIntegrityError
-from .spin_chain import tile_pairs
+from .spin_chain import ADJOINT_TILE, tile_pairs
 
 IMAG_RESIDUE_RTOL = 1e-6
 PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
@@ -131,11 +139,11 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     X = Q T Q^dag (a DensityMatrix that keeps its factors, a PairOperator),
     take the factored kernel (`_factored_series`); every other pair is
     taken densely (`_dense_series`), a factored state by its tiles.  Both
-    evaluate the phases c = cos(E t) and s = sin(E t) of one block of times
-    at a time (`_phase_blocks`).  The dimensions and then the grid are
-    checked before any work: inputs that do not match the energies, or a
-    grid that is not a uniform, increasing 1d grid, raise
-    ConstructionError.
+    take the phases exp(-i E t) as start phases times an offset table,
+    one run of sub-blocks at a time (`_phase_factors`).  The dimensions
+    and then the grid are checked before any work: inputs that do not
+    match the energies, or a grid that is not a uniform, increasing 1d
+    grid, raise ConstructionError.
     """
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
@@ -162,10 +170,13 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
         O(t) = c.A.c + s.A.s + s.(B - B^T).c,    A = Re C, B = Im C,
 
     the real part of u C u^dag with u = exp(-i E t), which is the whole
-    phase sum for Hermitian inputs.  Inputs whose sum could carry an
-    imaginary part above IMAG_RESIDUE_RTOL of the series scale
-    (non-Hermitian data), or that hold a non-finite entry, raise
-    NumericalIntegrityError.
+    phase sum for Hermitian inputs.  Each run of sub-blocks fills the
+    rows x of [c; s] by angle addition in one reused buffer, and the two
+    quadratic forms are x.U.x, one product per tile column of the block
+    upper triangle U that `_phase_coefficients` leaves in Re C.  Inputs
+    whose sum could carry an imaginary part above IMAG_RESIDUE_RTOL of the
+    series scale (non-Hermitian data), or that hold a non-finite entry,
+    raise NumericalIntegrityError.
     """
     coeff, residue, series_scale = _phase_coefficients(m, o)
     # NaN and inf fail too
@@ -175,14 +186,37 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
             f"{IMAG_RESIDUE_RTOL:.0e} of series scale {series_scale:.3e}; "
             "inputs are not Hermitian")
 
-    a = np.ascontiguousarray(coeff.real)  # no copy for real inputs
+    upper = np.ascontiguousarray(coeff.real)  # no copy for real inputs
     b = coeff.imag - coeff.imag.T if np.iscomplexobj(coeff) else None
+    d = len(e)
     values = np.empty(len(t))
-    for start, c, s in _phase_blocks(e, t):
-        v = np.einsum("tm,tm->t", c @ a, c) + np.einsum("tm,tm->t", s @ a, s)
+    buffer = np.empty(0)  # fresh pages for each run cost more than its fill
+    for start, w, tau, eps in _phase_factors(e, t):
+        k, rows = len(tau), len(w) * len(tau)
+        if buffer.size < 2 * rows * d:
+            buffer = np.empty(2 * rows * d)
+        x = buffer[:2 * rows * d].reshape(2, len(w), k, d)  # c rows, s rows
+        z = np.empty((k, d), dtype=np.complex128)
+        for a, wa in enumerate(w):
+            c, s = x[0, a], x[1, a]
+            np.multiply(tau, wa, out=z)  # angle addition
+            c[...] = z.real
+            np.negative(z.imag, out=s)
+            if eps is not None:
+                shift = np.multiply.outer(eps[a], e)
+                ds = c * shift
+                c -= s * shift
+                s += ds
+        x = x.reshape(2 * rows, d)
+        v = np.zeros(2 * rows)
+        for lo in range(0, d, ADJOINT_TILE):
+            cols = slice(lo, lo + ADJOINT_TILE)
+            head = slice(0, cols.stop)
+            v += np.einsum("tm,tm->t", x[:, head] @ upper[head, cols], x[:, cols])
+        v = v[:rows] + v[rows:]
         if b is not None:
-            v += np.einsum("tm,tm->t", s @ b, c)
-        values[start:start + len(c)] = v
+            v += np.einsum("tm,tm->t", x[rows:] @ b, x[:rows])
+        values[start:start + rows] = v
     return values
 
 
@@ -193,56 +227,85 @@ def _factored_series(state, obs, e: np.ndarray, t: np.ndarray) -> np.ndarray:
         O(t) = tr(S Z^dag T Z),    Z(t) = Q^dag exp(-i E t) P,
 
     Z a q x r matrix for r columns in P and q in Q.  With G = conj(Q) (x) P
-    taken row by row, a d x qr matrix, Z(t) = c.G - i s.G, so a block of
-    times costs one product of its c and one of its s with G: O(n d q r)
-    work.  A complex G enters those products as its real view, so c and s
-    stay real.  Both inputs are Hermitian by construction, and their
-    constructors reject non-finite entries.
+    taken row by row, a d x qr matrix, Z(t) = sum_m G_m exp(-i E_m t).  On
+    a run of sub-blocks t = T_a + sigma_b (`_phase_factors`) that sum is
+    contracted before the phases are expanded: the start phases scale G,
+    and one complex product of the offset table with the scaled G of every
+    start gives Z at every time of the run, O(n d q r) work from about
+    2 sqrt(n) d phases.  A row's offset error eps enters to first order,
+    Z - i eps Z_E, where Z_E comes from the same product with G o E.  The
+    scaled G of a run holds qr columns per start (2 qr with eps), within
+    PHASE_BLOCK_BYTES while that count is at most K.  Both inputs are
+    Hermitian by construction, and their constructors reject non-finite
+    entries.
     """
     (p, s_mat), (q, t_mat) = state, obs
     g = (q.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
-    as_real = g.view(np.float64) if np.iscomplexobj(g) else g
+    qr = g.shape[1]
+    with_e = np.hstack((g, e[:, None] * g))
     values = np.empty(len(t))
-    for start, c, s in _phase_blocks(e, t):
-        z = (c @ as_real).view(g.dtype) - 1j * (s @ as_real).view(g.dtype)
-        z = z.reshape(len(c), q.shape[1], p.shape[1])
-        values[start:start + len(c)] = np.einsum(
+    for start, w, tau, eps in _phase_factors(e, t):
+        cols = g if eps is None else with_e
+        scaled = (w.T[:, :, None] * cols[:, None, :]).reshape(len(e), -1)
+        z = (tau @ scaled).reshape(len(tau), len(w), -1).transpose(1, 0, 2)
+        if eps is not None:
+            z = z[..., :qr] - 1j * eps[..., None] * z[..., qr:]
+        z = z.reshape(-1, q.shape[1], p.shape[1])
+        values[start:start + len(z)] = np.einsum(
             "kl,tml,mn,tnk->t", s_mat, z.conj(), t_mat, z).real
     return values
 
 
-def _phase_blocks(e: np.ndarray, t: np.ndarray):
-    """Yield (start, c, s) for consecutive blocks of times, c and s the
-    (k, d) cos and sin of E t for the k times from t[start] on.
+def _phase_factors(e: np.ndarray, t: np.ndarray):
+    """Yield (start, w, tau, eps) for runs of consecutive sub-blocks of
+    the grid: the u = exp(-i E t) of the rows start + a k + b of a run are
+    w[a] * tau[b] * (1 - i E eps[a, b]), w the (A, d) start phases and tau
+    the (k, d) offset phases; eps is None when it is 0 throughout.
 
-    Blocks hold PHASE_BLOCK_BYTES of phases.  A block's c and s come by
-    angle addition from its start phase and a per-call table of cos/sin of
-    E (t_r - t_0), with the block's exact offset error eps applied to first
-    order; a block with max|E| max|eps| above OFFSET_PHASE_MAX takes cos
-    and sin of its phases directly.  All these phases are exact products
-    E t.
+    The grid splits as t[a K + b] = T_a + sigma_b with K = ceil(sqrt(n)),
+    capped at the rows of one PHASE_BLOCK_BYTES block, and sigma_b =
+    t[b] - t[0]: d phases per offset and per start, about 2 sqrt(n) d in
+    all.  A run holds whole sub-blocks, at most as many as fit in that
+    block, and each row's exact offset error eps = (t - T_a) - sigma_b
+    applies to first order, with an error (E eps)^2 / 2.  A sub-block
+    with max|E| max|eps| above OFFSET_PHASE_MAX, which only a grid
+    jittered within the uniformity tolerance can give, is a run of its own
+    with w = 1 and its phases evaluated directly as tau; so is a last
+    sub-block shorter than K.  Every phase is an exact product E t.
     """
-    rows = max(1, PHASE_BLOCK_BYTES // (16 * max(len(e), 1)))
-    offsets = t[:rows] - t[0]
-    table_c, table_s = _cos_sin_of_product(e, offsets[:, None])
+    n, d = len(t), len(e)
+    block_rows = max(1, PHASE_BLOCK_BYTES // (16 * max(d, 1)))
+    k = min(math.isqrt(n - 1) + 1, block_rows)  # ceil(sqrt(n))
+    offsets = t[:k] - t[0]
+    table = _phases(e, offsets[:, None])
+    starts = np.arange(0, n, k)
+    index = np.arange(n)
+    eps = (t - t[index - index % k]) - offsets[index % k]
     e_max = float(np.max(np.abs(e), initial=0.0))
-    for start in range(0, len(t), rows):
-        block = t[start:start + rows]
-        k = len(block)
-        eps = (block - block[0]) - offsets[:k]
-        drift = e_max * float(np.max(np.abs(eps)))
-        if drift > OFFSET_PHASE_MAX:
-            c, s = _cos_sin_of_product(e, block[:, None])
-        else:
-            base_c, base_s = _cos_sin_of_product(e, block[0])
-            tc, ts = table_c[:k], table_s[:k]
-            # cos(x + y) = cos x cos y - sin x sin y, sin(x + y) likewise
-            c = tc * base_c - ts * base_s
-            s = ts * base_c + tc * base_s
-            if drift > 0.0:
-                shift = np.multiply.outer(eps, e)
-                c, s = c - s * shift, s + c * shift
-        yield start, c, s
+    drift = e_max * np.maximum.reduceat(np.abs(eps), starts)
+    direct = drift > OFFSET_PHASE_MAX
+    a = 0
+    while a < len(starts):
+        lo = starts[a]
+        if direct[a]:
+            yield lo, np.ones((1, d)), _phases(e, t[lo:lo + k, None]), None
+            a += 1
+            continue
+        b = a + 1
+        while (b < min(a + block_rows // k, len(starts)) and not direct[b]
+               and starts[b] + k <= n):
+            b += 1
+        hi = min(starts[b - 1] + k, n)
+        run_eps = eps[lo:hi].reshape(b - a, -1)
+        yield (lo, _phases(e, t[lo:hi:k, None]), table[:run_eps.shape[1]],
+               run_eps if run_eps.any() else None)
+        a = b
+
+
+def _phases(e: np.ndarray, t) -> np.ndarray:
+    """exp(-i e t) (broadcast) of the exact product e t."""
+    c, s = _cos_sin_of_product(e, t)
+    return c - 1j * s
 
 
 def _cos_sin_of_product(e: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
@@ -265,13 +328,18 @@ def _split(x):
 
 
 def _phase_coefficients(m, o: np.ndarray):
-    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba), the residue
-    sum |C - C^dag| and the scale sum |C|, filled and summed by tile pairs.
+    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba) with U in its
+    real part, the residue sum |C - C^dag| and the scale sum |C|, filled
+    and summed by tile pairs.
 
     m is a matrix, or the factors (P, S) of rho = P S P^dag, whose tile
-    [r, c] is formed in place as (P[r] @ S) @ P[c]^dag.  The
-    anti-Hermitian part of C is all the imaginary part of the phase sum
-    could be made of.
+    [r, c] is formed in place as (P[r] @ S) @ P[c]^dag.  Once a pair has
+    added to the sums, the real part of its lower tile, transposed, is
+    added to that of its upper tile.  Re C then holds U: the diagonal tiles
+    of A = Re C and the upper tiles of A + A^T, so x.A.x = x.U.x for every
+    x.  The lower tiles keep A and are not read again, and the imaginary
+    part stays B = Im C whole.  The anti-Hermitian part of C is all the
+    imaginary part of the phase sum could be made of.
     """
     if isinstance(m, tuple):
         p, s = m
@@ -298,6 +366,7 @@ def _phase_coefficients(m, o: np.ndarray):
                 np.multiply(rho(c, r), o[r, c].T, out=lower)
                 residue += 2.0 * float(np.sum(np.abs(upper - lower.conj().T)))
                 scale += float(np.sum(np.abs(upper)) + np.sum(np.abs(lower)))
+                upper.real += lower.real.T
     return coeff, residue, scale
 
 

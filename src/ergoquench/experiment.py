@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
@@ -318,6 +319,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     t_begin = time.perf_counter()
     q = prepare_quench(config)
     energies = q.eig.energies
+    pair = [(p.n_left_up, p.left_index, p.right_index) for p in (q.prod1, q.prod2)]
+    same_product_state = pair[0] == pair[1]
+    if same_product_state:
+        warnings.warn(
+            "near_min and near_max select the same product state (n_left_up, "
+            f"left_index, right_index) = {pair[0]}: cat and mixed are then one "
+            "state and Q = 2 phi phi^T", UserWarning, stacklevel=2)
 
     with _stage("evolve"):
         t0, t1, n_points = config.time_window
@@ -363,6 +371,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "overlap_max": float(shared.max()),
             "overlap_sum": float(shared.sum()),
             "product_inner": float(abs(np.vdot(q.prod1.vector, q.prod2.vector))),
+            "same_product_state": same_product_state,
         }
         closed: dict = {
             "applicable": states_info["overlap_sum"] <= SHARED_SUPPORT_THRESHOLD,

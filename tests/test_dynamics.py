@@ -5,6 +5,8 @@ The reference for the evolution kernel is a dense double loop over all
 sum it claims to be.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,19 +56,32 @@ def real_inputs(rng, d):
     return DensityMatrix(rho / np.trace(rho)), (h + h.T) / 2
 
 
-def count_direct_blocks(monkeypatch):
-    """Spy on the phase evaluations of evolve_expectation over 2d time
-    arrays: the first is the offset table, every later one a block
-    evaluated directly."""
-    shapes = []
+def sub_block_times(n_points, d):
+    """K = ceil(sqrt(n)), capped at the rows of one PHASE_BLOCK_BYTES
+    block: the times of one sub-block of the phase generator."""
+    rows = dynamics.PHASE_BLOCK_BYTES // (16 * d)
+    return min(math.isqrt(n_points - 1) + 1, rows)
+
+
+def phase_times(monkeypatch):
+    """Spy on the phase evaluations of evolve_expectation: the times of
+    each, in order, every one taken at all the energies."""
+    calls = []
     real = dynamics._cos_sin_of_product
 
     def spy(e, t):
-        shapes.append(np.ndim(t))
+        calls.append(np.ravel(t))
         return real(e, t)
 
     monkeypatch.setattr(dynamics, "_cos_sin_of_product", spy)
-    return lambda: shapes.count(2) - 1
+    return calls
+
+
+def count_direct_blocks(calls, t, k):
+    """The first phase evaluation on the grid t is the offset table, later
+    ones the starts of sub-blocks of k times; one that holds any other time
+    of the grid is a sub-block evaluated directly."""
+    return sum(not np.isin(c, t[::k]).all() for c in calls[1:])
 
 
 class TestTimeSeries:
@@ -178,10 +193,11 @@ class TestEvolveExpectation:
         assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
 
     def test_jittered_grid_uses_the_corrected_table(self, monkeypatch):
-        # every time moved by up to half the uniformity tolerance; blocks of
-        # 40 times, so each block's offsets differ from the table's
+        # every time moved by up to half the uniformity tolerance; 16
+        # sub-blocks of 17 times, two to a block of 40 times, so each
+        # sub-block's offsets differ from the table's
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 40 * 16 * 16)
-        direct_blocks = count_direct_blocks(monkeypatch)
+        calls = phase_times(monkeypatch)
         rng = np.random.default_rng(9)
         rho = random_density(rng, 16)
         obs = random_hermitian(rng, 16)
@@ -190,16 +206,16 @@ class TestEvolveExpectation:
         t[1:-1] += rng.uniform(-0.5, 0.5, size=255) * dynamics.GRID_RTOL * 30.0
         TimeSeries(times=t, values=np.zeros(257))  # still a uniform grid
         got = evolve_expectation(rho, obs, energies, t).values
-        assert direct_blocks() == 0
+        assert count_direct_blocks(calls, t, sub_block_times(257, 16)) == 0
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_far_jittered_grid_takes_direct_phases(self, monkeypatch):
         # at t ~ 1e4 the same relative jitter moves times by ~1e-8, which
-        # puts max|E| max|eps| above OFFSET_PHASE_MAX in all blocks but the
-        # first (whose offsets are the table's own)
+        # puts max|E| max|eps| above OFFSET_PHASE_MAX in all 20 sub-blocks
+        # but the first (whose offsets are the table's own)
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 50 * 16 * 6)
-        direct_blocks = count_direct_blocks(monkeypatch)
+        calls = phase_times(monkeypatch)
         rng = np.random.default_rng(10)
         rho, obs = real_inputs(rng, 6)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=6))
@@ -207,7 +223,8 @@ class TestEvolveExpectation:
         t[1:-1] += rng.uniform(-0.5, 0.5, size=398) * dynamics.GRID_RTOL * 13000.0
         TimeSeries(times=t, values=np.zeros(400))
         got = evolve_expectation(rho, obs, energies, t).values
-        assert direct_blocks() == 7
+        k = sub_block_times(400, 6)
+        assert count_direct_blocks(calls, t, k) == len(t[::k]) - 1 == 19
         coeff = rho.entries * obs.T
         ref = extended_precision_series(coeff, energies, t)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.sum(np.abs(coeff))
@@ -266,7 +283,12 @@ class TestEvolveExpectation:
         coeff, residue, scale = dynamics._phase_coefficients(m, o)
         assert coeff.dtype == m.dtype
         literal = m * o.T
-        assert np.array_equal(coeff, literal)
+        # Re C holds U: the upper tiles of A + A^T, A elsewhere
+        tile = np.arange(d) // ADJOINT_TILE
+        upper = tile[:, None] < tile[None, :]
+        a = literal.real
+        assert np.array_equal(coeff.real, np.where(upper, a + a.T, a))
+        assert np.array_equal(coeff.imag, literal.imag)
         assert residue == pytest.approx(np.sum(np.abs(literal - literal.conj().T)),
                                         rel=1e-12)
         assert scale == pytest.approx(np.sum(np.abs(literal)), rel=1e-12)
@@ -282,6 +304,28 @@ class TestEvolveExpectation:
         coeff = rho.entries * obs.entries.T
         want = np.sum((u @ coeff) * u.conj(), axis=1).real
         got = evolve_expectation(rho, obs, energies, t).values
+        assert np.max(np.abs(got - want)) < 1e-13 * np.sum(np.abs(coeff))
+
+    @pytest.mark.parametrize("factored", [False, True])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("d", [1, ADJOINT_TILE - 1, ADJOINT_TILE,
+                                   ADJOINT_TILE + 1, 2 * ADJOINT_TILE + 37])
+    def test_upper_tiles_give_the_full_product(self, d, complex_data, factored):
+        # x.U.x = x.A.x holds for any A: the observable carries an
+        # anti-Hermitian part, inside the guard, that U must keep
+        rng = np.random.default_rng(70 + d)
+        rho = random_mixture(rng, d, 2, complex_data)
+        state = rho if factored else rho.entries.copy()
+        g, k = rng.normal(size=(2, d, d))
+        if complex_data:
+            g, k = g + 1j * rng.normal(size=(d, d)), k + 1j * rng.normal(size=(d, d))
+        obs = (g + g.conj().T) / 2 + 1e-9 * (k - k.conj().T)
+        energies = np.sort(rng.uniform(-5.0, 5.0, size=d))
+        t = make_time_grid(0.0, 3.0, 50)
+        u = np.exp(-1j * np.multiply.outer(t, energies))
+        coeff = rho.entries * obs.T
+        want = np.sum((u @ coeff) * u.conj(), axis=1).real
+        got = evolve_expectation(state, obs, energies, t).values
         assert np.max(np.abs(got - want)) < 1e-13 * np.sum(np.abs(coeff))
 
     def test_non_hermitian_state_rejected_across_tiles(self):
@@ -400,11 +444,45 @@ class TestPairSeries:
         assert np.array_equal(got, evolve_expectation(rho, q.dense(),
                                                       energies, t).values)
 
+    @pytest.mark.parametrize("n_points", [50 ** 2 - 1, 50 ** 2 + 1, 20_000])
+    def test_contraction_matches_extended_precision(self, n_points):
+        # K^2 - 1 and K^2 + 1 times end in a partial sub-block; on
+        # 3000..13000 dt is not a float, so every grid has eps != 0, and
+        # 20 000 times is the default window
+        rng = np.random.default_rng(54)
+        d = 40
+        rho = random_mixture(rng, d, 2, False)
+        q = random_pair(rng, d, False)
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=d))
+        t = make_time_grid(3000.0, 13000.0, n_points)
+        values = evolve_expectation(rho, q, energies, t).values
+        starts = np.arange(0, n_points, sub_block_times(n_points, d))
+        edges = np.concatenate((starts, starts[1:] - 1, [n_points - 1]))
+        picks = np.union1d(edges, rng.integers(0, n_points, size=12))
+        assert len(picks) >= 20
+        coeff = rho.entries * q.dense().T
+        ref = extended_precision_series(coeff, energies, t[picks])
+        assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
+
+    def test_factored_kernel_evaluates_2_sqrt_n_phases(self, monkeypatch):
+        # offsets k * 0.5 from 3000 are exact, so no sub-block is direct;
+        # each time is taken at all d energies, so (K + ceil(n / K)) d
+        # phases are K + ceil(n / K) times
+        calls = phase_times(monkeypatch)
+        rng = np.random.default_rng(55)
+        d, n_points = 30, 20_000
+        t = make_time_grid(3000.0, 12999.5, n_points)
+        evolve_expectation(random_mixture(rng, d, 2, False),
+                           random_pair(rng, d, False),
+                           np.sort(rng.uniform(-18.0, 18.0, size=d)), t)
+        k = sub_block_times(n_points, d)
+        assert sum(map(len, calls)) <= k + -(-n_points // k)
+
     def test_grid_checked_before_any_work(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("evolution started on a bad grid")
 
-        monkeypatch.setattr(dynamics, "_phase_blocks", no_work)
+        monkeypatch.setattr(dynamics, "_phase_factors", no_work)
         rng = np.random.default_rng(52)
         with pytest.raises(ConstructionError):
             evolve_expectation(random_mixture(rng, 3, 1, False),

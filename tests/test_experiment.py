@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,27 @@ class TestRunExperiment:
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
             gap = res.series[(protocol, "Q")].values - series.values
             assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(series.values))
+
+
+class TestSameProductState:
+    @pytest.mark.parametrize("overrides", [
+        {"L": 4, "J": 0.0, "h": 0.0},  # flat spectrum: every product state ties
+        {"L": 4, "total_sz": 4},       # one level, one product state
+    ])
+    def test_coincident_pair_is_flagged(self, overrides):
+        with pytest.warns(UserWarning, match="cat and mixed are then one state"):
+            res = run_experiment(fast_config(**overrides))
+        assert res.report.states["same_product_state"] is True
+
+    def test_default_config_is_not_flagged(self):
+        # the default chain and realization; the flag does not depend on
+        # the time window
+        config = dataclasses.replace(ExperimentConfig(),
+                                     time_window=(3000.0, 3099.5, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            res = run_experiment(config)
+        assert res.report.states["same_product_state"] is False
 
 
 class TestArtifacts:
