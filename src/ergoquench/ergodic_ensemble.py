@@ -94,8 +94,8 @@ class DensityMatrix:
     construction, so those constructors check their inputs instead, and
     they keep only their factors: rho = (vectors * weights) @ vectors^dag
     with the vectors as columns.  Their d x d `entries` are formed on first
-    use, for consumers without a factored path (the Monte-Carlo oracle,
-    `ensemble_mean`, plain-matrix code), and then kept.  `weights` and
+    use, for consumers without a factored path (`ensemble_mean`,
+    plain-matrix code), and then kept.  `weights` and
     `vectors` are None for a general matrix.
     """
 

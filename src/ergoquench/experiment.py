@@ -383,10 +383,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             closed["sigma_q"] = float(np.sqrt(variance))
 
         e_min, e_max = q.bounds
+        # the largest Bohr frequency times the grid step, over pi: above 1
+        # the grid aliases the fastest terms of every series
+        nyquist_ratio = (e_max - e_min) * (t1 - t0) / (n_points - 1) / np.pi
         report = ExperimentReport(
             config=dict(asdict(config), degeneracy_tol=q.degeneracy_tol),
             spectral={"dim": q.basis.dim, "e_min": e_min, "e_max": e_max,
-                      "r_mean": q.r_mean, "n_sectors": q.partition.n_sectors},
+                      "r_mean": q.r_mean, "n_sectors": q.partition.n_sectors,
+                      "nyquist_ratio": nyquist_ratio},
             states=states_info,
             protocols=protocols_out,
             closed_form=closed,

@@ -7,19 +7,32 @@ average observables over many draws.
 Sampling uses the QR decomposition of a complex Ginibre matrix with the
 R-diagonal phase fix, which makes the distribution exactly Haar (Mezzadri,
 math-ph/0609050).  The Ginibre entries come from one counter-based Philox
-stream keyed by the seed (Salmon et al., SC 2011).  Every sample consumes
-the same fixed number of 64-bit words, so sample k sits at a counter fixed
-by k alone, and results are reproducible bit-for-bit no matter how samples
-are batched.
+stream keyed by the seed (Salmon et al., SC 2011), turned into normals by
+Box-Muller with one tangent per entry: with t = tan(pi u), the angle 2 pi u
+has cosine (1 - t^2) / (1 + t^2) and sine 2 t / (1 + t^2).  Every sample
+consumes the same fixed number of 64-bit words, so sample k sits at a
+counter fixed by k alone, and results are reproducible bit-for-bit no
+matter how samples are batched.
+
+No d x d unitary is formed.  Sectors of equal size are drawn as one stack
+(one batched QR, or g / |g| for blocks of one level, which is what QR with
+the phase fix gives there), and the sampled U acts block by block, in a
+basis reordered so that each size group is one contiguous range
+(`_size_groups`).  A state that keeps its factors, rho = P S P^dag, is
+rotated as U P, held as its transpose, (samples, r, d), and U rho U^dag is
+never formed; each observable is contracted with it in the form the
+observable is stored in.  A dense state is rotated as sigma = U rho U^dag,
+one product per size group on each side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ergodic_ensemble import _FLOAT_MAX, _operator
+from .ergodic_ensemble import _FLOAT_MAX, _factored, _operator
 from .errors import NumericalIntegrityError
 from .spectral import SectorPartition
 
@@ -74,6 +87,13 @@ def _ginibre_entries(seed: int, first_index: int, count: int,
     sqrt(2) times its real part (the cosine) and its imaginary part (the
     sine) are two independent standard normals.  u is a multiple of 2^-53
     below 1, so 1 - u is exact and never 0.
+
+    The cosine and sine come from one tangent, t = tan(pi u): with
+    s = radius / (1 + t^2) the entry is (2 s - radius) + 2 s t i, which is
+    radius ((1 - t^2) + 2 t i) / (1 + t^2).  Against cos and sin of the
+    angle 2 pi u this moves an entry by at most 5e-16 of its modulus (4e6
+    draws), and it takes about half the time.  At u = 1/2, t is about
+    1.6e16, still finite, and the cosine is -1.
     """
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -81,34 +101,91 @@ def _ginibre_entries(seed: int, first_index: int, count: int,
     stream = np.random.Generator(np.random.Philox(
         key=int(seed), counter=first_index * (width // 4)))
     u = stream.random((count, width))
-    radius = np.sqrt(-np.log(1.0 - u[:, :n_entries]))
-    angle = 2.0 * np.pi * u[:, n_entries:2 * n_entries]
-    # cos and sin straight into the two parts: at d = 16 this Box-Muller
-    # step takes about 15 % less time than a complex exp
+    # in place, so a chunk holds only the words and the entries: radius and
+    # t overwrite their words, s the imaginary parts it is scaled into
+    radius, t = u[:, :n_entries], u[:, n_entries:2 * n_entries]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    t *= np.pi
+    np.tan(t, out=t)
     entries = np.empty((count, n_entries), dtype=np.complex128)
-    np.cos(angle, out=entries.real)
-    np.sin(angle, out=entries.imag)
-    entries.real *= radius
-    entries.imag *= radius
+    s = np.multiply(t, t, out=entries.imag)
+    s += 1.0
+    np.divide(radius, s, out=s)
+    np.multiply(s, 2.0, out=entries.real)
+    entries.real -= radius
+    s *= t
+    s *= 2.0
     return entries
+
+
+class _Group(NamedTuple):
+    """The sectors of one size: their indices, the columns of their
+    Ginibre entries in a sample's stream, and their rows in the reordered
+    basis."""
+
+    size: int
+    sectors: np.ndarray
+    columns: slice | np.ndarray
+    rows: slice
+
+
+def _size_groups(partition: SectorPartition):
+    """(groups, order, n_entries): one _Group per distinct sector size, in
+    order of first appearance; the basis order that makes each group one
+    contiguous range of rows (None when the partition's own order does);
+    and the Ginibre entries per sample, sum_i d_i^2, which run sector by
+    sector, each block row-major."""
+    sizes = partition.sizes
+    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    groups, order, lo = [], [], 0
+    for d in dict.fromkeys(int(x) for x in sizes):
+        sectors = np.flatnonzero(sizes == d)
+        columns = (offsets[sectors][:, None] + np.arange(d * d)).ravel()
+        if np.all(np.diff(sectors) == 1):  # consecutive sectors: one range
+            columns = slice(int(columns[0]), int(columns[-1]) + 1)
+        hi = lo + d * len(sectors)
+        groups.append(_Group(d, sectors, columns, slice(lo, hi)))
+        order.append((partition.starts[sectors][:, None] + np.arange(d)).ravel())
+        lo = hi
+    order = np.concatenate(order)
+    if np.array_equal(order, np.arange(partition.dim)):
+        order = None
+    return groups, order, int(offsets[-1])
+
+
+def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
+                     count: int) -> list[np.ndarray]:
+    """One (count, n_g, d_g, d_g) stack of Haar unitaries per size group,
+    for samples first_index .. first_index + count - 1."""
+    g = _ginibre_entries(seed, first_index, count, n_entries)
+    stacks = []
+    for grp in groups:
+        # a range is a view; take copies in C order, unlike g[:, columns]
+        z = (g[:, grp.columns] if isinstance(grp.columns, slice)
+             else np.take(g, grp.columns, axis=1))
+        z = z.reshape(count, len(grp.sectors), grp.size, grp.size)
+        if grp.size == 1:
+            z /= np.abs(z)
+            stacks.append(z)
+        else:
+            stacks.append(_fix_phases(*np.linalg.qr(z)))
+    return stacks
 
 
 def _haar_blocks(partition: SectorPartition, seed: int, first_index: int,
                  count: int) -> list[np.ndarray]:
     """Per-sector (count, d_i, d_i) stacks of Haar unitaries for samples
-    first_index .. first_index + count - 1.
-
-    A sample's sum_i d_i^2 Ginibre entries (see _ginibre_entries) run
-    sector by sector, each block row-major.
-    """
-    sizes = [int(d) for d in partition.sizes]
-    g = _ginibre_entries(seed, first_index, count, sum(d * d for d in sizes))
-    blocks = []
-    pos = 0
-    for d in sizes:
-        blocks.append(_fix_phases(*np.linalg.qr(
-            g[:, pos:pos + d * d].reshape(count, d, d))))
-        pos += d * d
+    first_index .. first_index + count - 1, views into the stacks of
+    `_group_unitaries`."""
+    groups, _, n_entries = _size_groups(partition)
+    blocks = [None] * partition.n_sectors
+    for grp, stack in zip(groups, _group_unitaries(groups, n_entries, seed,
+                                                   first_index, count)):
+        for k, i in enumerate(grp.sectors):
+            blocks[i] = stack[:, k]
     return blocks
 
 
@@ -120,20 +197,104 @@ def sample_block_unitary(partition: SectorPartition, seed: int,
     return BlockUnitary(partition=partition, blocks=tuple(b[0] for b in blocks))
 
 
-def _rotated_states(rho, partition: SectorPartition, n_samples: int,
-                    seed: int, chunk_size: int):
-    """Yield (first_index, sigma) per chunk, sigma the (count, d, d) stack
-    of U rho U^dag for samples first_index .. first_index + count - 1."""
-    m = _operator(rho)
-    d = partition.dim
-    chunk_size = _bounded_chunk(chunk_size, d)
-    for done in range(0, n_samples, chunk_size):
-        count = min(chunk_size, n_samples - done)
-        u = np.zeros((count, d, d), dtype=np.complex128)
-        for sl, q in zip(partition.slices(),
-                         _haar_blocks(partition, seed, done, count)):
-            u[:, sl, sl] = q
-        yield done, u @ m @ u.conj().transpose(0, 2, 1)
+def _times_blocks(groups, stacks, m: np.ndarray, out: np.ndarray):
+    """out = m V in the reordered basis, V = (+) of the blocks in `stacks`
+    acting on the columns of m: m is (k, d) or (count, k, d), out a
+    (count, k, d) array or a view of one whose columns split in place."""
+    for grp, v in zip(groups, stacks):
+        count, n, d = v.shape[:3]
+        src, dst = m[..., grp.rows], out[..., grp.rows]
+        if d == 1:
+            np.multiply(src, v.reshape(count, 1, n), out=dst)
+        else:
+            np.matmul(src.reshape(src.shape[:-1] + (n, d)).swapaxes(-2, -3), v,
+                      out=dst.reshape(dst.shape[:-1] + (n, d)).swapaxes(-2, -3))
+
+
+def _rotated(groups, stacks, m: np.ndarray, factored: bool) -> np.ndarray:
+    """For a factored state, m = P^T and the (count, r, d) stack of
+    (U P)^T = P^T U^T, one row per column of P; for a dense state, m = rho
+    and the (count, d, d) stack sigma = U rho U^dag = W^T U^dag with
+    W = rho^T U^T."""
+    transposed = [u.swapaxes(-1, -2) for u in stacks]
+    x = np.empty((len(stacks[0]),) + m.shape, dtype=np.complex128)
+    _times_blocks(groups, transposed, m if factored else m.T, x)
+    if factored:
+        return x
+    sigma = np.empty_like(x)
+    _times_blocks(groups, [u.conj() for u in transposed], x.transpose(0, 2, 1),
+                  sigma)
+    return sigma
+
+
+def _bounded_chunk(chunk_size: int, per_sample: int) -> int:
+    """Keep the largest array of a chunk, per_sample complex numbers per
+    sample, around 64 MB or less."""
+    return max(1, min(chunk_size, (1 << 22) // max(1, per_sample)))
+
+
+def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
+             chunk_size: int, squares: bool = False):
+    """(order, s, chunks) for rho rotated by the sampled block unitaries,
+    everything in the reordered basis (`_size_groups`; `order` is None when
+    that is the partition's own).
+
+    For a factored rho = P S P^dag (S real symmetric, as `_factored` gives
+    it) s is S and the chunks yield (first_index, Y), Y = (U P)^T of shape
+    (count, r, d); for a dense rho s is None and they yield
+    (first_index, sigma).  The chunk is bounded by its largest array: the
+    Ginibre entries, sigma, Y, or with `squares` the (count, r^2, d)
+    products of the rows of Y.
+    """
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    groups, order, n_entries = _size_groups(partition)
+    factors = _factored(rho)
+    if factors is None:
+        m, s = _reordered(_operator(rho), order), None
+        per_sample = m.size
+    else:
+        p, s = factors
+        m = np.ascontiguousarray((p if order is None else p[order]).T)
+        per_sample = m.size * (len(m) if squares else 1)
+    step = _bounded_chunk(chunk_size, max(n_entries, per_sample))
+
+    def chunks():
+        for done in range(0, n_samples, step):
+            count = min(step, n_samples - done)
+            stacks = _group_unitaries(groups, n_entries, seed, done, count)
+            yield done, _rotated(groups, stacks, m, s is not None)
+
+    return order, s, chunks()
+
+
+def _reordered(m: np.ndarray, order) -> np.ndarray:
+    """m with rows and columns taken in `order` (None: m itself)."""
+    return m if order is None else m[np.ix_(order, order)]
+
+
+def _traces(y: np.ndarray, s: np.ndarray, a) -> np.ndarray:
+    """tr(sigma A) per sample for sigma = Y^T S conj(Y), Y (count, r, d),
+    S real symmetric: sum_kl S_kl Re G_lk with G_lk = y_l^dag A y_k for the
+    rows y of Y.  A = Q T Q^dag given as (Q, T) goes through Q^dag y, O(d)
+    per row; a dense Hermitian A through one GEMM of the rows, a real
+    one through one real GEMM of their real and imaginary parts stacked,
+    Re G_lk = Re y_l . A Re y_k + Im y_l . A Im y_k."""
+    d = y.shape[-1]
+    if isinstance(a, tuple):
+        q, t = a
+        z = y @ q.conj()
+        g = np.einsum("blx,xy,bky->blk", z.conj(), t, z).real
+    elif np.isrealobj(a):
+        parts = np.stack((y.real, y.imag))
+        ap = (parts.reshape(-1, d) @ a).reshape(parts.shape)
+        g = (parts @ ap.swapaxes(-1, -2)).sum(axis=0)
+    else:
+        g = ((y.conj().reshape(-1, d) @ a).reshape(y.shape)
+             @ y.swapaxes(-1, -2)).real
+    return np.einsum("kl,blk->b", s, g)
 
 
 def estimate_moments(rho, partition: SectorPartition, observables,
@@ -144,28 +305,41 @@ def estimate_moments(rho, partition: SectorPartition, observables,
     order 1 returns one MomentEstimate per observable, each averaging
     tr(U rho U^dag A) over samples.  For order n >= 2 the observable list
     must have exactly n entries and the returned single estimate averages
-    the per-sample product prod_j tr(U rho U^dag A_j).
+    the per-sample product prod_j tr(U rho U^dag A_j).  An observable
+    listed more than once is evaluated once per sample.
 
     std_error is the sample standard deviation over the per-sample values
     divided by sqrt(n_samples).  An estimate or standard error that is not
-    finite raises NumericalIntegrityError.
+    finite raises NumericalIntegrityError.  chunk_size < 1 raises
+    ValueError.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    obs = [_operator(o) for o in observables]
-    if order >= 2 and len(obs) != order:
+    observables = list(observables)
+    if order >= 2 and len(observables) != order:
         raise ValueError(f"order {order} needs exactly {order} observables, "
-                         f"got {len(obs)}")
-    if not obs:
+                         f"got {len(observables)}")
+    if not observables:
         raise ValueError("no observables given")
-    per_obs = [np.empty(n_samples) for _ in obs]
-    for done, sigma in _rotated_states(rho, partition, n_samples, seed,
-                                       chunk_size):
-        for vals, a in zip(per_obs, obs):
-            vals[done:done + len(sigma)] = np.einsum("bij,ji->b", sigma, a).real
+    basis, s, chunks = _samples(rho, partition, n_samples, seed, chunk_size)
+    forms = {}
+    for o in observables:
+        if id(o) in forms:
+            continue
+        factors = _factored(o) if s is not None else None
+        if factors is None:
+            forms[id(o)] = _reordered(_operator(o), basis)
+        else:
+            q, t = factors
+            forms[id(o)] = (q if basis is None else q[basis], t)
+    values = {key: np.empty(n_samples) for key in forms}
+    for done, x in chunks:
+        for key, a in forms.items():
+            values[key][done:done + len(x)] = (
+                np.einsum("bij,ji->b", x, a).real if s is None
+                else _traces(x, s, a))
 
+    per_obs = [values[id(o)] for o in observables]
     if order == 1:
         return [_summarize(v) for v in per_obs]
     prod = per_obs[0].copy()
@@ -187,9 +361,9 @@ def _summarize(values: np.ndarray) -> MomentEstimate:
     return est
 
 
-def _bounded_chunk(chunk_size: int, dim: int) -> int:
-    """Keep the (chunk, dim, dim) sample stacks around 64 MB or less."""
-    return max(1, min(chunk_size, (1 << 22) // max(1, dim * dim)))
+def _gram(f: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum over samples b of F_b^T K conj(F_b), F (count, x, d): one GEMM."""
+    return np.tensordot(k.T @ f, f.conj(), axes=([0, 1], [0, 1]))
 
 
 def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
@@ -198,19 +372,39 @@ def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
 
     Returns (mean, se_real, se_imag): the averaged matrix plus standard
     errors of the real and imaginary parts of every element, for direct
-    element-wise comparison against ensemble_mean.
+    element-wise comparison against ensemble_mean.  chunk_size < 1 raises
+    ValueError.
+
+    A factored rho = P S P^dag is summed from Y = (U P)^T alone: the sums
+    of sigma, sigma o sigma and |sigma|^2 are Gram sums of Y, of the
+    products y_k o y_l and of y_k o conj(y_l) of its rows, with kernels S
+    and S (x) S (S is real), and (Re sigma)^2, (Im sigma)^2 are half the
+    sum and half the difference of the last two.
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
     d = partition.dim
+    basis, s, chunks = _samples(rho, partition, n_samples, seed, chunk_size,
+                                squares=True)
     acc = np.zeros((d, d), dtype=np.complex128)
     acc_re2 = np.zeros((d, d))
     acc_im2 = np.zeros((d, d))
-    for _, sigma in _rotated_states(rho, partition, n_samples, seed, chunk_size):
-        acc += sigma.sum(axis=0)
-        acc_re2 += (sigma.real**2).sum(axis=0)
-        acc_im2 += (sigma.imag**2).sum(axis=0)
+    for _, x in chunks:
+        if s is None:
+            acc += x.sum(axis=0)
+            acc_re2 += np.einsum("bij,bij->ij", x.real, x.real)
+            acc_im2 += np.einsum("bij,bij->ij", x.imag, x.imag)
+            continue
+        count, r = x.shape[:2]
+        sq = _gram((x[:, :, None] * x[:, None]).reshape(count, r * r, d),
+                   np.kron(s, s)).real
+        ab = _gram((x[:, :, None] * x.conj()[:, None]).reshape(count, r * r, d),
+                   np.kron(s, s)).real
+        acc += _gram(x, s)
+        acc_re2 += 0.5 * (ab + sq)
+        acc_im2 += 0.5 * (ab - sq)
 
+    if basis is not None:
+        back = np.argsort(basis)
+        acc, acc_re2, acc_im2 = (_reordered(a, back) for a in (acc, acc_re2, acc_im2))
     mean = acc / n_samples
     bessel = n_samples / (n_samples - 1.0)
     var_re = np.maximum(bessel * (acc_re2 / n_samples - mean.real**2), 0.0)

@@ -1,9 +1,12 @@
-"""Dense d^2 x d^2 reference for the analytic second moment: the oracle
-the tests check `second_moment_expectation` against at small dimension."""
+"""Dense references the tests check the package against: the literal
+d^2 x d^2 second moment behind `second_moment_expectation` at small
+dimension, and the Monte-Carlo oracle's dense path behind
+`estimate_moments` and `estimate_state_mean`."""
 
 import numpy as np
 
 from ergoquench.ergodic_ensemble import _check_shapes, _operator
+from ergoquench.haar_oracle import sample_block_unitary
 from ergoquench.spectral import SectorPartition
 
 DENSE_REFERENCE_MAX_DIM = 64
@@ -91,3 +94,41 @@ def quartic_overlap_reference(v1: np.ndarray, v2: np.ndarray) -> float:
     w = np.outer(v1, v2.conj()) + np.outer(v2, v1.conj())
     quartic = np.abs(w) ** 4
     return 0.25 * float(quartic.sum() - np.trace(quartic))
+
+
+def dense_rotated_states(rho, partition: SectorPartition, n_samples: int,
+                         seed: int) -> np.ndarray:
+    """(n_samples, d, d) stack of sigma = U rho U^dag, each U assembled as
+    a dense d x d matrix from `sample_block_unitary`, the same sample the
+    estimators draw at that index."""
+    m = _operator(rho)
+    d = partition.dim
+    sigma = np.empty((n_samples, d, d), dtype=np.complex128)
+    for k in range(n_samples):
+        u = np.zeros((d, d), dtype=np.complex128)
+        for sl, blk in zip(partition.slices(),
+                           sample_block_unitary(partition, seed, k).blocks):
+            u[sl, sl] = blk
+        sigma[k] = u @ m @ u.conj().T
+    return sigma
+
+
+def dense_trace_values(rho, partition: SectorPartition, observables,
+                       n_samples: int, seed: int) -> np.ndarray:
+    """(len(observables), n_samples) per-sample tr(sigma A), by einsum."""
+    sigma = dense_rotated_states(rho, partition, n_samples, seed)
+    return np.array([np.einsum("bij,ji->b", sigma, _operator(a)).real
+                     for a in observables])
+
+
+def dense_state_mean(rho, partition: SectorPartition, n_samples: int,
+                     seed: int):
+    """(mean, var_re, var_im): the element-wise sample mean of sigma and the
+    sample variances of its real and imaginary parts, each formed as the
+    mean square minus the squared mean."""
+    sigma = dense_rotated_states(rho, partition, n_samples, seed)
+    mean = sigma.mean(axis=0)
+    bessel = n_samples / (n_samples - 1.0)
+    var_re = bessel * ((sigma.real**2).mean(axis=0) - mean.real**2)
+    var_im = bessel * ((sigma.imag**2).mean(axis=0) - mean.imag**2)
+    return mean, var_re, var_im

@@ -275,6 +275,19 @@ class TestRunExperiment:
         assert np.all(np.diff(res.energies) >= 0.0)
         assert res.overlaps.shape == (rep.spectral["dim"], 2)
 
+    def test_report_gives_the_aliasing_margin(self):
+        # (e_max - e_min) dt / pi: L = 6, seed 1 has a spectral width of
+        # 16.7204 on the fast grid, dt = 500 / 1999
+        spectral = run_experiment(fast_config()).report.spectral
+        assert spectral["nyquist_ratio"] == pytest.approx(
+            16.7204 * (500.0 / 1999.0) / np.pi, rel=1e-5)
+        assert spectral["nyquist_ratio"] > 1.0
+        fine = run_experiment(
+            fast_config(time_window=(100.0, 101.0, 2000))).report.spectral
+        assert fine["nyquist_ratio"] == pytest.approx(
+            16.7204 * (1.0 / 1999.0) / np.pi, rel=1e-5)
+        assert fine["nyquist_ratio"] < 1.0
+
     def test_seeded_rerun_is_deterministic(self):
         cfg = fast_config()
         r1 = run_experiment(cfg)
@@ -309,9 +322,9 @@ class TestRunExperiment:
         config = fast_config(L=8, mc_samples=0)
         run_experiment(config)
         assert formed == []
-        # the Monte-Carlo oracle still gets the dense entries
+        # the Monte-Carlo oracle rotates the factors, U P, too
         run_experiment(dataclasses.replace(config, mc_samples=2))
-        assert formed
+        assert formed == []
 
     def test_q_theory_mean_is_tiny_for_small_overlap(self):
         res = run_experiment(fast_config())
@@ -457,6 +470,24 @@ class TestCli:
         path.write_text(json.dumps({"L": 7}))
         assert main(["run", "--config", str(path)]) == 1
         assert "[config]" in capsys.readouterr().err
+
+    def test_oracle_at_full_size(self, tmp_path, capsys):
+        # L = 12, d = 924 in singleton sectors: every estimate within 6
+        # standard errors of the analytic second moment
+        path = tmp_path / "l12.json"
+        path.write_text(json.dumps({"L": 12}))
+        code = main(["oracle", "--config", str(path), "--order", "2",
+                     "--samples", "1000"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["n_samples"] == 1000
+        entries = [e for block in data["protocols"].values()
+                   for e in block.values()]
+        assert len(entries) == 4
+        for entry in entries:
+            assert entry["std_error"] > 0.0
+            assert abs(entry["estimate"] - entry["analytic"]) \
+                <= 6.0 * entry["std_error"]
 
     def test_bad_oracle_arguments(self, config_file, capsys):
         assert main(["oracle", "--config", str(config_file),

@@ -6,18 +6,26 @@ factorials for higher powers), never from the module under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergoquench.ergodic_ensemble import DensityMatrix
-from ergoquench.haar_oracle import (BlockUnitary, _ginibre_entries,
-                                    _haar_blocks, estimate_moments,
-                                    estimate_state_mean, sample_block_unitary)
+from ergoquench.experiment import (ExperimentConfig, prepare_protocol_state,
+                                   prepare_quench)
+from ergoquench.haar_oracle import (DEFAULT_CHUNK, BlockUnitary,
+                                    _ginibre_entries, _haar_blocks,
+                                    estimate_moments, estimate_state_mean,
+                                    sample_block_unitary)
 from ergoquench.spectral import SectorPartition
 
 from conftest import (block_conjugate, block_matrix, random_density,
-                      random_hermitian, random_pure)
+                      random_hermitian, random_mixture, random_pair,
+                      random_pure)
+from dense_reference import dense_state_mean, dense_trace_values
 
 
 def haar_first_entry_power(d, k):
@@ -224,6 +232,19 @@ class TestEstimateMoments:
                                 order=1, n_samples=100, seed=4)
         assert len(ests) == 3
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        rng = np.random.default_rng(13)
+        part = SectorPartition.whole(3)
+        rho = random_density(rng, 3)
+        a = random_hermitian(rng, 3)
+        with pytest.raises(ValueError, match="chunk_size"):
+            estimate_moments(rho, part, [a], order=1, n_samples=10, seed=0,
+                             chunk_size=chunk_size)
+        with pytest.raises(ValueError, match="chunk_size"):
+            estimate_state_mean(rho, part, n_samples=10, seed=0,
+                                chunk_size=chunk_size)
+
     def test_argument_validation(self):
         rng = np.random.default_rng(8)
         part = SectorPartition.whole(3)
@@ -262,3 +283,150 @@ class TestEstimateStateMean:
         with pytest.raises(ValueError):
             estimate_state_mean(random_density(rng, 3),
                                 SectorPartition.whole(3), n_samples=1, seed=0)
+
+
+def frobenius(x) -> float:
+    """||x||_F of a state or observable, dense or factored."""
+    m = x.dense() if hasattr(x, "dense") else getattr(x, "entries", x)
+    return float(np.linalg.norm(m))
+
+
+def assert_matches_dense_reference(rho, partition, observables, n_samples,
+                                   seed, chunk_size=DEFAULT_CHUNK):
+    """Orders 1 and 2 and the state mean against the dense reference.
+
+    Agreement is 1e-12 relative to the size bound of each quantity:
+    |tr(sigma A)| <= ||rho||_F ||A||_F, so a value, a product of values or
+    a standard error moves by no more than 1e-12 times the product of those
+    bounds; an element of sigma by no more than 1e-12 ||rho||_F, and the
+    variance of one by no more than 1e-12 ||rho||_F^2.  (A vanishing
+    standard error, or a vanishing mean such as that of Q, has no digits of
+    its own to compare.)
+    """
+    values = dense_trace_values(rho, partition, observables, n_samples, seed)
+    bounds = [frobenius(rho) * frobenius(a) for a in observables]
+    ests = estimate_moments(rho, partition, observables, order=1,
+                            n_samples=n_samples, seed=seed,
+                            chunk_size=chunk_size)
+    for est, v, bound in zip(ests, values, bounds):
+        assert abs(est.value - v.mean()) <= 1e-12 * bound
+        assert abs(est.std_error - v.std(ddof=1) / np.sqrt(n_samples)) \
+            <= 1e-12 * bound
+    pairs = [(0, 0), (0, len(observables) - 1)]
+    for i, j in pairs:
+        est = estimate_moments(rho, partition,
+                               [observables[i], observables[j]], order=2,
+                               n_samples=n_samples, seed=seed,
+                               chunk_size=chunk_size)[0]
+        prod = values[i] * values[j]
+        bound = bounds[i] * bounds[j]
+        assert abs(est.value - prod.mean()) <= 1e-12 * bound
+        assert abs(est.std_error - prod.std(ddof=1) / np.sqrt(n_samples)) \
+            <= 1e-12 * bound
+
+    mean, se_re, se_im = estimate_state_mean(rho, partition, n_samples, seed,
+                                             chunk_size=chunk_size)
+    want, var_re, var_im = dense_state_mean(rho, partition, n_samples, seed)
+    scale = frobenius(rho)
+    assert np.max(np.abs(mean - want)) <= 1e-12 * scale
+    for se, var in ((se_re, var_re), (se_im, var_im)):
+        assert np.max(np.abs(n_samples * se**2 - np.maximum(var, 0.0))) \
+            <= 1e-12 * scale**2
+
+
+def random_state(rng, dim, kind, complex_data):
+    if kind == "factored":
+        return random_mixture(rng, dim, int(rng.integers(1, 3)), complex_data)
+    g = rng.normal(size=(dim, dim))
+    if complex_data:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T) / np.trace(m).real
+    return DensityMatrix(m) if kind == "dense" else m
+
+
+def random_observable(rng, dim, kind):
+    if kind == "pair":
+        return random_pair(rng, dim, complex_data=bool(rng.integers(2)))
+    if kind == "real":
+        g = rng.normal(size=(dim, dim))
+        return g + g.T
+    return random_hermitian(rng, dim)
+
+
+class TestDenseReference:
+    """The sampler against the dense path it replaced (a d x d unitary
+    assembled per sample, sigma = U rho U^dag, einsum contractions), on
+    the same draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+           state=st.sampled_from(["dense", "factored", "raw"]),
+           complex_data=st.booleans(),
+           kinds=st.tuples(*[st.sampled_from(["pair", "real", "complex"])] * 2),
+           chunk_size=st.sampled_from([1, 7, DEFAULT_CHUNK]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_on_random_instances(self, sizes, state, complex_data,
+                                         kinds, chunk_size, seed):
+        rng = np.random.default_rng(seed)
+        part = SectorPartition(sum(sizes), np.cumsum([0] + sizes[:-1]))
+        rho = random_state(rng, part.dim, state, complex_data)
+        observables = [random_observable(rng, part.dim, k) for k in kinds]
+        assert_matches_dense_reference(rho, part, observables, 12, seed,
+                                       chunk_size)
+
+    def test_matches_on_the_criteria_instances(self):
+        # the states, observables, partitions and sampler seeds of
+        # acceptance criteria 1-3, at fewer samples
+        rng = np.random.default_rng(100)
+        for part in (SectorPartition.singletons(6),
+                     SectorPartition(5, np.array([0, 2])),
+                     SectorPartition(4, np.array([0, 1, 2])),
+                     SectorPartition.whole(6)):
+            rho = random_density(rng, part.dim)
+            assert_matches_dense_reference(rho, part, [np.eye(part.dim)],
+                                           300, 101)
+        rng = np.random.default_rng(200)
+        for part in (SectorPartition(5, np.array([0, 2])),
+                     SectorPartition(4, np.array([0, 1, 2])),
+                     SectorPartition.whole(6),
+                     SectorPartition.singletons(6)):
+            rho = random_density(rng, part.dim)
+            a = random_hermitian(rng, part.dim)
+            b = random_hermitian(rng, part.dim)
+            assert_matches_dense_reference(rho, part, [a, b], 300, 201)
+        part = SectorPartition.whole(3)
+        rho = DensityMatrix.from_state_vector(
+            random_pure(np.random.default_rng(300), 3))
+        proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        est = estimate_moments(rho, part, [proj] * 4, order=4, n_samples=300,
+                               seed=301)[0]
+        want = dense_trace_values(rho, part, [proj], 300, 301)[0] ** 4
+        assert abs(est.value - want.mean()) <= 1e-12
+        assert abs(est.std_error - want.std(ddof=1) / np.sqrt(300)) <= 1e-12
+        assert_matches_dense_reference(rho, part, [proj], 300, 301)
+
+    @pytest.mark.parametrize("protocol", ["cat", "mixed"])
+    def test_matches_on_pipeline_states(self, protocol):
+        q = prepare_quench(ExperimentConfig(L=8))
+        rho = prepare_protocol_state(q.phi1, q.phi2, protocol)
+        assert_matches_dense_reference(
+            rho, q.partition, [q.observables["H_R"], q.observables["Q"]],
+            64, 5, chunk_size=7)
+
+
+def test_full_size_sampling_holds_no_dense_stack():
+    # L = 12, d = 924, every sector a singleton: a (2048, d, d) complex stack
+    # would take 28 GB, and the dense path peaked at 280 MB for 8 samples
+    q = prepare_quench(ExperimentConfig(L=12))
+    rho = prepare_protocol_state(q.phi1, q.phi2, "cat")
+    obs = q.observables["Q"]
+    tracemalloc.start()
+    try:
+        est = estimate_moments(rho, q.partition, [obs, obs], order=2,
+                               n_samples=2048, seed=0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert est.n_samples == 2048 and est.std_error > 0.0
