@@ -18,11 +18,12 @@ No d x d unitary is formed.  Sectors of equal size are drawn as one stack
 (one batched QR, or g / |g| for blocks of one level, which is what QR with
 the phase fix gives there), and the sampled U acts block by block, in a
 basis reordered so that each size group is one contiguous range
-(`_size_groups`).  A state that keeps its factors, rho = P S P^dag, is
-rotated as U P, held as its transpose, (samples, r, d), and U rho U^dag is
-never formed; each observable is contracted with it in the form the
-observable is stored in.  A dense state is rotated as sigma = U rho U^dag,
-one product per size group on each side.
+(`_size_groups`).  For the moments a state that keeps its factors,
+rho = P S P^dag, is rotated as U P, held as its transpose, (samples, r, d),
+and U rho U^dag is never formed; each observable is contracted with it in
+the form the observable is stored in.  A dense state, and every state whose
+element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
+product per size group on each side.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ergodic_ensemble import _FLOAT_MAX, _factored, _operator
-from .errors import NumericalIntegrityError
+from .ergodic_ensemble import _FLOAT_MAX, _check_shapes, _factored, _operator
+from .errors import NumericalIntegrityError, SectorError
 from .spectral import SectorPartition
 
 DEFAULT_CHUNK = 2048
@@ -128,15 +129,14 @@ class _Group(NamedTuple):
 
     size: int
     sectors: np.ndarray
-    columns: slice | np.ndarray
+    columns: np.ndarray
     rows: slice
 
 
 def _size_groups(partition: SectorPartition):
     """(groups, order, n_entries): one _Group per distinct sector size, in
     order of first appearance; the basis order that makes each group one
-    contiguous range of rows (None when the partition's own order does);
-    and the Ginibre entries per sample, sum_i d_i^2, which run sector by
+    contiguous range of rows; and the Ginibre entries per sample, sum_i d_i^2, which run sector by
     sector, each block row-major."""
     sizes = partition.sizes
     offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
@@ -144,16 +144,11 @@ def _size_groups(partition: SectorPartition):
     for d in dict.fromkeys(int(x) for x in sizes):
         sectors = np.flatnonzero(sizes == d)
         columns = (offsets[sectors][:, None] + np.arange(d * d)).ravel()
-        if np.all(np.diff(sectors) == 1):  # consecutive sectors: one range
-            columns = slice(int(columns[0]), int(columns[-1]) + 1)
         hi = lo + d * len(sectors)
         groups.append(_Group(d, sectors, columns, slice(lo, hi)))
         order.append((partition.starts[sectors][:, None] + np.arange(d)).ravel())
         lo = hi
-    order = np.concatenate(order)
-    if np.array_equal(order, np.arange(partition.dim)):
-        order = None
-    return groups, order, int(offsets[-1])
+    return groups, np.concatenate(order), int(offsets[-1])
 
 
 def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
@@ -163,10 +158,8 @@ def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
     g = _ginibre_entries(seed, first_index, count, n_entries)
     stacks = []
     for grp in groups:
-        # a range is a view; take copies in C order, unlike g[:, columns]
-        z = (g[:, grp.columns] if isinstance(grp.columns, slice)
-             else np.take(g, grp.columns, axis=1))
-        z = z.reshape(count, len(grp.sectors), grp.size, grp.size)
+        # a copy in C order, unlike g[:, columns]
+        z = np.take(g, grp.columns, axis=1).reshape(count, len(grp.sectors), grp.size, grp.size)
         if grp.size == 1:
             z /= np.abs(z)
             stacks.append(z)
@@ -233,33 +226,46 @@ def _bounded_chunk(chunk_size: int, per_sample: int) -> int:
     return max(1, min(chunk_size, (1 << 22) // max(1, per_sample)))
 
 
+def _in_basis(x, partition: SectorPartition, order: np.ndarray,
+              factored: bool):
+    """x in the reordered basis: (P[order], S) for X = P S P^dag when
+    `factored` and x keeps its factors (`_factored`), else its dense matrix
+    with rows and columns taken in `order`.  A dimension other than the
+    partition's raises SectorError."""
+    factors = _factored(x) if factored else None
+    if factors is None:
+        m = _operator(x)
+        _check_shapes(partition, m)
+        return m[np.ix_(order, order)]
+    p, s = factors
+    if len(p) != partition.dim:
+        raise SectorError(f"{len(p)} factor rows do not match partition dim "
+                          f"{partition.dim}")
+    return p[order], s
+
+
 def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
-             chunk_size: int, squares: bool = False):
+             chunk_size: int, factored: bool = True):
     """(order, s, chunks) for rho rotated by the sampled block unitaries,
-    everything in the reordered basis (`_size_groups`; `order` is None when
-    that is the partition's own).
+    everything in the reordered basis `order` (`_size_groups`).
 
     For a factored rho = P S P^dag (S real symmetric, as `_factored` gives
-    it) s is S and the chunks yield (first_index, Y), Y = (U P)^T of shape
-    (count, r, d); for a dense rho s is None and they yield
-    (first_index, sigma).  The chunk is bounded by its largest array: the
-    Ginibre entries, sigma, Y, or with `squares` the (count, r^2, d)
-    products of the rows of Y.
+    it), unless `factored` is False, s is S and the chunks yield
+    (first_index, Y), Y = (U P)^T of shape (count, r, d); for a dense rho
+    s is None and they yield (first_index, sigma).  The chunk is bounded by
+    its largest array: the Ginibre entries, sigma or Y.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     groups, order, n_entries = _size_groups(partition)
-    factors = _factored(rho)
-    if factors is None:
-        m, s = _reordered(_operator(rho), order), None
-        per_sample = m.size
-    else:
-        p, s = factors
-        m = np.ascontiguousarray((p if order is None else p[order]).T)
-        per_sample = m.size * (len(m) if squares else 1)
-    step = _bounded_chunk(chunk_size, max(n_entries, per_sample))
+    m = _in_basis(rho, partition, order, factored)
+    s = None
+    if isinstance(m, tuple):
+        p, s = m
+        m = np.ascontiguousarray(p.T)
+    step = _bounded_chunk(chunk_size, max(n_entries, m.size))
 
     def chunks():
         for done in range(0, n_samples, step):
@@ -268,11 +274,6 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
             yield done, _rotated(groups, stacks, m, s is not None)
 
     return order, s, chunks()
-
-
-def _reordered(m: np.ndarray, order) -> np.ndarray:
-    """m with rows and columns taken in `order` (None: m itself)."""
-    return m if order is None else m[np.ix_(order, order)]
 
 
 def _traces(y: np.ndarray, s: np.ndarray, a) -> np.ndarray:
@@ -322,16 +323,8 @@ def estimate_moments(rho, partition: SectorPartition, observables,
     if not observables:
         raise ValueError("no observables given")
     basis, s, chunks = _samples(rho, partition, n_samples, seed, chunk_size)
-    forms = {}
-    for o in observables:
-        if id(o) in forms:
-            continue
-        factors = _factored(o) if s is not None else None
-        if factors is None:
-            forms[id(o)] = _reordered(_operator(o), basis)
-        else:
-            q, t = factors
-            forms[id(o)] = (q if basis is None else q[basis], t)
+    forms = {id(o): _in_basis(o, partition, basis, s is not None)
+             for o in observables}
     values = {key: np.empty(n_samples) for key in forms}
     for done, x in chunks:
         for key, a in forms.items():
@@ -361,11 +354,6 @@ def _summarize(values: np.ndarray) -> MomentEstimate:
     return est
 
 
-def _gram(f: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum over samples b of F_b^T K conj(F_b), F (count, x, d): one GEMM."""
-    return np.tensordot(k.T @ f, f.conj(), axes=([0, 1], [0, 1]))
-
-
 def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
                         seed: int, chunk_size: int = DEFAULT_CHUNK):
     """Element-wise Monte-Carlo mean of U rho U^dag.
@@ -373,40 +361,23 @@ def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
     Returns (mean, se_real, se_imag): the averaged matrix plus standard
     errors of the real and imaginary parts of every element, for direct
     element-wise comparison against ensemble_mean.  chunk_size < 1 raises
-    ValueError.
-
-    A factored rho = P S P^dag is summed from Y = (U P)^T alone: the sums
-    of sigma, sigma o sigma and |sigma|^2 are Gram sums of Y, of the
-    products y_k o y_l and of y_k o conj(y_l) of its rows, with kernels S
-    and S (x) S (S is real), and (Re sigma)^2, (Im sigma)^2 are half the
-    sum and half the difference of the last two.
+    ValueError.  A factored rho is rotated densely too: its squared
+    elements cost d^2 per sample either way.
     """
     d = partition.dim
-    basis, s, chunks = _samples(rho, partition, n_samples, seed, chunk_size,
-                                squares=True)
+    basis, _, chunks = _samples(rho, partition, n_samples, seed, chunk_size,
+                                factored=False)
     acc = np.zeros((d, d), dtype=np.complex128)
     acc_re2 = np.zeros((d, d))
     acc_im2 = np.zeros((d, d))
     for _, x in chunks:
-        if s is None:
-            acc += x.sum(axis=0)
-            acc_re2 += np.einsum("bij,bij->ij", x.real, x.real)
-            acc_im2 += np.einsum("bij,bij->ij", x.imag, x.imag)
-            continue
-        count, r = x.shape[:2]
-        sq = _gram((x[:, :, None] * x[:, None]).reshape(count, r * r, d),
-                   np.kron(s, s)).real
-        ab = _gram((x[:, :, None] * x.conj()[:, None]).reshape(count, r * r, d),
-                   np.kron(s, s)).real
-        acc += _gram(x, s)
-        acc_re2 += 0.5 * (ab + sq)
-        acc_im2 += 0.5 * (ab - sq)
+        acc += x.sum(axis=0)
+        acc_re2 += np.einsum("bij,bij->ij", x.real, x.real)
+        acc_im2 += np.einsum("bij,bij->ij", x.imag, x.imag)
 
-    if basis is not None:
-        back = np.argsort(basis)
-        acc, acc_re2, acc_im2 = (_reordered(a, back) for a in (acc, acc_re2, acc_im2))
-    mean = acc / n_samples
+    back = np.ix_(*[np.argsort(basis)] * 2)
+    mean = acc[back] / n_samples
     bessel = n_samples / (n_samples - 1.0)
-    var_re = np.maximum(bessel * (acc_re2 / n_samples - mean.real**2), 0.0)
-    var_im = np.maximum(bessel * (acc_im2 / n_samples - mean.imag**2), 0.0)
+    var_re = np.maximum(bessel * (acc_re2[back] / n_samples - mean.real**2), 0.0)
+    var_im = np.maximum(bessel * (acc_im2[back] / n_samples - mean.imag**2), 0.0)
     return mean, np.sqrt(var_re / n_samples), np.sqrt(var_im / n_samples)

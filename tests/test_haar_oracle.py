@@ -245,6 +245,28 @@ class TestEstimateMoments:
             estimate_state_mean(rho, part, n_samples=10, seed=0,
                                 chunk_size=chunk_size)
 
+    @pytest.mark.parametrize("state", ["dense", "factored"])
+    @pytest.mark.parametrize("obs", ["dense", "pair"])
+    def test_size_other_than_the_partition_rejected(self, state, obs):
+        rng = np.random.default_rng(14)
+        part = SectorPartition(4, np.array([0, 1, 3]))
+        make_rho = {"dense": random_density,
+                    "factored": lambda r, d: random_mixture(r, d, 2, True)}[state]
+        make_obs = {"dense": random_hermitian,
+                    "pair": lambda r, d: random_pair(r, d, True)}[obs]
+        # one level too many or too few, in the state or in the observable
+        for rho, a in ((make_rho(rng, 5), make_obs(rng, 4)),
+                       (make_rho(rng, 4), make_obs(rng, 5)),
+                       (make_rho(rng, 3), make_obs(rng, 4)),
+                       (make_rho(rng, 4), make_obs(rng, 3))):
+            for order, observables in ((1, [a]), (2, [a, a])):
+                with pytest.raises(ValueError, match="partition dim"):
+                    estimate_moments(rho, part, observables, order=order,
+                                     n_samples=10, seed=0)
+        for rho in (make_rho(rng, 5), make_rho(rng, 3)):
+            with pytest.raises(ValueError, match="partition dim"):
+                estimate_state_mean(rho, part, n_samples=10, seed=0)
+
     def test_argument_validation(self):
         rng = np.random.default_rng(8)
         part = SectorPartition.whole(3)
@@ -405,6 +427,15 @@ class TestDenseReference:
         assert abs(est.value - want.mean()) <= 1e-12
         assert abs(est.std_error - want.std(ddof=1) / np.sqrt(300)) <= 1e-12
         assert_matches_dense_reference(rho, part, [proj], 300, 301)
+
+    def test_matches_on_a_state_of_full_rank(self):
+        # as many vectors as levels, so r^2 is far above d
+        rng = np.random.default_rng(15)
+        part = SectorPartition(9, np.array([0, 1, 4, 6]))
+        rho = random_mixture(rng, part.dim, part.dim, True)
+        assert_matches_dense_reference(
+            rho, part, [random_pair(rng, part.dim, True),
+                        random_hermitian(rng, part.dim)], 40, 16, chunk_size=7)
 
     @pytest.mark.parametrize("protocol", ["cat", "mixed"])
     def test_matches_on_pipeline_states(self, protocol):
