@@ -136,8 +136,8 @@ class _Group(NamedTuple):
 def _size_groups(partition: SectorPartition):
     """(groups, order, n_entries): one _Group per distinct sector size, in
     order of first appearance; the basis order that makes each group one
-    contiguous range of rows; and the Ginibre entries per sample, sum_i d_i^2, which run sector by
-    sector, each block row-major."""
+    contiguous range of rows; and the Ginibre entries per sample,
+    sum_i d_i^2, which run sector by sector, each block row-major."""
     sizes = partition.sizes
     offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
     groups, order, lo = [], [], 0
@@ -156,10 +156,13 @@ def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
     """One (count, n_g, d_g, d_g) stack of Haar unitaries per size group,
     for samples first_index .. first_index + count - 1."""
     g = _ginibre_entries(seed, first_index, count, n_entries)
+    # copies in C order, unlike g[:, columns]; g is let go before the QRs,
+    # so a chunk holds its entries once
+    zs = [np.take(g, grp.columns, axis=1).reshape(
+        count, len(grp.sectors), grp.size, grp.size) for grp in groups]
+    del g
     stacks = []
-    for grp in groups:
-        # a copy in C order, unlike g[:, columns]
-        z = np.take(g, grp.columns, axis=1).reshape(count, len(grp.sectors), grp.size, grp.size)
+    for grp, z in zip(groups, zs):
         if grp.size == 1:
             z /= np.abs(z)
             stacks.append(z)
