@@ -24,7 +24,7 @@ from .errors import PipelineError
 from .experiment import (ExperimentConfig, _stage, prepare_protocol_state,
                          prepare_quench, prepare_spectrum, run_experiment,
                          write_artifacts)
-from .haar_oracle import estimate_moments
+from .haar_oracle import sample_traces, summarize
 
 ENV_OUTPUT_DIR = "ERGOQUENCH_OUTPUT_DIR"
 
@@ -135,10 +135,15 @@ def cmd_oracle(args) -> int:
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             block = {}
-            for name, obs in q.observables.items():
-                est = estimate_moments(rho0, q.partition, [obs] * args.order,
-                                       order=args.order, n_samples=args.samples,
-                                       seed=config.disorder_seed)[0]
+            # one sampling pass for every observable
+            traces = sample_traces(rho0, q.partition, q.observables.values(),
+                                   n_samples=args.samples,
+                                   seed=config.disorder_seed)
+            for (name, obs), values in zip(q.observables.items(), traces):
+                prod = values
+                for _ in range(args.order - 1):
+                    prod = prod * values
+                est = summarize(prod)
                 entry = {"estimate": est.value, "std_error": est.std_error}
                 if args.order <= 2:
                     pred = second_moment_expectation(rho0, q.partition, obs, obs)

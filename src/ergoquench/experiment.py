@@ -29,7 +29,7 @@ from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
                                cat_q_variance_closed_form,
                                second_moment_expectation)
 from .errors import NumericalIntegrityError, PipelineError, StateValidationError
-from .haar_oracle import estimate_moments
+from .haar_oracle import sample_traces, summarize
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
 from .spin_chain import (DisorderRealization, SpinBasis, build_basis,
@@ -71,8 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"J must be finite, got {self.J}")
         if not (0 <= self.h < math.inf):
             raise ValueError(f"h (disorder bound) must be finite and >= 0, got {self.h}")
-        if self.mc_samples < 0:
-            raise ValueError(f"mc_samples must be >= 0, got {self.mc_samples}")
+        if self.mc_samples < 0 or self.mc_samples == 1:
+            raise ValueError(f"mc_samples must be 0 or >= 2, got {self.mc_samples}")
         if self.degeneracy_tol is not None and not (0 <= self.degeneracy_tol < math.inf):
             raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "
                              f"got {self.degeneracy_tol}")
@@ -334,6 +334,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         protocols_out: dict = {}
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            if config.mc_samples > 0:
+                # one sampling pass gives both moments of every observable
+                traces = dict(zip(q.observables, sample_traces(
+                    rho0, q.partition, q.observables.values(),
+                    n_samples=config.mc_samples, seed=config.disorder_seed)))
             block: dict = {}
             for name, obs in q.observables.items():
                 prediction = second_moment_expectation(rho0, q.partition, obs, obs)
@@ -349,12 +354,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "numeric_sigma_ci": stats.sigma_ci,
                 }
                 if config.mc_samples > 0:
-                    est1 = estimate_moments(rho0, q.partition, [obs], order=1,
-                                            n_samples=config.mc_samples,
-                                            seed=config.disorder_seed)[0]
-                    est2 = estimate_moments(rho0, q.partition, [obs, obs], order=2,
-                                            n_samples=config.mc_samples,
-                                            seed=config.disorder_seed)[0]
+                    values = traces[name]
+                    est1, est2 = summarize(values), summarize(values * values)
                     entry["mc"] = {
                         "mean": est1.value, "mean_se": est1.std_error,
                         "second_moment": est2.value,

@@ -24,10 +24,21 @@ and U rho U^dag is never formed; each observable is contracted with it in
 the form the observable is stored in.  A dense state, and every state whose
 element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
 product per size group on each side.
+
+The chunks of one call run at the same time, one per core on a thread pool
+(`_in_order`): numpy's ufuncs, the LAPACK gufuncs and Philox release the
+GIL, so one chunk's draws, QRs and products overlap another's.  The results
+are still the same bit for bit whatever the number of cores.  The chunk
+boundaries come from chunk_size and the memory bound alone, each sample
+from its own counter, and each chunk writes its per-sample values into its
+own slice; the element-wise mean adds the chunks' sums in chunk order.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +48,7 @@ from .ergodic_ensemble import _FLOAT_MAX, _check_shapes, _factored, _operator
 from .errors import NumericalIntegrityError, SectorError
 from .spectral import SectorPartition
 
-DEFAULT_CHUNK = 2048
+DEFAULT_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -249,14 +260,15 @@ def _in_basis(x, partition: SectorPartition, order: np.ndarray,
 
 def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
              chunk_size: int, factored: bool = True):
-    """(order, s, chunks) for rho rotated by the sampled block unitaries,
-    everything in the reordered basis `order` (`_size_groups`).
+    """(order, s, rotated, firsts) for rho rotated by the sampled block
+    unitaries, everything in the reordered basis `order` (`_size_groups`).
 
-    For a factored rho = P S P^dag (S real symmetric, as `_factored` gives
-    it), unless `factored` is False, s is S and the chunks yield
-    (first_index, Y), Y = (U P)^T of shape (count, r, d); for a dense rho
-    s is None and they yield (first_index, sigma).  The chunk is bounded by
-    its largest array: the Ginibre entries, sigma or Y.
+    `firsts` are the first sample indices of the chunks and `rotated(first)`
+    is rho rotated by the samples of the chunk starting there.  For a
+    factored rho = P S P^dag (S real symmetric, as `_factored` gives it),
+    unless `factored` is False, s is S and that is Y = (U P)^T of shape
+    (count, r, d); for a dense rho s is None and it is sigma.  The chunk is
+    bounded by its largest array: the Ginibre entries, sigma or Y.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -270,13 +282,42 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
         m = np.ascontiguousarray(p.T)
     step = _bounded_chunk(chunk_size, max(n_entries, m.size))
 
-    def chunks():
-        for done in range(0, n_samples, step):
-            count = min(step, n_samples - done)
-            stacks = _group_unitaries(groups, n_entries, seed, done, count)
-            yield done, _rotated(groups, stacks, m, s is not None)
+    def rotated(first):
+        count = min(step, n_samples - first)
+        stacks = _group_unitaries(groups, n_entries, seed, first, count)
+        return _rotated(groups, stacks, m, s is not None)
 
-    return order, s, chunks()
+    return order, s, rotated, range(0, n_samples, step)
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _in_order(work, firsts):
+    """Yield work(first) for each chunk start in `firsts`, in that order.
+
+    The calls run on a thread pool, one per core: numpy's ufuncs, the
+    LAPACK gufuncs and Philox release the GIL.  No more calls are in flight
+    than there are workers, so no more chunks are held.  Each call runs in
+    a copy of the caller's context, so np.errstate reaches it.  An
+    exception in a call is raised here once the calls in flight are done.
+    """
+    # imported here: the CLI imports this module at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(_cores(), len(firsts))
+    with ThreadPoolExecutor(workers) as pool:
+        running = deque()
+        for first in firsts:
+            if len(running) == workers:
+                yield running.popleft().result()
+            running.append(pool.submit(contextvars.copy_context().run, work,
+                                       first))
+        while running:
+            yield running.popleft().result()
 
 
 def _traces(y: np.ndarray, s: np.ndarray, a) -> np.ndarray:
@@ -301,6 +342,36 @@ def _traces(y: np.ndarray, s: np.ndarray, a) -> np.ndarray:
     return np.einsum("kl,blk->b", s, g)
 
 
+def sample_traces(rho, partition: SectorPartition, observables,
+                  n_samples: int, seed: int,
+                  chunk_size: int = DEFAULT_CHUNK) -> list[np.ndarray]:
+    """tr(U rho U^dag A) for samples 0 .. n_samples - 1 of the seed's
+    stream: one array of n_samples values per observable, in the order
+    given.  An observable listed more than once is evaluated once per
+    sample, and its array is listed that many times.  chunk_size < 1
+    raises ValueError.
+    """
+    observables = list(observables)
+    if not observables:
+        raise ValueError("no observables given")
+    basis, s, rotated, firsts = _samples(rho, partition, n_samples, seed,
+                                         chunk_size)
+    forms = {id(o): _in_basis(o, partition, basis, s is not None)
+             for o in observables}
+    values = {key: np.empty(n_samples) for key in forms}
+
+    def traces(first):
+        x = rotated(first)
+        for key, a in forms.items():
+            values[key][first:first + len(x)] = (
+                np.einsum("bij,ji->b", x, a).real if s is None
+                else _traces(x, s, a))
+
+    for _ in _in_order(traces, firsts):
+        pass
+    return [values[id(o)] for o in observables]
+
+
 def estimate_moments(rho, partition: SectorPartition, observables,
                      order: int, n_samples: int, seed: int,
                      chunk_size: int = DEFAULT_CHUNK) -> list[MomentEstimate]:
@@ -309,8 +380,8 @@ def estimate_moments(rho, partition: SectorPartition, observables,
     order 1 returns one MomentEstimate per observable, each averaging
     tr(U rho U^dag A) over samples.  For order n >= 2 the observable list
     must have exactly n entries and the returned single estimate averages
-    the per-sample product prod_j tr(U rho U^dag A_j).  An observable
-    listed more than once is evaluated once per sample.
+    the per-sample product prod_j tr(U rho U^dag A_j).  The per-sample
+    values are those of `sample_traces`.
 
     std_error is the sample standard deviation over the per-sample values
     divided by sqrt(n_samples).  An estimate or standard error that is not
@@ -323,28 +394,19 @@ def estimate_moments(rho, partition: SectorPartition, observables,
     if order >= 2 and len(observables) != order:
         raise ValueError(f"order {order} needs exactly {order} observables, "
                          f"got {len(observables)}")
-    if not observables:
-        raise ValueError("no observables given")
-    basis, s, chunks = _samples(rho, partition, n_samples, seed, chunk_size)
-    forms = {id(o): _in_basis(o, partition, basis, s is not None)
-             for o in observables}
-    values = {key: np.empty(n_samples) for key in forms}
-    for done, x in chunks:
-        for key, a in forms.items():
-            values[key][done:done + len(x)] = (
-                np.einsum("bij,ji->b", x, a).real if s is None
-                else _traces(x, s, a))
-
-    per_obs = [values[id(o)] for o in observables]
+    per_obs = sample_traces(rho, partition, observables, n_samples, seed,
+                            chunk_size)
     if order == 1:
-        return [_summarize(v) for v in per_obs]
+        return [summarize(v) for v in per_obs]
     prod = per_obs[0].copy()
     for v in per_obs[1:]:
         prod *= v
-    return [_summarize(prod)]
+    return [summarize(prod)]
 
 
-def _summarize(values: np.ndarray) -> MomentEstimate:
+def summarize(values: np.ndarray) -> MomentEstimate:
+    """The mean of per-sample values and its standard error; one that is
+    not finite raises NumericalIntegrityError."""
     n = len(values)
     est = MomentEstimate(value=float(values.mean()),
                          std_error=float(values.std(ddof=1) / np.sqrt(n)),
@@ -368,15 +430,22 @@ def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
     elements cost d^2 per sample either way.
     """
     d = partition.dim
-    basis, _, chunks = _samples(rho, partition, n_samples, seed, chunk_size,
-                                factored=False)
+    basis, _, rotated, firsts = _samples(rho, partition, n_samples, seed,
+                                         chunk_size, factored=False)
+
+    def sums(first):
+        x = rotated(first)
+        return (x.sum(axis=0), np.einsum("bij,bij->ij", x.real, x.real),
+                np.einsum("bij,bij->ij", x.imag, x.imag))
+
+    # the chunks' sums are added in chunk order, whichever worker ran them
     acc = np.zeros((d, d), dtype=np.complex128)
     acc_re2 = np.zeros((d, d))
     acc_im2 = np.zeros((d, d))
-    for _, x in chunks:
-        acc += x.sum(axis=0)
-        acc_re2 += np.einsum("bij,bij->ij", x.real, x.real)
-        acc_im2 += np.einsum("bij,bij->ij", x.imag, x.imag)
+    for total, re2, im2 in _in_order(sums, firsts):
+        acc += total
+        acc_re2 += re2
+        acc_im2 += im2
 
     back = np.ix_(*[np.argsort(basis)] * 2)
     mean = acc[back] / n_samples

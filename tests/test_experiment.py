@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ergoquench import haar_oracle
 from ergoquench.cli import main
 from ergoquench.dynamics import evolve_expectation, make_time_grid, time_stats
 from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
@@ -17,6 +18,7 @@ from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
                                    find_product_eigenstates,
                                    prepare_protocol_state, prepare_quench,
                                    run_experiment, write_artifacts)
+from ergoquench.haar_oracle import estimate_moments
 from ergoquench.spectral import diagonalize
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
@@ -44,6 +46,7 @@ class TestConfig:
         dict(time_window=(0.0, 1.0, 10)),  # too few points
         dict(h=-1.0),
         dict(mc_samples=-5),
+        dict(mc_samples=1),             # no standard error from one sample
         dict(degeneracy_tol=-1.0),
         dict(J=float("nan")),
         dict(J=float("inf")),
@@ -257,6 +260,21 @@ class TestPrepareQuench:
             dict.fromkeys(arrays, np.float64)
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The sample indices whose Ginibre entries are drawn, one entry per
+    draw."""
+    indices = []
+    draw = haar_oracle._ginibre_entries
+
+    def recording(seed, first_index, count, n_entries):
+        indices.extend(range(first_index, first_index + count))
+        return draw(seed, first_index, count, n_entries)
+
+    monkeypatch.setattr(haar_oracle, "_ginibre_entries", recording)
+    return indices
+
+
 class TestRunExperiment:
     def test_small_run_report_structure(self):
         res = run_experiment(fast_config())
@@ -308,6 +326,25 @@ class TestRunExperiment:
         # the estimate should land near the analytic mean
         assert abs(entry["mc"]["mean"] - entry["theory_mean"]) <= \
             5.0 * entry["mc"]["mean_se"]
+
+    def test_one_sampling_pass_per_state(self, drawn):
+        config = fast_config(mc_samples=40, protocol="both")
+        res = run_experiment(config)
+        # both observables and both moments of each of the two states
+        assert sorted(drawn) == sorted(list(range(40)) * 2)
+
+        q = prepare_quench(config)
+        for protocol in ("cat", "mixed"):
+            rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            for name, obs in q.observables.items():
+                first, = estimate_moments(rho0, q.partition, [obs], 1, 40,
+                                          seed=config.disorder_seed)
+                second, = estimate_moments(rho0, q.partition, [obs, obs], 2,
+                                           40, seed=config.disorder_seed)
+                assert res.report.protocols[protocol][name]["mc"] == {
+                    "mean": first.value, "mean_se": first.std_error,
+                    "second_moment": second.value,
+                    "second_moment_se": second.std_error, "n_samples": 40}
 
     def test_protocol_states_are_never_formed_densely(self, monkeypatch):
         formed = []
@@ -488,6 +525,32 @@ class TestCli:
             assert entry["std_error"] > 0.0
             assert abs(entry["estimate"] - entry["analytic"]) \
                 <= 6.0 * entry["std_error"]
+
+    def test_oracle_is_one_pass_per_state(self, config_file, capsys, drawn):
+        assert main(["oracle", "--config", str(config_file), "--order", "3",
+                     "--samples", "30"]) == 0
+        assert sorted(drawn) == sorted(list(range(30)) * 2)
+
+        data = json.loads(capsys.readouterr().out)
+        config = ExperimentConfig.from_file(config_file)
+        q = prepare_quench(config)
+        for protocol in ("cat", "mixed"):
+            rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            for name, obs in q.observables.items():
+                est, = estimate_moments(rho0, q.partition, [obs] * 3, 3, 30,
+                                        seed=config.disorder_seed)
+                assert data["protocols"][protocol][name] == {
+                    "estimate": est.value, "std_error": est.std_error}
+
+    def test_single_sample_config_fails_under_config(self, tmp_path, capsys,
+                                                     monkeypatch):
+        built = []
+        monkeypatch.setattr("ergoquench.experiment.prepare_quench",
+                            lambda *args: built.append(args))
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"L": 6, "mc_samples": 1}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "[config]" in capsys.readouterr().err and built == []
 
     def test_bad_oracle_arguments(self, config_file, capsys):
         assert main(["oracle", "--config", str(config_file),

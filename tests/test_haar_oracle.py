@@ -6,6 +6,9 @@ factorials for higher powers), never from the module under test.
 """
 
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.experiment import (ExperimentConfig, prepare_protocol_state,
                                    prepare_quench)
+from ergoquench import haar_oracle
 from ergoquench.haar_oracle import (DEFAULT_CHUNK, BlockUnitary,
                                     _ginibre_entries, _haar_blocks,
                                     estimate_moments, estimate_state_mean,
@@ -305,6 +309,111 @@ class TestEstimateStateMean:
         with pytest.raises(ValueError):
             estimate_state_mean(random_density(rng, 3),
                                 SectorPartition.whole(3), n_samples=1, seed=0)
+
+
+class TestWorkers:
+    """Chunks run on a thread pool, one per core; nothing may depend on how
+    many workers there are."""
+
+    # singletons and repeated sizes, not grouped in the basis order
+    PART = SectorPartition(10, np.array([0, 1, 3, 4, 7, 9]))
+    N_SAMPLES = 600  # two chunks at the default size
+
+    def results(self, monkeypatch, cores, chunk_size):
+        monkeypatch.setattr(haar_oracle, "_cores", lambda: cores)
+        rng = np.random.default_rng(21)
+        dense = random_density(rng, self.PART.dim)
+        factored = random_mixture(rng, self.PART.dim, 2, True)
+        a = random_hermitian(rng, self.PART.dim)
+        b = random_pair(rng, self.PART.dim, True)
+        baseline = threading.active_count()
+        out = []
+        for rho, order in ((dense, 1), (factored, 2)):
+            ests = estimate_moments(rho, self.PART, [a, b], order,
+                                    self.N_SAMPLES, seed=22,
+                                    chunk_size=chunk_size)
+            out.append([(e.value, e.std_error) for e in ests])
+            assert threading.active_count() == baseline
+        mean = estimate_state_mean(dense, self.PART, self.N_SAMPLES, seed=22,
+                                   chunk_size=chunk_size)
+        assert threading.active_count() == baseline
+        return out, mean
+
+    def test_bit_identical_for_any_worker_count(self, monkeypatch):
+        want, _ = self.results(monkeypatch, 1, DEFAULT_CHUNK)
+        # more workers than cores, switching threads often: a chunk written
+        # to the wrong slice, or lost, changes the values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for chunk_size in (1, 7, DEFAULT_CHUNK):
+                # the state mean adds its chunks' sums, so its last bits
+                # depend on the chunk size, but not on the workers
+                _, want_mean = self.results(monkeypatch, 1, chunk_size)
+                for cores in (2, 3):
+                    got, mean = self.results(monkeypatch, cores, chunk_size)
+                    assert got == want
+                    for x, y in zip(mean, want_mean):
+                        assert np.array_equal(x, y)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_more_chunks_in_flight_than_workers(self, monkeypatch):
+        monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
+        lock, running, most = threading.Lock(), [0], [0]
+        draw = haar_oracle._group_unitaries
+
+        def counting(*args):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)
+            try:
+                return draw(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(haar_oracle, "_group_unitaries", counting)
+        rng = np.random.default_rng(23)
+        estimate_moments(random_density(rng, 4), SectorPartition.whole(4),
+                         [random_hermitian(rng, 4)], order=1, n_samples=60,
+                         seed=0, chunk_size=3)
+        assert 1 <= most[0] <= 2
+
+    @pytest.mark.parametrize("call", ["moments", "state_mean"])
+    def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, call):
+        monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
+        draw = haar_oracle._group_unitaries
+
+        def failing(groups, n_entries, seed, first_index, count):
+            if first_index == 7:  # the second chunk
+                raise RuntimeError("chunk failed")
+            return draw(groups, n_entries, seed, first_index, count)
+
+        monkeypatch.setattr(haar_oracle, "_group_unitaries", failing)
+        rng = np.random.default_rng(24)
+        rho, a = random_density(rng, 3), random_hermitian(rng, 3)
+        part = SectorPartition(3, np.array([0, 1]))
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            if call == "moments":
+                estimate_moments(rho, part, [a], order=1, n_samples=30,
+                                 seed=0, chunk_size=7)
+            else:
+                estimate_state_mean(rho, part, n_samples=30, seed=0,
+                                    chunk_size=7)
+        assert threading.active_count() == baseline
+
+    def test_errstate_reaches_the_workers(self, monkeypatch):
+        # entries of modulus 2.4e308 rotated by unit phases: the products
+        # overflow in the workers, where np.errstate must hold as well
+        monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
+        part = SectorPartition.singletons(2)
+        rho = np.full((2, 2), 1.7e308 * (1.0 + 1.0j))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            estimate_moments(rho, part, [np.eye(2)], order=1, n_samples=40,
+                             seed=0, chunk_size=5)
 
 
 def frobenius(x) -> float:
