@@ -28,8 +28,12 @@ defines the partition, real or complex as given.  No d^2 x d^2 object is
 ever materialized; the test suite assembles one literally as a
 small-dimension cross-check.
 
-All inputs must be Hermitian, and the pair traces are taken without a
-transposed read: with X^T = conj(X),
+All inputs must be Hermitian.  Every operand of `ensemble_mean` and
+`second_moment_expectation`, and of the Monte-Carlo oracle that checks
+them, passes one check (`_checked`): it must have the partition's
+dimension, and a raw array, not a DensityMatrix, HermitianOperator or
+PairOperator, must be Hermitian to HERMITICITY_ATOL, with no NaN or inf.
+The pair traces are taken without a transposed read: with X^T = conj(X),
 
     R2[i, j] = tr(rho^(ij) rho^(ji)) = block sums of |rho|^2
     M[i, j]  = tr(A^(ij) B^(ji))     = block sums of A o conj(B)
@@ -58,13 +62,12 @@ import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError, StateValidationError
 from .spectral import SectorPartition
-from .spin_chain import (HERMITICITY_ATOL, HermitianOperator, PairOperator,
-                         as_inexact_array, hermitian_deviation)
+from .spin_chain import (HERMITICITY_ATOL, NORM_ATOL, HermitianOperator,
+                         PairOperator, as_inexact_array, hermitian_deviation)
 
 TRACE_ATOL = 1e-10
 TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
 PSD_ATOL = 1e-10
-UNIT_NORM_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
 _FLOAT_MAX = np.finfo(np.float64).max
 SHARED_SUPPORT_THRESHOLD = 0.05
@@ -139,7 +142,7 @@ class DensityMatrix:
                 f"mixture weights must be >= 0 and sum to 1, got {w}")
         v = np.column_stack([as_inexact_array(psi).ravel() for psi in vectors])
         norms = np.linalg.norm(v, axis=0)
-        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_ATOL):  # NaN fails too
+        if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):  # NaN fails too
             raise StateValidationError(f"state vector norms {norms} != 1")
         tr = float(w @ norms**2)
         if not (abs(tr - 1.0) <= TRACE_ATOL):
@@ -170,11 +173,26 @@ def _operator(op) -> np.ndarray:
         op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else op)
 
 
-def _check_shapes(partition: SectorPartition, *mats: np.ndarray):
-    for m in mats:
-        if m.shape != (partition.dim, partition.dim):
-            raise SectorError(
-                f"matrix shape {m.shape} does not match partition dim {partition.dim}")
+def _checked(x, partition: SectorPartition, factors: bool = True):
+    """One operand of a partition-based entry point, checked and resolved:
+    (P, S) when `factors` and x keeps its factors (`_factored`), else its
+    dense matrix (`_operator`).  A dimension other than the partition's
+    raises SectorError.  A raw array (not a DensityMatrix,
+    HermitianOperator or PairOperator, which are checked on creation) that
+    is not Hermitian to HERMITICITY_ATOL raises StateValidationError; NaN
+    and inf fail too."""
+    resolved = (_factored(x) if factors else None) or _operator(x)
+    shape = ((len(resolved[0]),) * 2 if isinstance(resolved, tuple)
+             else resolved.shape)
+    if shape != (partition.dim,) * 2:
+        raise SectorError(f"operand of shape {shape} does not match "
+                          f"partition dim {partition.dim}")
+    if not isinstance(x, (DensityMatrix, HermitianOperator, PairOperator)):
+        dev = hermitian_deviation(resolved)
+        if not (dev <= HERMITICITY_ATOL):
+            raise StateValidationError(
+                f"input not Hermitian, max deviation {dev:.3e}")
+    return resolved
 
 
 def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -195,8 +213,7 @@ def ensemble_mean(rho, partition: SectorPartition) -> DensityMatrix:
     diagonal ensemble; for a single whole-space sector it is the
     microcanonical state 1/d.
     """
-    m = _operator(rho)
-    _check_shapes(partition, m)
+    m = _checked(rho, partition, factors=False)
     tr = m.trace()
     if abs(tr - 1.0) > TRACE_GATE_ATOL:
         raise StateValidationError(f"input trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -242,19 +259,7 @@ def second_moment_expectation(rho, partition: SectorPartition,
     NumericalIntegrityError.
     """
     for x in (rho, obs_a, obs_b):
-        factored = _factored(x)
-        if factored is not None:
-            if len(factored[0]) != partition.dim:
-                raise SectorError(f"factor dim {len(factored[0])} does not match "
-                                  f"partition dim {partition.dim}")
-            continue
-        mat = _operator(x)
-        _check_shapes(partition, mat)
-        if not isinstance(x, (DensityMatrix, HermitianOperator)):
-            dev = hermitian_deviation(mat)
-            if not (dev <= HERMITICITY_ATOL):
-                raise StateValidationError(
-                    f"input not Hermitian, max deviation {dev:.3e}")
+        _checked(x, partition)
 
     starts = partition.starts
     d = partition.sizes.astype(float)
@@ -342,16 +347,17 @@ def _exchange_sum(x, y, s: np.ndarray):
 
 
 def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
-                               phi2_overlaps: np.ndarray,
-                               overlap_threshold: float = SHARED_SUPPORT_THRESHOLD) -> float:
+                               phi2_overlaps: np.ndarray) -> float:
     """Quartic-overlap estimate of the ensemble variance of the swap
     observable Q = |phi1><phi2| + |phi2><phi1| for the even superposition
     of phi1 and phi2, valid when no eigenstate supports both components.
 
     Arguments are the eigenbasis overlap vectors <i|phi1> and <i|phi2>.
     The result is 1/4 sum_{a != b} |w_ab|^4 with w = phi1 phi2^dag +
-    phi2 phi1^dag, evaluated in O(d) without forming w.  Raises when sum_i |<i|phi1><i|phi2>| exceeds overlap_threshold, since
-    the approximation discards exactly those shared-support terms.
+    phi2 phi1^dag, evaluated in O(d) without forming w.  Raises when
+    sum_i |<i|phi1><i|phi2>| exceeds SHARED_SUPPORT_THRESHOLD, read at call
+    time, since the approximation discards exactly those shared-support
+    terms.
     """
     v1 = np.asarray(phi1_overlaps).ravel()
     v2 = np.asarray(phi2_overlaps).ravel()
@@ -359,10 +365,10 @@ def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,
         raise StateValidationError(f"overlap vectors differ in length: "
                                    f"{v1.shape} vs {v2.shape}")
     shared = float(np.sum(np.abs(v1 * v2)))
-    if not (shared <= overlap_threshold):  # NaN fails too
+    if not (shared <= SHARED_SUPPORT_THRESHOLD):  # NaN fails too
         raise StateValidationError(
             f"shared eigenstate support {shared:.3e} exceeds threshold "
-            f"{overlap_threshold:.3e}; closed form not applicable")
+            f"{SHARED_SUPPORT_THRESHOLD:.3e}; closed form not applicable")
     # |w_ab|^2 = sum_i f_i(a) g_i(b) for w = v1 v2^dag + v2 v1^dag, so the
     # quartic sum over all (a, b) is sum((F^T F) o (G^T G)), O(d)
     cross = v1 * v2.conj()

@@ -37,7 +37,6 @@ from .spin_chain import (DisorderRealization, SpinBasis, build_basis,
                          draw_disorder, symmetrized)
 
 PROTOCOLS = ("cat", "mixed")
-OBSERVABLE_NAMES = ("H_R", "Q")
 DEGENERACY_TOL_RELATIVE = 1e-8
 
 
@@ -187,21 +186,18 @@ def _embed_product(hs: HalfSpectra, a: int, b: int, basis: SpinBasis) -> np.ndar
 def prepare_protocol_state(phi1: np.ndarray, phi2: np.ndarray,
                            protocol: str) -> DensityMatrix:
     """Initial state of a protocol: even superposition ("cat") or even
-    mixture ("mixed") of two unit vectors."""
-    v1 = np.asarray(phi1).ravel()
-    v2 = np.asarray(phi2).ravel()
-    for v in (v1, v2):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise StateValidationError("protocol inputs must be unit vectors")
+    mixture ("mixed") of two unit vectors.  The mixture checks both
+    norms, and the superposition is formed from its two columns."""
+    mixed = DensityMatrix.from_mixture([0.5, 0.5], [phi1, phi2])
+    if protocol == "mixed":
+        return mixed
     if protocol == "cat":
-        s = v1 + v2
+        s = mixed.vectors[:, 0] + mixed.vectors[:, 1]
         norm = np.linalg.norm(s)
         if norm < 1e-8:
             raise StateValidationError(
                 "phi1 + phi2 vanishes; the superposition state is degenerate")
         return DensityMatrix.from_state_vector(s / norm)
-    if protocol == "mixed":
-        return DensityMatrix.from_mixture([0.5, 0.5], [v1, v2])
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

@@ -23,15 +23,19 @@ rho = P S P^dag, is rotated as U P, held as its transpose, (samples, r, d),
 and U rho U^dag is never formed; each observable is contracted with it in
 the form the observable is stored in.  A dense state, and every state whose
 element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
-product per size group on each side.
+product per size group on each side.  The state and every observable pass
+the check the analytic moments apply (`ergodic_ensemble._checked`): the
+partition's dimension, and Hermiticity for a raw array, so the oracle and
+the formulas it checks accept the same operands.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, the LAPACK gufuncs and Philox release the
 GIL, so one chunk's draws, QRs and products overlap another's.  The results
 are still the same bit for bit whatever the number of cores.  The chunk
-boundaries come from chunk_size and the memory bound alone, each sample
-from its own counter, and each chunk writes its per-sample values into its
-own slice; the element-wise mean adds the chunks' sums in chunk order.
+boundaries come from the module constant DEFAULT_CHUNK, read at call time,
+and the memory bound alone, each sample from its own counter, and each
+chunk writes its per-sample values into its own slice; the element-wise
+mean adds the chunks' sums in chunk order.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ergodic_ensemble import _FLOAT_MAX, _check_shapes, _factored, _operator
-from .errors import NumericalIntegrityError, SectorError
+from .ergodic_ensemble import _FLOAT_MAX, _checked
+from .errors import NumericalIntegrityError
 from .spectral import SectorPartition
 
 DEFAULT_CHUNK = 512
@@ -182,26 +186,17 @@ def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
     return stacks
 
 
-def _haar_blocks(partition: SectorPartition, seed: int, first_index: int,
-                 count: int) -> list[np.ndarray]:
-    """Per-sector (count, d_i, d_i) stacks of Haar unitaries for samples
-    first_index .. first_index + count - 1, views into the stacks of
-    `_group_unitaries`."""
-    groups, _, n_entries = _size_groups(partition)
-    blocks = [None] * partition.n_sectors
-    for grp, stack in zip(groups, _group_unitaries(groups, n_entries, seed,
-                                                   first_index, count)):
-        for k, i in enumerate(grp.sectors):
-            blocks[i] = stack[:, k]
-    return blocks
-
-
 def sample_block_unitary(partition: SectorPartition, seed: int,
                          sample_index: int = 0) -> BlockUnitary:
     """Draw sample number sample_index of the seed's stream; the same
     sample as the estimators draw at that index."""
-    blocks = _haar_blocks(partition, seed, sample_index, 1)
-    return BlockUnitary(partition=partition, blocks=tuple(b[0] for b in blocks))
+    groups, _, n_entries = _size_groups(partition)
+    blocks = [None] * partition.n_sectors
+    for grp, stack in zip(groups, _group_unitaries(groups, n_entries, seed,
+                                                   sample_index, 1)):
+        for k, i in enumerate(grp.sectors):
+            blocks[i] = stack[0, k]
+    return BlockUnitary(partition=partition, blocks=tuple(blocks))
 
 
 def _times_blocks(groups, stacks, m: np.ndarray, out: np.ndarray):
@@ -234,32 +229,27 @@ def _rotated(groups, stacks, m: np.ndarray, factored: bool) -> np.ndarray:
     return sigma
 
 
-def _bounded_chunk(chunk_size: int, per_sample: int) -> int:
-    """Keep the largest array of a chunk, per_sample complex numbers per
-    sample, around 64 MB or less."""
-    return max(1, min(chunk_size, (1 << 22) // max(1, per_sample)))
+def _bounded_chunk(per_sample: int) -> int:
+    """DEFAULT_CHUNK samples, read at call time, or fewer: keep the largest
+    array of a chunk, per_sample complex numbers per sample, around 64 MB
+    or less."""
+    return max(1, min(DEFAULT_CHUNK, (1 << 22) // max(1, per_sample)))
 
 
 def _in_basis(x, partition: SectorPartition, order: np.ndarray,
               factored: bool):
     """x in the reordered basis: (P[order], S) for X = P S P^dag when
-    `factored` and x keeps its factors (`_factored`), else its dense matrix
-    with rows and columns taken in `order`.  A dimension other than the
-    partition's raises SectorError."""
-    factors = _factored(x) if factored else None
-    if factors is None:
-        m = _operator(x)
-        _check_shapes(partition, m)
-        return m[np.ix_(order, order)]
-    p, s = factors
-    if len(p) != partition.dim:
-        raise SectorError(f"{len(p)} factor rows do not match partition dim "
-                          f"{partition.dim}")
-    return p[order], s
+    `factored` and x keeps its factors, else its dense matrix with rows and
+    columns taken in `order`; checked by `_checked`."""
+    m = _checked(x, partition, factored)
+    if isinstance(m, tuple):
+        p, s = m
+        return p[order], s
+    return m[np.ix_(order, order)]
 
 
 def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
-             chunk_size: int, factored: bool = True):
+             factored: bool = True):
     """(order, s, rotated, firsts) for rho rotated by the sampled block
     unitaries, everything in the reordered basis `order` (`_size_groups`).
 
@@ -272,15 +262,13 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     groups, order, n_entries = _size_groups(partition)
     m = _in_basis(rho, partition, order, factored)
     s = None
     if isinstance(m, tuple):
         p, s = m
         m = np.ascontiguousarray(p.T)
-    step = _bounded_chunk(chunk_size, max(n_entries, m.size))
+    step = _bounded_chunk(max(n_entries, m.size))
 
     def rotated(first):
         count = min(step, n_samples - first)
@@ -343,19 +331,16 @@ def _traces(y: np.ndarray, s: np.ndarray, a) -> np.ndarray:
 
 
 def sample_traces(rho, partition: SectorPartition, observables,
-                  n_samples: int, seed: int,
-                  chunk_size: int = DEFAULT_CHUNK) -> list[np.ndarray]:
+                  n_samples: int, seed: int) -> list[np.ndarray]:
     """tr(U rho U^dag A) for samples 0 .. n_samples - 1 of the seed's
     stream: one array of n_samples values per observable, in the order
     given.  An observable listed more than once is evaluated once per
-    sample, and its array is listed that many times.  chunk_size < 1
-    raises ValueError.
+    sample, and its array is listed that many times.
     """
     observables = list(observables)
     if not observables:
         raise ValueError("no observables given")
-    basis, s, rotated, firsts = _samples(rho, partition, n_samples, seed,
-                                         chunk_size)
+    basis, s, rotated, firsts = _samples(rho, partition, n_samples, seed)
     forms = {id(o): _in_basis(o, partition, basis, s is not None)
              for o in observables}
     values = {key: np.empty(n_samples) for key in forms}
@@ -373,8 +358,8 @@ def sample_traces(rho, partition: SectorPartition, observables,
 
 
 def estimate_moments(rho, partition: SectorPartition, observables,
-                     order: int, n_samples: int, seed: int,
-                     chunk_size: int = DEFAULT_CHUNK) -> list[MomentEstimate]:
+                     order: int, n_samples: int,
+                     seed: int) -> list[MomentEstimate]:
     """Monte-Carlo estimate of ensemble moments.
 
     order 1 returns one MomentEstimate per observable, each averaging
@@ -385,8 +370,7 @@ def estimate_moments(rho, partition: SectorPartition, observables,
 
     std_error is the sample standard deviation over the per-sample values
     divided by sqrt(n_samples).  An estimate or standard error that is not
-    finite raises NumericalIntegrityError.  chunk_size < 1 raises
-    ValueError.
+    finite raises NumericalIntegrityError.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -394,8 +378,7 @@ def estimate_moments(rho, partition: SectorPartition, observables,
     if order >= 2 and len(observables) != order:
         raise ValueError(f"order {order} needs exactly {order} observables, "
                          f"got {len(observables)}")
-    per_obs = sample_traces(rho, partition, observables, n_samples, seed,
-                            chunk_size)
+    per_obs = sample_traces(rho, partition, observables, n_samples, seed)
     if order == 1:
         return [summarize(v) for v in per_obs]
     prod = per_obs[0].copy()
@@ -420,18 +403,18 @@ def summarize(values: np.ndarray) -> MomentEstimate:
 
 
 def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
-                        seed: int, chunk_size: int = DEFAULT_CHUNK):
+                        seed: int):
     """Element-wise Monte-Carlo mean of U rho U^dag.
 
     Returns (mean, se_real, se_imag): the averaged matrix plus standard
     errors of the real and imaginary parts of every element, for direct
-    element-wise comparison against ensemble_mean.  chunk_size < 1 raises
-    ValueError.  A factored rho is rotated densely too: its squared
-    elements cost d^2 per sample either way.
+    element-wise comparison against ensemble_mean.  A factored rho is
+    rotated densely too: its squared elements cost d^2 per sample either
+    way.
     """
     d = partition.dim
     basis, _, rotated, firsts = _samples(rho, partition, n_samples, seed,
-                                         chunk_size, factored=False)
+                                         factored=False)
 
     def sums(first):
         x = rotated(first)

@@ -51,7 +51,9 @@ def hermitian_deviation(m: np.ndarray) -> float:
         return 0.0
     # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|: a tile covers its mirror.
     # np.max, not max(), so that a NaN tile is not passed over
-    with np.errstate(invalid="ignore"):  # inf - inf is reported as NaN
+    # inf - inf is reported as NaN and a difference that overflows as inf,
+    # whatever the caller's np.errstate
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max([np.max(np.abs(m[r, c] - m[c, r].conj().T))
                              for r, c in tile_pairs(m.shape[0])]))
 
@@ -98,21 +100,18 @@ class DisorderRealization:
     """One draw of the on-site longitudinal fields h_j, uniform on [-h, h]."""
 
     h_fields: np.ndarray
-    h_bound: float
-    seed: int | None = None
 
     def restrict(self, lo: int, hi: int) -> "DisorderRealization":
         """Fields for the sub-chain covering sites [lo, hi], relabeled from 0."""
         if not (0 <= lo <= hi < len(self.h_fields)):
             raise ConstructionError(f"site window [{lo}, {hi}] out of range")
-        return DisorderRealization(self.h_fields[lo:hi + 1].copy(),
-                                   self.h_bound, self.seed)
+        return DisorderRealization(self.h_fields[lo:hi + 1].copy())
 
 
 def draw_disorder(n_sites: int, h_bound: float, seed: int) -> DisorderRealization:
     rng = np.random.default_rng(seed)
     fields = rng.uniform(-h_bound, h_bound, size=n_sites)
-    return DisorderRealization(h_fields=fields, h_bound=float(h_bound), seed=seed)
+    return DisorderRealization(h_fields=fields)
 
 
 @dataclass(frozen=True)

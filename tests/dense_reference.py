@@ -5,7 +5,7 @@ dimension, and the Monte-Carlo oracle's dense path behind
 
 import numpy as np
 
-from ergoquench.ergodic_ensemble import _check_shapes, _operator
+from ergoquench.ergodic_ensemble import _checked, _operator
 from ergoquench.haar_oracle import sample_block_unitary
 from ergoquench.spectral import SectorPartition
 
@@ -19,8 +19,7 @@ def dense_second_moment_reference(rho, partition: SectorPartition) -> np.ndarray
     Deliberately independent of the contraction path so the two can check
     each other; guarded to dim <= 64 because of the quartic memory cost.
     """
-    m = _operator(rho)
-    _check_shapes(partition, m)
+    m = _checked(rho, partition, factors=False)
     d = partition.dim
     if d > DENSE_REFERENCE_MAX_DIM:
         raise ValueError(f"dense reference limited to dim <= {DENSE_REFERENCE_MAX_DIM}, "

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoquench import ergodic_ensemble
 from ergoquench.ergodic_ensemble import (DensityMatrix, _block_sums,
                                          cat_q_variance_closed_form,
                                          ensemble_mean,
@@ -105,7 +106,7 @@ class TestDensityMatrix:
         ([0.5, 0.5], [[1.0, 0.0], [1.0, 1.0]]),    # second vector not unit
         ([1.0], [[1.0, 0.0], [0.0, 1.0]]),         # one weight, two vectors
         ([float("nan"), 1.0], [[1.0, 0.0], [0.0, 1.0]]),
-        # each norm within UNIT_NORM_ATOL of 1, the trace 1 + 1.8e-10 not
+        # each norm within NORM_ATOL of 1, the trace 1 + 1.8e-10 not
         ([0.5, 0.5], [[1.0 + 9e-11, 0.0], [0.0, 1.0 + 9e-11]]),
     ])
     def test_from_mixture_checks_its_inputs(self, weights, vectors):
@@ -167,6 +168,26 @@ class TestEnsembleMean:
         rng = np.random.default_rng(5)
         with pytest.raises(SectorError):
             ensemble_mean(random_density(rng, 4), SectorPartition.whole(5))
+
+    @pytest.mark.parametrize("defect", ["NaN", "asymmetric"])
+    def test_raw_non_hermitian_state_rejected(self, defect):
+        # the diagonal alone has unit trace, so only the check of the whole
+        # matrix can tell
+        m = np.diag([0.5, 0.5]).astype(complex)
+        if defect == "NaN":
+            m[0, 1] = np.nan
+        else:
+            m[0, 1] = 0.1
+        with pytest.raises(StateValidationError, match="not Hermitian"):
+            ensemble_mean(m, SectorPartition.singletons(2))
+
+    def test_exactly_hermitian_raw_state_matches_typed(self):
+        rng = np.random.default_rng(6)
+        part = SectorPartition(5, np.array([0, 2]))
+        rho = random_density(rng, 5)
+        for state in (rho, random_mixture(rng, 5, 2, True)):
+            assert np.array_equal(ensemble_mean(state.entries, part).entries,
+                                  ensemble_mean(state, part).entries)
 
 
 def partitions_of(dim, rng, count=3):
@@ -450,7 +471,9 @@ class TestFactoredStateMoments:
     def test_non_finite_moment_rejected(self):
         rho = DensityMatrix.from_state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         huge = np.array([[1e200, 0.0], [0.0, -1e200]])
-        with pytest.raises(NumericalIntegrityError, match="not finite"):
+        # the squared entries overflow on the way, as they should
+        with (pytest.warns(RuntimeWarning, match="overflow"),
+              pytest.raises(NumericalIntegrityError, match="not finite")):
             second_moment_expectation(rho, SectorPartition.whole(2), huge, huge)
 
 
@@ -523,14 +546,16 @@ class TestCatVarianceClosedForm:
         with pytest.raises(StateValidationError, match="shared"):
             cat_q_variance_closed_form(v, v)
 
-    def test_threshold_parameter_respected(self):
+    def test_threshold_constant_respected(self, monkeypatch):
         rng = np.random.default_rng(21)
         v1 = random_pure(rng, 4)
         v2 = random_pure(rng, 4)
         assert float(np.sum(np.abs(v1 * v2))) > 0.2
-        cat_q_variance_closed_form(v1, v2, overlap_threshold=2.0)  # no raise
+        monkeypatch.setattr(ergodic_ensemble, "SHARED_SUPPORT_THRESHOLD", 2.0)
+        cat_q_variance_closed_form(v1, v2)  # no raise
+        monkeypatch.setattr(ergodic_ensemble, "SHARED_SUPPORT_THRESHOLD", 0.1)
         with pytest.raises(StateValidationError):
-            cat_q_variance_closed_form(v1, v2, overlap_threshold=0.1)
+            cat_q_variance_closed_form(v1, v2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(StateValidationError):
@@ -550,7 +575,9 @@ class TestCatVarianceClosedForm:
             v2[:k] = 0.0
             v1, v2 = v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
         want = quartic_overlap_reference(v1, v2)
-        got = cat_q_variance_closed_form(v1, v2, overlap_threshold=np.inf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ergodic_ensemble, "SHARED_SUPPORT_THRESHOLD", np.inf)
+            got = cat_q_variance_closed_form(v1, v2)
         # the O(d) form sums 16 Gram terms of at most |v1|^4 |v2|^4 = 1
         # each, so it rounds at that scale even where the result cancels
         # to 0 (d = 1): abs is 1e-15 of 16

@@ -17,14 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoquench.ergodic_ensemble import DensityMatrix
+from ergoquench.errors import StateValidationError
 from ergoquench.experiment import (ExperimentConfig, prepare_protocol_state,
                                    prepare_quench)
 from ergoquench import haar_oracle
 from ergoquench.haar_oracle import (DEFAULT_CHUNK, BlockUnitary,
-                                    _ginibre_entries, _haar_blocks,
-                                    estimate_moments, estimate_state_mean,
-                                    sample_block_unitary)
+                                    _ginibre_entries, _group_unitaries,
+                                    _size_groups, estimate_moments,
+                                    estimate_state_mean, sample_block_unitary,
+                                    sample_traces)
 from ergoquench.spectral import SectorPartition
+from ergoquench.spin_chain import HermitianOperator
 
 from conftest import (block_conjugate, block_matrix, random_density,
                       random_hermitian, random_mixture, random_pair,
@@ -87,19 +90,22 @@ class TestStream:
     @pytest.mark.parametrize("sizes", [(1,), (1, 2)])
     def test_chunks_match_single_samples_bit_for_bit(self, sizes):
         part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
-        first = _haar_blocks(part, 9, 0, 3)
-        second = _haar_blocks(part, 9, 3, 4)
+        groups, _, n_entries = _size_groups(part)
+        first = _group_unitaries(groups, n_entries, 9, 0, 3)
+        second = _group_unitaries(groups, n_entries, 9, 3, 4)
         for k in range(7):
             single = sample_block_unitary(part, seed=9, sample_index=k).blocks
             chunk, j = (first, k) if k < 3 else (second, k - 3)
-            for blk, one in zip(chunk, single):
-                assert np.array_equal(blk[j], one)
+            for grp, stack in zip(groups, chunk):
+                for pos, i in enumerate(grp.sectors):
+                    assert np.array_equal(stack[j, pos], single[i])
 
     def test_different_seeds_differ(self):
         part = SectorPartition(3, np.array([0, 1]))
-        for blk, other in zip(_haar_blocks(part, 4, 0, 2),
-                              _haar_blocks(part, 5, 0, 2)):
-            assert not np.allclose(blk[:, 0, 0], other[:, 0, 0])
+        groups, _, n_entries = _size_groups(part)
+        for stack, other in zip(_group_unitaries(groups, n_entries, 4, 0, 2),
+                                _group_unitaries(groups, n_entries, 5, 0, 2)):
+            assert not np.allclose(stack[..., 0, 0], other[..., 0, 0])
 
     def test_normals_have_gaussian_moments(self):
         # sqrt(2) Re g and sqrt(2) Im g are standard normals; 1e5 of them
@@ -185,15 +191,17 @@ class TestEstimateMoments:
         assert est.value == pytest.approx(expected, abs=1e-12)
         assert est.std_error < 1e-12
 
-    def test_chunk_size_does_not_change_the_stream(self):
+    def test_chunk_size_does_not_change_the_stream(self, monkeypatch):
         rng = np.random.default_rng(5)
         part = SectorPartition(5, np.array([0, 2]))
         rho = random_density(rng, 5)
         a = random_hermitian(rng, 5)
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 7)
         e1 = estimate_moments(rho, part, [a], order=1, n_samples=300,
-                              seed=2, chunk_size=7)[0]
+                              seed=2)[0]
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 300)
         e2 = estimate_moments(rho, part, [a], order=1, n_samples=300,
-                              seed=2, chunk_size=300)[0]
+                              seed=2)[0]
         assert e1.value == e2.value and e1.std_error == e2.std_error
 
     def test_real_state_matches_its_complex_cast(self):
@@ -236,18 +244,54 @@ class TestEstimateMoments:
                                 order=1, n_samples=100, seed=4)
         assert len(ests) == 3
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_chunk_size_below_one_rejected(self, chunk_size):
-        rng = np.random.default_rng(13)
-        part = SectorPartition.whole(3)
-        rho = random_density(rng, 3)
-        a = random_hermitian(rng, 3)
-        with pytest.raises(ValueError, match="chunk_size"):
-            estimate_moments(rho, part, [a], order=1, n_samples=10, seed=0,
-                             chunk_size=chunk_size)
-        with pytest.raises(ValueError, match="chunk_size"):
-            estimate_state_mean(rho, part, n_samples=10, seed=0,
-                                chunk_size=chunk_size)
+    @pytest.mark.parametrize("defect", ["asymmetric", "NaN"])
+    @pytest.mark.parametrize("which", ["rho", "a", "b"])
+    def test_raw_non_hermitian_operand_rejected(self, which, defect):
+        # the operands second_moment_expectation rejects, rejected alike
+        rng = np.random.default_rng(25)
+        d = 5
+        part = SectorPartition(d, np.array([0, 2]))
+        inputs = {"rho": np.eye(d) / d, "a": np.diag(rng.normal(size=d)),
+                  "b": np.diag(rng.normal(size=d))}
+        bad = inputs[which] = inputs[which].astype(complex)
+        if defect == "NaN":
+            bad[0, 3] = bad[3, 0] = np.nan
+        else:
+            bad[0, 3] += 1e-6j  # no conjugate partner
+        rho, a, b = inputs["rho"], inputs["a"], inputs["b"]
+        calls = [lambda: estimate_moments(rho, part, [a, b], order=1,
+                                          n_samples=10, seed=0),
+                 lambda: estimate_moments(rho, part, [a, b], order=2,
+                                          n_samples=10, seed=0),
+                 lambda: sample_traces(rho, part, [a, b], 10, 0)]
+        if which == "rho":
+            calls.append(lambda: estimate_state_mean(rho, part, 10, 0))
+        for call in calls:
+            with pytest.raises(StateValidationError, match="not Hermitian"):
+                call()
+
+    def test_typed_and_exactly_hermitian_raw_operands_accepted(self):
+        # raw observables built as the oracle-haar benchmark workload builds
+        # them, (x + x^dag) / (2 sqrt d), are Hermitian to the last bit: they
+        # pass, and give the values of the same matrices typed
+        rng = np.random.default_rng(26)
+        d = 16
+        part = SectorPartition(d, np.array([0, 1, 4, 8]))
+        rho = random_density(rng, d)
+        raw = []
+        for _ in range(2):
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            raw.append((x + x.conj().T) / (2.0 * np.sqrt(d)))
+        typed = [HermitianOperator(m) for m in raw]
+        for order in (1, 2):
+            assert (estimate_moments(rho, part, raw[:order], order, 64, 3)
+                    == estimate_moments(rho, part, typed[:order], order, 64, 3))
+        for x, y in zip(sample_traces(rho.entries, part, raw, 64, 3),
+                        sample_traces(rho, part, typed, 64, 3)):
+            assert np.array_equal(x, y)
+        for x, y in zip(estimate_state_mean(rho.entries, part, 64, 3),
+                        estimate_state_mean(rho, part, 64, 3)):
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("state", ["dense", "factored"])
     @pytest.mark.parametrize("obs", ["dense", "pair"])
@@ -321,6 +365,7 @@ class TestWorkers:
 
     def results(self, monkeypatch, cores, chunk_size):
         monkeypatch.setattr(haar_oracle, "_cores", lambda: cores)
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", chunk_size)
         rng = np.random.default_rng(21)
         dense = random_density(rng, self.PART.dim)
         factored = random_mixture(rng, self.PART.dim, 2, True)
@@ -330,12 +375,10 @@ class TestWorkers:
         out = []
         for rho, order in ((dense, 1), (factored, 2)):
             ests = estimate_moments(rho, self.PART, [a, b], order,
-                                    self.N_SAMPLES, seed=22,
-                                    chunk_size=chunk_size)
+                                    self.N_SAMPLES, seed=22)
             out.append([(e.value, e.std_error) for e in ests])
             assert threading.active_count() == baseline
-        mean = estimate_state_mean(dense, self.PART, self.N_SAMPLES, seed=22,
-                                   chunk_size=chunk_size)
+        mean = estimate_state_mean(dense, self.PART, self.N_SAMPLES, seed=22)
         assert threading.active_count() == baseline
         return out, mean
 
@@ -375,10 +418,11 @@ class TestWorkers:
                     running[0] -= 1
 
         monkeypatch.setattr(haar_oracle, "_group_unitaries", counting)
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 3)
         rng = np.random.default_rng(23)
         estimate_moments(random_density(rng, 4), SectorPartition.whole(4),
                          [random_hermitian(rng, 4)], order=1, n_samples=60,
-                         seed=0, chunk_size=3)
+                         seed=0)
         assert 1 <= most[0] <= 2
 
     @pytest.mark.parametrize("call", ["moments", "state_mean"])
@@ -392,6 +436,7 @@ class TestWorkers:
             return draw(groups, n_entries, seed, first_index, count)
 
         monkeypatch.setattr(haar_oracle, "_group_unitaries", failing)
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 7)
         rng = np.random.default_rng(24)
         rho, a = random_density(rng, 3), random_hermitian(rng, 3)
         part = SectorPartition(3, np.array([0, 1]))
@@ -399,21 +444,22 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="chunk failed"):
             if call == "moments":
                 estimate_moments(rho, part, [a], order=1, n_samples=30,
-                                 seed=0, chunk_size=7)
+                                 seed=0)
             else:
-                estimate_state_mean(rho, part, n_samples=30, seed=0,
-                                    chunk_size=7)
+                estimate_state_mean(rho, part, n_samples=30, seed=0)
         assert threading.active_count() == baseline
 
     def test_errstate_reaches_the_workers(self, monkeypatch):
-        # entries of modulus 2.4e308 rotated by unit phases: the products
-        # overflow in the workers, where np.errstate must hold as well
+        # Hermitian entries of modulus up to 2.4e308 rotated by unit
+        # phases: the products overflow in the workers, where np.errstate
+        # must hold as well
         monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 5)
         part = SectorPartition.singletons(2)
-        rho = np.full((2, 2), 1.7e308 * (1.0 + 1.0j))
+        rho = 1.7e308 * np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             estimate_moments(rho, part, [np.eye(2)], order=1, n_samples=40,
-                             seed=0, chunk_size=5)
+                             seed=0)
 
 
 def frobenius(x) -> float:
@@ -424,7 +470,8 @@ def frobenius(x) -> float:
 
 def assert_matches_dense_reference(rho, partition, observables, n_samples,
                                    seed, chunk_size=DEFAULT_CHUNK):
-    """Orders 1 and 2 and the state mean against the dense reference.
+    """Orders 1 and 2 and the state mean against the dense reference, drawn
+    in chunks of chunk_size samples.
 
     Agreement is 1e-12 relative to the size bound of each quantity:
     |tr(sigma A)| <= ||rho||_F ||A||_F, so a value, a product of values or
@@ -434,35 +481,34 @@ def assert_matches_dense_reference(rho, partition, observables, n_samples,
     standard error, or a vanishing mean such as that of Q, has no digits of
     its own to compare.)
     """
-    values = dense_trace_values(rho, partition, observables, n_samples, seed)
-    bounds = [frobenius(rho) * frobenius(a) for a in observables]
-    ests = estimate_moments(rho, partition, observables, order=1,
-                            n_samples=n_samples, seed=seed,
-                            chunk_size=chunk_size)
-    for est, v, bound in zip(ests, values, bounds):
-        assert abs(est.value - v.mean()) <= 1e-12 * bound
-        assert abs(est.std_error - v.std(ddof=1) / np.sqrt(n_samples)) \
-            <= 1e-12 * bound
-    pairs = [(0, 0), (0, len(observables) - 1)]
-    for i, j in pairs:
-        est = estimate_moments(rho, partition,
-                               [observables[i], observables[j]], order=2,
-                               n_samples=n_samples, seed=seed,
-                               chunk_size=chunk_size)[0]
-        prod = values[i] * values[j]
-        bound = bounds[i] * bounds[j]
-        assert abs(est.value - prod.mean()) <= 1e-12 * bound
-        assert abs(est.std_error - prod.std(ddof=1) / np.sqrt(n_samples)) \
-            <= 1e-12 * bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(haar_oracle, "DEFAULT_CHUNK", chunk_size)
+        values = dense_trace_values(rho, partition, observables, n_samples, seed)
+        bounds = [frobenius(rho) * frobenius(a) for a in observables]
+        ests = estimate_moments(rho, partition, observables, order=1,
+                                n_samples=n_samples, seed=seed)
+        for est, v, bound in zip(ests, values, bounds):
+            assert abs(est.value - v.mean()) <= 1e-12 * bound
+            assert abs(est.std_error - v.std(ddof=1) / np.sqrt(n_samples)) \
+                <= 1e-12 * bound
+        pairs = [(0, 0), (0, len(observables) - 1)]
+        for i, j in pairs:
+            est = estimate_moments(rho, partition,
+                                   [observables[i], observables[j]], order=2,
+                                   n_samples=n_samples, seed=seed)[0]
+            prod = values[i] * values[j]
+            bound = bounds[i] * bounds[j]
+            assert abs(est.value - prod.mean()) <= 1e-12 * bound
+            assert abs(est.std_error - prod.std(ddof=1) / np.sqrt(n_samples)) \
+                <= 1e-12 * bound
 
-    mean, se_re, se_im = estimate_state_mean(rho, partition, n_samples, seed,
-                                             chunk_size=chunk_size)
-    want, var_re, var_im = dense_state_mean(rho, partition, n_samples, seed)
-    scale = frobenius(rho)
-    assert np.max(np.abs(mean - want)) <= 1e-12 * scale
-    for se, var in ((se_re, var_re), (se_im, var_im)):
-        assert np.max(np.abs(n_samples * se**2 - np.maximum(var, 0.0))) \
-            <= 1e-12 * scale**2
+        mean, se_re, se_im = estimate_state_mean(rho, partition, n_samples, seed)
+        want, var_re, var_im = dense_state_mean(rho, partition, n_samples, seed)
+        scale = frobenius(rho)
+        assert np.max(np.abs(mean - want)) <= 1e-12 * scale
+        for se, var in ((se_re, var_re), (se_im, var_im)):
+            assert np.max(np.abs(n_samples * se**2 - np.maximum(var, 0.0))) \
+                <= 1e-12 * scale**2
 
 
 def random_state(rng, dim, kind, complex_data):

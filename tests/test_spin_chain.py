@@ -176,6 +176,14 @@ class TestHermitianDeviation:
         with pytest.raises(ConstructionError):
             HermitianOperator(m)
 
+    def test_overflowing_difference_is_inf_under_any_errstate(self):
+        # finite entries, but m - m^T passes the largest float
+        m = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
+        with np.errstate(over="raise"):
+            assert hermitian_deviation(m) == np.inf
+            with pytest.raises(ConstructionError):
+                HermitianOperator(m)
+
 
 class TestTiledAdjointPasses:
     def test_symmetrized_is_bit_identical_to_the_whole_array_average(self):
@@ -208,7 +216,7 @@ class TestTiledAdjointPasses:
 class TestHamiltonian:
     def test_two_site_literal_matrix(self):
         basis = build_basis(2, 0)
-        disorder = DisorderRealization(np.zeros(2), 0.0)
+        disorder = DisorderRealization(np.zeros(2))
         h = build_hamiltonian(basis, 1.0, disorder)
         assert np.allclose(h.entries, [[-1.0, 2.0], [2.0, -1.0]])
         assert np.allclose(np.linalg.eigvalsh(h.entries), [-3.0, 1.0])
@@ -222,7 +230,7 @@ class TestHamiltonian:
         fields = rng.uniform(-1.5, 1.5, size=n_sites)
         basis = build_basis(n_sites, total_sz)
         built = build_hamiltonian(basis, coupling,
-                                  DisorderRealization(fields, 1.5))
+                                  DisorderRealization(fields))
         oracle = project_to_sector(
             full_space_hamiltonian(n_sites, coupling, fields), basis)
         assert np.max(np.abs(built.entries - oracle)) < 1e-12
@@ -264,7 +272,7 @@ class TestHamiltonian:
     def test_field_count_must_match_sites(self):
         basis = build_basis(4, 0)
         with pytest.raises(ConstructionError):
-            build_hamiltonian(basis, 1.0, DisorderRealization(np.zeros(3), 0.0))
+            build_hamiltonian(basis, 1.0, DisorderRealization(np.zeros(3)))
 
     @given(seed=st.integers(0, 10_000))
     @settings(deadline=None, max_examples=30)
