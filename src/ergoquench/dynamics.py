@@ -25,7 +25,10 @@ max|E| max|eps| exceeds OFFSET_PHASE_MAX, which only a grid jittered
 within the uniformity tolerance can give, evaluates its phases directly.
 Every phase that reaches cos and sin, offset, block start or direct, is
 an exact product E t (a two-product and a first-order term), so the
-phases carry no rounding that grows with t.
+phases carry no rounding that grows with t.  There is one phase table per
+grid: the offset table, the start phases and eps of the last (energies,
+grid) pair are kept, read-only, so the series of one run, which share
+both, compute them once.
 
 * Factored.  O(t) = tr(S Z^dag T Z) with the q x r matrix
   Z(t) = Q^dag u P = sum_m G_m u_m, G = conj(Q) (x) P a d x qr matrix.
@@ -60,6 +63,8 @@ entries.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -272,15 +277,17 @@ def _phase_factors(e: np.ndarray, t: np.ndarray):
     jittered within the uniformity tolerance can give, is a run of its own
     with w = 1 and its phases evaluated directly as tau; so is a last
     sub-block shorter than K.  Every phase is an exact product E t.
+
+    The offset table, the start phases and eps come from `_phase_table`,
+    which keeps them for the last (energies, grid) pair, so the series of
+    one run share one table; w, tau and eps are read-only views of it.
+    Direct phases are evaluated on every call and not kept.
     """
     n, d = len(t), len(e)
     block_rows = max(1, PHASE_BLOCK_BYTES // (16 * max(d, 1)))
     k = min(math.isqrt(n - 1) + 1, block_rows)  # ceil(sqrt(n))
-    offsets = t[:k] - t[0]
-    table = _phases(e, offsets[:, None])
+    table, start_phases, eps = _phase_table(e.tobytes(), t.tobytes(), k)
     starts = np.arange(0, n, k)
-    index = np.arange(n)
-    eps = (t - t[index - index % k]) - offsets[index % k]
     e_max = float(np.max(np.abs(e), initial=0.0))
     drift = e_max * np.maximum.reduceat(np.abs(eps), starts)
     direct = drift > OFFSET_PHASE_MAX
@@ -297,9 +304,26 @@ def _phase_factors(e: np.ndarray, t: np.ndarray):
             b += 1
         hi = min(starts[b - 1] + k, n)
         run_eps = eps[lo:hi].reshape(b - a, -1)
-        yield (lo, _phases(e, t[lo:hi:k, None]), table[:run_eps.shape[1]],
+        yield (lo, start_phases[a:b], table[:run_eps.shape[1]],
                run_eps if run_eps.any() else None)
         a = b
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_table(e_bytes: bytes, t_bytes: bytes, k: int):
+    """The offset table exp(-i E sigma_b) (k, d), the phases exp(-i E T_a)
+    of every sub-block start (ceil(n / k), d) and the offset errors eps
+    (n,) of the float64 energies and grid given by their bytes, all
+    read-only.  Keyed on the exact bytes, one entry: energies or a grid
+    that differ in one ulp get a table of their own."""
+    e, t = np.frombuffer(e_bytes), np.frombuffer(t_bytes)
+    offsets = t[:k] - t[0]
+    index = np.arange(len(t))
+    eps = (t - t[index - index % k]) - offsets[index % k]
+    out = (_phases(e, offsets[:, None]), _phases(e, t[::k, None]), eps)
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def _phases(e: np.ndarray, t) -> np.ndarray:
@@ -417,9 +441,18 @@ def time_stats(series: TimeSeries, n_subintervals: int = 10) -> TimeStats:
                      sigma_ci=sigma_ci, n_subintervals=n_subintervals)
 
 
+def csv_rows(row_format: str, *columns) -> str:
+    """One `row_format` line per entry of the columns, sequences of Python
+    numbers of equal length, formatted by a single % operation."""
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return (row_format * len(columns[0])) % values
+
+
 def write_series_csv(path, series: TimeSeries):
+    """Write `t,value` rows at 17 significant digits, which read back
+    exactly, in one write."""
+    text = csv_rows("%.17g,%.17g\n", series.times.tolist(),
+                    series.values.tolist())
     with open(path, "w") as f:
-        f.write("t,value\n")
-        for t, v in zip(series.times, series.values):
-            f.write(f"{float(t):.17g},{float(v):.17g}\n")
+        f.write("t,value\n" + text)
 

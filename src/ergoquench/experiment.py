@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 import warnings
@@ -23,8 +24,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import (evolve_expectation, make_time_grid, time_stats,
-                       write_series_csv)
+from .dynamics import (csv_rows, evolve_expectation, make_time_grid,
+                       time_stats, write_series_csv)
 from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
                                cat_q_variance_closed_form,
                                second_moment_expectation)
@@ -64,8 +65,15 @@ class ExperimentConfig:
         t0, t1, n = self.time_window
         if not (t1 > t0):
             raise ValueError(f"time window [{t0}, {t1}] is empty")
-        if int(n) < 100:
+        n = _integral("the time point count", n)
+        if n < 100:
             raise ValueError(f"need at least 100 time points, got {n}")
+        windows = _integral("n_subintervals", self.n_subintervals)
+        if windows < 2:
+            raise ValueError(f"n_subintervals must be >= 2, got {windows}")
+        if n < 10 * windows:
+            raise ValueError(f"{n} time points cannot support {windows} "
+                             "subintervals (need >= 10 points in each)")
         if not math.isfinite(self.J):
             raise ValueError(f"J must be finite, got {self.J}")
         if not (0 <= self.h < math.inf):
@@ -75,8 +83,8 @@ class ExperimentConfig:
         if self.degeneracy_tol is not None and not (0 <= self.degeneracy_tol < math.inf):
             raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "
                              f"got {self.degeneracy_tol}")
-        object.__setattr__(self, "time_window",
-                           (float(t0), float(t1), int(n)))
+        object.__setattr__(self, "time_window", (float(t0), float(t1), n))
+        object.__setattr__(self, "n_subintervals", windows)
 
     @property
     def protocols(self) -> tuple:
@@ -96,6 +104,14 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+def _integral(name: str, value) -> int:
+    """value as an int; a float is accepted when it is a whole number."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -424,20 +440,20 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
             written.append(path)
             write_series_csv(path, ts)
 
+        index, energies = range(len(result.energies)), result.energies.tolist()
         path = os.path.join(out_dir, "spectrum.csv")
         written.append(path)
+        text = csv_rows("%d,%.17g\n", index, energies)
         with open(path, "w") as f:
-            f.write("index,energy\n")
-            for i, e in enumerate(result.energies):
-                f.write(f"{i},{float(e):.17g}\n")
+            f.write("index,energy\n" + text)
 
         path = os.path.join(out_dir, "overlaps.csv")
         written.append(path)
+        a1, a2 = result.overlaps.T
+        text = csv_rows("%d,%.17g,%.17g,%.17g,%.17g\n", index, energies,
+                        a1.tolist(), a2.tolist(), (a1 * a2).tolist())
         with open(path, "w") as f:
-            f.write("index,energy,abs_phi1,abs_phi2,shared_support\n")
-            for i, e in enumerate(result.energies):
-                a1, a2 = result.overlaps[i]
-                f.write(f"{i},{float(e):.17g},{a1:.17g},{a2:.17g},{a1 * a2:.17g}\n")
+            f.write("index,energy,abs_phi1,abs_phi2,shared_support\n" + text)
         return written
     except Exception as exc:
         for path in written:

@@ -6,7 +6,9 @@ matters more here than fixture magic.
 """
 
 import numpy as np
+import pytest
 
+from ergoquench import dynamics
 from ergoquench.dynamics import TimeSeries
 from ergoquench.ergodic_ensemble import DensityMatrix
 from ergoquench.spin_chain import HermitianOperator, PairOperator
@@ -71,3 +73,22 @@ def read_series_csv(path):
     """A series CSV written by `dynamics.write_series_csv`, read back."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return TimeSeries(times=data[:, 0], values=data[:, 1])
+
+
+@pytest.fixture()
+def phase_calls(monkeypatch):
+    """Spy on the phase evaluations of `dynamics`, starting from an empty
+    phase memo: the times of each evaluation, in order, every one taken at
+    all the energies.  The memo is emptied again afterwards, so that no
+    other test meets a table computed under this spy."""
+    dynamics._phase_table.cache_clear()
+    calls = []
+    real = dynamics._cos_sin_of_product
+
+    def spy(e, t):
+        calls.append(np.ravel(t))
+        return real(e, t)
+
+    monkeypatch.setattr(dynamics, "_cos_sin_of_product", spy)
+    yield calls
+    dynamics._phase_table.cache_clear()

@@ -63,20 +63,6 @@ def sub_block_times(n_points, d):
     return min(math.isqrt(n_points - 1) + 1, rows)
 
 
-def phase_times(monkeypatch):
-    """Spy on the phase evaluations of evolve_expectation: the times of
-    each, in order, every one taken at all the energies."""
-    calls = []
-    real = dynamics._cos_sin_of_product
-
-    def spy(e, t):
-        calls.append(np.ravel(t))
-        return real(e, t)
-
-    monkeypatch.setattr(dynamics, "_cos_sin_of_product", spy)
-    return calls
-
-
 def count_direct_blocks(calls, t, k):
     """The first phase evaluation on the grid t is the offset table, later
     ones the starts of sub-blocks of k times; one that holds any other time
@@ -192,12 +178,12 @@ class TestEvolveExpectation:
         # rounding is left; rounded phases fl(E t) give 4e-13 here
         assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
 
-    def test_jittered_grid_uses_the_corrected_table(self, monkeypatch):
+    def test_jittered_grid_uses_the_corrected_table(self, monkeypatch,
+                                                    phase_calls):
         # every time moved by up to half the uniformity tolerance; 16
         # sub-blocks of 17 times, two to a block of 40 times, so each
         # sub-block's offsets differ from the table's
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 40 * 16 * 16)
-        calls = phase_times(monkeypatch)
         rng = np.random.default_rng(9)
         rho = random_density(rng, 16)
         obs = random_hermitian(rng, 16)
@@ -206,16 +192,17 @@ class TestEvolveExpectation:
         t[1:-1] += rng.uniform(-0.5, 0.5, size=255) * dynamics.GRID_RTOL * 30.0
         TimeSeries(times=t, values=np.zeros(257))  # still a uniform grid
         got = evolve_expectation(rho, obs, energies, t).values
-        assert count_direct_blocks(calls, t, sub_block_times(257, 16)) == 0
+        k = sub_block_times(257, 16)
+        assert count_direct_blocks(phase_calls, t, k) == 0
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
-    def test_far_jittered_grid_takes_direct_phases(self, monkeypatch):
+    def test_far_jittered_grid_takes_direct_phases(self, monkeypatch,
+                                                   phase_calls):
         # at t ~ 1e4 the same relative jitter moves times by ~1e-8, which
         # puts max|E| max|eps| above OFFSET_PHASE_MAX in all 20 sub-blocks
         # but the first (whose offsets are the table's own)
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 50 * 16 * 6)
-        calls = phase_times(monkeypatch)
         rng = np.random.default_rng(10)
         rho, obs = real_inputs(rng, 6)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=6))
@@ -224,7 +211,7 @@ class TestEvolveExpectation:
         TimeSeries(times=t, values=np.zeros(400))
         got = evolve_expectation(rho, obs, energies, t).values
         k = sub_block_times(400, 6)
-        assert count_direct_blocks(calls, t, k) == len(t[::k]) - 1 == 19
+        assert count_direct_blocks(phase_calls, t, k) == len(t[::k]) - 1 == 19
         coeff = rho.entries * obs.T
         ref = extended_precision_series(coeff, energies, t)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.sum(np.abs(coeff))
@@ -464,11 +451,10 @@ class TestPairSeries:
         ref = extended_precision_series(coeff, energies, t[picks])
         assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
 
-    def test_factored_kernel_evaluates_2_sqrt_n_phases(self, monkeypatch):
+    def test_factored_kernel_evaluates_2_sqrt_n_phases(self, phase_calls):
         # offsets k * 0.5 from 3000 are exact, so no sub-block is direct;
         # each time is taken at all d energies, so (K + ceil(n / K)) d
         # phases are K + ceil(n / K) times
-        calls = phase_times(monkeypatch)
         rng = np.random.default_rng(55)
         d, n_points = 30, 20_000
         t = make_time_grid(3000.0, 12999.5, n_points)
@@ -476,7 +462,7 @@ class TestPairSeries:
                            random_pair(rng, d, False),
                            np.sort(rng.uniform(-18.0, 18.0, size=d)), t)
         k = sub_block_times(n_points, d)
-        assert sum(map(len, calls)) <= k + -(-n_points // k)
+        assert sum(map(len, phase_calls)) <= k + -(-n_points // k)
 
     def test_grid_checked_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -497,6 +483,58 @@ class TestPairSeries:
                                random_pair(rng, 4, False),
                                np.array([0.0, 1.0, 2.0]),
                                make_time_grid(0.0, 1.0, 10))
+
+
+class TestPhaseMemo:
+    """The phases of one (energies, grid) pair are computed once and shared
+    by every series on it."""
+
+    @staticmethod
+    def inputs(seed):
+        # 3000..13000: dt is not a float, so eps != 0 in every sub-block
+        rng = np.random.default_rng(seed)
+        energies = np.sort(rng.uniform(-18.0, 18.0, size=24))
+        return rng, energies, make_time_grid(3000.0, 13000.0, 2_000)
+
+    def test_one_ulp_gets_a_fresh_table(self, phase_calls):
+        rng, energies, t = self.inputs(60)
+        rho = random_mixture(rng, 24, 2, False)
+        obs = random_pair(rng, 24, False)
+        evolve_expectation(rho, obs, energies, t)
+        cold = len(phase_calls)
+        assert cold > 0
+        evolve_expectation(rho, obs.dense(), energies, t)
+        assert len(phase_calls) == cold
+        moved_e = energies.copy()
+        moved_e[7] = np.nextafter(moved_e[7], np.inf)
+        moved_t = t.copy()
+        moved_t[900] = np.nextafter(moved_t[900], np.inf)
+        for e, grid in ((moved_e, t), (energies, moved_t), (energies, t)):
+            del phase_calls[:]
+            evolve_expectation(rho, obs, e, grid)
+            assert len(phase_calls) == cold
+
+    def test_cached_phases_are_read_only(self, phase_calls):
+        _, energies, t = self.inputs(61)
+        runs = list(dynamics._phase_factors(energies, t))
+        assert all(eps is not None for *_, eps in runs)
+        for _, w, tau, eps in runs:
+            assert not (w.flags.writeable or tau.flags.writeable
+                        or eps.flags.writeable)
+
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_warm_and_cold_series_are_bitwise_equal(self, phase_calls,
+                                                    factored):
+        rng, energies, t = self.inputs(62)
+        rho, obs = random_mixture(rng, 24, 2, True), random_pair(rng, 24, True)
+        if not factored:
+            obs = obs.dense()
+        cold = evolve_expectation(rho, obs, energies, t).values
+        evaluated = len(phase_calls)
+        evolve_expectation(rho, random_pair(rng, 24, True), energies, t)
+        warm = evolve_expectation(rho, obs, energies, t).values
+        assert len(phase_calls) == evaluated  # no phase evaluated again
+        assert np.array_equal(warm, cold)
 
 
 class TestTimeStats:
@@ -555,3 +593,14 @@ class TestSeriesUtilities:
         back = read_series_csv(path)
         assert np.array_equal(back.times, ts.times)
         assert np.array_equal(back.values, ts.values)
+
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
+        ts = TimeSeries(times=make_time_grid(0.1, 3000.0, 6), values=values)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, ts)
+        want = "t,value\n" + "".join(
+            f"{float(t):.17g},{float(v):.17g}\n"
+            for t, v in zip(ts.times, ts.values))
+        assert path.read_bytes() == want.encode()
+        assert "-0\n" in want and "4.9406564584124654e-324" in want

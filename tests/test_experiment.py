@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ergoquench import haar_oracle
+from ergoquench import dynamics, haar_oracle
 from ergoquench.cli import main
 from ergoquench.dynamics import evolve_expectation, make_time_grid, time_stats
 from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
                                          second_moment_expectation)
 from ergoquench.errors import PipelineError, StateValidationError
-from ergoquench.experiment import (ExperimentConfig, diagonalize_split_halves,
+from ergoquench.experiment import (ExperimentConfig, ExperimentReport,
+                                   ExperimentResult, diagonalize_split_halves,
                                    find_product_eigenstates,
                                    prepare_protocol_state, prepare_quench,
                                    run_experiment, write_artifacts)
@@ -54,6 +55,11 @@ class TestConfig:
         dict(h=float("inf")),
         dict(degeneracy_tol=float("nan")),
         dict(degeneracy_tol=float("inf")),
+        dict(time_window=(0.0, 1.0, 100.7)),  # a point count is whole
+        dict(n_subintervals=1),
+        dict(n_subintervals=2.5),
+        dict(n_subintervals=True),
+        dict(time_window=(0.0, 49.5, 100), n_subintervals=11),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -75,6 +81,14 @@ class TestConfig:
         path.write_text(json.dumps({"L": 6, "time_window": [100.0, 600.0, 2000]}))
         cfg = ExperimentConfig.from_file(path)
         assert cfg.L == 6 and cfg.time_window == (100.0, 600.0, 2000)
+
+    def test_whole_float_counts_are_integers(self):
+        cfg = fast_config(time_window=(0.0, 1.0, 20000.0),
+                          n_subintervals=10.0)
+        assert cfg.time_window == (0.0, 1.0, 20000)
+        assert cfg.n_subintervals == 10
+        assert all(isinstance(x, int) for x in (cfg.time_window[2],
+                                                cfg.n_subintervals))
 
     def test_single_protocol_selection(self):
         assert fast_config(protocol="cat").protocols == ("cat",)
@@ -346,6 +360,16 @@ class TestRunExperiment:
                     "second_moment": second.value,
                     "second_moment_se": second.std_error, "n_samples": 40}
 
+    def test_series_of_a_run_share_one_phase_table(self, phase_calls):
+        res = run_experiment(fast_config(protocol="both"))
+        assert len(res.series) == 4
+        in_run = len(phase_calls)
+        dynamics._phase_table.cache_clear()
+        del phase_calls[:]
+        grid = make_time_grid(*FAST_WINDOW)
+        list(dynamics._phase_factors(res.energies, grid))
+        assert in_run == len(phase_calls) > 0
+
     def test_protocol_states_are_never_formed_densely(self, monkeypatch):
         formed = []
         entries = DensityMatrix.entries
@@ -434,6 +458,26 @@ class TestArtifacts:
         assert np.array_equal(back.values, res.series[("cat", "H_R")].values)
         spectrum = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
         assert np.allclose(spectrum[:, 1], res.energies)
+
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
+        edge = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
+        report = ExperimentReport(config={}, spectral={}, states={},
+                                  protocols={}, closed_form={})
+        result = ExperimentResult(report=report, series={}, energies=edge,
+                                  overlaps=np.column_stack([edge, edge[::-1]]))
+        spectrum, overlaps = ["index,energy\n"], [
+            "index,energy,abs_phi1,abs_phi2,shared_support\n"]
+        with np.errstate(over="ignore"):  # 1e308 * -1e308 is -inf
+            write_artifacts(result, tmp_path)
+            for i, e in enumerate(result.energies):
+                spectrum.append(f"{i},{float(e):.17g}\n")
+                a1, a2 = result.overlaps[i]
+                overlaps.append(f"{i},{float(e):.17g},{a1:.17g},{a2:.17g},"
+                                f"{a1 * a2:.17g}\n")
+        assert (tmp_path / "spectrum.csv").read_bytes() == \
+            "".join(spectrum).encode()
+        assert (tmp_path / "overlaps.csv").read_bytes() == \
+            "".join(overlaps).encode()
 
     def test_failure_leaves_no_partial_output(self, tmp_path):
         res = run_experiment(fast_config())
@@ -549,6 +593,22 @@ class TestCli:
                             lambda *args: built.append(args))
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"L": 6, "mc_samples": 1}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "[config]" in capsys.readouterr().err and built == []
+
+    @pytest.mark.parametrize("window", [
+        dict(time_window=[0, 49.5, 100], n_subintervals=11),
+        dict(n_subintervals=2.5),
+        dict(n_subintervals=1),
+        dict(time_window=[0, 49.5, 100.7]),
+    ])
+    def test_bad_window_fails_under_config(self, window, tmp_path, capsys,
+                                           monkeypatch):
+        built = []
+        monkeypatch.setattr("ergoquench.experiment.prepare_quench",
+                            lambda *args: built.append(args))
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(dict(L=8, **window)))
         assert main(["run", "--config", str(path)]) == 1
         assert "[config]" in capsys.readouterr().err and built == []
 

@@ -362,8 +362,10 @@ class TestWorkers:
     # singletons and repeated sizes, not grouped in the basis order
     PART = SectorPartition(10, np.array([0, 1, 3, 4, 7, 9]))
     N_SAMPLES = 600  # two chunks at the default size
+    # one sample per chunk: still 20 chunks for each of 3 workers
+    N_SINGLE_SAMPLES = 60
 
-    def results(self, monkeypatch, cores, chunk_size):
+    def results(self, monkeypatch, cores, chunk_size, n_samples=N_SAMPLES):
         monkeypatch.setattr(haar_oracle, "_cores", lambda: cores)
         monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", chunk_size)
         rng = np.random.default_rng(21)
@@ -375,26 +377,30 @@ class TestWorkers:
         out = []
         for rho, order in ((dense, 1), (factored, 2)):
             ests = estimate_moments(rho, self.PART, [a, b], order,
-                                    self.N_SAMPLES, seed=22)
+                                    n_samples, seed=22)
             out.append([(e.value, e.std_error) for e in ests])
             assert threading.active_count() == baseline
-        mean = estimate_state_mean(dense, self.PART, self.N_SAMPLES, seed=22)
+        mean = estimate_state_mean(dense, self.PART, n_samples, seed=22)
         assert threading.active_count() == baseline
         return out, mean
 
     def test_bit_identical_for_any_worker_count(self, monkeypatch):
-        want, _ = self.results(monkeypatch, 1, DEFAULT_CHUNK)
+        wants = {n: self.results(monkeypatch, 1, DEFAULT_CHUNK, n)[0]
+                 for n in (self.N_SINGLE_SAMPLES, self.N_SAMPLES)}
         # more workers than cores, switching threads often: a chunk written
         # to the wrong slice, or lost, changes the values
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for chunk_size in (1, 7, DEFAULT_CHUNK):
+                n = (self.N_SINGLE_SAMPLES if chunk_size == 1
+                     else self.N_SAMPLES)
+                want = wants[n]
                 # the state mean adds its chunks' sums, so its last bits
                 # depend on the chunk size, but not on the workers
-                _, want_mean = self.results(monkeypatch, 1, chunk_size)
+                _, want_mean = self.results(monkeypatch, 1, chunk_size, n)
                 for cores in (2, 3):
-                    got, mean = self.results(monkeypatch, cores, chunk_size)
+                    got, mean = self.results(monkeypatch, cores, chunk_size, n)
                     assert got == want
                     for x, y in zip(mean, want_mean):
                         assert np.array_equal(x, y)

@@ -87,6 +87,15 @@ class TestBasis:
         down = build_basis(1, -1)
         assert list(up.states) == [1] and list(down.states) == [0]
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_the_brute_force_list(self, n):
+        for sz in range(-n, n + 1, 2):
+            basis = build_basis(n, sz)
+            want = [s for s in range(1 << n)
+                    if bin(s).count("1") == (n + sz) // 2]
+            assert basis.states.dtype == np.int64
+            assert basis.states.tolist() == want
+
     def test_occupations_match_popcount(self):
         basis = build_basis(5, 1)
         occ = basis.occupations()
