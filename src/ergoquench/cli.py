@@ -80,9 +80,12 @@ def cmd_run(args) -> int:
     if args.realizations < 1:
         raise PipelineError("config", "--realizations must be >= 1")
     seeds = [config.disorder_seed + k for k in range(args.realizations)]
+    try:  # every seed of the batch is checked before the first run
+        configs = [dataclasses.replace(config, disorder_seed=s) for s in seeds]
+    except ValueError as exc:
+        raise PipelineError("config", str(exc)) from exc
     ratios = []
-    for seed in seeds:
-        cfg = dataclasses.replace(config, disorder_seed=seed)
+    for seed, cfg in zip(seeds, configs):
         result = run_experiment(cfg)
         write_artifacts(result, os.path.join(out_root, f"seed_{seed}"))
         r_mean = result.report.spectral["r_mean"]

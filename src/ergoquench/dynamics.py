@@ -5,12 +5,14 @@ phase sum
 
     O(t) = sum_{m,n} rho_mn O_nm exp(-i (E_m - E_n) t)
 
-evaluated on a uniform time grid.  Two kernels evaluate it, chosen by
-one rule: if the state and the observable are both factored, as
-rho_0 = P S P^dag and O = Q T Q^dag with a few columns in P and Q (a
-`DensityMatrix` that keeps its factors, from `from_mixture` or
-`from_state_vector`, and a `PairOperator`; `ergodic_ensemble._factored`
-reads them), the factors are used; otherwise the pair is taken densely.
+evaluated on a uniform time grid.  Both operands pass the check that the
+ensemble moments and the Monte-Carlo oracle apply
+(`ergodic_ensemble._checked`), which also resolves them.  Two kernels
+evaluate the sum, chosen by one rule: if the state and the observable
+are both factored, as rho_0 = P S P^dag and O = Q T Q^dag with a few
+columns in P and Q (a `DensityMatrix` that keeps its factors, from
+`from_mixture` or `from_state_vector`, and a `PairOperator`), the factors
+are used; otherwise the pair is taken densely.
 
 Both take their phases u = exp(-i E t) from one generator,
 `_phase_factors`, which never holds the n x d phase matrix of a grid.  The
@@ -50,15 +52,11 @@ both, compute them once.
 
 Real data stays real: real coefficients are multiplied by the real cos
 and sin, never promoted to complex.  The dense kernel fills C one tile
-pair of `spin_chain.tile_pairs` at a time, and while a tile and its
-mirror are in cache they also add to the guard's two sums, the residue
-sum |C - C^dag| (each off-diagonal pair counts twice, once for each of
-its mirrored entries) and the scale sum |C|, and then fold the mirror's
-real part into the upper tile, which gives U in Re C.  Only complex data
-still reads a whole matrix transposed, to form B - B^T in
-`_dense_series`.  The factored kernel needs no guard: its inputs are
-Hermitian by construction, and their constructors reject non-finite
-entries.
+pair of `spin_chain.tile_pairs` at a time and, while a tile and its
+mirror are in cache, folds the mirror's real part into the upper tile,
+which gives U in Re C.  Only complex data still reads a whole matrix
+transposed, to form B - B^T in `_dense_series`.  A series value that is
+not finite, from either kernel, raises NumericalIntegrityError.
 """
 
 from __future__ import annotations
@@ -70,11 +68,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic_ensemble import _factored, _operator
+from .ergodic_ensemble import _checked
 from .errors import ConstructionError, NumericalIntegrityError
 from .spin_chain import ADJOINT_TILE, tile_pairs
 
-IMAG_RESIDUE_RTOL = 1e-6
 PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
 GRID_RTOL = 1e-12
 # largest max|E| max|eps| that a block corrects to first order: the error
@@ -140,30 +137,29 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
                        times: np.ndarray) -> TimeSeries:
     """Expectation-value series of one observable, all inputs in the eigenbasis.
 
-    A state and an observable that are both factored, rho0 = P S P^dag and
-    X = Q T Q^dag (a DensityMatrix that keeps its factors, a PairOperator),
-    take the factored kernel (`_factored_series`); every other pair is
-    taken densely (`_dense_series`), a factored state by its tiles.  Both
-    take the phases exp(-i E t) as start phases times an offset table,
-    one run of sub-blocks at a time (`_phase_factors`).  The dimensions
-    and then the grid are checked before any work: inputs that do not
-    match the energies, or a grid that is not a uniform, increasing 1d
-    grid, raise ConstructionError.
+    Both operands pass `ergodic_ensemble._checked` against the number of
+    energies: another dimension raises SectorError, and a raw array that is
+    not Hermitian to HERMITICITY_ATOL, or holds NaN or inf, raises
+    StateValidationError.  Then a grid that is not a uniform, increasing 1d
+    grid raises ConstructionError; all before any work.  A state and an
+    observable that are both factored, rho0 = P S P^dag and X = Q T Q^dag
+    (a DensityMatrix that keeps its factors, a PairOperator), take the
+    factored kernel (`_factored_series`); every other pair is taken
+    densely (`_dense_series`), a factored state by its tiles.  Both take
+    the phases exp(-i E t) as start phases times an offset table, one run
+    of sub-blocks at a time (`_phase_factors`).  A series value that is
+    not finite raises NumericalIntegrityError.
     """
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
-    state, obs = _factored(rho0), _factored(observable)
-    factored = state is not None and obs is not None
-    state = state or _operator(rho0)
-    obs = obs if factored else _operator(observable)
-    shapes = [(len(x[0]),) * 2 if isinstance(x, tuple) else x.shape
-              for x in (state, obs)]
-    if shapes != [(len(e),) * 2] * 2:
-        raise ConstructionError(f"state {shapes[0]} / observable {shapes[1]} "
-                                f"do not match {len(e)} energies")
+    state = _checked(rho0, len(e))
+    obs = _checked(observable, len(e), factors=isinstance(state, tuple))
     _check_time_grid(t)
-    kernel = _factored_series if factored else _dense_series
-    return TimeSeries(times=t, values=kernel(state, obs, e, t))
+    kernel = _factored_series if isinstance(obs, tuple) else _dense_series
+    values = kernel(state, obs, e, t)
+    if not np.isfinite(values).all():
+        raise NumericalIntegrityError("series has a value that is not finite")
+    return TimeSeries(times=t, values=values)
 
 
 def _dense_series(m, o: np.ndarray, e: np.ndarray,
@@ -178,19 +174,9 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
     phase sum for Hermitian inputs.  Each run of sub-blocks fills the
     rows x of [c; s] by angle addition in one reused buffer, and the two
     quadratic forms are x.U.x, one product per tile column of the block
-    upper triangle U that `_phase_coefficients` leaves in Re C.  Inputs
-    whose sum could carry an imaginary part above IMAG_RESIDUE_RTOL of the
-    series scale (non-Hermitian data), or that hold a non-finite entry,
-    raise NumericalIntegrityError.
+    upper triangle U that `_phase_coefficients` leaves in Re C.
     """
-    coeff, residue, series_scale = _phase_coefficients(m, o)
-    # NaN and inf fail too
-    if not (residue <= IMAG_RESIDUE_RTOL * max(series_scale, 1e-300)):
-        raise NumericalIntegrityError(
-            f"imaginary residue bound {residue:.3e} exceeds "
-            f"{IMAG_RESIDUE_RTOL:.0e} of series scale {series_scale:.3e}; "
-            "inputs are not Hermitian")
-
+    coeff = _phase_coefficients(m, o)
     upper = np.ascontiguousarray(coeff.real)  # no copy for real inputs
     b = coeff.imag - coeff.imag.T if np.iscomplexobj(coeff) else None
     d = len(e)
@@ -240,9 +226,7 @@ def _factored_series(state, obs, e: np.ndarray, t: np.ndarray) -> np.ndarray:
     2 sqrt(n) d phases.  A row's offset error eps enters to first order,
     Z - i eps Z_E, where Z_E comes from the same product with G o E.  The
     scaled G of a run holds qr columns per start (2 qr with eps), within
-    PHASE_BLOCK_BYTES while that count is at most K.  Both inputs are
-    Hermitian by construction, and their constructors reject non-finite
-    entries.
+    PHASE_BLOCK_BYTES while that count is at most K.
     """
     (p, s_mat), (q, t_mat) = state, obs
     g = (q.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
@@ -351,19 +335,17 @@ def _split(x):
     return hi, x - hi
 
 
-def _phase_coefficients(m, o: np.ndarray):
-    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba) with U in its
-    real part, the residue sum |C - C^dag| and the scale sum |C|, filled
-    and summed by tile pairs.
+def _phase_coefficients(m, o: np.ndarray) -> np.ndarray:
+    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba) with U in its real
+    part, filled by tile pairs.
 
     m is a matrix, or the factors (P, S) of rho = P S P^dag, whose tile
-    [r, c] is formed in place as (P[r] @ S) @ P[c]^dag.  Once a pair has
-    added to the sums, the real part of its lower tile, transposed, is
-    added to that of its upper tile.  Re C then holds U: the diagonal tiles
-    of A = Re C and the upper tiles of A + A^T, so x.A.x = x.U.x for every
-    x.  The lower tiles keep A and are not read again, and the imaginary
-    part stays B = Im C whole.  The anti-Hermitian part of C is all the
-    imaginary part of the phase sum could be made of.
+    [r, c] is formed in place as (P[r] @ S) @ P[c]^dag.  Once a pair is
+    filled, the real part of its lower tile, transposed, is added to that
+    of its upper tile.  Re C then holds U: the diagonal tiles of A = Re C
+    and the upper tiles of A + A^T, so x.A.x = x.U.x for every x.  The
+    lower tiles keep A and are not read again, and the imaginary part
+    stays B = Im C whole.
     """
     if isinstance(m, tuple):
         p, s = m
@@ -377,21 +359,14 @@ def _phase_coefficients(m, o: np.ndarray):
         def rho(r, c):
             return m[r, c]
     coeff = np.empty((dim, dim), dtype=np.result_type(dtype, o))
-    residue = scale = 0.0
-    with np.errstate(invalid="ignore"):  # inf entries become a NaN residue
-        for r, c in tile_pairs(dim):
-            upper = coeff[r, c]
-            np.multiply(rho(r, c), o[c, r].T, out=upper)
-            if r == c:
-                residue += float(np.sum(np.abs(upper - upper.conj().T)))
-                scale += float(np.sum(np.abs(upper)))
-            else:
-                lower = coeff[c, r]
-                np.multiply(rho(c, r), o[r, c].T, out=lower)
-                residue += 2.0 * float(np.sum(np.abs(upper - lower.conj().T)))
-                scale += float(np.sum(np.abs(upper)) + np.sum(np.abs(lower)))
-                upper.real += lower.real.T
-    return coeff, residue, scale
+    for r, c in tile_pairs(dim):
+        upper = coeff[r, c]
+        np.multiply(rho(r, c), o[c, r].T, out=upper)
+        if r != c:
+            lower = coeff[c, r]
+            np.multiply(rho(c, r), o[r, c].T, out=lower)
+            upper.real += lower.real.T
+    return coeff
 
 
 @dataclass(frozen=True)

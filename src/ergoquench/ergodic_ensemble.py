@@ -29,10 +29,11 @@ ever materialized; the test suite assembles one literally as a
 small-dimension cross-check.
 
 All inputs must be Hermitian.  Every operand of `ensemble_mean` and
-`second_moment_expectation`, and of the Monte-Carlo oracle that checks
-them, passes one check (`_checked`): it must have the partition's
-dimension, and a raw array, not a DensityMatrix, HermitianOperator or
-PairOperator, must be Hermitian to HERMITICITY_ATOL, with no NaN or inf.
+`second_moment_expectation`, of the Monte-Carlo oracle that checks them
+and of the phase sums (`dynamics.evolve_expectation`) passes one check
+(`_checked`): it must have the partition's dimension, and a raw array,
+not a DensityMatrix, HermitianOperator or PairOperator, must be
+Hermitian to HERMITICITY_ATOL, with no NaN or inf.
 The pair traces are taken without a transposed read: with X^T = conj(X),
 
     R2[i, j] = tr(rho^(ij) rho^(ji)) = block sums of |rho|^2
@@ -173,20 +174,20 @@ def _operator(op) -> np.ndarray:
         op.entries if isinstance(op, (HermitianOperator, DensityMatrix)) else op)
 
 
-def _checked(x, partition: SectorPartition, factors: bool = True):
-    """One operand of a partition-based entry point, checked and resolved:
-    (P, S) when `factors` and x keeps its factors (`_factored`), else its
-    dense matrix (`_operator`).  A dimension other than the partition's
-    raises SectorError.  A raw array (not a DensityMatrix,
+def _checked(x, dim: int, factors: bool = True):
+    """One operand of the phase sums, the ensemble moments or the oracle,
+    checked and resolved: (P, S) when `factors` and x keeps its factors
+    (`_factored`), else its dense matrix (`_operator`).  A dimension other
+    than `dim` raises SectorError.  A raw array (not a DensityMatrix,
     HermitianOperator or PairOperator, which are checked on creation) that
     is not Hermitian to HERMITICITY_ATOL raises StateValidationError; NaN
     and inf fail too."""
     resolved = (_factored(x) if factors else None) or _operator(x)
     shape = ((len(resolved[0]),) * 2 if isinstance(resolved, tuple)
              else resolved.shape)
-    if shape != (partition.dim,) * 2:
+    if shape != (dim,) * 2:
         raise SectorError(f"operand of shape {shape} does not match "
-                          f"partition dim {partition.dim}")
+                          f"partition dim {dim}")
     if not isinstance(x, (DensityMatrix, HermitianOperator, PairOperator)):
         dev = hermitian_deviation(resolved)
         if not (dev <= HERMITICITY_ATOL):
@@ -213,7 +214,7 @@ def ensemble_mean(rho, partition: SectorPartition) -> DensityMatrix:
     diagonal ensemble; for a single whole-space sector it is the
     microcanonical state 1/d.
     """
-    m = _checked(rho, partition, factors=False)
+    m = _checked(rho, partition.dim, factors=False)
     tr = m.trace()
     if abs(tr - 1.0) > TRACE_GATE_ATOL:
         raise StateValidationError(f"input trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -259,7 +260,7 @@ def second_moment_expectation(rho, partition: SectorPartition,
     NumericalIntegrityError.
     """
     for x in (rho, obs_a, obs_b):
-        _checked(x, partition)
+        _checked(x, partition.dim)
 
     starts = partition.starts
     d = partition.sizes.astype(float)

@@ -58,8 +58,20 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        for name in ("L", "total_sz", "disorder_seed", "mc_samples",
+                     "n_subintervals"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        for name in ("J", "h", "degeneracy_tol"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.L < 2 or self.L % 2 != 0:
             raise ValueError(f"L must be even and >= 2 for the half split, got {self.L}")
+        # the seed also keys the Philox stream of the oracle
+        if not (0 <= self.disorder_seed < 1 << 64):
+            raise ValueError(f"disorder_seed must be in [0, 2**64), "
+                             f"got {self.disorder_seed}")
         if self.protocol not in PROTOCOLS + ("both",):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         t0, t1, n = self.time_window
@@ -68,7 +80,7 @@ class ExperimentConfig:
         n = _integral("the time point count", n)
         if n < 100:
             raise ValueError(f"need at least 100 time points, got {n}")
-        windows = _integral("n_subintervals", self.n_subintervals)
+        windows = self.n_subintervals
         if windows < 2:
             raise ValueError(f"n_subintervals must be >= 2, got {windows}")
         if n < 10 * windows:
@@ -84,7 +96,6 @@ class ExperimentConfig:
             raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "
                              f"got {self.degeneracy_tol}")
         object.__setattr__(self, "time_window", (float(t0), float(t1), n))
-        object.__setattr__(self, "n_subintervals", windows)
 
     @property
     def protocols(self) -> tuple:

@@ -25,8 +25,8 @@ the form the observable is stored in.  A dense state, and every state whose
 element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
 product per size group on each side.  The state and every observable pass
 the check the analytic moments apply (`ergodic_ensemble._checked`): the
-partition's dimension, and Hermiticity for a raw array, so the oracle and
-the formulas it checks accept the same operands.
+partition's dimension, and Hermiticity for a raw array, so the oracle, the
+formulas it checks and the phase sums accept the same operands.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, the LAPACK gufuncs and Philox release the
@@ -241,7 +241,7 @@ def _in_basis(x, partition: SectorPartition, order: np.ndarray,
     """x in the reordered basis: (P[order], S) for X = P S P^dag when
     `factored` and x keeps its factors, else its dense matrix with rows and
     columns taken in `order`; checked by `_checked`."""
-    m = _checked(x, partition, factored)
+    m = _checked(x, partition.dim, factored)
     if isinstance(m, tuple):
         p, s = m
         return p[order], s

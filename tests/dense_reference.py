@@ -19,7 +19,7 @@ def dense_second_moment_reference(rho, partition: SectorPartition) -> np.ndarray
     Deliberately independent of the contraction path so the two can check
     each other; guarded to dim <= 64 because of the quartic memory cost.
     """
-    m = _checked(rho, partition, factors=False)
+    m = _checked(rho, partition.dim, factors=False)
     d = partition.dim
     if d > DENSE_REFERENCE_MAX_DIM:
         raise ValueError(f"dense reference limited to dim <= {DENSE_REFERENCE_MAX_DIM}, "

@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 from ergoquench import dynamics
 from ergoquench.dynamics import (TimeSeries, evolve_expectation,
                                  make_time_grid, time_stats, write_series_csv)
-from ergoquench.ergodic_ensemble import DensityMatrix
-from ergoquench.errors import ConstructionError, NumericalIntegrityError
-from ergoquench.spin_chain import ADJOINT_TILE
+from ergoquench.ergodic_ensemble import (DensityMatrix, _factored,
+                                         second_moment_expectation)
+from ergoquench.errors import (ConstructionError, NumericalIntegrityError,
+                               SectorError, StateValidationError)
+from ergoquench.haar_oracle import sample_traces
+from ergoquench.spectral import SectorPartition
+from ergoquench.spin_chain import ADJOINT_TILE, HermitianOperator
 
 from conftest import (random_density, random_hermitian, random_mixture,
                       random_pair, read_series_csv)
@@ -256,7 +260,7 @@ class TestEvolveExpectation:
         m[0, 0] = 1.0
         m[0, 1] = 0.5  # no conjugate partner
         obs = np.eye(2, dtype=complex) + 1.0
-        with pytest.raises(NumericalIntegrityError):
+        with pytest.raises(StateValidationError):
             evolve_expectation(m, obs, np.array([0.0, 1.0]),
                                make_time_grid(0.0, 1.0, 10))
 
@@ -267,7 +271,7 @@ class TestEvolveExpectation:
         m, o = rng.normal(size=(2, d, d))
         if complex_data:
             m, o = m + 1j * rng.normal(size=(d, d)), o + 1j * rng.normal(size=(d, d))
-        coeff, residue, scale = dynamics._phase_coefficients(m, o)
+        coeff = dynamics._phase_coefficients(m, o)
         assert coeff.dtype == m.dtype
         literal = m * o.T
         # Re C holds U: the upper tiles of A + A^T, A elsewhere
@@ -276,9 +280,6 @@ class TestEvolveExpectation:
         a = literal.real
         assert np.array_equal(coeff.real, np.where(upper, a + a.T, a))
         assert np.array_equal(coeff.imag, literal.imag)
-        assert residue == pytest.approx(np.sum(np.abs(literal - literal.conj().T)),
-                                        rel=1e-12)
-        assert scale == pytest.approx(np.sum(np.abs(literal)), rel=1e-12)
 
     def test_complex_series_across_tiles(self):
         rng = np.random.default_rng(43)
@@ -299,10 +300,11 @@ class TestEvolveExpectation:
                                    ADJOINT_TILE + 1, 2 * ADJOINT_TILE + 37])
     def test_upper_tiles_give_the_full_product(self, d, complex_data, factored):
         # x.U.x = x.A.x holds for any A: the observable carries an
-        # anti-Hermitian part, inside the guard, that U must keep
+        # anti-Hermitian part, which the operand check would reject, so the
+        # kernel is called directly
         rng = np.random.default_rng(70 + d)
         rho = random_mixture(rng, d, 2, complex_data)
-        state = rho if factored else rho.entries.copy()
+        state = _factored(rho) if factored else rho.entries.copy()
         g, k = rng.normal(size=(2, d, d))
         if complex_data:
             g, k = g + 1j * rng.normal(size=(d, d)), k + 1j * rng.normal(size=(d, d))
@@ -312,7 +314,7 @@ class TestEvolveExpectation:
         u = np.exp(-1j * np.multiply.outer(t, energies))
         coeff = rho.entries * obs.T
         want = np.sum((u @ coeff) * u.conj(), axis=1).real
-        got = evolve_expectation(state, obs, energies, t).values
+        got = dynamics._dense_series(state, obs, energies, t)
         assert np.max(np.abs(got - want)) < 1e-13 * np.sum(np.abs(coeff))
 
     def test_non_hermitian_state_rejected_across_tiles(self):
@@ -322,23 +324,76 @@ class TestEvolveExpectation:
         rho[d - 1, 1] += 1e-3  # in the farthest tile, no conjugate partner
         obs = random_hermitian(rng, d)
         t = make_time_grid(0.0, 1.0, 10)
-        with pytest.raises(NumericalIntegrityError, match="not Hermitian"):
+        with pytest.raises(StateValidationError, match="not Hermitian"):
             evolve_expectation(rho, obs, np.linspace(-1.0, 1.0, d), t)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observable_rejected(self, bad):
         obs = np.eye(3)
         obs[1, 1] = bad
-        with pytest.raises(NumericalIntegrityError):
+        with pytest.raises(StateValidationError):
             evolve_expectation(np.eye(3) / 3, obs, np.array([0.0, 1.0, 2.0]),
                                make_time_grid(0.0, 1.0, 10))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(SectorError):
             evolve_expectation(np.eye(2, dtype=complex) / 2,
                                np.eye(3, dtype=complex),
                                np.array([0.0, 1.0]),
                                make_time_grid(0.0, 1.0, 10))
+
+    def test_overflowing_series_rejected(self):
+        # a typed operand is not checked again, and its finite entries give
+        # a series beyond the float64 range
+        state = DensityMatrix.from_state_vector(np.ones(2) / np.sqrt(2.0))
+        obs = HermitianOperator(np.full((2, 2), 1.5e308))
+        with (np.errstate(over="ignore"),
+              pytest.raises(NumericalIntegrityError, match="not finite")):
+            evolve_expectation(state, obs, np.array([0.0, 1.0]),
+                               make_time_grid(0.0, 1.0, 10))
+
+
+class TestOneOperandCheck:
+    """The phase sums, the ensemble moments and the oracle give one raw
+    operand the same verdict."""
+
+    D = 5
+    DEFECTS = {"1e-9 anti-Hermitian": StateValidationError,
+               "NaN entry": StateValidationError,
+               "inf entry": StateValidationError,
+               "one level too many": SectorError}
+
+    @classmethod
+    def operands(cls, which, defect):
+        rng = np.random.default_rng(80)
+        d = cls.D
+        rho, obs = np.eye(d) / d, random_hermitian(rng, d).entries
+        bad = (rho if which == "state" else obs).astype(complex)
+        if defect == "1e-9 anti-Hermitian":
+            k = rng.normal(size=(d, d))
+            bad += 1e-9j * (k + k.T)
+        elif defect == "one level too many":
+            bad = np.pad(bad, ((0, 1), (0, 1)))
+        else:
+            bad[0, 3] = bad[3, 0] = np.nan if defect == "NaN entry" else np.inf
+        return (bad, obs) if which == "state" else (rho, bad)
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("which", ["state", "observable"])
+    def test_same_verdict_from_all_three_views(self, which, defect):
+        rho, obs = self.operands(which, defect)
+        energies = np.arange(self.D, dtype=float)
+        part = SectorPartition(self.D, np.array([0, 2]))
+        views = [lambda: evolve_expectation(rho, obs, energies,
+                                            make_time_grid(0.0, 1.0, 10)),
+                 lambda: second_moment_expectation(rho, part, obs, obs),
+                 lambda: sample_traces(rho, part, [obs], 10, 0)]
+        raised = []
+        for view in views:
+            with pytest.raises(Exception) as info:
+                view()
+            raised.append(type(info.value))
+        assert raised == [self.DEFECTS[defect]] * 3
 
 
 # offsets k * 0.5 from t_0 = 3000 are exact, so every block's eps is 0;
@@ -478,7 +533,7 @@ class TestPairSeries:
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(53)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(SectorError):
             evolve_expectation(random_mixture(rng, 3, 1, False),
                                random_pair(rng, 4, False),
                                np.array([0.0, 1.0, 2.0]),

@@ -612,6 +612,48 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "[config]" in capsys.readouterr().err and built == []
 
+    @pytest.mark.parametrize("raw", [
+        {"L": 4.5}, {"total_sz": 0.5}, {"disorder_seed": 1.5},
+        {"disorder_seed": -1}, {"disorder_seed": 2**64, "mc_samples": 2},
+        {"mc_samples": 2.5}, {"J": True}, {"h": False},
+        {"degeneracy_tol": True}, {"output_dir": 5},
+    ])
+    def test_bad_field_fails_under_config(self, raw, tmp_path, capsys,
+                                          monkeypatch):
+        built = []
+        monkeypatch.setattr("ergoquench.experiment.prepare_quench",
+                            lambda *args: built.append(args))
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(dict({"L": 4}, **raw)))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[config]" in err and f"{next(iter(raw))} " in err
+        assert built == []
+
+    def test_batch_past_the_last_seed_fails_under_config(self, tmp_path,
+                                                         capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr("ergoquench.experiment.prepare_quench",
+                            lambda *args: built.append(args))
+        path = write_config(tmp_path, {"L": 4, "disorder_seed": 2**64 - 1})
+        assert main(["run", "--config", str(path), "--realizations", "2",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "[config] disorder_seed " in capsys.readouterr().err
+        assert built == []
+
+    def test_whole_float_length_runs_like_the_int(self, tmp_path):
+        reports = []
+        for length in (4, 4.0):
+            path = write_config(tmp_path, {"L": length})
+            out = tmp_path / f"out_{length}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["timestamp"], report["runtime_seconds"]
+            reports.append((report, sorted(
+                (p.name, p.read_bytes()) for p in out.glob("*.csv"))))
+        assert reports[0] == reports[1]
+        assert reports[0][0]["config"]["L"] == 4
+
     def test_bad_oracle_arguments(self, config_file, capsys):
         assert main(["oracle", "--config", str(config_file),
                      "--order", "0", "--samples", "100"]) == 1
