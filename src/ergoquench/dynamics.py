@@ -43,20 +43,18 @@ both, compute them once.
   c, s the cos and sin of E t.  Each block of PHASE_BLOCK_BYTES holds whole
   sub-blocks, built by in-place angle addition, and the two quadratic
   forms are x.U.x over the rows x of [c; s], one product per tile column
-  of U.  U holds the diagonal tiles of A and the upper tiles of A + A^T:
-  half the GEMM flops, and exact for any A, because the antisymmetric part
-  of A adds nothing to a quadratic form.  For complex data
-  s.(B - B^T).c is one whole product.  C is the only d x d array this
-  kernel builds: a factored state is never formed whole, each tile of
-  rho_0 is formed from P and S where C needs it.
+  of U.  The operands are Hermitian, so C is too and A is symmetric: U
+  holds the diagonal tiles of A and twice its upper tiles, half the GEMM
+  flops of the full product.  For complex data s.(B - B^T).c is one whole
+  product.  C is the only d x d array this kernel builds, and only its
+  tiles on and above the diagonal are formed, each once
+  (`_phase_coefficients`); a factored state is never formed whole, each
+  tile of rho_0 is formed from P and S where C needs it.
 
 Real data stays real: real coefficients are multiplied by the real cos
-and sin, never promoted to complex.  The dense kernel fills C one tile
-pair of `spin_chain.tile_pairs` at a time and, while a tile and its
-mirror are in cache, folds the mirror's real part into the upper tile,
-which gives U in Re C.  Only complex data still reads a whole matrix
-transposed, to form B - B^T in `_dense_series`.  A series value that is
-not finite, from either kernel, raises NumericalIntegrityError.
+and sin, never promoted to complex.  Only complex data reads a whole
+matrix transposed, to form B - B^T in `_dense_series`.  A series value
+that is not finite, from either kernel, raises NumericalIntegrityError.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ergodic_ensemble import _checked
+from .ergodic_ensemble import _checked, _checked_state
 from .errors import ConstructionError, NumericalIntegrityError
 from .spin_chain import ADJOINT_TILE, tile_pairs
 
@@ -140,8 +138,10 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     Both operands pass `ergodic_ensemble._checked` against the number of
     energies: another dimension raises SectorError, and a raw array that is
     not Hermitian to HERMITICITY_ATOL, or holds NaN or inf, raises
-    StateValidationError.  Then a grid that is not a uniform, increasing 1d
-    grid raises ConstructionError; all before any work.  A state and an
+    StateValidationError, as does a state whose trace is not 1 to
+    TRACE_GATE_ATOL (`_checked_state`).  Then a grid that is not a
+    uniform, increasing 1d grid raises ConstructionError; all before any
+    work.  A state and an
     observable that are both factored, rho0 = P S P^dag and X = Q T Q^dag
     (a DensityMatrix that keeps its factors, a PairOperator), take the
     factored kernel (`_factored_series`); every other pair is taken
@@ -152,7 +152,7 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     """
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
-    state = _checked(rho0, len(e))
+    state = _checked_state(rho0, len(e))
     obs = _checked(observable, len(e), factors=isinstance(state, tuple))
     _check_time_grid(t)
     kernel = _factored_series if isinstance(obs, tuple) else _dense_series
@@ -174,7 +174,7 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
     phase sum for Hermitian inputs.  Each run of sub-blocks fills the
     rows x of [c; s] by angle addition in one reused buffer, and the two
     quadratic forms are x.U.x, one product per tile column of the block
-    upper triangle U that `_phase_coefficients` leaves in Re C.
+    upper triangle U that `_phase_coefficients` forms in Re C.
     """
     coeff = _phase_coefficients(m, o)
     upper = np.ascontiguousarray(coeff.real)  # no copy for real inputs
@@ -336,36 +336,27 @@ def _split(x):
 
 
 def _phase_coefficients(m, o: np.ndarray) -> np.ndarray:
-    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba) with U in its real
-    part, filled by tile pairs.
+    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba), formed only on and
+    above the diagonal tiles: the tiles above are doubled, those below 0.
 
-    m is a matrix, or the factors (P, S) of rho = P S P^dag, whose tile
-    [r, c] is formed in place as (P[r] @ S) @ P[c]^dag.  Once a pair is
-    filled, the real part of its lower tile, transposed, is added to that
-    of its upper tile.  Re C then holds U: the diagonal tiles of A = Re C
-    and the upper tiles of A + A^T, so x.A.x = x.U.x for every x.  The
-    lower tiles keep A and are not read again, and the imaginary part
-    stays B = Im C whole.
+    Both operands passed `ergodic_ensemble._checked`, so they are
+    Hermitian: o.T = conj(o), and each tile of `spin_chain.tile_pairs` is
+    formed once, as rho[r, c] * conj(o[r, c]), with no transposed read.  C
+    is Hermitian too, so A = Re C is symmetric and x.A.x = x.U.x for U in
+    Re C: the diagonal tiles of A and twice its upper tiles.  In Im C the
+    same layout gives B - B^T as the whole of B would.  m is a matrix, or
+    the factors (P, S) of rho = P S P^dag, each tile of rho formed as
+    (P[r] @ S) @ P[c]^dag.  The tiles below the diagonal keep the 0 of
+    np.zeros, so for real data their pages are never touched.
     """
-    if isinstance(m, tuple):
-        p, s = m
-        dim, dtype = len(p), p.dtype
-
-        def rho(r, c):
-            return (p[r] @ s) @ p[c].conj().T
-    else:
-        dim, dtype = len(m), m.dtype
-
-        def rho(r, c):
-            return m[r, c]
-    coeff = np.empty((dim, dim), dtype=np.result_type(dtype, o))
-    for r, c in tile_pairs(dim):
-        upper = coeff[r, c]
-        np.multiply(rho(r, c), o[c, r].T, out=upper)
+    p, s = m if isinstance(m, tuple) else (None, None)
+    coeff = np.zeros(o.shape, dtype=np.result_type(m if p is None else p, o))
+    for r, c in tile_pairs(len(o)):
+        rho = m[r, c] if p is None else (p[r] @ s) @ p[c].conj().T
+        tile = coeff[r, c]
+        np.multiply(rho, o[r, c].conj(), out=tile)
         if r != c:
-            lower = coeff[c, r]
-            np.multiply(rho(c, r), o[r, c].T, out=lower)
-            upper.real += lower.real.T
+            tile *= 2.0
     return coeff
 
 

@@ -33,7 +33,9 @@ All inputs must be Hermitian.  Every operand of `ensemble_mean` and
 and of the phase sums (`dynamics.evolve_expectation`) passes one check
 (`_checked`): it must have the partition's dimension, and a raw array,
 not a DensityMatrix, HermitianOperator or PairOperator, must be
-Hermitian to HERMITICITY_ATOL, with no NaN or inf.
+Hermitian to HERMITICITY_ATOL, with no NaN or inf.  Every state operand
+then passes one trace gate (`_checked_state`): unit trace to
+TRACE_GATE_ATOL.
 The pair traces are taken without a transposed read: with X^T = conj(X),
 
     R2[i, j] = tr(rho^(ij) rho^(ji)) = block sums of |rho|^2
@@ -67,7 +69,7 @@ from .spin_chain import (HERMITICITY_ATOL, NORM_ATOL, HermitianOperator,
                          PairOperator, as_inexact_array, hermitian_deviation)
 
 TRACE_ATOL = 1e-10
-TRACE_GATE_ATOL = 1e-8  # looser gate applied by the averaging operations
+TRACE_GATE_ATOL = 1e-8  # looser gate on every state operand (`_checked_state`)
 PSD_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
 _FLOAT_MAX = np.finfo(np.float64).max
@@ -186,14 +188,26 @@ def _checked(x, dim: int, factors: bool = True):
     shape = ((len(resolved[0]),) * 2 if isinstance(resolved, tuple)
              else resolved.shape)
     if shape != (dim,) * 2:
-        raise SectorError(f"operand of shape {shape} does not match "
-                          f"partition dim {dim}")
+        raise SectorError(f"operand of shape {shape} does not match the "
+                          f"{dim} energy levels")
     if not isinstance(x, (DensityMatrix, HermitianOperator, PairOperator)):
         dev = hermitian_deviation(resolved)
         if not (dev <= HERMITICITY_ATOL):
             raise StateValidationError(
                 f"input not Hermitian, max deviation {dev:.3e}")
     return resolved
+
+
+def _checked_state(x, dim: int, factors: bool = True):
+    """A state operand: `_checked`, and then its trace must be 1 to
+    TRACE_GATE_ATOL, else StateValidationError.  The one trace gate of the
+    phase sums, the ensemble moments and the oracle."""
+    m = _checked(x, dim, factors)
+    tr = np.vdot(m[0], m[0] @ m[1]) if isinstance(m, tuple) else m.trace()
+    if not (abs(tr - 1.0) <= TRACE_GATE_ATOL):  # NaN fails too
+        raise StateValidationError(
+            f"input trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    return m
 
 
 def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -214,13 +228,11 @@ def ensemble_mean(rho, partition: SectorPartition) -> DensityMatrix:
     diagonal ensemble; for a single whole-space sector it is the
     microcanonical state 1/d.
     """
-    m = _checked(rho, partition.dim, factors=False)
+    m = _checked_state(rho, partition.dim, factors=False)
     tr = m.trace()
-    if abs(tr - 1.0) > TRACE_GATE_ATOL:
-        raise StateValidationError(f"input trace deviates from 1 by {abs(tr - 1.0):.3e}")
     t = _sector_traces(m, partition.starts).real
     # dividing by the actual trace keeps marginally off-normalized inputs
-    # (inside the gate above) from producing an invalid output state
+    # (inside TRACE_GATE_ATOL) from producing an invalid output state
     weights = np.repeat(t / partition.sizes, partition.sizes) / tr.real
     return DensityMatrix(np.diag(weights))
 
@@ -259,16 +271,14 @@ def second_moment_expectation(rho, partition: SectorPartition,
     not finite, or has an imaginary residue, raises
     NumericalIntegrityError.
     """
-    for x in (rho, obs_a, obs_b):
+    _checked_state(rho, partition.dim)
+    for x in (obs_a, obs_b):
         _checked(x, partition.dim)
 
     starts = partition.starts
     d = partition.sizes.astype(float)
     t, _, r2 = _pair_traces(rho, rho, starts)  # R2[i, j] = tr(rho^(ij) rho^(ji))
     t = t.real
-    if not (abs(t.sum() - 1.0) <= TRACE_GATE_ATOL):
-        raise StateValidationError(
-            f"input trace deviates from 1 by {abs(t.sum() - 1.0):.3e}")
     a_tr, b_tr, ab = _pair_traces(obs_a, obs_b, starts)  # M[i, j] = tr(A^(ij) B^(ji))
 
     mean_a = float(np.sum(t * a_tr.real / d))

@@ -25,8 +25,9 @@ the form the observable is stored in.  A dense state, and every state whose
 element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
 product per size group on each side.  The state and every observable pass
 the check the analytic moments apply (`ergodic_ensemble._checked`): the
-partition's dimension, and Hermiticity for a raw array, so the oracle, the
-formulas it checks and the phase sums accept the same operands.
+partition's dimension, and Hermiticity for a raw array; the state also
+passes their trace gate (`_checked_state`).  So the oracle, the formulas
+it checks and the phase sums accept the same operands.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, the LAPACK gufuncs and Philox release the
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ergodic_ensemble import _FLOAT_MAX, _checked
+from .ergodic_ensemble import _FLOAT_MAX, _checked, _checked_state
 from .errors import NumericalIntegrityError
 from .spectral import SectorPartition
 
@@ -236,12 +237,9 @@ def _bounded_chunk(per_sample: int) -> int:
     return max(1, min(DEFAULT_CHUNK, (1 << 22) // max(1, per_sample)))
 
 
-def _in_basis(x, partition: SectorPartition, order: np.ndarray,
-              factored: bool):
-    """x in the reordered basis: (P[order], S) for X = P S P^dag when
-    `factored` and x keeps its factors, else its dense matrix with rows and
-    columns taken in `order`; checked by `_checked`."""
-    m = _checked(x, partition.dim, factored)
+def _in_basis(m, order: np.ndarray):
+    """A checked operand in the reordered basis: (P[order], S) for factors
+    (P, S), else the matrix with rows and columns taken in `order`."""
     if isinstance(m, tuple):
         p, s = m
         return p[order], s
@@ -263,7 +261,7 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     groups, order, n_entries = _size_groups(partition)
-    m = _in_basis(rho, partition, order, factored)
+    m = _in_basis(_checked_state(rho, partition.dim, factored), order)
     s = None
     if isinstance(m, tuple):
         p, s = m
@@ -341,7 +339,8 @@ def sample_traces(rho, partition: SectorPartition, observables,
     if not observables:
         raise ValueError("no observables given")
     basis, s, rotated, firsts = _samples(rho, partition, n_samples, seed)
-    forms = {id(o): _in_basis(o, partition, basis, s is not None)
+    forms = {id(o): _in_basis(_checked(o, partition.dim, s is not None),
+                              basis)
              for o in observables}
     values = {key: np.empty(n_samples) for key in forms}
 

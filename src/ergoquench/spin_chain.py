@@ -20,8 +20,9 @@ from .errors import ConstructionError, SectorError
 
 HERMITICITY_ATOL = 1e-12
 NORM_ATOL = 1e-10
-# side of the square tiles in which d x d passes meet their adjoint: a tile
-# and its mirror stay in cache while one is read transposed
+# side of the square tiles of d x d passes: `hermitian_deviation` reads a
+# tile and its mirror, which stay in cache while one is read transposed; the
+# dense phase sum forms and reads only the tiles on and above the diagonal
 ADJOINT_TILE = 128
 
 

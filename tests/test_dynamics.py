@@ -5,6 +5,7 @@ The reference for the evolution kernel is a dense double loop over all
 sum it claims to be.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,11 @@ from ergoquench import dynamics
 from ergoquench.dynamics import (TimeSeries, evolve_expectation,
                                  make_time_grid, time_stats, write_series_csv)
 from ergoquench.ergodic_ensemble import (DensityMatrix, _factored,
+                                         ensemble_mean,
                                          second_moment_expectation)
 from ergoquench.errors import (ConstructionError, NumericalIntegrityError,
                                SectorError, StateValidationError)
-from ergoquench.haar_oracle import sample_traces
+from ergoquench.haar_oracle import estimate_state_mean, sample_traces
 from ergoquench.spectral import SectorPartition
 from ergoquench.spin_chain import ADJOINT_TILE, HermitianOperator
 
@@ -266,20 +268,28 @@ class TestEvolveExpectation:
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_tiled_coefficients_match_the_literal_sums(self, complex_data):
+        # quarter-integer entries make every product exact, so the literal
+        # sums match whichever path numpy's multiply takes
         rng = np.random.default_rng(41)
         d = 2 * ADJOINT_TILE + 37
-        m, o = rng.normal(size=(2, d, d))
+
+        def quarters():
+            return rng.integers(-8, 9, size=(d, d)) / 4.0
+
+        m, o = quarters(), quarters()
         if complex_data:
-            m, o = m + 1j * rng.normal(size=(d, d)), o + 1j * rng.normal(size=(d, d))
+            m, o = m + 1j * quarters(), o + 1j * quarters()
+        m, o = (m + m.conj().T) / 2, (o + o.conj().T) / 2
         coeff = dynamics._phase_coefficients(m, o)
         assert coeff.dtype == m.dtype
-        literal = m * o.T
-        # Re C holds U: the upper tiles of A + A^T, A elsewhere
+        # Hermitian operands: C = m * o.T = m * conj(o), formed on and above
+        # the diagonal tiles, doubled above them, and 0 below
+        literal = m * o.conj()
         tile = np.arange(d) // ADJOINT_TILE
-        upper = tile[:, None] < tile[None, :]
-        a = literal.real
-        assert np.array_equal(coeff.real, np.where(upper, a + a.T, a))
-        assert np.array_equal(coeff.imag, literal.imag)
+        above = tile[:, None] < tile[None, :]
+        below = tile[:, None] > tile[None, :]
+        want = np.where(above, 2.0 * literal, np.where(below, 0.0, literal))
+        assert np.array_equal(coeff, want)
 
     def test_complex_series_across_tiles(self):
         rng = np.random.default_rng(43)
@@ -299,16 +309,14 @@ class TestEvolveExpectation:
     @pytest.mark.parametrize("d", [1, ADJOINT_TILE - 1, ADJOINT_TILE,
                                    ADJOINT_TILE + 1, 2 * ADJOINT_TILE + 37])
     def test_upper_tiles_give_the_full_product(self, d, complex_data, factored):
-        # x.U.x = x.A.x holds for any A: the observable carries an
-        # anti-Hermitian part, which the operand check would reject, so the
-        # kernel is called directly
+        # the kernel is called directly, on operands Hermitian to rounding
         rng = np.random.default_rng(70 + d)
         rho = random_mixture(rng, d, 2, complex_data)
         state = _factored(rho) if factored else rho.entries.copy()
-        g, k = rng.normal(size=(2, d, d))
+        g = rng.normal(size=(d, d))
         if complex_data:
-            g, k = g + 1j * rng.normal(size=(d, d)), k + 1j * rng.normal(size=(d, d))
-        obs = (g + g.conj().T) / 2 + 1e-9 * (k - k.conj().T)
+            g = g + 1j * rng.normal(size=(d, d))
+        obs = (g + g.conj().T) / 2
         energies = np.sort(rng.uniform(-5.0, 5.0, size=d))
         t = make_time_grid(0.0, 3.0, 50)
         u = np.exp(-1j * np.multiply.outer(t, energies))
@@ -361,7 +369,11 @@ class TestOneOperandCheck:
     DEFECTS = {"1e-9 anti-Hermitian": StateValidationError,
                "NaN entry": StateValidationError,
                "inf entry": StateValidationError,
-               "one level too many": SectorError}
+               "one level too many": SectorError,
+               "trace 2": StateValidationError}
+    # an observable has no trace to check
+    CASES = [case for case in itertools.product(("observable", "state"), DEFECTS)
+             if case != ("observable", "trace 2")]
 
     @classmethod
     def operands(cls, which, defect):
@@ -374,12 +386,13 @@ class TestOneOperandCheck:
             bad += 1e-9j * (k + k.T)
         elif defect == "one level too many":
             bad = np.pad(bad, ((0, 1), (0, 1)))
+        elif defect == "trace 2":
+            bad *= 2.0  # Hermitian and positive semidefinite
         else:
             bad[0, 3] = bad[3, 0] = np.nan if defect == "NaN entry" else np.inf
         return (bad, obs) if which == "state" else (rho, bad)
 
-    @pytest.mark.parametrize("defect", DEFECTS)
-    @pytest.mark.parametrize("which", ["state", "observable"])
+    @pytest.mark.parametrize("which, defect", CASES)
     def test_same_verdict_from_all_three_views(self, which, defect):
         rho, obs = self.operands(which, defect)
         energies = np.arange(self.D, dtype=float)
@@ -388,12 +401,15 @@ class TestOneOperandCheck:
                                             make_time_grid(0.0, 1.0, 10)),
                  lambda: second_moment_expectation(rho, part, obs, obs),
                  lambda: sample_traces(rho, part, [obs], 10, 0)]
+        if which == "state":  # the views that take a state alone
+            views += [lambda: ensemble_mean(rho, part),
+                      lambda: estimate_state_mean(rho, part, 10, 0)]
         raised = []
         for view in views:
             with pytest.raises(Exception) as info:
                 view()
             raised.append(type(info.value))
-        assert raised == [self.DEFECTS[defect]] * 3
+        assert raised == [self.DEFECTS[defect]] * len(views)
 
 
 # offsets k * 0.5 from t_0 = 3000 are exact, so every block's eps is 0;

@@ -308,11 +308,11 @@ class TestEstimateMoments:
                        (make_rho(rng, 3), make_obs(rng, 4)),
                        (make_rho(rng, 4), make_obs(rng, 3))):
             for order, observables in ((1, [a]), (2, [a, a])):
-                with pytest.raises(ValueError, match="partition dim"):
+                with pytest.raises(ValueError, match="the 4 energy levels"):
                     estimate_moments(rho, part, observables, order=order,
                                      n_samples=10, seed=0)
         for rho in (make_rho(rng, 5), make_rho(rng, 3)):
-            with pytest.raises(ValueError, match="partition dim"):
+            with pytest.raises(ValueError, match="the 4 energy levels"):
                 estimate_state_mean(rho, part, n_samples=10, seed=0)
 
     def test_argument_validation(self):

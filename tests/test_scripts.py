@@ -41,3 +41,30 @@ def test_reproduce_quench_table_prints_every_series():
                                          ("mixed", "H_R"), ("mixed", "Q")]
     for *_, values in rows:
         assert all(math.isfinite(float(v)) for v in values.split())
+
+
+def test_count_code_lines_counts_code_only(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        '"""Module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    return (x +  # trailing comment\n"
+        "            1)\n"
+        "\n"
+        'TEXT = """not a docstring\n'
+        'on two lines"""\n')
+    (package / "empty.py").write_text("")
+    out = run_script("count_code_lines.py", str(package))
+    assert out.splitlines() == ["empty.py 0", "mod.py 5", "total 5"]
+
+
+def test_count_code_lines_covers_every_module():
+    *rows, total = run_script("count_code_lines.py").splitlines()
+    counts = {name: int(n) for name, n in (row.split() for row in rows)}
+    assert sorted(counts) == sorted(
+        p.name for p in (ROOT / "src" / "ergoquench").glob("*.py"))
+    assert total == f"total {sum(counts.values())}"
