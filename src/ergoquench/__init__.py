@@ -3,7 +3,7 @@ predictions: exact diagonalization, analytic ensemble moments, Monte-Carlo
 oracles, and long-time dynamics."""
 
 from .dynamics import (TimeSeries, TimeStats, evolve_expectation,
-                       make_time_grid, time_stats, write_series_csv)
+                       make_time_grid, time_stats)
 from .ergodic_ensemble import (DensityMatrix, MomentPrediction,
                                cat_q_variance_closed_form, ensemble_mean,
                                second_moment_expectation)

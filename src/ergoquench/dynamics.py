@@ -60,7 +60,6 @@ that is not finite, from either kernel, raises NumericalIntegrityError.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,17 +137,18 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     Both operands pass `ergodic_ensemble._checked` against the number of
     energies: another dimension raises SectorError, and a raw array that is
     not Hermitian to HERMITICITY_ATOL, or holds NaN or inf, raises
-    StateValidationError, as does a state whose trace is not 1 to
-    TRACE_GATE_ATOL (`_checked_state`).  Then a grid that is not a
+    StateValidationError.  The state is a DensityMatrix (`_checked_state`),
+    so one without unit trace to TRACE_ATOL, or with an eigenvalue below
+    -PSD_ATOL, raises StateValidationError too.  Then a grid that is not a
     uniform, increasing 1d grid raises ConstructionError; all before any
-    work.  A state and an
-    observable that are both factored, rho0 = P S P^dag and X = Q T Q^dag
-    (a DensityMatrix that keeps its factors, a PairOperator), take the
-    factored kernel (`_factored_series`); every other pair is taken
-    densely (`_dense_series`), a factored state by its tiles.  Both take
-    the phases exp(-i E t) as start phases times an offset table, one run
-    of sub-blocks at a time (`_phase_factors`).  A series value that is
-    not finite raises NumericalIntegrityError.
+    work.  A state and an observable that are both factored,
+    rho0 = P S P^dag and X = Q T Q^dag (a DensityMatrix that keeps its
+    factors, a PairOperator), take the factored kernel
+    (`_factored_series`); every other pair is taken densely
+    (`_dense_series`), a factored state by its tiles.  Both take the phases
+    exp(-i E t) as start phases times an offset table, one run of
+    sub-blocks at a time (`_phase_factors`).  A series value that is not
+    finite raises NumericalIntegrityError.
     """
     e = np.asarray(energies, dtype=np.float64)
     t = np.asarray(times, dtype=np.float64)
@@ -405,20 +405,3 @@ def time_stats(series: TimeSeries, n_subintervals: int = 10) -> TimeStats:
     sigma_ci = float(np.sqrt(np.mean((sub_sigmas - sigma) ** 2)))
     return TimeStats(mean=mean, sigma=sigma, mean_ci=mean_ci,
                      sigma_ci=sigma_ci, n_subintervals=n_subintervals)
-
-
-def csv_rows(row_format: str, *columns) -> str:
-    """One `row_format` line per entry of the columns, sequences of Python
-    numbers of equal length, formatted by a single % operation."""
-    values = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return (row_format * len(columns[0])) % values
-
-
-def write_series_csv(path, series: TimeSeries):
-    """Write `t,value` rows at 17 significant digits, which read back
-    exactly, in one write."""
-    text = csv_rows("%.17g,%.17g\n", series.times.tolist(),
-                    series.values.tolist())
-    with open(path, "w") as f:
-        f.write("t,value\n" + text)
-

@@ -34,8 +34,9 @@ and of the phase sums (`dynamics.evolve_expectation`) passes one check
 (`_checked`): it must have the partition's dimension, and a raw array,
 not a DensityMatrix, HermitianOperator or PairOperator, must be
 Hermitian to HERMITICITY_ATOL, with no NaN or inf.  Every state operand
-then passes one trace gate (`_checked_state`): unit trace to
-TRACE_GATE_ATOL.
+is a DensityMatrix (`_checked_state`): a raw state that passes `_checked`
+becomes one, so it must also have unit trace to TRACE_ATOL and be
+positive semidefinite to PSD_ATOL.
 The pair traces are taken without a transposed read: with X^T = conj(X),
 
     R2[i, j] = tr(rho^(ij) rho^(ji)) = block sums of |rho|^2
@@ -69,26 +70,10 @@ from .spin_chain import (HERMITICITY_ATOL, NORM_ATOL, HermitianOperator,
                          PairOperator, as_inexact_array, hermitian_deviation)
 
 TRACE_ATOL = 1e-10
-TRACE_GATE_ATOL = 1e-8  # looser gate on every state operand (`_checked_state`)
 PSD_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
 _FLOAT_MAX = np.finfo(np.float64).max
 SHARED_SUPPORT_THRESHOLD = 0.05
-
-
-def _hermitian_unit_trace(entries) -> np.ndarray:
-    """The O(d^2) checks every density matrix passes: square, Hermitian,
-    unit trace."""
-    m = as_inexact_array(entries)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StateValidationError(f"density matrix must be square, got {m.shape}")
-    herm = hermitian_deviation(m)
-    if not (herm <= HERMITICITY_ATOL):  # NaN and inf fail too
-        raise StateValidationError(f"not Hermitian, max deviation {herm:.3e}")
-    tr = m.trace()
-    if not (abs(tr - 1.0) <= TRACE_ATOL):
-        raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    return m
 
 
 class DensityMatrix:
@@ -108,7 +93,15 @@ class DensityMatrix:
     __slots__ = ("_entries", "weights", "vectors")
 
     def __init__(self, entries):
-        m = _hermitian_unit_trace(entries)
+        m = as_inexact_array(entries)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise StateValidationError(f"density matrix must be square, got {m.shape}")
+        herm = hermitian_deviation(m)
+        if not (herm <= HERMITICITY_ATOL):  # NaN and inf fail too
+            raise StateValidationError(f"not Hermitian, max deviation {herm:.3e}")
+        tr = m.trace()
+        if not (abs(tr - 1.0) <= TRACE_ATOL):
+            raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         # diagonal iff every nonzero sits on the diagonal; no copy of m
         if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
             lo = float(m.diagonal().real.min())  # diagonal matrices need no solver
@@ -123,7 +116,7 @@ class DensityMatrix:
     def entries(self) -> np.ndarray:
         if self._entries is None:
             v = self.vectors
-            self._entries = _hermitian_unit_trace((v * self.weights) @ v.conj().T)
+            self._entries = (v * self.weights) @ v.conj().T
         return self._entries
 
     @classmethod
@@ -199,15 +192,14 @@ def _checked(x, dim: int, factors: bool = True):
 
 
 def _checked_state(x, dim: int, factors: bool = True):
-    """A state operand: `_checked`, and then its trace must be 1 to
-    TRACE_GATE_ATOL, else StateValidationError.  The one trace gate of the
-    phase sums, the ensemble moments and the oracle."""
-    m = _checked(x, dim, factors)
-    tr = np.vdot(m[0], m[0] @ m[1]) if isinstance(m, tuple) else m.trace()
-    if not (abs(tr - 1.0) <= TRACE_GATE_ATOL):  # NaN fails too
-        raise StateValidationError(
-            f"input trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    return m
+    """A state operand, checked and resolved as `_checked` resolves it.
+    Anything but a DensityMatrix passes `_checked` and then becomes one,
+    so every state of the phase sums, the ensemble moments and the oracle
+    is Hermitian, has unit trace to TRACE_ATOL and is positive
+    semidefinite to PSD_ATOL, else StateValidationError."""
+    if not isinstance(x, DensityMatrix):
+        x = DensityMatrix(_checked(x, dim, factors=False))
+    return _checked(x, dim, factors)
 
 
 def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -232,7 +224,7 @@ def ensemble_mean(rho, partition: SectorPartition) -> DensityMatrix:
     tr = m.trace()
     t = _sector_traces(m, partition.starts).real
     # dividing by the actual trace keeps marginally off-normalized inputs
-    # (inside TRACE_GATE_ATOL) from producing an invalid output state
+    # (inside TRACE_ATOL) from producing an invalid output state
     weights = np.repeat(t / partition.sizes, partition.sizes) / tr.real
     return DensityMatrix(np.diag(weights))
 

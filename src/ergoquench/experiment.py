@@ -13,6 +13,7 @@ analytic ensemble predictions, with optional Monte-Carlo cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -24,8 +25,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import (csv_rows, evolve_expectation, make_time_grid,
-                       time_stats, write_series_csv)
+from .dynamics import evolve_expectation, make_time_grid, time_stats
 from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
                                cat_q_variance_closed_form,
                                second_moment_expectation)
@@ -61,9 +61,6 @@ class ExperimentConfig:
         for name in ("L", "total_sz", "disorder_seed", "mc_samples",
                      "n_subintervals"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        for name in ("J", "h", "degeneracy_tol"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.L < 2 or self.L % 2 != 0:
@@ -75,8 +72,10 @@ class ExperimentConfig:
         if self.protocol not in PROTOCOLS + ("both",):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         t0, t1, n = self.time_window
-        if not (t1 > t0):
-            raise ValueError(f"time window [{t0}, {t1}] is empty")
+        t0, t1 = _real("time window start", t0), _real("time window end", t1)
+        if not (0.0 < t1 - t0 < math.inf):  # NaN fails too
+            raise ValueError(f"time window [{t0}, {t1}] needs a finite, "
+                             "positive span")
         n = _integral("the time point count", n)
         if n < 100:
             raise ValueError(f"need at least 100 time points, got {n}")
@@ -86,16 +85,17 @@ class ExperimentConfig:
         if n < 10 * windows:
             raise ValueError(f"{n} time points cannot support {windows} "
                              "subintervals (need >= 10 points in each)")
-        if not math.isfinite(self.J):
+        if not math.isfinite(_real("J", self.J)):
             raise ValueError(f"J must be finite, got {self.J}")
-        if not (0 <= self.h < math.inf):
+        if not (0 <= _real("h", self.h) < math.inf):
             raise ValueError(f"h (disorder bound) must be finite and >= 0, got {self.h}")
         if self.mc_samples < 0 or self.mc_samples == 1:
             raise ValueError(f"mc_samples must be 0 or >= 2, got {self.mc_samples}")
-        if self.degeneracy_tol is not None and not (0 <= self.degeneracy_tol < math.inf):
+        tol = self.degeneracy_tol
+        if tol is not None and not (0 <= _real("degeneracy_tol", tol) < math.inf):
             raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "
-                             f"got {self.degeneracy_tol}")
-        object.__setattr__(self, "time_window", (float(t0), float(t1), n))
+                             f"got {tol}")
+        object.__setattr__(self, "time_window", (t0, t1, n))
 
     @property
     def protocols(self) -> tuple:
@@ -117,10 +117,20 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
 
+def _real(name: str, value) -> float:
+    """value as a float; a bool, a non-number and a number beyond the
+    float64 range raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float64 range") from None
+
+
 def _integral(name: str, value) -> int:
     """value as an int; a float is accepted when it is a whole number."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
+    if not _real(name, value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -425,46 +435,48 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                 energies=energies, overlaps=overlaps)
 
 
+def _csv_rows(row_format: str, *columns) -> str:
+    """One `row_format` line per entry of the columns, sequences of Python
+    numbers of equal length, formatted by a single % operation."""
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return (row_format * len(columns[0])) % values
+
+
 def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
     """Write report.json, per-series CSVs, spectrum.csv, and overlaps.csv.
 
-    On any failure every file written so far is removed, so an output
-    directory never holds a partial result set.
+    Numbers are written at 17 significant digits, which read back exactly.
+    Every file is formatted first and then written with one write.  On any
+    failure every file written so far is removed, so an output directory
+    never holds a partial result set.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     try:
         report = result.report
         report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        # every path is registered before its file is opened, so a failure
-        # mid-write still gets that partial file removed below
-        path = os.path.join(out_dir, "report.json")
-        written.append(path)
-        with open(path, "w") as f:
-            # allow_nan=False turns any non-finite value into a hard error here
-            json.dump(asdict(report), f, indent=2, sort_keys=True,
-                      allow_nan=False)
-            f.write("\n")
-
+        # allow_nan=False turns any non-finite value into a hard error here
+        files = {"report.json": json.dumps(asdict(report), indent=2,
+                                           sort_keys=True, allow_nan=False)
+                 + "\n"}
         for (protocol, name), ts in result.series.items():
-            path = os.path.join(out_dir, f"series_{protocol}_{name}.csv")
-            written.append(path)
-            write_series_csv(path, ts)
-
+            files[f"series_{protocol}_{name}.csv"] = "t,value\n" + _csv_rows(
+                "%.17g,%.17g\n", ts.times.tolist(), ts.values.tolist())
         index, energies = range(len(result.energies)), result.energies.tolist()
-        path = os.path.join(out_dir, "spectrum.csv")
-        written.append(path)
-        text = csv_rows("%d,%.17g\n", index, energies)
-        with open(path, "w") as f:
-            f.write("index,energy\n" + text)
-
-        path = os.path.join(out_dir, "overlaps.csv")
-        written.append(path)
+        files["spectrum.csv"] = "index,energy\n" + _csv_rows(
+            "%d,%.17g\n", index, energies)
         a1, a2 = result.overlaps.T
-        text = csv_rows("%d,%.17g,%.17g,%.17g,%.17g\n", index, energies,
-                        a1.tolist(), a2.tolist(), (a1 * a2).tolist())
-        with open(path, "w") as f:
-            f.write("index,energy,abs_phi1,abs_phi2,shared_support\n" + text)
+        files["overlaps.csv"] = (
+            "index,energy,abs_phi1,abs_phi2,shared_support\n"
+            + _csv_rows("%d,%.17g,%.17g,%.17g,%.17g\n", index, energies,
+                        a1.tolist(), a2.tolist(), (a1 * a2).tolist()))
+        for name, text in files.items():
+            path = os.path.join(out_dir, name)
+            # registered before it is opened, so that a failure mid-write
+            # still gets the partial file removed below
+            written.append(path)
+            with open(path, "w") as f:
+                f.write(text)
         return written
     except Exception as exc:
         for path in written:

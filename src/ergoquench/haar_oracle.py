@@ -25,9 +25,10 @@ the form the observable is stored in.  A dense state, and every state whose
 element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
 product per size group on each side.  The state and every observable pass
 the check the analytic moments apply (`ergodic_ensemble._checked`): the
-partition's dimension, and Hermiticity for a raw array; the state also
-passes their trace gate (`_checked_state`).  So the oracle, the formulas
-it checks and the phase sums accept the same operands.
+partition's dimension, and Hermiticity for a raw array; the state is also
+a DensityMatrix, with unit trace and no negative eigenvalue
+(`_checked_state`).  So the oracle, the formulas it checks and the phase
+sums accept the same operands.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, the LAPACK gufuncs and Philox release the

@@ -70,7 +70,7 @@ def block_conjugate(u, m):
 
 
 def read_series_csv(path):
-    """A series CSV written by `dynamics.write_series_csv`, read back."""
+    """A series CSV written by `experiment.write_artifacts`, read back."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return TimeSeries(times=data[:, 0], values=data[:, 1])
 

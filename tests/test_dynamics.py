@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ergoquench import dynamics
 from ergoquench.dynamics import (TimeSeries, evolve_expectation,
-                                 make_time_grid, time_stats, write_series_csv)
+                                 make_time_grid, time_stats)
 from ergoquench.ergodic_ensemble import (DensityMatrix, _factored,
                                          ensemble_mean,
                                          second_moment_expectation)
@@ -26,7 +26,7 @@ from ergoquench.spectral import SectorPartition
 from ergoquench.spin_chain import ADJOINT_TILE, HermitianOperator
 
 from conftest import (random_density, random_hermitian, random_mixture,
-                      random_pair, read_series_csv)
+                      random_pair)
 
 
 def dense_evolution(rho, obs, energies, times):
@@ -370,10 +370,14 @@ class TestOneOperandCheck:
                "NaN entry": StateValidationError,
                "inf entry": StateValidationError,
                "one level too many": SectorError,
-               "trace 2": StateValidationError}
-    # an observable has no trace to check
-    CASES = [case for case in itertools.product(("observable", "state"), DEFECTS)
-             if case != ("observable", "trace 2")]
+               "trace 2": StateValidationError,
+               "negative eigenvalue": StateValidationError}
+    # an observable has no trace or spectrum to check
+    CASES = [(which, defect)
+             for which, defect in itertools.product(("observable", "state"),
+                                                    DEFECTS)
+             if which == "state"
+             or defect not in ("trace 2", "negative eigenvalue")]
 
     @classmethod
     def operands(cls, which, defect):
@@ -388,6 +392,10 @@ class TestOneOperandCheck:
             bad = np.pad(bad, ((0, 1), (0, 1)))
         elif defect == "trace 2":
             bad *= 2.0  # Hermitian and positive semidefinite
+        elif defect == "negative eigenvalue":
+            # Hermitian with unit trace, but a coherence larger than any
+            # state allows: eigenvalues 1/d +- 1.5
+            bad[0, 3] = bad[3, 0] = 1.5
         else:
             bad[0, 3] = bad[3, 0] = np.nan if defect == "NaN entry" else np.inf
         return (bad, obs) if which == "state" else (rho, bad)
@@ -652,26 +660,3 @@ class TestTimeStats:
         t = make_time_grid(0.0, 1.0, 100)
         with pytest.raises(ValueError):
             time_stats(TimeSeries(times=t, values=np.zeros(100)), n_subintervals=1)
-
-
-class TestSeriesUtilities:
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        t = make_time_grid(3000.0, 13000.0, 300)
-        ts = TimeSeries(times=t, values=rng.normal(size=300))
-        path = tmp_path / "series.csv"
-        write_series_csv(path, ts)
-        back = read_series_csv(path)
-        assert np.array_equal(back.times, ts.times)
-        assert np.array_equal(back.values, ts.values)
-
-    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
-        values = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
-        ts = TimeSeries(times=make_time_grid(0.1, 3000.0, 6), values=values)
-        path = tmp_path / "series.csv"
-        write_series_csv(path, ts)
-        want = "t,value\n" + "".join(
-            f"{float(t):.17g},{float(v):.17g}\n"
-            for t, v in zip(ts.times, ts.values))
-        assert path.read_bytes() == want.encode()
-        assert "-0\n" in want and "4.9406564584124654e-324" in want

@@ -155,8 +155,8 @@ class TestEnsembleMean:
         assert np.all(np.abs(mc.imag - mean.entries.imag) <= 4.0 * se_im + 1e-12)
 
     def test_marginal_trace_renormalized(self):
-        # trace off by 5e-9 passes the gate and the output is exactly valid
-        m = np.diag([0.5 + 5e-9, 0.5]).astype(complex)
+        # trace off by 5e-11 passes the gate and the output is exactly valid
+        m = np.diag([0.5 + 5e-11, 0.5]).astype(complex)
         mean = ensemble_mean(m, SectorPartition.singletons(2))
         assert abs(np.trace(mean.entries) - 1.0) < 1e-12
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import warnings
 
@@ -10,7 +11,8 @@ import pytest
 
 from ergoquench import dynamics, haar_oracle
 from ergoquench.cli import main
-from ergoquench.dynamics import evolve_expectation, make_time_grid, time_stats
+from ergoquench.dynamics import (TimeSeries, evolve_expectation,
+                                 make_time_grid, time_stats)
 from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
                                          second_moment_expectation)
 from ergoquench.errors import PipelineError, StateValidationError
@@ -459,12 +461,40 @@ class TestArtifacts:
         spectrum = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
         assert np.allclose(spectrum[:, 1], res.energies)
 
-    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
-        edge = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
+    @staticmethod
+    def bare_result(energies, series):
+        """A result holding only what the CSVs are formatted from."""
         report = ExperimentReport(config={}, spectral={}, states={},
                                   protocols={}, closed_form={})
-        result = ExperimentResult(report=report, series={}, energies=edge,
-                                  overlaps=np.column_stack([edge, edge[::-1]]))
+        return ExperimentResult(
+            report=report, series=series, energies=energies,
+            overlaps=np.column_stack([energies, energies[::-1]]))
+
+    def test_series_csv_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ts = TimeSeries(times=make_time_grid(3000.0, 13000.0, 300),
+                        values=rng.normal(size=300))
+        write_artifacts(self.bare_result(np.zeros(2), {("cat", "Q"): ts}),
+                        tmp_path)
+        back = read_series_csv(tmp_path / "series_cat_Q.csv")
+        assert np.array_equal(back.times, ts.times)
+        assert np.array_equal(back.values, ts.values)
+
+    def test_series_csv_bytes_match_per_row_formatting(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
+        ts = TimeSeries(times=make_time_grid(0.1, 3000.0, 6), values=values)
+        write_artifacts(self.bare_result(np.zeros(2), {("mixed", "H_R"): ts}),
+                        tmp_path)
+        want = "t,value\n" + "".join(
+            f"{float(t):.17g},{float(v):.17g}\n"
+            for t, v in zip(ts.times, ts.values))
+        assert (tmp_path / "series_mixed_H_R.csv").read_bytes() == \
+            want.encode()
+        assert "-0\n" in want and "4.9406564584124654e-324" in want
+
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path):
+        edge = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
+        result = self.bare_result(edge, {})
         spectrum, overlaps = ["index,energy\n"], [
             "index,energy,abs_phi1,abs_phi2,shared_support\n"]
         with np.errstate(over="ignore"):  # 1e308 * -1e308 is -inf
@@ -601,6 +631,9 @@ class TestCli:
         dict(n_subintervals=2.5),
         dict(n_subintervals=1),
         dict(time_window=[0, 49.5, 100.7]),
+        dict(time_window=[0, 49.5, 10**400]),
+        dict(time_window=[0, math.inf, 100]),
+        dict(time_window=[-1e308, 1e308, 100]),
     ])
     def test_bad_window_fails_under_config(self, window, tmp_path, capsys,
                                            monkeypatch):
@@ -616,7 +649,8 @@ class TestCli:
         {"L": 4.5}, {"total_sz": 0.5}, {"disorder_seed": 1.5},
         {"disorder_seed": -1}, {"disorder_seed": 2**64, "mc_samples": 2},
         {"mc_samples": 2.5}, {"J": True}, {"h": False},
-        {"degeneracy_tol": True}, {"output_dir": 5},
+        {"degeneracy_tol": True}, {"output_dir": 5}, {"mc_samples": 10**400},
+        {"J": 10**400}, {"h": 10**400}, {"degeneracy_tol": 10**400},
     ])
     def test_bad_field_fails_under_config(self, raw, tmp_path, capsys,
                                           monkeypatch):

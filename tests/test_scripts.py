@@ -1,22 +1,26 @@
 """Smoke tests for the command-line scripts under scripts/: each runs in a
 subprocess on a small chain, as a user would run it."""
 
+import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+from ergoquench.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout
 
 
@@ -68,3 +72,27 @@ def test_count_code_lines_covers_every_module():
     assert sorted(counts) == sorted(
         p.name for p in (ROOT / "src" / "ergoquench").glob("*.py"))
     assert total == f"total {sum(counts.values())}"
+
+
+def test_compare_artifacts_passes_two_runs_and_names_a_changed_byte(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"L": 6, "time_window": [100.0, 600.0, 2000]}))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    # the run-dependent fields are left out of the comparison
+    report = json.loads((runs[1] / "report.json").read_text())
+    report.update(timestamp="then", runtime_seconds=99.0)
+    (runs[1] / "report.json").write_text(json.dumps(report))
+    out = run_script("compare_artifacts.py", *map(str, runs))
+    assert out == "identical: 7 files\n"
+
+    changed = tmp_path / "changed"
+    shutil.copytree(runs[0], changed)
+    path = changed / "series_cat_Q.csv"
+    text = bytearray(path.read_bytes())
+    text[-2] = ord("0") if text[-2] != ord("0") else ord("1")
+    path.write_bytes(bytes(text))
+    out = run_script("compare_artifacts.py", str(runs[0]), str(changed),
+                     returncode=1)
+    assert out.startswith("series_cat_Q.csv: line 2001: ")
