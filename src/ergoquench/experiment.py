@@ -39,6 +39,8 @@ from .spin_chain import (DisorderRealization, SpinBasis, build_basis,
 
 PROTOCOLS = ("cat", "mixed")
 DEGENERACY_TOL_RELATIVE = 1e-8
+# the most values a float64 array can have and numpy still shape it
+MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"time window [{t0}, {t1}] needs a finite, "
                              "positive span")
         n = _integral("the time point count", n)
-        if n < 100:
-            raise ValueError(f"need at least 100 time points, got {n}")
+        if not 100 <= n <= MAX_COUNT:
+            raise ValueError(f"need 100 to {MAX_COUNT} time points, got {n}")
         windows = self.n_subintervals
         if windows < 2:
             raise ValueError(f"n_subintervals must be >= 2, got {windows}")
@@ -89,8 +91,9 @@ class ExperimentConfig:
             raise ValueError(f"J must be finite, got {self.J}")
         if not (0 <= _real("h", self.h) < math.inf):
             raise ValueError(f"h (disorder bound) must be finite and >= 0, got {self.h}")
-        if self.mc_samples < 0 or self.mc_samples == 1:
-            raise ValueError(f"mc_samples must be 0 or >= 2, got {self.mc_samples}")
+        if not (self.mc_samples == 0 or 2 <= self.mc_samples <= MAX_COUNT):
+            raise ValueError(f"mc_samples must be 0 or 2 to {MAX_COUNT}, "
+                             f"got {self.mc_samples}")
         tol = self.degeneracy_tol
         if tol is not None and not (0 <= _real("degeneracy_tol", tol) < math.inf):
             raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "

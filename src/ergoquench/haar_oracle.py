@@ -4,38 +4,42 @@ This is the independent check on the analytic moment formulas: conjugate
 the state by U = (+)_i U_i with each block drawn Haar-uniformly, and
 average observables over many draws.
 
-Sampling uses the QR decomposition of a complex Ginibre matrix with the
-R-diagonal phase fix, which makes the distribution exactly Haar (Mezzadri,
-math-ph/0609050).  The Ginibre entries come from one counter-based Philox
-stream keyed by the seed (Salmon et al., SC 2011), turned into normals by
-Box-Muller with one tangent per entry: with t = tan(pi u), the angle 2 pi u
-has cosine (1 - t^2) / (1 + t^2) and sine 2 t / (1 + t^2).  Every sample
-consumes the same fixed number of 64-bit words, so sample k sits at a
-counter fixed by k alone, and results are reproducible bit-for-bit no
-matter how samples are batched.
+Each block is drawn as a product of Householder reflectors,
+U = H_0 H_1 ... H_(d-2) diag(phases), each reflector from a fresh
+Gaussian column (Stewart, SIAM J. Numer. Anal. 17, 403 (1980)).  That is
+the Q of a Ginibre matrix's QR with the R-diagonal phase fix, which is
+exactly Haar (Mezzadri, math-ph/0609050), from d (d + 1) / 2 entries
+instead of d^2, with a few vectorized operations per column over a whole
+stack of blocks and no LAPACK call per matrix (`_householder_unitaries`).
+A block of one level is the phase g / |g| of its entry.  The Ginibre
+entries come from one counter-based Philox stream keyed by the seed
+(Salmon et al., SC 2011), turned into normals by Box-Muller with one
+tangent per entry: with t = tan(pi u), the angle 2 pi u has cosine
+(1 - t^2) / (1 + t^2) and sine 2 t / (1 + t^2).  Every sample consumes
+the same fixed number of 64-bit words, so sample k sits at a counter
+fixed by k alone, and results are reproducible bit-for-bit no matter how
+samples are batched.
 
-No d x d unitary is formed.  Sectors of equal size are drawn as one stack
-(one batched QR, or g / |g| for blocks of one level, which is what QR with
-the phase fix gives there), and the sampled U acts block by block, in a
-basis reordered so that each size group is one contiguous range
-(`_size_groups`).  For the moments a state that keeps its factors,
-rho = P S P^dag, is rotated as U P, held as its transpose, (samples, r, d),
-and U rho U^dag is never formed; each observable is contracted with it in
-the form the observable is stored in.  A dense state, and every state whose
-element-wise mean is asked for, is rotated as sigma = U rho U^dag, one
-product per size group on each side.  The state and every observable pass
-the check the analytic moments apply (`ergodic_ensemble._checked`): the
-partition's dimension, and Hermiticity for a raw array; the state is also
-a DensityMatrix, with unit trace and no negative eigenvalue
-(`_checked_state`).  So the oracle, the formulas it checks and the phase
-sums accept the same operands.
+No d x d unitary is formed.  Sectors of equal size are drawn as one
+stack, and the sampled U acts block by block, in a basis reordered so that
+each size group is one contiguous range (`_size_groups`).  For the moments
+a state that keeps its factors, rho = P S P^dag, is rotated as U P, held
+as its transpose, (samples, r, d), and U rho U^dag is never formed; each
+observable is contracted with it in the form the observable is stored in.
+A dense state, and every state whose element-wise mean is asked for, is
+rotated as sigma = U rho U^dag, one product per size group on each side.
+The state and every observable pass the check the analytic moments apply
+(`ergodic_ensemble._checked`): the partition's dimension, and Hermiticity
+for a raw array; the state is also a DensityMatrix, with unit trace and no
+negative eigenvalue (`_checked_state`).  So the oracle, the formulas it
+checks and the phase sums accept the same operands.
 
 The chunks of one call run at the same time, one per core on a thread pool
-(`_in_order`): numpy's ufuncs, the LAPACK gufuncs and Philox release the
-GIL, so one chunk's draws, QRs and products overlap another's.  The results
-are still the same bit for bit whatever the number of cores.  The chunk
-boundaries come from the module constant DEFAULT_CHUNK, read at call time,
-and the memory bound alone, each sample from its own counter, and each
+(`_in_order`): numpy's ufuncs, matmul and Philox release the GIL, so
+one chunk's draws and products overlap another's.  The results are still
+the same bit for bit whatever the number of cores.  The chunk boundaries
+come from the module constant DEFAULT_CHUNK, read at call time, and the
+memory bound alone, each sample from its own counter, and each
 chunk writes its per-sample values into its own slice; the element-wise
 mean adds the chunks' sums in chunk order.
 """
@@ -79,14 +83,14 @@ class MomentEstimate:
     n_samples: int
 
 
-def _fix_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Rescale Q columns so the effective R diagonal is positive real;
-    this removes the QR gauge ambiguity and yields exact Haar measure."""
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(diag)
-    safe = np.where(mag == 0.0, 1.0, mag)
-    phase = np.where(mag == 0.0, 1.0 + 0.0j, diag / safe)
-    return q * phase[..., None, :]
+def _phase(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """z / |z| element-wise, and 1 where z is 0."""
+    mag = np.abs(z)
+    zero = mag == 0.0
+    if zero.any():
+        mag[zero] = 1.0
+        z = np.where(zero, 1.0, z)
+    return np.divide(z, mag, out=out)
 
 
 def _ginibre_entries(seed: int, first_index: int, count: int,
@@ -104,7 +108,10 @@ def _ginibre_entries(seed: int, first_index: int, count: int,
     sqrt(-log(1 - u_j)) exp(2 pi i u_(n_entries + j)), which is Box-Muller:
     sqrt(2) times its real part (the cosine) and its imaginary part (the
     sine) are two independent standard normals.  u is a multiple of 2^-53
-    below 1, so 1 - u is exact and never 0.
+    below 1, so 1 - u is exact and never 0; a radius word of 0 (chance
+    2^-53) gives an entry of exactly 0, whose phase the unitaries take
+    as 1.  `_size_groups` says which entries make up which block: d (d + 1)
+    / 2 of them, a lower triangle column by column.
 
     The cosine and sine come from one tangent, t = tan(pi u): with
     s = radius / (1 + t^2) the entry is (2 s - radius) + 2 s t i, which is
@@ -153,14 +160,19 @@ class _Group(NamedTuple):
 def _size_groups(partition: SectorPartition):
     """(groups, order, n_entries): one _Group per distinct sector size, in
     order of first appearance; the basis order that makes each group one
-    contiguous range of rows; and the Ginibre entries per sample,
-    sum_i d_i^2, which run sector by sector, each block row-major."""
+    contiguous range of rows; and the Ginibre entries per sample.
+
+    The entries run sector by sector.  A block of d levels takes
+    d (d + 1) / 2 of them, the lower triangle of a d x d Ginibre matrix
+    column by column (rows k .. d - 1 of column k, for k = 0 .. d - 1).
+    """
     sizes = partition.sizes
-    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    offsets = np.concatenate(([0], np.cumsum(sizes * (sizes + 1) // 2)))
     groups, order, lo = [], [], 0
     for d in dict.fromkeys(int(x) for x in sizes):
         sectors = np.flatnonzero(sizes == d)
-        columns = (offsets[sectors][:, None] + np.arange(d * d)).ravel()
+        columns = (offsets[sectors][:, None]
+                   + np.arange(d * (d + 1) // 2)).ravel()
         hi = lo + d * len(sectors)
         groups.append(_Group(d, sectors, columns, slice(lo, hi)))
         order.append((partition.starts[sectors][:, None] + np.arange(d)).ravel())
@@ -168,24 +180,84 @@ def _size_groups(partition: SectorPartition):
     return groups, np.concatenate(order), int(offsets[-1])
 
 
+def _householder_unitaries(z: np.ndarray, d: int) -> np.ndarray:
+    """(..., d, d) Haar unitaries from z, (..., d (d + 1) / 2): the lower
+    triangle of one Ginibre matrix Z per block, column by column.
+
+    U = H_0 H_1 ... H_(d-2) diag(-alpha_0, ..., -alpha_(d-2), Z_(d-1,d-1)
+    / |Z_(d-1,d-1)|).  Column k of the triangle, x = Z[k:, k], gives the
+    reflector H_k on rows k .. d - 1: with alpha = x_0 / |x_0| and
+    v = x + alpha |x| e_0, H_k = 1 - 2 v v^dag / (v^dag v) sends x to
+    -alpha |x| e_0.  That is the Householder QR of Z with the R diagonal
+    made positive, except that each reflector comes from fresh entries:
+    after k reflections, rows and columns k .. d - 1 are again Ginibre and
+    independent of the reflectors so far, so U is exactly Haar (Stewart,
+    SIAM J. Numer. Anal. 17, 403 (1980); Mezzadri, math-ph/0609050).
+
+    U is accumulated from the last reflector back to the first on a
+    (d, d, samples) stack: a few vectorized operations per column and no
+    LAPACK call per matrix.  With B the block of rows and columns
+    k + 1 .. d - 1 so far, rows and columns k .. d - 1 become
+    H_k (-alpha (+) B): first column x / |x|, first row -alpha y / |x| and
+    inner block B - x_1.. y / (|x| (|x| + |x_0|)), with y = x_1..^dag B.
+    A zero x_0 takes alpha = 1, and an all-zero x stands for e_0.  For d = 1, U is the phase z / |z|
+    alone, written over z.
+    """
+    shape = z.shape[:-1]
+    x = np.ascontiguousarray(np.moveaxis(z, -1, 0)).reshape(z.shape[-1], -1)
+    samples = x.shape[1]
+    if samples == 1:
+        # numpy multiplies complex operands broadcast to a one-element result
+        # without the fused multiply-add its vector loops use, so a lone
+        # block is drawn twice over to get the bits it has in a stack
+        x = np.repeat(x, 2, axis=1)
+    # d = 1 is written over z: fresh pages for it cost more than the phases
+    u = (np.empty((d, d, x.shape[1]), dtype=np.complex128) if d > 1
+         else x.reshape(1, 1, -1))
+    _phase(x[-1], out=u[d - 1, d - 1])
+    # per reflector: where its column starts, its norm and x_0's phase
+    starts = np.array([k * d - k * (k - 1) // 2 for k in range(d - 1)],
+                      dtype=np.intp)
+    body = x[:-1]
+    norm = np.sqrt(np.add.reduceat(body.real * body.real
+                                   + body.imag * body.imag, starts, axis=0))
+    dead = norm == 0.0
+    if dead.any():  # then d > 1, and x is already a copy of z
+        x[starts] += dead
+        norm[dead] = 1.0
+    head = x[starts]
+    phase = _phase(head)
+    inv = 1.0 / norm
+    # a row at a time, with one buffer: faster than one broadcast product
+    buf = np.empty((d - 1, x.shape[1]), dtype=np.complex128)
+    for k in range(d - 2, -1, -1):
+        col = x[starts[k]:starts[k] + d - k]
+        inner, tail, part = u[k + 1:, k + 1:], col[1:], buf[:d - k - 1]
+        np.multiply(col, inv[k], out=u[k:, k])
+        conj = tail.conj()
+        y = conj[0] * inner[0]
+        for c, row in zip(conj[1:], inner[1:]):
+            y += np.multiply(c, row, out=part)
+        np.multiply(y, -phase[k] * inv[k], out=u[k, k + 1:])
+        y *= inv[k] / (norm[k] + np.abs(head[k]))
+        for c, row in zip(tail, inner):
+            row -= np.multiply(c, y, out=part)
+    return np.ascontiguousarray(
+        np.moveaxis(u[..., :samples], -1, 0)).reshape(shape + (d, d))
+
+
 def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
                      count: int) -> list[np.ndarray]:
     """One (count, n_g, d_g, d_g) stack of Haar unitaries per size group,
     for samples first_index .. first_index + count - 1."""
     g = _ginibre_entries(seed, first_index, count, n_entries)
-    # copies in C order, unlike g[:, columns]; g is let go before the QRs,
-    # so a chunk holds its entries once
-    zs = [np.take(g, grp.columns, axis=1).reshape(
-        count, len(grp.sectors), grp.size, grp.size) for grp in groups]
+    # copies in C order, unlike g[:, columns]; g is let go before the
+    # unitaries are built, so a chunk holds its entries once
+    zs = [np.take(g, grp.columns, axis=1).reshape(count, len(grp.sectors), -1)
+          for grp in groups]
     del g
-    stacks = []
-    for grp, z in zip(groups, zs):
-        if grp.size == 1:
-            z /= np.abs(z)
-            stacks.append(z)
-        else:
-            stacks.append(_fix_phases(*np.linalg.qr(z)))
-    return stacks
+    return [_householder_unitaries(z, grp.size)
+            for grp, z in zip(groups, zs)]
 
 
 def sample_block_unitary(partition: SectorPartition, seed: int,
@@ -257,7 +329,8 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
     factored rho = P S P^dag (S real symmetric, as `_factored` gives it),
     unless `factored` is False, s is S and that is Y = (U P)^T of shape
     (count, r, d); for a dense rho s is None and it is sigma.  The chunk is
-    bounded by its largest array: the Ginibre entries, sigma or Y.
+    bounded by its largest array: the unitaries (sum_i d_i^2 entries a
+    sample, at least as many as the Ginibre entries), sigma or Y.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
@@ -267,7 +340,8 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
     if isinstance(m, tuple):
         p, s = m
         m = np.ascontiguousarray(p.T)
-    step = _bounded_chunk(max(n_entries, m.size))
+    step = _bounded_chunk(max(int(partition.sizes @ partition.sizes),
+                              m.size))
 
     def rotated(first):
         count = min(step, n_samples - first)
@@ -286,8 +360,8 @@ def _cores() -> int:
 def _in_order(work, firsts):
     """Yield work(first) for each chunk start in `firsts`, in that order.
 
-    The calls run on a thread pool, one per core: numpy's ufuncs, the
-    LAPACK gufuncs and Philox release the GIL.  No more calls are in flight
+    The calls run on a thread pool, one per core: numpy's ufuncs, matmul
+    and Philox release the GIL.  No more calls are in flight
     than there are workers, so no more chunks are held.  Each call runs in
     a copy of the caller's context, so np.errstate reaches it.  An
     exception in a call is raised here once the calls in flight are done.

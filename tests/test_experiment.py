@@ -16,8 +16,9 @@ from ergoquench.dynamics import (TimeSeries, evolve_expectation,
 from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
                                          second_moment_expectation)
 from ergoquench.errors import PipelineError, StateValidationError
-from ergoquench.experiment import (ExperimentConfig, ExperimentReport,
-                                   ExperimentResult, diagonalize_split_halves,
+from ergoquench.experiment import (MAX_COUNT, ExperimentConfig,
+                                   ExperimentReport, ExperimentResult,
+                                   diagonalize_split_halves,
                                    find_product_eigenstates,
                                    prepare_protocol_state, prepare_quench,
                                    run_experiment, write_artifacts)
@@ -62,6 +63,8 @@ class TestConfig:
         dict(n_subintervals=2.5),
         dict(n_subintervals=True),
         dict(time_window=(0.0, 49.5, 100), n_subintervals=11),
+        dict(mc_samples=MAX_COUNT + 1),  # no float64 array is that long
+        dict(time_window=(0.0, 1.0, MAX_COUNT + 1)),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -663,6 +666,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[config]" in err and f"{next(iter(raw))} " in err
         assert built == []
+
+    @pytest.mark.parametrize("raw", [
+        {"L": 4, "mc_samples": 10**300},
+        {"L": 4, "time_window": [100, 600, 10**300]},
+    ])
+    def test_count_beyond_any_array_fails_before_diagonalizing(
+            self, raw, tmp_path, capsys, monkeypatch):
+        # 10**300 is a finite float64, but numpy cannot shape an array of
+        # that many values
+        solved = []
+        monkeypatch.setattr("ergoquench.experiment.diagonalize",
+                            lambda *args: solved.append(args))
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "[config]" in capsys.readouterr().err and solved == []
 
     def test_batch_past_the_last_seed_fails_under_config(self, tmp_path,
                                                          capsys, monkeypatch):

@@ -25,7 +25,7 @@ from ergoquench.haar_oracle import (DEFAULT_CHUNK, BlockUnitary,
                                     _ginibre_entries, _group_unitaries,
                                     _size_groups, estimate_moments,
                                     estimate_state_mean, sample_block_unitary,
-                                    sample_traces)
+                                    sample_traces, summarize)
 from ergoquench.spectral import SectorPartition
 from ergoquench.spin_chain import HermitianOperator
 
@@ -85,9 +85,12 @@ class TestSampling:
 
 
 class TestStream:
-    # sizes (1,) and (1, 2) use 2 and 10 words per sample, which the stream
-    # pads to 4 and 12, so sample offsets are not the raw word counts
-    @pytest.mark.parametrize("sizes", [(1,), (1, 2)])
+    # a sample takes two words per entry, padded to whole blocks of 4:
+    # (1,) has 1 entry (2 words, padded to 4), (1, 2) has 1 + 3 (8 words),
+    # and the last partition draws blocks of 1, 2, 13 and 57 levels (the
+    # largest energy shells of width 0.2 and 1.0 at L = 12) out of order
+    @pytest.mark.parametrize("sizes", [
+        (1,), (1, 2), (2, 1, 57, 2, 13, 1)])
     def test_chunks_match_single_samples_bit_for_bit(self, sizes):
         part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
         groups, _, n_entries = _size_groups(part)
@@ -99,6 +102,52 @@ class TestStream:
             for grp, stack in zip(groups, chunk):
                 for pos, i in enumerate(grp.sectors):
                     assert np.array_equal(stack[j, pos], single[i])
+
+    def test_singleton_draws_are_the_phases_of_their_entries(self):
+        groups, _, n_entries = _size_groups(SectorPartition.singletons(6))
+        for first, count in ((5, 4), (2, 1)):
+            stack, = _group_unitaries(groups, n_entries, 9, first, count)
+            g = _ginibre_entries(9, first, count, 6)
+            assert np.array_equal(stack.reshape(count, 6), g / np.abs(g))
+
+    def test_zero_entries_give_unitary_draws(self, monkeypatch):
+        # an entry is exactly 0 when its radius word is 0 (chance 2^-53)
+        sizes = (1, 2, 13)
+        part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
+        groups, _, n_entries = _size_groups(part)
+
+        def triangle_columns(offset, d):
+            starts = [offset + k * d - k * (k - 1) // 2 for k in range(d + 1)]
+            return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+        columns = (triangle_columns(0, 1) + triangle_columns(1, 2)
+                   + triangle_columns(4, 13))
+        assert n_entries == 4 + 13 * 14 // 2
+        zeros = [
+            # the first entry of every column: x_0 = 0, and the singleton
+            [c[0] for c in columns],
+            # every other column all zero
+            sum(columns[::2], []),
+            list(range(n_entries)),
+        ]
+        draw = haar_oracle._ginibre_entries
+
+        def with_zeros(seed, first_index, count, n):
+            g = draw(seed, first_index, count, n)
+            for k in range(first_index, min(first_index + count, len(zeros))):
+                g[k - first_index, zeros[k]] = 0.0
+            return g
+
+        monkeypatch.setattr(haar_oracle, "_ginibre_entries", with_zeros)
+        for stack in _group_unitaries(groups, n_entries, 3, 0, len(zeros)):
+            assert np.all(np.isfinite(stack))
+            eye = np.eye(stack.shape[-1])
+            assert np.max(np.abs(stack @ stack.conj().swapaxes(-1, -2)
+                                 - eye)) < 1e-12
+        for k in range(len(zeros)):
+            u = sample_block_unitary(part, seed=3, sample_index=k)
+            assert all(np.all(np.isfinite(b)) for b in u.blocks)
+            assert u.max_unitarity_defect() < 1e-12
 
     def test_different_seeds_differ(self):
         part = SectorPartition(3, np.array([0, 1]))
@@ -167,6 +216,23 @@ class TestFirstEntryMoment:
         est = estimate_moments(rho, part, [proj] * 4, order=4,
                                n_samples=30_000, seed=13)[0]
         assert abs(est.value - 1.0 / 15.0) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("level", ["first", "last"])
+    @pytest.mark.parametrize("d", [2, 13, 32])
+    def test_diagonal_entry_powers(self, d, level):
+        # U_00 of a reflector product is its first Gaussian column
+        # normalized, so the last level, reached through every reflector,
+        # is checked too: each |U_jj|^2 is Beta(1, d - 1)
+        j = 0 if level == "first" else d - 1
+        proj = np.zeros((d, d))
+        proj[j, j] = 1.0
+        values, = sample_traces(DensityMatrix(proj.astype(complex)),
+                                SectorPartition.whole(d), [proj],
+                                n_samples=4000, seed=14)
+        for k in (1, 2, 3):
+            est = summarize(values ** k)
+            assert abs(est.value - haar_first_entry_power(d, k)) \
+                <= 4.0 * est.std_error
 
 
 class TestEstimateMoments:
