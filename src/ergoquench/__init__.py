@@ -15,8 +15,8 @@ from .experiment import (ExperimentConfig, ExperimentReport, ExperimentResult,
                          diagonalize_split_halves, find_product_eigenstates,
                          prepare_protocol_state, prepare_quench,
                          prepare_spectrum, run_experiment, write_artifacts)
-from .haar_oracle import (BlockUnitary, MomentEstimate, estimate_moments,
-                          estimate_state_mean, sample_block_unitary)
+from .haar_oracle import (MomentEstimate, estimate_moments,
+                          estimate_state_mean, sample_traces, summarize)
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
 from .spin_chain import (DisorderRealization, HermitianOperator, PairOperator,

@@ -21,9 +21,9 @@ import numpy as np
 
 from .ergodic_ensemble import second_moment_expectation
 from .errors import PipelineError
-from .experiment import (ExperimentConfig, _stage, prepare_protocol_state,
-                         prepare_quench, prepare_spectrum, run_experiment,
-                         write_artifacts)
+from .experiment import (MAX_COUNT, ExperimentConfig, _stage,
+                         prepare_protocol_state, prepare_quench,
+                         prepare_spectrum, run_experiment, write_artifacts)
 from .haar_oracle import sample_traces, summarize
 
 ENV_OUTPUT_DIR = "ERGOQUENCH_OUTPUT_DIR"
@@ -127,8 +127,10 @@ def cmd_spectrum(args) -> int:
 def cmd_oracle(args) -> int:
     if args.order < 1:
         raise PipelineError("config", f"--order must be >= 1, got {args.order}")
-    if args.samples < 2:
-        raise PipelineError("config", f"--samples must be >= 2, got {args.samples}")
+    # the bound mc_samples has: no float64 array holds more values
+    if not 2 <= args.samples <= MAX_COUNT:
+        raise PipelineError("config", f"--samples must be 2 to {MAX_COUNT}, "
+                                      f"got {args.samples}")
     config = _load_config(args.config)
     q = prepare_quench(config)
 

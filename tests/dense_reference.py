@@ -1,15 +1,46 @@
 """Dense references the tests check the package against: the literal
 d^2 x d^2 second moment behind `second_moment_expectation` at small
 dimension, and the Monte-Carlo oracle's dense path behind
-`estimate_moments` and `estimate_state_mean`."""
+`estimate_moments` and `estimate_state_mean`, built on one sample's
+block unitaries drawn as the estimators draw them."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ergoquench.ergodic_ensemble import _checked, _operator
-from ergoquench.haar_oracle import sample_block_unitary
+from ergoquench.haar_oracle import _group_unitaries, _size_groups
 from ergoquench.spectral import SectorPartition
 
 DENSE_REFERENCE_MAX_DIM = 64
+
+
+@dataclass(frozen=True)
+class BlockUnitary:
+    """One unitary per sector, acting block-diagonally on the full space."""
+
+    partition: SectorPartition
+    blocks: tuple
+
+    def max_unitarity_defect(self) -> float:
+        worst = 0.0
+        for blk in self.blocks:
+            eye = np.eye(blk.shape[0])
+            worst = max(worst, float(np.max(np.abs(blk @ blk.conj().T - eye))))
+        return worst
+
+
+def sample_block_unitary(partition: SectorPartition, seed: int,
+                         sample_index: int = 0) -> BlockUnitary:
+    """Draw sample number sample_index of the seed's stream; the same
+    sample as the estimators draw at that index."""
+    groups, _, n_entries = _size_groups(partition)
+    blocks = [None] * partition.n_sectors
+    for grp, stack in zip(groups, _group_unitaries(groups, n_entries, seed,
+                                                   sample_index, 1)):
+        for k, i in enumerate(grp.sectors):
+            blocks[i] = stack[0, k]
+    return BlockUnitary(partition=partition, blocks=tuple(blocks))
 
 
 def dense_second_moment_reference(rho, partition: SectorPartition) -> np.ndarray:

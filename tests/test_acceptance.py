@@ -17,14 +17,14 @@ from ergoquench.dynamics import evolve_expectation, make_time_grid
 from ergoquench.ergodic_ensemble import (DensityMatrix, ensemble_mean,
                                          second_moment_expectation)
 from ergoquench.experiment import ExperimentConfig, run_experiment, write_artifacts
-from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
-                                    sample_block_unitary)
+from ergoquench.haar_oracle import estimate_moments, estimate_state_mean
 from ergoquench.spectral import (SectorPartition, diagonalize,
                                  level_spacing_ratio)
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
 from conftest import random_density, random_hermitian, random_pure
-from dense_reference import contract_with_pair, dense_second_moment_reference
+from dense_reference import (contract_with_pair, dense_second_moment_reference,
+                             sample_block_unitary)
 
 
 def verdict(number, label, failures):

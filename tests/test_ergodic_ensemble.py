@@ -17,14 +17,13 @@ from ergoquench.ergodic_ensemble import (DensityMatrix, _block_sums,
                                          second_moment_expectation)
 from ergoquench.errors import (NumericalIntegrityError, SectorError,
                                StateValidationError)
-from ergoquench.haar_oracle import (estimate_moments, estimate_state_mean,
-                                    sample_block_unitary)
+from ergoquench.haar_oracle import estimate_moments, estimate_state_mean
 from ergoquench.spectral import SectorPartition
 
 from conftest import (block_conjugate, random_density, random_hermitian,
                       random_mixture, random_pair, random_pure)
 from dense_reference import (contract_with_pair, dense_second_moment_reference,
-                             quartic_overlap_reference)
+                             quartic_overlap_reference, sample_block_unitary)
 
 
 def singleton_oracle(rho, a, b):

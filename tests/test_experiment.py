@@ -712,6 +712,21 @@ class TestCli:
                      "--order", "0", "--samples", "100"]) == 1
         assert "[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [MAX_COUNT + 1, 10**20])
+    def test_oracle_samples_beyond_any_array_fail_before_the_quench(
+            self, samples, tmp_path, capsys, monkeypatch):
+        # the bound of mc_samples, checked before anything is diagonalized
+        built = []
+        monkeypatch.setattr("ergoquench.cli.prepare_quench",
+                            lambda *args: built.append(args))
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps({"L": 4}))
+        assert main(["oracle", "--config", str(path), "--order", "2",
+                     "--samples", str(samples)]) == 1
+        err = capsys.readouterr().err
+        assert f"[config] --samples must be 2 to {MAX_COUNT}" in err
+        assert built == []
+
 
 SMALL_SECTORS = [{"L": 2}, {"L": 4, "total_sz": 4}]  # 2 levels, 1 level
 

@@ -21,10 +21,9 @@ from ergoquench.errors import StateValidationError
 from ergoquench.experiment import (ExperimentConfig, prepare_protocol_state,
                                    prepare_quench)
 from ergoquench import haar_oracle
-from ergoquench.haar_oracle import (DEFAULT_CHUNK, BlockUnitary,
-                                    _ginibre_entries, _group_unitaries,
-                                    _size_groups, estimate_moments,
-                                    estimate_state_mean, sample_block_unitary,
+from ergoquench.haar_oracle import (DEFAULT_CHUNK, _ginibre_entries,
+                                    _group_unitaries, _size_groups,
+                                    estimate_moments, estimate_state_mean,
                                     sample_traces, summarize)
 from ergoquench.spectral import SectorPartition
 from ergoquench.spin_chain import HermitianOperator
@@ -32,7 +31,8 @@ from ergoquench.spin_chain import HermitianOperator
 from conftest import (block_conjugate, block_matrix, random_density,
                       random_hermitian, random_mixture, random_pair,
                       random_pure)
-from dense_reference import dense_state_mean, dense_trace_values
+from dense_reference import (BlockUnitary, dense_state_mean,
+                             dense_trace_values, sample_block_unitary)
 
 
 def haar_first_entry_power(d, k):
@@ -102,6 +102,35 @@ class TestStream:
             for grp, stack in zip(groups, chunk):
                 for pos, i in enumerate(grp.sectors):
                     assert np.array_equal(stack[j, pos], single[i])
+
+    # blocks of 1, 2 and 3 levels, sizes 1 and 2 twice, drawn in chunks of
+    # 2 so that the second chunk starts at sample 2: the seed's stream,
+    # split into blocks as `_size_groups` lays it out
+    PINNED = {
+        "dense": ([0.5271083972527697, 0.7356440663962436, 0.45759703869973833],
+                  [0.03350419935761351, 0.05158779126050488,
+                   0.040266420588870686]),
+        "factored": ([-0.17617917794909194, -0.057239139617805496,
+                      -0.4908856115773296],
+                     [-0.06344921344172334, -0.26058587775522607,
+                      -0.09445397106734063]),
+    }
+
+    @pytest.mark.parametrize("state", ["dense", "factored"])
+    def test_sample_traces_are_pinned(self, state, monkeypatch):
+        # a change of which entries feed which block, or of the order of
+        # the samples, changes these values, although every chunk would
+        # still agree with the single draws
+        sizes = (2, 1, 3, 2, 1)
+        part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
+        monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 2)
+        rng = np.random.default_rng(31)
+        rho = (random_density(rng, 9) if state == "dense"
+               else random_mixture(rng, 9, 2, True))
+        observables = [random_hermitian(rng, 9), random_pair(rng, 9, True)]
+        got = sample_traces(rho, part, observables, 3, seed=2024)
+        for values, want in zip(got, self.PINNED[state]):
+            assert values == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_singleton_draws_are_the_phases_of_their_entries(self):
         groups, _, n_entries = _size_groups(SectorPartition.singletons(6))
@@ -688,3 +717,23 @@ def test_full_size_sampling_holds_no_dense_stack():
         tracemalloc.stop()
     assert peak < 128 * 2**20
     assert est.n_samples == 2048 and est.std_error > 0.0
+
+
+def test_dense_chunk_holds_three_chunk_sized_arrays(monkeypatch):
+    # one chunk of 512 samples of a 16-level block: its unitaries, W and
+    # sigma are 512 * 16^2 complex numbers each, the entries half that and
+    # let go before W; a conjugated copy of the unitaries would be a fourth
+    monkeypatch.setattr(haar_oracle, "_cores", lambda: 1)
+    monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 512)
+    d, n = 16, 512
+    part = SectorPartition.whole(d)
+    rho = random_density(np.random.default_rng(27), d)
+    # a first call leaves the thread pool's imports out of the peak
+    estimate_state_mean(rho, part, n, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_state_mean(rho, part, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * n * d * d * 16
