@@ -36,8 +36,8 @@ def main():
         for h in args.h_values:
             ratios = []
             for seed in range(args.realizations):
-                disorder = draw_disorder(args.length, h, seed=seed)
-                eig = diagonalize(build_hamiltonian(basis, args.coupling, disorder))
+                fields = draw_disorder(args.length, h, seed=seed)
+                eig = diagonalize(build_hamiltonian(basis, args.coupling, fields))
                 ratios.append(level_spacing_ratio(eig.energies))
             r = np.asarray(ratios)
             sem = r.std(ddof=1) / np.sqrt(len(r)) if len(r) > 1 else 0.0

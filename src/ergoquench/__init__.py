@@ -19,8 +19,8 @@ from .haar_oracle import (MomentEstimate, estimate_moments,
                           estimate_state_mean, sample_traces, summarize)
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
-from .spin_chain import (DisorderRealization, HermitianOperator, PairOperator,
-                         SpinBasis, build_basis, build_hamiltonian,
+from .spin_chain import (HermitianOperator, PairOperator, SpinBasis,
+                         build_basis, build_hamiltonian,
                          build_projector_observable, draw_disorder,
                          symmetrized)
 

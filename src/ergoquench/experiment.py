@@ -33,9 +33,9 @@ from .errors import NumericalIntegrityError, PipelineError, StateValidationError
 from .haar_oracle import sample_traces, summarize
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
-from .spin_chain import (DisorderRealization, SpinBasis, build_basis,
-                         build_hamiltonian, build_projector_observable,
-                         draw_disorder, symmetrized)
+from .spin_chain import (SpinBasis, build_basis, build_hamiltonian,
+                         build_projector_observable, draw_disorder,
+                         symmetrized)
 
 PROTOCOLS = ("cat", "mixed")
 DEGENERACY_TOL_RELATIVE = 1e-8
@@ -160,54 +160,52 @@ class HalfSpectra:
     eig_right: EigenSystem
 
 
-def diagonalize_split_halves(length: int, coupling: float,
-                             disorder: DisorderRealization,
+def diagonalize_split_halves(coupling: float, fields: np.ndarray,
                              total_sz: int) -> list[HalfSpectra]:
     """Diagonalize both standalone half chains in every compatible pair of
     sub-magnetization sectors."""
-    half = length // 2
-    n_up = (length + total_sz) // 2
-    dis_l = disorder.restrict(0, half - 1)
-    dis_r = disorder.restrict(half, length - 1)
+    half = len(fields) // 2
+    n_up = (len(fields) + total_sz) // 2
     out = []
     for n_left in range(max(0, n_up - half), min(half, n_up) + 1):
         basis_l = build_basis(half, 2 * n_left - half)
         basis_r = build_basis(half, 2 * (n_up - n_left) - half)
-        h_l = build_hamiltonian(basis_l, coupling, dis_l)
-        h_r = build_hamiltonian(basis_r, coupling, dis_r)
+        h_l = build_hamiltonian(basis_l, coupling, fields[:half])
+        h_r = build_hamiltonian(basis_r, coupling, fields[half:])
         out.append(HalfSpectra(n_left_up=n_left, basis_left=basis_l,
                                basis_right=basis_r, eig_left=diagonalize(h_l),
                                eig_right=diagonalize(h_r)))
     return out
 
 
-def find_product_eigenstates(split_spectra: list[HalfSpectra], basis: SpinBasis,
-                             target: str,
-                             spectrum_bounds: tuple[float, float]) -> ProductEigenstate:
-    """Product eigenstate whose energy is closest to one spectral edge.
+def find_product_eigenstates(
+        splits: list[HalfSpectra], basis: SpinBasis,
+        bounds: tuple[float, float]) -> tuple[ProductEigenstate, ProductEigenstate]:
+    """The product eigenstates whose energies are closest to the lower and
+    to the upper spectral edge, in that order.
 
-    target is "near_min" or "near_max"; the scan is exhaustive over all
-    sector-compatible (left, right) eigenpairs.  Ties break toward the
-    smaller left magnetization, then smaller left index, then right index.
+    The scan is exhaustive over all sector-compatible (left, right)
+    eigenpairs, and each split's table of sums E_l + E_r is formed once.
+    Ties break toward the smaller left magnetization, then smaller left
+    index, then right index.
     """
-    if target not in ("near_min", "near_max"):
-        raise ValueError(f"target must be near_min or near_max, got {target!r}")
-    goal = spectrum_bounds[0] if target == "near_min" else spectrum_bounds[1]
-    best = None
-    for rank, hs in enumerate(split_spectra):
-        table = np.abs(hs.eig_left.energies[:, None]
-                       + hs.eig_right.energies[None, :] - goal)
-        flat = int(np.argmin(table))  # first minimum, row-major: ties resolved
-        a, b = divmod(flat, table.shape[1])
-        cand = (float(table[a, b]), rank, a, b)
-        if best is None or cand < best:
-            best = cand
-    _, rank, a, b = best
-    hs = split_spectra[rank]
-    energy = float(hs.eig_left.energies[a] + hs.eig_right.energies[b])
-    vector = _embed_product(hs, a, b, basis)
-    return ProductEigenstate(vector=vector, energy=energy,
-                             n_left_up=hs.n_left_up, left_index=a, right_index=b)
+    tables = [hs.eig_left.energies[:, None] + hs.eig_right.energies[None, :]
+              for hs in splits]
+    found = []
+    for goal in bounds:
+        candidates = []
+        for rank, sums in enumerate(tables):
+            dev = np.abs(sums - goal)
+            flat = int(np.argmin(dev))  # first minimum, row-major: ties resolved
+            candidates.append((float(dev.flat[flat]), rank, flat))
+        _, rank, flat = min(candidates)
+        hs = splits[rank]
+        a, b = divmod(flat, tables[rank].shape[1])
+        found.append(ProductEigenstate(
+            vector=_embed_product(hs, a, b, basis),
+            energy=float(tables[rank][a, b]),
+            n_left_up=hs.n_left_up, left_index=a, right_index=b))
+    return tuple(found)
 
 
 def _embed_product(hs: HalfSpectra, a: int, b: int, basis: SpinBasis) -> np.ndarray:
@@ -275,10 +273,10 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class SpectralPrefix:
-    """Sector, disorder and full-chain spectrum of one realization."""
+    """Sector, disorder fields and full-chain spectrum of one realization."""
 
     basis: SpinBasis
-    disorder: DisorderRealization
+    fields: np.ndarray  # h_j of each site
     eig: EigenSystem
     degeneracy_tol: float
     partition: SectorPartition
@@ -306,8 +304,8 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
     """Build and diagonalize the full chain and partition its spectrum."""
     with _stage("build"):
         basis = build_basis(config.L, config.total_sz)
-        disorder = draw_disorder(config.L, config.h, config.disorder_seed)
-        ham = build_hamiltonian(basis, config.J, disorder)
+        h_fields = draw_disorder(config.L, config.h, config.disorder_seed)
+        ham = build_hamiltonian(basis, config.J, h_fields)
     with _stage("diagonalize"):
         eig = diagonalize(ham)
         energies = eig.energies
@@ -321,7 +319,7 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
         # a gap ratio needs two adjacent spacings, not all of them zero
         defined = eig.dim >= 3 and energies[-1] > energies[0]
         r_mean = level_spacing_ratio(energies) if defined else None
-        return SpectralPrefix(basis=basis, disorder=disorder, eig=eig,
+        return SpectralPrefix(basis=basis, fields=h_fields, eig=eig,
                               degeneracy_tol=tol,
                               partition=cluster_sectors(energies, tol),
                               r_mean=r_mean)
@@ -332,14 +330,12 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
     spec = prepare_spectrum(config)
     half = config.L // 2
     with _stage("build"):
-        ham_right = build_hamiltonian(spec.basis, config.J, spec.disorder,
+        ham_right = build_hamiltonian(spec.basis, config.J, spec.fields,
                                       bond_range=(half, config.L - 2),
                                       field_sites=(half, config.L - 1))
     with _stage("diagonalize"):
-        splits = diagonalize_split_halves(config.L, config.J, spec.disorder,
-                                          config.total_sz)
-        prod1 = find_product_eigenstates(splits, spec.basis, "near_min", spec.bounds)
-        prod2 = find_product_eigenstates(splits, spec.basis, "near_max", spec.bounds)
+        splits = diagonalize_split_halves(config.J, spec.fields, config.total_sz)
+        prod1, prod2 = find_product_eigenstates(splits, spec.basis, spec.bounds)
         phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
         phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
         observables = {
@@ -359,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     same_product_state = pair[0] == pair[1]
     if same_product_state:
         warnings.warn(
-            "near_min and near_max select the same product state (n_left_up, "
+            "both spectral edges select the same product state (n_left_up, "
             f"left_index, right_index) = {pair[0]}: cat and mixed are then one "
             "state and Q = 2 phi phi^T", UserWarning, stacklevel=2)
 

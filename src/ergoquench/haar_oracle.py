@@ -46,11 +46,7 @@ its rotated state, whichever is larger (`_bounded_chunk`).  By stage:
               written beside the unitaries;
   sigma       U rho U^dag is formed as conj(conj(W)^T U^T) beside W and
               the unitaries, with both conjugates taken in place.
-So a dense chunk peaks at three arrays, where a conjugated copy of the
-unitaries made four: tracemalloc's peak over one 512-sample chunk of a
-16-level block is 3.01 arrays, against 4.01, and the `oracle-haar`
-benchmark's peak RSS fell from 67.6 to 64.0 MB (medians of 10
-alternating runs, 2 cores, 2 BLAS threads).
+So a dense chunk peaks at three arrays.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, matmul and Philox release the GIL, so

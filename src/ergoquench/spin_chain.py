@@ -97,23 +97,9 @@ def build_basis(n_sites: int, total_sz: int) -> SpinBasis:
     return SpinBasis(n_sites=n_sites, total_sz=total_sz, states=states)
 
 
-@dataclass(frozen=True)
-class DisorderRealization:
+def draw_disorder(n_sites: int, h_bound: float, seed: int) -> np.ndarray:
     """One draw of the on-site longitudinal fields h_j, uniform on [-h, h]."""
-
-    h_fields: np.ndarray
-
-    def restrict(self, lo: int, hi: int) -> "DisorderRealization":
-        """Fields for the sub-chain covering sites [lo, hi], relabeled from 0."""
-        if not (0 <= lo <= hi < len(self.h_fields)):
-            raise ConstructionError(f"site window [{lo}, {hi}] out of range")
-        return DisorderRealization(self.h_fields[lo:hi + 1].copy())
-
-
-def draw_disorder(n_sites: int, h_bound: float, seed: int) -> DisorderRealization:
-    rng = np.random.default_rng(seed)
-    fields = rng.uniform(-h_bound, h_bound, size=n_sites)
-    return DisorderRealization(h_fields=fields)
+    return np.random.default_rng(seed).uniform(-h_bound, h_bound, size=n_sites)
 
 
 @dataclass(frozen=True)
@@ -159,7 +145,7 @@ def symmetrized(entries: np.ndarray) -> HermitianOperator:
 def build_hamiltonian(
     basis: SpinBasis,
     coupling: float,
-    disorder: DisorderRealization,
+    fields: np.ndarray,
     bond_range: tuple[int, int] | None = None,
     field_sites: tuple[int, int] | None = None,
 ) -> HermitianOperator:
@@ -169,7 +155,7 @@ def build_hamiltonian(
     ----------
     basis : sector basis the operator acts on.
     coupling : exchange constant J, shared by all bonds.
-    disorder : field realization; must provide one h_j per site of `basis`.
+    fields : on-site fields h_j, one per site of `basis`.
     bond_range : inclusive interval (lo, hi) of bond indices to keep,
         default all bonds [0, L-2].  An interval with hi < lo is empty,
         which is how a single-site "chain" gets a field-only Hamiltonian.
@@ -183,9 +169,8 @@ def build_hamiltonian(
     2J; diagonal elements collect J zz terms and the fields.
     """
     n = basis.n_sites
-    if len(disorder.h_fields) != n:
-        raise ConstructionError(
-            f"disorder has {len(disorder.h_fields)} fields for {n} sites")
+    if len(fields) != n:
+        raise ConstructionError(f"{len(fields)} fields for {n} sites")
     bonds = _resolve_interval(bond_range, n - 2, "bond")
     sites = _resolve_interval(field_sites, n - 1, "field site")
 
@@ -195,7 +180,7 @@ def build_hamiltonian(
     for j in bonds:
         diag += coupling * z[:, j] * z[:, j + 1]
     for j in sites:
-        diag += disorder.h_fields[j] * z[:, j]
+        diag += fields[j] * z[:, j]
 
     entries = np.zeros((basis.dim, basis.dim))
     entries[np.diag_indices(basis.dim)] = diag

@@ -163,8 +163,8 @@ def test_criterion_6_gap_ratio_statistics():
     for h, center, tol in ((1.0, 0.53, 0.02), (6.0, 0.39, 0.03)):
         ratios = []
         for seed in range(20):
-            dis = draw_disorder(12, h, seed=seed)
-            eig = diagonalize(build_hamiltonian(basis, 1.0, dis))
+            fields = draw_disorder(12, h, seed=seed)
+            eig = diagonalize(build_hamiltonian(basis, 1.0, fields))
             ratios.append(level_spacing_ratio(eig.energies))
         mean = float(np.mean(ratios))
         if abs(mean - center) > tol:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from ergoquench.ergodic_ensemble import _pair_traces
 from ergoquench.errors import ConstructionError, SectorError
-from ergoquench.spin_chain import (ADJOINT_TILE, DisorderRealization,
-                                   HermitianOperator, PairOperator,
+from ergoquench.spin_chain import (ADJOINT_TILE, HermitianOperator,
+                                   PairOperator,
                                    build_basis,
                                    build_hamiltonian,
                                    build_projector_observable, draw_disorder,
@@ -115,18 +115,9 @@ class TestDisorder:
     def test_draw_is_reproducible_and_bounded(self):
         a = draw_disorder(10, 2.5, seed=3)
         b = draw_disorder(10, 2.5, seed=3)
-        assert np.array_equal(a.h_fields, b.h_fields)
-        assert np.all(np.abs(a.h_fields) <= 2.5)
-
-    def test_restrict_matches_slice(self):
-        d = draw_disorder(8, 1.0, seed=0)
-        sub = d.restrict(3, 5)
-        assert np.array_equal(sub.h_fields, d.h_fields[3:6])
-
-    def test_restrict_out_of_range(self):
-        d = draw_disorder(4, 1.0, seed=0)
-        with pytest.raises(ConstructionError):
-            d.restrict(2, 4)
+        assert a.dtype == np.float64 and a.shape == (10,)
+        assert np.array_equal(a, b)
+        assert np.all(np.abs(a) <= 2.5)
 
 
 class TestHermitianOperator:
@@ -225,8 +216,7 @@ class TestTiledAdjointPasses:
 class TestHamiltonian:
     def test_two_site_literal_matrix(self):
         basis = build_basis(2, 0)
-        disorder = DisorderRealization(np.zeros(2))
-        h = build_hamiltonian(basis, 1.0, disorder)
+        h = build_hamiltonian(basis, 1.0, np.zeros(2))
         assert np.allclose(h.entries, [[-1.0, 2.0], [2.0, -1.0]])
         assert np.allclose(np.linalg.eigvalsh(h.entries), [-3.0, 1.0])
 
@@ -238,8 +228,7 @@ class TestHamiltonian:
         coupling = float(rng.uniform(0.5, 2.0))
         fields = rng.uniform(-1.5, 1.5, size=n_sites)
         basis = build_basis(n_sites, total_sz)
-        built = build_hamiltonian(basis, coupling,
-                                  DisorderRealization(fields))
+        built = build_hamiltonian(basis, coupling, fields)
         oracle = project_to_sector(
             full_space_hamiltonian(n_sites, coupling, fields), basis)
         assert np.max(np.abs(built.entries - oracle)) < 1e-12
@@ -249,15 +238,15 @@ class TestHamiltonian:
         # must add up to the full Hamiltonian exactly
         n, half = 6, 3
         basis = build_basis(n, 0)
-        disorder = draw_disorder(n, 1.0, seed=9)
-        full = build_hamiltonian(basis, 1.3, disorder)
-        left = build_hamiltonian(basis, 1.3, disorder,
+        fields = draw_disorder(n, 1.0, seed=9)
+        full = build_hamiltonian(basis, 1.3, fields)
+        left = build_hamiltonian(basis, 1.3, fields,
                                  bond_range=(0, half - 2),
                                  field_sites=(0, half - 1))
-        right = build_hamiltonian(basis, 1.3, disorder,
+        right = build_hamiltonian(basis, 1.3, fields,
                                   bond_range=(half, n - 2),
                                   field_sites=(half, n - 1))
-        cut = build_hamiltonian(basis, 1.3, disorder,
+        cut = build_hamiltonian(basis, 1.3, fields,
                                 bond_range=(half - 1, half - 1),
                                 field_sites=(1, 0))  # empty interval
         total = left.entries + right.entries + cut.entries
@@ -265,23 +254,23 @@ class TestHamiltonian:
 
     def test_empty_intervals_give_zero_operator(self):
         basis = build_basis(4, 0)
-        disorder = draw_disorder(4, 1.0, seed=0)
-        h = build_hamiltonian(basis, 1.0, disorder,
+        fields = draw_disorder(4, 1.0, seed=0)
+        h = build_hamiltonian(basis, 1.0, fields,
                               bond_range=(2, 1), field_sites=(3, 0))
         assert np.all(h.entries == 0.0)
 
     def test_interval_bounds_checked(self):
         basis = build_basis(4, 0)
-        disorder = draw_disorder(4, 1.0, seed=0)
+        fields = draw_disorder(4, 1.0, seed=0)
         with pytest.raises(ConstructionError):
-            build_hamiltonian(basis, 1.0, disorder, bond_range=(0, 3))
+            build_hamiltonian(basis, 1.0, fields, bond_range=(0, 3))
         with pytest.raises(ConstructionError):
-            build_hamiltonian(basis, 1.0, disorder, field_sites=(-1, 2))
+            build_hamiltonian(basis, 1.0, fields, field_sites=(-1, 2))
 
     def test_field_count_must_match_sites(self):
         basis = build_basis(4, 0)
         with pytest.raises(ConstructionError):
-            build_hamiltonian(basis, 1.0, DisorderRealization(np.zeros(3)))
+            build_hamiltonian(basis, 1.0, np.zeros(3))
 
     @given(seed=st.integers(0, 10_000))
     @settings(deadline=None, max_examples=30)
