@@ -2,8 +2,12 @@
 """Sweep the disorder strength and record the mean adjacent-gap ratio.
 
 Writes a CSV with one row per disorder strength: the disorder-averaged
-ratio, its standard error, and the realization count.  The ergodic and
-Poisson reference values are 0.5307 and 0.3863.
+ratio, its standard error, and the count of realizations averaged.  A
+realization whose spectrum has no gap ratio (all levels equal) is left
+out, as in the aggregate of `ergoquench run --realizations`; a row with
+none left has empty r_mean and r_sem fields.  The chain length must be
+even, as for every run.  The ergodic and Poisson reference values are
+0.5307 and 0.3863.
 
 Example:
     python3 scripts/level_statistics_sweep.py --length 10 --realizations 30 \
@@ -11,12 +15,12 @@ Example:
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from ergoquench.spectral import diagonalize, level_spacing_ratio
-from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
+from ergoquench.experiment import ExperimentConfig, prepare_spectrum
 
 
 def main():
@@ -29,17 +33,20 @@ def main():
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args()
 
-    basis = build_basis(args.length, args.length % 2)
+    # an odd length or a non-finite coupling fails here, before any output
+    config = ExperimentConfig(L=args.length, J=args.coupling)
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
         sink.write("h,r_mean,r_sem,n_realizations\n")
         for h in args.h_values:
-            ratios = []
-            for seed in range(args.realizations):
-                fields = draw_disorder(args.length, h, seed=seed)
-                eig = diagonalize(build_hamiltonian(basis, args.coupling, fields))
-                ratios.append(level_spacing_ratio(eig.energies))
-            r = np.asarray(ratios)
+            specs = (prepare_spectrum(dataclasses.replace(config, h=h,
+                                                          disorder_seed=seed))
+                     for seed in range(args.realizations))
+            # spectra without a gap ratio report null and are left out
+            r = np.array([s.r_mean for s in specs if s.r_mean is not None])
+            if len(r) == 0:
+                sink.write(f"{h},,,0\n")
+                continue
             sem = r.std(ddof=1) / np.sqrt(len(r)) if len(r) > 1 else 0.0
             sink.write(f"{h},{r.mean():.6f},{sem:.6f},{len(r)}\n")
             if args.out:

@@ -328,11 +328,10 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
 def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
     """The shared pipeline prefix: spectrum, product states, observables."""
     spec = prepare_spectrum(config)
-    half = config.L // 2
+    right = np.arange(config.L) >= config.L // 2  # the sites of H_R
     with _stage("build"):
-        ham_right = build_hamiltonian(spec.basis, config.J, spec.fields,
-                                      bond_range=(half, config.L - 2),
-                                      field_sites=(half, config.L - 1))
+        ham_right = build_hamiltonian(spec.basis, config.J * right[:-1],
+                                      spec.fields * right)
     with _stage("diagonalize"):
         splits = diagonalize_split_halves(config.J, spec.fields, config.total_sz)
         prod1, prod2 = find_product_eigenstates(splits, spec.basis, spec.bounds)

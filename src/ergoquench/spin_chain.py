@@ -7,7 +7,8 @@ Conventions used throughout:
 * Basis configurations are integers where bit j encodes site j, with a set
   bit meaning spin up (sigma^z = +1).  Within a sector the configurations
   are listed in ascending integer order.
-* Open boundary conditions, bond j couples sites (j, j+1).
+* Open boundary conditions: bond j couples sites j and j + 1 with the
+  coupling J_j, which may be one J shared by every bond.
 """
 
 from __future__ import annotations
@@ -142,69 +143,54 @@ def symmetrized(entries: np.ndarray) -> HermitianOperator:
     return HermitianOperator(out)
 
 
-def build_hamiltonian(
-    basis: SpinBasis,
-    coupling: float,
-    fields: np.ndarray,
-    bond_range: tuple[int, int] | None = None,
-    field_sites: tuple[int, int] | None = None,
-) -> HermitianOperator:
-    """Restriction of H = sum_j J sigma_j.sigma_{j+1} + sum_j h_j sigma_j^z.
+def build_hamiltonian(basis: SpinBasis, coupling: float | np.ndarray,
+                      fields: np.ndarray) -> HermitianOperator:
+    """Restriction of H = sum_j J_j sigma_j.sigma_{j+1} + sum_j h_j sigma_j^z.
 
     Parameters
     ----------
     basis : sector basis the operator acts on.
-    coupling : exchange constant J, shared by all bonds.
+    coupling : exchange constant J of every bond, or one value J_j per bond
+        (L - 1 of them); bond j couples sites j and j + 1.
     fields : on-site fields h_j, one per site of `basis`.
-    bond_range : inclusive interval (lo, hi) of bond indices to keep,
-        default all bonds [0, L-2].  An interval with hi < lo is empty,
-        which is how a single-site "chain" gets a field-only Hamiltonian.
-    field_sites : inclusive interval of site indices whose field terms to
-        keep, default all sites.  The same builder therefore produces the
-        full chain and both halves of a split.
+
+    A zero coupling or field drops its terms, so the same builder produces
+    the full chain and any part of it, such as the right half: every term
+    is still added, and a zero one adds exact zeros.
 
     Returns
     -------
     HermitianOperator on the sector.  Off-diagonal hop elements are exactly
-    2J; diagonal elements collect J zz terms and the fields.
+    2 J_j; diagonal elements collect the J_j zz terms and the fields.
     """
     n = basis.n_sites
+    couplings = np.asarray(coupling)
+    if couplings.ndim == 0:
+        couplings = np.full(n - 1, couplings)
+    if couplings.shape != (n - 1,):
+        raise ConstructionError(f"{couplings.size} couplings for {n - 1} bonds")
     if len(fields) != n:
         raise ConstructionError(f"{len(fields)} fields for {n} sites")
-    bonds = _resolve_interval(bond_range, n - 2, "bond")
-    sites = _resolve_interval(field_sites, n - 1, "field site")
 
     occ = basis.occupations()
     z = 2.0 * occ - 1.0  # sigma^z eigenvalues per site
     diag = np.zeros(basis.dim)
-    for j in bonds:
-        diag += coupling * z[:, j] * z[:, j + 1]
-    for j in sites:
+    for j in range(n - 1):
+        diag += couplings[j] * z[:, j] * z[:, j + 1]
+    for j in range(n):
         diag += fields[j] * z[:, j]
 
     entries = np.zeros((basis.dim, basis.dim))
     entries[np.diag_indices(basis.dim)] = diag
-    for j in bonds:
+    for j in range(n - 1):
         # sigma^x sigma^x + sigma^y sigma^y flips an anti-aligned pair with
         # amplitude 2; each configuration pair is connected by at most one bond.
         movable = occ[:, j] != occ[:, j + 1]
         src = np.nonzero(movable)[0]
         flipped = basis.states[src] ^ ((1 << j) | (1 << (j + 1)))
         dst = np.searchsorted(basis.states, flipped)
-        entries[dst, src] += 2.0 * coupling
+        entries[dst, src] += 2.0 * couplings[j]
     return HermitianOperator(entries)
-
-
-def _resolve_interval(interval, last_valid, what) -> range:
-    if interval is None:
-        return range(0, last_valid + 1)
-    lo, hi = interval
-    if hi < lo:
-        return range(0)
-    if lo < 0 or hi > last_valid:
-        raise ConstructionError(
-            f"{what} interval [{lo}, {hi}] outside valid range [0, {last_valid}]")
-    return range(lo, hi + 1)
 
 
 @dataclass(frozen=True)

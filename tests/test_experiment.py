@@ -163,12 +163,13 @@ class TestProductEigenstates:
         eig = diagonalize(build_hamiltonian(basis, 1.0, fields))
         bounds = (float(eig.energies[0]), float(eig.energies[-1]))
         splits = diagonalize_split_halves(1.0, fields, 0)
-        h_left = build_hamiltonian(basis, 1.0, fields,
-                                   bond_range=(0, half - 2),
-                                   field_sites=(0, half - 1))
-        h_right = build_hamiltonian(basis, 1.0, fields,
-                                    bond_range=(half, n - 2),
-                                    field_sites=(half, n - 1))
+        # each half keeps its own sites and bonds; the cut bond half - 1
+        # is in neither
+        sites, bonds = np.arange(n), np.arange(n - 1)
+        h_left = build_hamiltonian(basis, 1.0 * (bonds < half - 1),
+                                   fields * (sites < half))
+        h_right = build_hamiltonian(basis, 1.0 * (bonds >= half),
+                                    fields * (sites >= half))
         h_split = h_left.entries + h_right.entries
         for prod in find_product_eigenstates(splits, basis, bounds):
             residual = h_split @ prod.vector - prod.energy * prod.vector

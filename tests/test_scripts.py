@@ -15,13 +15,13 @@ from ergoquench.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, returncode=0):
+def run_script(name, *args, returncode=0, stream="stdout"):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == returncode, proc.stderr
-    return proc.stdout
+    return getattr(proc, stream)
 
 
 def test_level_statistics_sweep_writes_one_row_per_h():
@@ -33,6 +33,23 @@ def test_level_statistics_sweep_writes_one_row_per_h():
     h, r_mean, r_sem, count = rows[0].split(",")
     assert (h, count) == ("1.0", "2")
     assert 0.0 < float(r_mean) < 1.0 and float(r_sem) >= 0.0
+
+
+def test_level_statistics_sweep_leaves_out_spectra_without_a_gap_ratio():
+    # at J = h = 0 every level is 0, so no realization has a gap ratio
+    out = run_script("level_statistics_sweep.py", "--length", "6",
+                     "--realizations", "3", "--coupling", "0",
+                     "--h-values", "0", "1.0")
+    assert out.splitlines()[1] == "0.0,,,0"
+    h, r_mean, r_sem, count = out.splitlines()[2].split(",")
+    assert (h, count) == ("1.0", "3")
+    assert 0.0 < float(r_mean) < 1.0 and float(r_sem) >= 0.0
+
+
+def test_level_statistics_sweep_rejects_an_odd_length():
+    err = run_script("level_statistics_sweep.py", "--length", "7",
+                     returncode=1, stream="stderr")
+    assert "L must be even and >= 2 for the half split, got 7" in err
 
 
 def test_reproduce_quench_table_prints_every_series():

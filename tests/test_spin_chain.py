@@ -41,12 +41,14 @@ def one_site(pauli, j, n_sites):
     return m
 
 
-def full_space_hamiltonian(n_sites, coupling, fields):
+def full_space_hamiltonian(n_sites, couplings, fields):
+    """H on the full 2^L space; bond j between sites j and j + 1 has
+    coupling couplings[j]."""
     dim = 1 << n_sites
     h = np.zeros((dim, dim), dtype=complex)
     for j in range(n_sites - 1):
         for p in (SX, SY, SZ):
-            h += coupling * one_site(p, j, n_sites) @ one_site(p, j + 1, n_sites)
+            h += couplings[j] * one_site(p, j, n_sites) @ one_site(p, j + 1, n_sites)
     for j in range(n_sites):
         h += fields[j] * one_site(SZ, j, n_sites)
     return h
@@ -230,42 +232,63 @@ class TestHamiltonian:
         basis = build_basis(n_sites, total_sz)
         built = build_hamiltonian(basis, coupling, fields)
         oracle = project_to_sector(
-            full_space_hamiltonian(n_sites, coupling, fields), basis)
+            full_space_hamiltonian(n_sites, [coupling] * (n_sites - 1), fields),
+            basis)
         assert np.max(np.abs(built.entries - oracle)) < 1e-12
 
+    @pytest.mark.parametrize("n_sites,total_sz,seed", [
+        (2, 0, 11), (3, 1, 12), (4, 0, 13), (5, -1, 14), (6, 0, 15), (6, 2, 16),
+    ])
+    def test_per_bond_couplings_match_full_space_oracle(self, n_sites, total_sz,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        couplings = rng.uniform(-2.0, 2.0, size=n_sites - 1)
+        couplings[rng.random(n_sites - 1) < 0.4] = 0.0  # some bonds cut
+        couplings[0] = 0.0  # and at least one
+        fields = rng.uniform(-1.5, 1.5, size=n_sites)
+        basis = build_basis(n_sites, total_sz)
+        built = build_hamiltonian(basis, couplings, fields)
+        oracle = project_to_sector(
+            full_space_hamiltonian(n_sites, couplings, fields), basis)
+        assert np.max(np.abs(built.entries - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("coupling", [1.0, -0.7, 3.3, 0.0])
+    def test_coupling_on_every_bond_is_bit_identical_to_scalar(self, coupling):
+        basis = build_basis(6, 2)
+        fields = draw_disorder(6, 1.0, seed=4)
+        scalar = build_hamiltonian(basis, coupling, fields).entries
+        per_bond = build_hamiltonian(basis, np.full(5, coupling), fields).entries
+        assert scalar.tobytes() == per_bond.tobytes()
+
     def test_split_plus_cut_bond_reassembles_chain(self):
-        # restricting bonds/fields to the two halves and the single cut bond
-        # must add up to the full Hamiltonian exactly
+        # zeroing the couplings and fields outside the two halves, and all
+        # but the single cut bond, must give parts that add up to the full
+        # Hamiltonian exactly
         n, half = 6, 3
         basis = build_basis(n, 0)
         fields = draw_disorder(n, 1.0, seed=9)
+        sites, bonds = np.arange(n), np.arange(n - 1)
         full = build_hamiltonian(basis, 1.3, fields)
-        left = build_hamiltonian(basis, 1.3, fields,
-                                 bond_range=(0, half - 2),
-                                 field_sites=(0, half - 1))
-        right = build_hamiltonian(basis, 1.3, fields,
-                                  bond_range=(half, n - 2),
-                                  field_sites=(half, n - 1))
-        cut = build_hamiltonian(basis, 1.3, fields,
-                                bond_range=(half - 1, half - 1),
-                                field_sites=(1, 0))  # empty interval
-        total = left.entries + right.entries + cut.entries
+        h_left = build_hamiltonian(basis, 1.3 * (bonds < half - 1),
+                                   fields * (sites < half))
+        h_right = build_hamiltonian(basis, 1.3 * (bonds >= half),
+                                    fields * (sites >= half))
+        cut = build_hamiltonian(basis, 1.3 * (bonds == half - 1), np.zeros(n))
+        total = h_left.entries + h_right.entries + cut.entries
         assert np.max(np.abs(total - full.entries)) < 1e-12
 
-    def test_empty_intervals_give_zero_operator(self):
+    def test_zero_couplings_and_fields_give_zero_operator(self):
         basis = build_basis(4, 0)
-        fields = draw_disorder(4, 1.0, seed=0)
-        h = build_hamiltonian(basis, 1.0, fields,
-                              bond_range=(2, 1), field_sites=(3, 0))
+        h = build_hamiltonian(basis, np.zeros(3), np.zeros(4))
         assert np.all(h.entries == 0.0)
 
-    def test_interval_bounds_checked(self):
+    def test_coupling_count_must_match_bonds(self):
         basis = build_basis(4, 0)
         fields = draw_disorder(4, 1.0, seed=0)
-        with pytest.raises(ConstructionError):
-            build_hamiltonian(basis, 1.0, fields, bond_range=(0, 3))
-        with pytest.raises(ConstructionError):
-            build_hamiltonian(basis, 1.0, fields, field_sites=(-1, 2))
+        for count in (0, 1, 2, 4):
+            with pytest.raises(ConstructionError,
+                               match=f"{count} couplings for 3 bonds"):
+                build_hamiltonian(basis, np.ones(count), fields)
 
     def test_field_count_must_match_sites(self):
         basis = build_basis(4, 0)
