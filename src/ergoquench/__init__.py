@@ -2,19 +2,17 @@
 predictions: exact diagonalization, analytic ensemble moments, Monte-Carlo
 oracles, and long-time dynamics."""
 
-from .dynamics import (TimeSeries, TimeStats, evolve_expectation,
-                       make_time_grid, time_stats)
+from .dynamics import TimeSeries, TimeStats, evolve_expectation, time_stats
 from .ergodic_ensemble import (DensityMatrix, MomentPrediction,
                                cat_q_variance_closed_form, ensemble_mean,
                                second_moment_expectation)
 from .errors import (ConstructionError, NumericalIntegrityError, PipelineError,
                      SectorError, StateValidationError)
 from .experiment import (ExperimentConfig, ExperimentReport, ExperimentResult,
-                         HalfSpectra, ProductEigenstate,
-                         QuenchPrefix, SpectralPrefix,
-                         diagonalize_split_halves, find_product_eigenstates,
-                         prepare_protocol_state, prepare_quench,
-                         prepare_spectrum, run_experiment, write_artifacts)
+                         ProductEigenstate, QuenchPrefix, SpectralPrefix,
+                         find_product_eigenstates, prepare_protocol_state,
+                         prepare_quench, prepare_spectrum, run_experiment,
+                         write_artifacts)
 from .haar_oracle import (MomentEstimate, estimate_moments,
                           estimate_state_mean, sample_traces, summarize)
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dynamics import evolve_expectation, make_time_grid, time_stats
+from .dynamics import evolve_expectation, time_stats
 from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
                                cat_q_variance_closed_form,
                                second_moment_expectation)
@@ -149,70 +149,54 @@ class ProductEigenstate:
     right_index: int
 
 
-@dataclass(frozen=True)
-class HalfSpectra:
-    """Eigen data of both halves for one left/right magnetization split."""
-
-    n_left_up: int
-    basis_left: SpinBasis
-    basis_right: SpinBasis
-    eig_left: EigenSystem
-    eig_right: EigenSystem
-
-
-def diagonalize_split_halves(coupling: float, fields: np.ndarray,
-                             total_sz: int) -> list[HalfSpectra]:
-    """Diagonalize both standalone half chains in every compatible pair of
-    sub-magnetization sectors."""
-    half = len(fields) // 2
-    n_up = (len(fields) + total_sz) // 2
-    out = []
-    for n_left in range(max(0, n_up - half), min(half, n_up) + 1):
-        basis_l = build_basis(half, 2 * n_left - half)
-        basis_r = build_basis(half, 2 * (n_up - n_left) - half)
-        h_l = build_hamiltonian(basis_l, coupling, fields[:half])
-        h_r = build_hamiltonian(basis_r, coupling, fields[half:])
-        out.append(HalfSpectra(n_left_up=n_left, basis_left=basis_l,
-                               basis_right=basis_r, eig_left=diagonalize(h_l),
-                               eig_right=diagonalize(h_r)))
-    return out
-
-
 def find_product_eigenstates(
-        splits: list[HalfSpectra], basis: SpinBasis,
+        coupling: float, fields: np.ndarray, basis: SpinBasis,
         bounds: tuple[float, float]) -> tuple[ProductEigenstate, ProductEigenstate]:
-    """The product eigenstates whose energies are closest to the lower and
-    to the upper spectral edge, in that order.
+    """The eigenstates of H_left + H_right, the two standalone half chains,
+    whose energies are closest to the lower and to the upper spectral edge,
+    in that order, embedded in `basis`.
 
-    The scan is exhaustive over all sector-compatible (left, right)
-    eigenpairs, and each split's table of sums E_l + E_r is formed once.
-    Ties break toward the smaller left magnetization, then smaller left
-    index, then right index.
+    One pass over the splits of the up spins between the halves, in
+    ascending left magnetization, diagonalizes both halves of each split
+    and scans its table of sums E_l + E_r once for both edges; the scan is
+    exhaustive, and only the two winners are embedded.  A split replaces
+    an edge's best only with a strictly smaller deviation, and argmin
+    takes the first minimum in row-major order, so ties break toward the
+    smaller left magnetization, then smaller left index, then right index.
     """
-    tables = [hs.eig_left.energies[:, None] + hs.eig_right.energies[None, :]
-              for hs in splits]
-    found = []
-    for goal in bounds:
-        candidates = []
-        for rank, sums in enumerate(tables):
+    half = len(fields) // 2
+    n_up = (basis.n_sites + basis.total_sz) // 2
+    best = [None, None]  # per edge: (deviation, n_left, flat, sums, halves)
+    for n_left in range(max(0, n_up - half), min(half, n_up) + 1):
+        halves = []
+        for n, part in ((n_left, fields[:half]), (n_up - n_left, fields[half:])):
+            sector = build_basis(half, 2 * n - half)
+            halves.append((sector, diagonalize(
+                build_hamiltonian(sector, coupling, part))))
+        (_, eig_l), (_, eig_r) = halves
+        sums = eig_l.energies[:, None] + eig_r.energies[None, :]
+        for k, goal in enumerate(bounds):
             dev = np.abs(sums - goal)
-            flat = int(np.argmin(dev))  # first minimum, row-major: ties resolved
-            candidates.append((float(dev.flat[flat]), rank, flat))
-        _, rank, flat = min(candidates)
-        hs = splits[rank]
-        a, b = divmod(flat, tables[rank].shape[1])
+            flat = int(np.argmin(dev))
+            if best[k] is None or dev.flat[flat] < best[k][0]:
+                best[k] = (dev.flat[flat], n_left, flat, sums, halves)
+    found = []
+    for _, n_left, flat, sums, halves in best:
+        a, b = divmod(flat, sums.shape[1])
         found.append(ProductEigenstate(
-            vector=_embed_product(hs, a, b, basis),
-            energy=float(tables[rank][a, b]),
-            n_left_up=hs.n_left_up, left_index=a, right_index=b))
+            vector=_embed_product(halves, a, b, basis),
+            energy=float(sums.flat[flat]),
+            n_left_up=n_left, left_index=a, right_index=b))
     return tuple(found)
 
 
-def _embed_product(hs: HalfSpectra, a: int, b: int, basis: SpinBasis) -> np.ndarray:
-    half = hs.basis_left.n_sites
-    configs = (hs.basis_left.states[:, None]
-               | (hs.basis_right.states[None, :] << half)).ravel()
-    amps = np.outer(hs.eig_left.vectors[:, a], hs.eig_right.vectors[:, b]).ravel()
+def _embed_product(halves: list, a: int, b: int, basis: SpinBasis) -> np.ndarray:
+    """Left eigenvector a times right eigenvector b of a split's
+    (basis, EigenSystem) halves, in the full sector basis."""
+    (basis_l, eig_l), (basis_r, eig_r) = halves
+    configs = (basis_l.states[:, None]
+               | (basis_r.states[None, :] << basis_l.n_sites)).ravel()
+    amps = np.outer(eig_l.vectors[:, a], eig_r.vectors[:, b]).ravel()
     idx = np.searchsorted(basis.states, configs)
     if np.any(basis.states[idx] != configs):
         raise PipelineError("build", "product state fell outside the target sector")
@@ -316,13 +300,10 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
             raise NumericalIntegrityError(
                 f"spectral width of [{energies[0]:.3e}, {energies[-1]:.3e}] "
                 f"overflows float64 (width {width}, degeneracy_tol {tol})")
-        # a gap ratio needs two adjacent spacings, not all of them zero
-        defined = eig.dim >= 3 and energies[-1] > energies[0]
-        r_mean = level_spacing_ratio(energies) if defined else None
         return SpectralPrefix(basis=basis, fields=h_fields, eig=eig,
                               degeneracy_tol=tol,
                               partition=cluster_sectors(energies, tol),
-                              r_mean=r_mean)
+                              r_mean=level_spacing_ratio(energies))
 
 
 def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
@@ -333,8 +314,8 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
         ham_right = build_hamiltonian(spec.basis, config.J * right[:-1],
                                       spec.fields * right)
     with _stage("diagonalize"):
-        splits = diagonalize_split_halves(config.J, spec.fields, config.total_sz)
-        prod1, prod2 = find_product_eigenstates(splits, spec.basis, spec.bounds)
+        prod1, prod2 = find_product_eigenstates(config.J, spec.fields,
+                                                spec.basis, spec.bounds)
         phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
         phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
         observables = {
@@ -360,7 +341,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     with _stage("evolve"):
         t0, t1, n_points = config.time_window
-        grid = make_time_grid(t0, t1, n_points)
+        grid = np.linspace(t0, t1, n_points)
         series: dict = {}
         protocols_out: dict = {}
         for protocol in config.protocols:

@@ -77,16 +77,17 @@ def diagonalize(op: HermitianOperator) -> EigenSystem:
     return EigenSystem(energies=energies, vectors=vectors)
 
 
-def level_spacing_ratio(energies: np.ndarray) -> float:
-    """Mean adjacent-gap ratio r = <min(s_n, s_n+1) / max(s_n, s_n+1)>.
+def level_spacing_ratio(energies: np.ndarray) -> float | None:
+    """Mean adjacent-gap ratio r = <min(s_n, s_n+1) / max(s_n, s_n+1)>,
+    or None where no ratio exists: fewer than 3 levels, or all equal.
 
     Reference values: ~0.53 for Wigner (ergodic) statistics, ~0.39 for
     Poisson (localized).  Pairs where both spacings vanish are skipped
     with a degeneracy warning; a single zero spacing contributes ratio 0.
     """
     e = np.sort(np.asarray(energies, dtype=float))
-    if len(e) < 3:
-        raise ValueError(f"need at least 3 levels, got {len(e)}")
+    if len(e) < 3 or e[-1] == e[0]:
+        return None
     s = np.diff(e)
     lo = np.minimum(s[:-1], s[1:])
     hi = np.maximum(s[:-1], s[1:])
@@ -98,8 +99,6 @@ def level_spacing_ratio(energies: np.ndarray) -> float:
             stacklevel=2,
         )
     keep = ~degenerate
-    if not keep.any():
-        raise ValueError("all spacing pairs degenerate, gap ratio undefined")
     return float(np.mean(lo[keep] / hi[keep]))
 
 
@@ -111,12 +110,13 @@ class SectorPartition:
     starts: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.starts, dtype=np.int64)
-        if self.dim < 1:
+        dim, s = int(_whole("dim", self.dim)), _whole("starts", self.starts)
+        if dim < 1:
             raise SectorError(f"partition of empty spectrum (dim={self.dim})")
-        if len(s) == 0 or s[0] != 0 or s[-1] >= self.dim or np.any(np.diff(s) <= 0):
+        if len(s) == 0 or s[0] != 0 or s[-1] >= dim or np.any(np.diff(s) <= 0):
             raise SectorError("sector starts must be strictly increasing, "
-                              f"begin at 0, and stay below dim={self.dim}")
+                              f"begin at 0, and stay below dim={dim}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "starts", s)
 
     @property
@@ -140,6 +140,16 @@ class SectorPartition:
         return cls(dim=dim, starts=np.zeros(1, dtype=np.int64))
 
 
+def _whole(name: str, x) -> np.ndarray:
+    """x as int64; SectorError unless every entry is a whole number."""
+    a = np.asarray(x)
+    whole = a.dtype.kind in "iu" or (a.dtype.kind == "f" and bool(
+        np.all((np.abs(a) < 2.0 ** 63) & (a == np.floor(a)))))  # NaN fails
+    if not whole:
+        raise SectorError(f"{name} must hold whole numbers, got {x!r}")
+    return a.astype(np.int64)
+
+
 def cluster_sectors(energies: np.ndarray, degeneracy_tol: float) -> SectorPartition:
     """Greedy left-to-right clustering of sorted energies.
 
@@ -148,9 +158,11 @@ def cluster_sectors(energies: np.ndarray, degeneracy_tol: float) -> SectorPartit
     singletons, while exact repeats still merge.
     """
     e = np.asarray(energies, dtype=float)
+    if not np.all(np.isfinite(e)):
+        raise SectorError("energies must be finite")
     if np.any(np.diff(e) < 0):
         raise SectorError("energies must be sorted ascending")
-    if degeneracy_tol < 0:
+    if not degeneracy_tol >= 0:  # NaN fails too
         raise ValueError(f"degeneracy_tol must be >= 0, got {degeneracy_tol}")
     if len(e) == 0:
         raise SectorError("cannot partition an empty spectrum")

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ergoquench.dynamics import evolve_expectation, make_time_grid
+from ergoquench.dynamics import evolve_expectation
 from ergoquench.ergodic_ensemble import (DensityMatrix, ensemble_mean,
                                          second_moment_expectation)
 from ergoquench.experiment import ExperimentConfig, run_experiment, write_artifacts
@@ -226,7 +226,7 @@ def test_criterion_7_invariants_over_random_instances():
         obs = random_hermitian(rng, dim)
         energies = np.sort(rng.normal(size=dim))
         ts = evolve_expectation(rho, obs, energies,
-                                make_time_grid(0.0, 5.0, 16))
+                                np.linspace(0.0, 5.0, 16))
         expected0 = float(np.einsum("ij,ji->", rho.entries, obs.entries).real)
         ok = (u.max_unitarity_defect() < 1e-12
               and np.all(np.isreal(ts.values))

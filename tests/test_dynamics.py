@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoquench import dynamics
-from ergoquench.dynamics import (TimeSeries, evolve_expectation,
-                                 make_time_grid, time_stats)
+from ergoquench.dynamics import TimeSeries, evolve_expectation, time_stats
 from ergoquench.ergodic_ensemble import (DensityMatrix, _factored,
                                          ensemble_mean,
                                          second_moment_expectation)
@@ -84,7 +83,7 @@ class TestTimeSeries:
     def test_large_offset_grid_accepted(self):
         # linspace grids at t ~ 1e4 jitter by ulps of t; the uniformity
         # check must be relative to the grid scale
-        t = make_time_grid(3000.0, 13000.0, 20_000)
+        t = np.linspace(3000.0, 13000.0, 20_000)
         TimeSeries(times=t, values=np.zeros(20_000))
 
     def test_non_uniform_rejected(self):
@@ -95,6 +94,10 @@ class TestTimeSeries:
         with pytest.raises(ConstructionError):
             TimeSeries(times=np.array([1.0, 0.5, 0.0]), values=np.zeros(3))
 
+    def test_zero_span_rejected(self):
+        with pytest.raises(ConstructionError):
+            TimeSeries(times=np.full(10, 1.0), values=np.zeros(10))
+
     def test_too_short_rejected(self):
         with pytest.raises(ConstructionError):
             TimeSeries(times=np.array([0.0]), values=np.array([1.0]))
@@ -103,19 +106,13 @@ class TestTimeSeries:
         with pytest.raises(ConstructionError):
             TimeSeries(times=np.linspace(0, 1, 5), values=np.zeros(4))
 
-    def test_grid_constructor_validation(self):
-        with pytest.raises(ConstructionError):
-            make_time_grid(1.0, 1.0, 10)
-        with pytest.raises(ConstructionError):
-            make_time_grid(0.0, 1.0, 1)
-
 
 class TestEvolveExpectation:
     def test_stationary_state_is_flat(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
         obs = np.diag([2.0, -1.0]).astype(complex)
         ts = evolve_expectation(rho, obs, np.array([0.0, 1.7]),
-                                make_time_grid(0.0, 10.0, 50))
+                                np.linspace(0.0, 10.0, 50))
         assert np.allclose(ts.values, 0.6 * 2.0 - 0.4)
 
     def test_two_level_cosine(self):
@@ -124,7 +121,7 @@ class TestEvolveExpectation:
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         rho = np.outer(plus, plus).astype(complex)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        t = make_time_grid(0.0, 20.0, 400)
+        t = np.linspace(0.0, 20.0, 400)
         ts = evolve_expectation(rho, sx, np.array([0.0, omega]), t)
         assert np.max(np.abs(ts.values - np.cos(omega * t))) < 1e-12
 
@@ -134,7 +131,7 @@ class TestEvolveExpectation:
         rho = random_density(rng, dim)
         obs = random_hermitian(rng, dim)
         energies = np.sort(rng.normal(size=dim))
-        t = make_time_grid(0.0, 30.0, 257)
+        t = np.linspace(0.0, 30.0, 257)
         ts = evolve_expectation(rho, obs, energies, t)
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(ts.values - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -148,7 +145,7 @@ class TestEvolveExpectation:
         rho = random_density(rng, 3)
         obs = random_hermitian(rng, 3)
         energies = np.array([-1.0, 0.3, 2.2])
-        t = make_time_grid(0.0, 500.0 * n_points / 4_517, n_points)
+        t = np.linspace(0.0, 500.0 * n_points / 4_517, n_points)
         ts = evolve_expectation(rho, obs, energies, t)
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(ts.values - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -158,7 +155,7 @@ class TestEvolveExpectation:
         rho = random_density(rng, 40)
         obs = random_hermitian(rng, 40)
         energies = np.sort(rng.normal(size=40))
-        t = make_time_grid(3000.0, 13000.0, 20_000)
+        t = np.linspace(3000.0, 13000.0, 20_000)
         full = evolve_expectation(rho, obs, energies, t).values
         for k in (1_000, 6_999, 13_107):
             head = evolve_expectation(rho, obs, energies, t[:k]).values
@@ -171,7 +168,7 @@ class TestEvolveExpectation:
         d = 40
         rho, obs = real_inputs(rng, d)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=d))
-        t = make_time_grid(3000.0, 13000.0, 20_000)
+        t = np.linspace(3000.0, 13000.0, 20_000)
         values = evolve_expectation(rho, obs, energies, t).values
         rows = dynamics.PHASE_BLOCK_BYTES // (16 * d)
         starts = np.arange(0, len(t), rows)
@@ -194,7 +191,7 @@ class TestEvolveExpectation:
         rho = random_density(rng, 16)
         obs = random_hermitian(rng, 16)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=16))
-        t = make_time_grid(0.0, 30.0, 257)
+        t = np.linspace(0.0, 30.0, 257)
         t[1:-1] += rng.uniform(-0.5, 0.5, size=255) * dynamics.GRID_RTOL * 30.0
         TimeSeries(times=t, values=np.zeros(257))  # still a uniform grid
         got = evolve_expectation(rho, obs, energies, t).values
@@ -212,7 +209,7 @@ class TestEvolveExpectation:
         rng = np.random.default_rng(10)
         rho, obs = real_inputs(rng, 6)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=6))
-        t = make_time_grid(3000.0, 13000.0, 400)
+        t = np.linspace(3000.0, 13000.0, 400)
         t[1:-1] += rng.uniform(-0.5, 0.5, size=398) * dynamics.GRID_RTOL * 13000.0
         TimeSeries(times=t, values=np.zeros(400))
         got = evolve_expectation(rho, obs, energies, t).values
@@ -221,6 +218,28 @@ class TestEvolveExpectation:
         coeff = rho.entries * obs.T
         ref = extended_precision_series(coeff, energies, t)
         assert np.max(np.abs(got - ref)) < 1e-13 * np.sum(np.abs(coeff))
+
+    def test_far_uniform_grid_takes_direct_phases(self, phase_calls):
+        # a plain linspace at t ~ 1e7: its offsets drift from the table's
+        # by ulps of t, so 36 of its 55 sub-blocks have max|E| max|eps|
+        # above OFFSET_PHASE_MAX; energies on a 1/64 lattice make E t
+        # exact in long double, so the reference carries no phase error
+        rng = np.random.default_rng(11)
+        d = 40
+        rho, obs = real_inputs(rng, d)
+        energies = np.sort(rng.integers(-18 * 64, 18 * 64, size=d,
+                                        endpoint=True)) / 64.0
+        t = np.linspace(1e7, 1e7 + 1000.0, 3001)
+        values = evolve_expectation(rho, obs, energies, t).values
+        k = sub_block_times(3001, d)
+        assert (k, len(t[::k])) == (55, 55)
+        assert count_direct_blocks(phase_calls, t, k) == 36
+        picks = np.union1d([0, k - 1, k, len(t) - 1],
+                           rng.integers(0, len(t), size=20))
+        assert len(picks) >= 24
+        coeff = rho.entries * obs.T
+        ref = extended_precision_series(coeff, energies, t[picks])
+        assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 3.0], [1.0, 0.5, 0.0], [2.0],
                                       [[0.0, 1.0], [2.0, 3.0]],
@@ -250,7 +269,7 @@ class TestEvolveExpectation:
         rho = DensityMatrix(rho / np.trace(rho).real)
         obs = (h + h.conj().T) / 2
         energies = rng.uniform(-20.0, 20.0, size=dim)
-        t = make_time_grid(rng.uniform(0.0, 1e4), 1e4 + 50.0, 31)
+        t = np.linspace(rng.uniform(0.0, 1e4), 1e4 + 50.0, 31)
         ts = evolve_expectation(rho, obs, energies, t)
         ref = dense_evolution(rho.entries, obs, energies, t)
         # phases reach 4e5 rad, whose rounding (ulp 6e-11) both sums commit
@@ -264,7 +283,7 @@ class TestEvolveExpectation:
         obs = np.eye(2, dtype=complex) + 1.0
         with pytest.raises(StateValidationError):
             evolve_expectation(m, obs, np.array([0.0, 1.0]),
-                               make_time_grid(0.0, 1.0, 10))
+                               np.linspace(0.0, 1.0, 10))
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_tiled_coefficients_match_the_literal_sums(self, complex_data):
@@ -297,7 +316,7 @@ class TestEvolveExpectation:
         rho = random_density(rng, d, rank=2)
         obs = random_hermitian(rng, d)
         energies = np.sort(rng.uniform(-5.0, 5.0, size=d))
-        t = make_time_grid(0.0, 3.0, 7)
+        t = np.linspace(0.0, 3.0, 7)
         u = np.exp(-1j * np.multiply.outer(t, energies))
         coeff = rho.entries * obs.entries.T
         want = np.sum((u @ coeff) * u.conj(), axis=1).real
@@ -318,7 +337,7 @@ class TestEvolveExpectation:
             g = g + 1j * rng.normal(size=(d, d))
         obs = (g + g.conj().T) / 2
         energies = np.sort(rng.uniform(-5.0, 5.0, size=d))
-        t = make_time_grid(0.0, 3.0, 50)
+        t = np.linspace(0.0, 3.0, 50)
         u = np.exp(-1j * np.multiply.outer(t, energies))
         coeff = rho.entries * obs.T
         want = np.sum((u @ coeff) * u.conj(), axis=1).real
@@ -331,7 +350,7 @@ class TestEvolveExpectation:
         rho = random_density(rng, d, rank=2).entries.copy()
         rho[d - 1, 1] += 1e-3  # in the farthest tile, no conjugate partner
         obs = random_hermitian(rng, d)
-        t = make_time_grid(0.0, 1.0, 10)
+        t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(StateValidationError, match="not Hermitian"):
             evolve_expectation(rho, obs, np.linspace(-1.0, 1.0, d), t)
 
@@ -341,14 +360,14 @@ class TestEvolveExpectation:
         obs[1, 1] = bad
         with pytest.raises(StateValidationError):
             evolve_expectation(np.eye(3) / 3, obs, np.array([0.0, 1.0, 2.0]),
-                               make_time_grid(0.0, 1.0, 10))
+                               np.linspace(0.0, 1.0, 10))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SectorError):
             evolve_expectation(np.eye(2, dtype=complex) / 2,
                                np.eye(3, dtype=complex),
                                np.array([0.0, 1.0]),
-                               make_time_grid(0.0, 1.0, 10))
+                               np.linspace(0.0, 1.0, 10))
 
     def test_overflowing_series_rejected(self):
         # a typed operand is not checked again, and its finite entries give
@@ -358,7 +377,7 @@ class TestEvolveExpectation:
         with (np.errstate(over="ignore"),
               pytest.raises(NumericalIntegrityError, match="not finite")):
             evolve_expectation(state, obs, np.array([0.0, 1.0]),
-                               make_time_grid(0.0, 1.0, 10))
+                               np.linspace(0.0, 1.0, 10))
 
 
 class TestOneOperandCheck:
@@ -406,7 +425,7 @@ class TestOneOperandCheck:
         energies = np.arange(self.D, dtype=float)
         part = SectorPartition(self.D, np.array([0, 2]))
         views = [lambda: evolve_expectation(rho, obs, energies,
-                                            make_time_grid(0.0, 1.0, 10)),
+                                            np.linspace(0.0, 1.0, 10)),
                  lambda: second_moment_expectation(rho, part, obs, obs),
                  lambda: sample_traces(rho, part, [obs], 10, 0)]
         if which == "state":  # the views that take a state alone
@@ -444,7 +463,7 @@ class TestPairSeries:
             obs = random_pair(rng, dim, complex_data, equal_vectors)
             dense_obs = obs.dense()
         energies = np.sort(rng.uniform(-18.0, 18.0, size=dim))
-        t = make_time_grid(*PAIR_GRIDS[grid])
+        t = np.linspace(*PAIR_GRIDS[grid])
 
         def no_dense(*args):
             raise AssertionError("dense kernel used for factored inputs")
@@ -470,7 +489,7 @@ class TestPairSeries:
             g = g + 1j * rng.normal(size=(dim, dim))
         obs = (g + g.conj().T) / 2
         energies = np.sort(rng.uniform(-18.0, 18.0, size=dim))
-        t = make_time_grid(0.0, 40.0, 60)
+        t = np.linspace(0.0, 40.0, 60)
         got = evolve_expectation(rho, obs, energies, t).values
         formed = rho.entries.copy()  # a raw array: no factors
         want = evolve_expectation(formed, obs, energies, t).values
@@ -482,7 +501,7 @@ class TestPairSeries:
         rho = random_mixture(rng, 6, 2, False)
         q = random_pair(rng, 6, False)
         energies = np.sort(rng.normal(size=6))
-        t = make_time_grid(0.0, 30.0, 257)
+        t = np.linspace(0.0, 30.0, 257)
         want = dense_evolution(rho.entries, q.dense(), energies, t)
 
         def no_dense(*args):
@@ -500,7 +519,7 @@ class TestPairSeries:
         rho = entries if raw_array else DensityMatrix(entries)
         q = random_pair(rng, 6, True)
         energies = np.sort(rng.normal(size=6))
-        t = make_time_grid(0.0, 30.0, 257)
+        t = np.linspace(0.0, 30.0, 257)
 
         def no_pair(*args):
             raise AssertionError("factored kernel used for a dense state")
@@ -520,7 +539,7 @@ class TestPairSeries:
         rho = random_mixture(rng, d, 2, False)
         q = random_pair(rng, d, False)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=d))
-        t = make_time_grid(3000.0, 13000.0, n_points)
+        t = np.linspace(3000.0, 13000.0, n_points)
         values = evolve_expectation(rho, q, energies, t).values
         starts = np.arange(0, n_points, sub_block_times(n_points, d))
         edges = np.concatenate((starts, starts[1:] - 1, [n_points - 1]))
@@ -536,7 +555,7 @@ class TestPairSeries:
         # phases are K + ceil(n / K) times
         rng = np.random.default_rng(55)
         d, n_points = 30, 20_000
-        t = make_time_grid(3000.0, 12999.5, n_points)
+        t = np.linspace(3000.0, 12999.5, n_points)
         evolve_expectation(random_mixture(rng, d, 2, False),
                            random_pair(rng, d, False),
                            np.sort(rng.uniform(-18.0, 18.0, size=d)), t)
@@ -561,7 +580,7 @@ class TestPairSeries:
             evolve_expectation(random_mixture(rng, 3, 1, False),
                                random_pair(rng, 4, False),
                                np.array([0.0, 1.0, 2.0]),
-                               make_time_grid(0.0, 1.0, 10))
+                               np.linspace(0.0, 1.0, 10))
 
 
 class TestPhaseMemo:
@@ -573,7 +592,7 @@ class TestPhaseMemo:
         # 3000..13000: dt is not a float, so eps != 0 in every sub-block
         rng = np.random.default_rng(seed)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=24))
-        return rng, energies, make_time_grid(3000.0, 13000.0, 2_000)
+        return rng, energies, np.linspace(3000.0, 13000.0, 2_000)
 
     def test_one_ulp_gets_a_fresh_table(self, phase_calls):
         rng, energies, t = self.inputs(60)
@@ -619,14 +638,14 @@ class TestPhaseMemo:
 class TestTimeStats:
     def test_sine_over_whole_periods(self):
         # 20 periods sampled densely: mean ~ 0, rms exactly 1/sqrt(2)
-        t = make_time_grid(0.0, 20.0 * 2.0 * np.pi, 40_001)
+        t = np.linspace(0.0, 20.0 * 2.0 * np.pi, 40_001)
         ts = TimeSeries(times=t, values=np.sin(t))
         stats = time_stats(ts)
         assert abs(stats.mean) < 1e-3
         assert stats.sigma == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-3)
 
     def test_constant_series(self):
-        t = make_time_grid(0.0, 1.0, 200)
+        t = np.linspace(0.0, 1.0, 200)
         stats = time_stats(TimeSeries(times=t, values=np.full(200, 3.5)))
         assert stats.mean == pytest.approx(3.5)
         assert stats.sigma == 0.0
@@ -636,27 +655,27 @@ class TestTimeStats:
     def test_linear_ramp(self):
         # trapezoid integrates linear functions exactly; the rms deviation
         # of t on [0, 1] is 1/sqrt(12)
-        t = make_time_grid(0.0, 1.0, 5_000)
+        t = np.linspace(0.0, 1.0, 5_000)
         stats = time_stats(TimeSeries(times=t, values=t.copy()))
         assert stats.mean == pytest.approx(0.5, abs=1e-12)
         assert stats.sigma == pytest.approx(1.0 / np.sqrt(12.0), abs=1e-6)
 
     def test_subinterval_scatter_reflects_drift(self):
         # a drifting series has subinterval means far from the global mean
-        t = make_time_grid(0.0, 1.0, 1_000)
+        t = np.linspace(0.0, 1.0, 1_000)
         drifting = time_stats(TimeSeries(times=t, values=t.copy()))
         flat = time_stats(TimeSeries(times=t, values=np.ones(1_000)))
         assert drifting.mean_ci > 0.1
         assert flat.mean_ci < 1e-12
 
     def test_needs_enough_points(self):
-        t = make_time_grid(0.0, 1.0, 50)
+        t = np.linspace(0.0, 1.0, 50)
         ts = TimeSeries(times=t, values=np.zeros(50))
         with pytest.raises(ValueError):
             time_stats(ts, n_subintervals=10)
         time_stats(ts, n_subintervals=5)  # 50 points cover 5 subintervals
 
     def test_subinterval_count_validated(self):
-        t = make_time_grid(0.0, 1.0, 100)
+        t = np.linspace(0.0, 1.0, 100)
         with pytest.raises(ValueError):
             time_stats(TimeSeries(times=t, values=np.zeros(100)), n_subintervals=1)

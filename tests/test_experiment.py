@@ -10,16 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ergoquench import dynamics, haar_oracle
+from ergoquench import dynamics, experiment, haar_oracle
 from ergoquench.cli import main
-from ergoquench.dynamics import (TimeSeries, evolve_expectation,
-                                 make_time_grid, time_stats)
+from ergoquench.dynamics import TimeSeries, evolve_expectation, time_stats
 from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
                                          second_moment_expectation)
 from ergoquench.errors import PipelineError, StateValidationError
 from ergoquench.experiment import (MAX_COUNT, ExperimentConfig,
                                    ExperimentReport, ExperimentResult,
-                                   diagonalize_split_halves,
                                    find_product_eigenstates,
                                    prepare_protocol_state, prepare_quench,
                                    run_experiment, write_artifacts)
@@ -108,33 +106,63 @@ class TestConfig:
         assert fast_config(protocol="cat").protocols == ("cat",)
 
 
+def edge_bounds(basis, fields, coupling=1.0):
+    eig = diagonalize(build_hamiltonian(basis, coupling, fields))
+    return float(eig.energies[0]), float(eig.energies[-1])
+
+
 class TestSplitHalves:
     def test_two_site_energies_by_hand(self):
-        # each half is one site, so the split energies are just the fields
+        # each half is one site, so the product energies are +-(h0 - h1):
+        # the left spin up (n_left_up 1) and the right one down, or not
         h0, h1 = fields = draw_disorder(2, 1.0, seed=5)
-        splits = diagonalize_split_halves(1.0, fields, 0)
-        assert [hs.n_left_up for hs in splits] == [0, 1]
-        assert splits[0].eig_left.energies[0] == pytest.approx(-h0)
-        assert splits[0].eig_right.energies[0] == pytest.approx(h1)
-        assert splits[1].eig_left.energies[0] == pytest.approx(h0)
-        assert splits[1].eig_right.energies[0] == pytest.approx(-h1)
+        basis = build_basis(2, 0)
+        low, high = find_product_eigenstates(1.0, fields, basis,
+                                             edge_bounds(basis, fields))
+        assert {low.n_left_up, high.n_left_up} == {0, 1}
+        for prod in (low, high):
+            sign = 1.0 if prod.n_left_up == 1 else -1.0
+            assert prod.energy == pytest.approx(sign * (h0 - h1))
+            # configuration 0b01 (left up) is the first basis state
+            assert np.abs(prod.vector).tolist() == (
+                [1.0, 0.0] if prod.n_left_up == 1 else [0.0, 1.0])
+        assert low.energy == pytest.approx(-abs(h0 - h1))
 
-    def test_split_dimensions_cover_the_sector(self):
+    def test_split_dimensions_cover_the_sector(self, monkeypatch):
+        # the scan builds a left and a right half basis per split; together
+        # their products span the whole sector
+        halves = []
+
+        def recording(n_sites, total_sz):
+            sector = build_basis(n_sites, total_sz)
+            halves.append(sector)
+            return sector
+
         fields = draw_disorder(8, 1.0, seed=0)
         basis = build_basis(8, 0)
-        splits = diagonalize_split_halves(1.0, fields, 0)
-        total = sum(hs.basis_left.dim * hs.basis_right.dim for hs in splits)
-        assert total == basis.dim
+        bounds = edge_bounds(basis, fields)
+        monkeypatch.setattr(experiment, "build_basis", recording)
+        find_product_eigenstates(1.0, fields, basis, bounds)
+        total = sum(left.dim * right.dim
+                    for left, right in zip(halves[::2], halves[1::2]))
+        assert len(halves) == 2 * 5 and total == basis.dim
 
 
 class TestProductEigenstates:
     @staticmethod
-    def brute_force(splits, goal):
+    def brute_force(fields, goal):
+        """(deviation, n_left_up, left index, right index) of the best
+        product of half-chain eigenstates, every pair tried in order."""
+        half = len(fields) // 2
         best = None
-        for rank, hs in enumerate(splits):
-            for a, ea in enumerate(hs.eig_left.energies):
-                for b, eb in enumerate(hs.eig_right.energies):
-                    cand = (abs(ea + eb - goal), rank, a, b)
+        for n_left in range(half + 1):
+            e_l, e_r = (diagonalize(build_hamiltonian(
+                build_basis(half, 2 * n - half), 1.0, part)).energies
+                for n, part in ((n_left, fields[:half]),
+                                (half - n_left, fields[half:])))
+            for a, ea in enumerate(e_l):
+                for b, eb in enumerate(e_r):
+                    cand = (abs(ea + eb - goal), n_left, a, b)
                     if best is None or cand < best:
                         best = cand
         return best
@@ -145,14 +173,25 @@ class TestProductEigenstates:
         # one call gives both edges; each case checks the state at edge k
         fields = draw_disorder(6, 1.0, seed=seed)
         basis = build_basis(6, 0)
-        eig = diagonalize(build_hamiltonian(basis, 1.0, fields))
-        bounds = (float(eig.energies[0]), float(eig.energies[-1]))
-        splits = diagonalize_split_halves(1.0, fields, 0)
-        found = find_product_eigenstates(splits, basis, bounds)[k]
-        dev, rank, a, b = self.brute_force(splits, bounds[k])
+        bounds = edge_bounds(basis, fields)
+        found = find_product_eigenstates(1.0, fields, basis, bounds)[k]
+        dev, n_left, a, b = self.brute_force(fields, bounds[k])
         assert (found.n_left_up, found.left_index, found.right_index) == \
-            (splits[rank].n_left_up, a, b)
+            (n_left, a, b)
         assert abs(found.energy - bounds[k]) == pytest.approx(dev, abs=1e-12)
+
+    @pytest.mark.parametrize("total_sz,expected", [(0, (0, 0, 0)),
+                                                   (8, (4, 0, 0))])
+    def test_ties_break_toward_the_first_split(self, total_sz, expected):
+        # at J = h = 0 every product energy is 0 and ties with every other:
+        # the first split, left index and right index win at both edges
+        fields = draw_disorder(8, 0.0, seed=0)
+        basis = build_basis(8, total_sz)
+        found = find_product_eigenstates(0.0, fields, basis,
+                                         edge_bounds(basis, fields, 0.0))
+        for prod in found:
+            assert (prod.n_left_up, prod.left_index, prod.right_index) == expected
+            assert prod.energy == 0.0
 
     def test_embedded_vector_is_split_eigenstate(self):
         # H_left + H_right on the full sector must have each embedded product
@@ -160,9 +199,7 @@ class TestProductEigenstates:
         n, half = 6, 3
         fields = draw_disorder(n, 1.0, seed=2)
         basis = build_basis(n, 0)
-        eig = diagonalize(build_hamiltonian(basis, 1.0, fields))
-        bounds = (float(eig.energies[0]), float(eig.energies[-1]))
-        splits = diagonalize_split_halves(1.0, fields, 0)
+        bounds = edge_bounds(basis, fields)
         # each half keeps its own sites and bonds; the cut bond half - 1
         # is in neither
         sites, bonds = np.arange(n), np.arange(n - 1)
@@ -171,7 +208,7 @@ class TestProductEigenstates:
         h_right = build_hamiltonian(basis, 1.0 * (bonds >= half),
                                     fields * (sites >= half))
         h_split = h_left.entries + h_right.entries
-        for prod in find_product_eigenstates(splits, basis, bounds):
+        for prod in find_product_eigenstates(1.0, fields, basis, bounds):
             residual = h_split @ prod.vector - prod.energy * prod.vector
             assert np.max(np.abs(residual)) < 1e-10
             assert abs(np.linalg.norm(prod.vector) - 1.0) < 1e-12
@@ -251,10 +288,8 @@ class TestReducedStates:
         n = 8
         basis = build_basis(n, 0)
         fields = draw_disorder(n, 1.0, seed=0)
-        eig = diagonalize(build_hamiltonian(basis, 1.0, fields))
-        bounds = (float(eig.energies[0]), float(eig.energies[-1]))
-        splits = diagonalize_split_halves(1.0, fields, 0)
-        p1, p2 = find_product_eigenstates(splits, basis, bounds)
+        p1, p2 = find_product_eigenstates(1.0, fields, basis,
+                                          edge_bounds(basis, fields))
         assert p1.n_left_up != p2.n_left_up  # generic disorder: distinct splits
         cat = prepare_protocol_state(p1.vector, p2.vector, "cat")
         mixed = prepare_protocol_state(p1.vector, p2.vector, "mixed")
@@ -370,7 +405,7 @@ class TestRunExperiment:
         in_run = len(phase_calls)
         dynamics._phase_table.cache_clear()
         del phase_calls[:]
-        grid = make_time_grid(*FAST_WINDOW)
+        grid = np.linspace(*FAST_WINDOW)
         list(dynamics._phase_factors(res.energies, grid))
         assert in_run == len(phase_calls) > 0
 
@@ -409,7 +444,7 @@ class TestRunExperiment:
             res = run_experiment(config)
         q = prepare_quench(config)
         dense = q.observables["Q"].dense()
-        grid = make_time_grid(*config.time_window)
+        grid = np.linspace(*config.time_window)
         for protocol in ("cat", "mixed"):
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             pred = second_moment_expectation(rho0, q.partition, dense, dense)
@@ -475,7 +510,7 @@ class TestArtifacts:
 
     def test_series_csv_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        ts = TimeSeries(times=make_time_grid(3000.0, 13000.0, 300),
+        ts = TimeSeries(times=np.linspace(3000.0, 13000.0, 300),
                         values=rng.normal(size=300))
         write_artifacts(self.bare_result(np.zeros(2), {("cat", "Q"): ts}),
                         tmp_path)
@@ -485,7 +520,7 @@ class TestArtifacts:
 
     def test_series_csv_bytes_match_per_row_formatting(self, tmp_path):
         values = np.array([-0.0, 5e-324, 1e308, -1e308, 3000.0, 0.1])
-        ts = TimeSeries(times=make_time_grid(0.1, 3000.0, 6), values=values)
+        ts = TimeSeries(times=np.linspace(0.1, 3000.0, 6), values=values)
         write_artifacts(self.bare_result(np.zeros(2), {("mixed", "H_R"): ts}),
                         tmp_path)
         want = "t,value\n" + "".join(

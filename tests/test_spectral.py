@@ -118,14 +118,14 @@ class TestLevelSpacingRatio:
             r = level_spacing_ratio(np.array([0.0, 0.0, 0.0, 1.0]))
         assert r == 0.0  # the surviving pair has one zero spacing
 
-    def test_fully_degenerate_raises(self):
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                level_spacing_ratio(np.zeros(5))
+    def test_fully_degenerate_gives_none(self):
+        # no gap ratio exists, and that is no warning (tier-1 makes
+        # warnings errors)
+        assert level_spacing_ratio(np.zeros(5)) is None
 
     def test_needs_three_levels(self):
-        with pytest.raises(ValueError):
-            level_spacing_ratio(np.array([0.0, 1.0]))
+        assert level_spacing_ratio(np.array([0.0, 1.0])) is None
+        assert level_spacing_ratio(np.array([])) is None
 
     @given(seed=st.integers(0, 10_000),
            scale=st.floats(0.1, 50.0),
@@ -163,6 +163,22 @@ class TestSectorPartition:
         with pytest.raises(SectorError):
             SectorPartition(dim=dim, starts=np.asarray(starts, dtype=np.int64))
 
+    @pytest.mark.parametrize("dim,starts", [
+        (5.5, [0, 2]),            # sizes would be [2, 3.5]
+        (5, [0, 2.7]),            # would be cut to 2
+        (5, [0.0, np.nan]),
+        (np.inf, [0]),
+        (5, [True, False]),
+    ])
+    def test_fractional_sizes_rejected(self, dim, starts):
+        with pytest.raises(SectorError, match="whole numbers"):
+            SectorPartition(dim=dim, starts=starts)
+
+    def test_whole_floats_become_integers(self):
+        p = SectorPartition(dim=5.0, starts=[0.0, 2.0])
+        assert p.dim == 5 and isinstance(p.dim, int)
+        assert p.starts.dtype == np.int64 and list(p.sizes) == [2, 3]
+
     @given(dim=st.integers(1, 40), data=st.data())
     @settings(deadline=None, max_examples=50)
     def test_slices_tile_the_range(self, dim, data):
@@ -197,6 +213,18 @@ class TestClusterSectors:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             cluster_sectors(np.array([0.0, 1.0]), degeneracy_tol=-1.0)
+
+    def test_nan_tolerance_rejected(self):
+        # every gap > nan is False, which would make one sector of all
+        with pytest.raises(ValueError, match="degeneracy_tol"):
+            cluster_sectors(np.array([0.0, 1.0, 2.0]), degeneracy_tol=float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energies_rejected(self, bad):
+        e = np.array([0.0, 1.0, 2.0, 3.0])
+        e[2] = bad
+        with pytest.raises(SectorError, match="finite"):
+            cluster_sectors(e, degeneracy_tol=0.1)
 
     @given(seed=st.integers(0, 5_000), tol=st.floats(0.0, 2.0))
     @settings(deadline=None, max_examples=40)
