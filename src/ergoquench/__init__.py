@@ -13,8 +13,7 @@ from .experiment import (ExperimentConfig, ExperimentReport, ExperimentResult,
                          find_product_eigenstates, prepare_protocol_state,
                          prepare_quench, prepare_spectrum, run_experiment,
                          write_artifacts)
-from .haar_oracle import (MomentEstimate, estimate_moments,
-                          estimate_state_mean, sample_traces, summarize)
+from .haar_oracle import MomentEstimate, sample_traces, summarize
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
 from .spin_chain import (HermitianOperator, PairOperator, SpinBasis,

@@ -79,14 +79,15 @@ def cmd_run(args) -> int:
 
     if args.realizations < 1:
         raise PipelineError("config", "--realizations must be >= 1")
-    seeds = [config.disorder_seed + k for k in range(args.realizations)]
-    try:  # every seed of the batch is checked before the first run
-        configs = [dataclasses.replace(config, disorder_seed=s) for s in seeds]
+    first = config.disorder_seed
+    seeds = range(first, first + args.realizations)
+    try:  # only the last seed can reach 2**64: check it before any run
+        dataclasses.replace(config, disorder_seed=seeds[-1])
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
     ratios = []
-    for seed, cfg in zip(seeds, configs):
-        result = run_experiment(cfg)
+    for seed in seeds:
+        result = run_experiment(dataclasses.replace(config, disorder_seed=seed))
         write_artifacts(result, os.path.join(out_root, f"seed_{seed}"))
         r_mean = result.report.spectral["r_mean"]
         ratios.append(r_mean)
@@ -98,13 +99,13 @@ def cmd_run(args) -> int:
     if defined:
         average = float(np.mean(defined))
         std = float(np.std(defined, ddof=1)) if len(defined) > 1 else 0.0
-    aggregate = {"seeds": seeds, "r_mean_per_seed": ratios,
+    aggregate = {"seeds": list(seeds), "r_mean_per_seed": ratios,
                  "r_mean_average": average, "r_mean_std": std}
     path = os.path.join(out_root, "aggregate.json")
     with open(path, "w") as f:
         json.dump(aggregate, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
-    print(f"run: batch of {len(seeds)} seeds -> {path}")
+    print(f"run: batch of {args.realizations} seeds -> {path}")
     return 0
 
 
@@ -125,8 +126,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.order < 1:
-        raise PipelineError("config", f"--order must be >= 1, got {args.order}")
+    if not 1 <= args.order <= MAX_COUNT:
+        raise PipelineError("config", f"--order must be 1 to {MAX_COUNT}, "
+                                      f"got {args.order}")
     # the bound mc_samples has: no float64 array holds more values
     if not 2 <= args.samples <= MAX_COUNT:
         raise PipelineError("config", f"--samples must be 2 to {MAX_COUNT}, "
@@ -145,10 +147,7 @@ def cmd_oracle(args) -> int:
                                    n_samples=args.samples,
                                    seed=config.disorder_seed)
             for (name, obs), values in zip(q.observables.items(), traces):
-                prod = values
-                for _ in range(args.order - 1):
-                    prod = prod * values
-                est = summarize(prod)
+                est = summarize(np.power(values, args.order))
                 entry = {"estimate": est.value, "std_error": est.std_error}
                 if args.order <= 2:
                     pred = second_moment_expectation(rho0, q.partition, obs, obs)

@@ -76,6 +76,8 @@ GRID_RTOL = 1e-12
 # largest max|E| max|eps| that a block corrects to first order: the error
 # (E eps)^2 / 2 stays below one ulp of a cosine
 OFFSET_PHASE_MAX = 2.0 ** -26
+# equal sub-windows whose scatter gives the window statistics' ci fields
+N_SUBINTERVALS = 10
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ class TimeStats:
     confidence measures.
 
     mean and sigma use trapezoidal quadrature over the full window; the
-    window is then split into n_subintervals equal parts, the same
+    window is then split into N_SUBINTERVALS equal parts, the same
     quantities are recomputed on each, and the ci fields are the rms
     deviation of the per-subinterval results from the full-window ones.
     """
@@ -371,7 +373,6 @@ class TimeStats:
     sigma: float
     mean_ci: float
     sigma_ci: float
-    n_subintervals: int
 
 
 def _window_mean_sigma(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -381,23 +382,20 @@ def _window_mean_sigma(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def time_stats(series: TimeSeries, n_subintervals: int = 10) -> TimeStats:
-    if n_subintervals < 2:
-        raise ValueError(f"need at least 2 subintervals, got {n_subintervals}")
+def time_stats(series: TimeSeries) -> TimeStats:
     n = series.n_points
-    if n < 10 * n_subintervals:
-        raise ValueError(f"{n} points cannot support {n_subintervals} "
+    if n < 10 * N_SUBINTERVALS:
+        raise ValueError(f"{n} points cannot support {N_SUBINTERVALS} "
                          "subintervals (need >= 10 points per subinterval)")
     t, v = series.times, series.values
     mean, sigma = _window_mean_sigma(t, v)
 
-    edges = np.round(np.linspace(0, n - 1, n_subintervals + 1)).astype(int)
-    sub_means = np.empty(n_subintervals)
-    sub_sigmas = np.empty(n_subintervals)
-    for k in range(n_subintervals):
+    edges = np.round(np.linspace(0, n - 1, N_SUBINTERVALS + 1)).astype(int)
+    sub_means = np.empty(N_SUBINTERVALS)
+    sub_sigmas = np.empty(N_SUBINTERVALS)
+    for k in range(N_SUBINTERVALS):
         sl = slice(edges[k], edges[k + 1] + 1)  # adjacent windows share an edge
         sub_means[k], sub_sigmas[k] = _window_mean_sigma(t[sl], v[sl])
     mean_ci = float(np.sqrt(np.mean((sub_means - mean) ** 2)))
     sigma_ci = float(np.sqrt(np.mean((sub_sigmas - sigma) ** 2)))
-    return TimeStats(mean=mean, sigma=sigma, mean_ci=mean_ci,
-                     sigma_ci=sigma_ci, n_subintervals=n_subintervals)
+    return TimeStats(mean=mean, sigma=sigma, mean_ci=mean_ci, sigma_ci=sigma_ci)

@@ -54,14 +54,12 @@ class ExperimentConfig:
     total_sz: int = 0
     protocol: str = "both"  # "cat", "mixed", or "both"
     time_window: tuple = (3000.0, 13000.0, 20000)
-    n_subintervals: int = 10
     degeneracy_tol: float | None = None  # None -> 1e-8 * spectral width
     mc_samples: int = 0
     output_dir: str = "runs"
 
     def __post_init__(self):
-        for name in ("L", "total_sz", "disorder_seed", "mc_samples",
-                     "n_subintervals"):
+        for name in ("L", "total_sz", "disorder_seed", "mc_samples"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
@@ -79,14 +77,9 @@ class ExperimentConfig:
             raise ValueError(f"time window [{t0}, {t1}] needs a finite, "
                              "positive span")
         n = _integral("the time point count", n)
+        # 100 points give each of time_stats' ten sub-windows ten points
         if not 100 <= n <= MAX_COUNT:
             raise ValueError(f"need 100 to {MAX_COUNT} time points, got {n}")
-        windows = self.n_subintervals
-        if windows < 2:
-            raise ValueError(f"n_subintervals must be >= 2, got {windows}")
-        if n < 10 * windows:
-            raise ValueError(f"{n} time points cannot support {windows} "
-                             "subintervals (need >= 10 points in each)")
         if not math.isfinite(_real("J", self.J)):
             raise ValueError(f"J must be finite, got {self.J}")
         if not (0 <= _real("h", self.h) < math.inf):
@@ -355,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for name, obs in q.observables.items():
                 prediction = second_moment_expectation(rho0, q.partition, obs, obs)
                 ts = evolve_expectation(rho0, obs, energies, grid)
-                stats = time_stats(ts, config.n_subintervals)
+                stats = time_stats(ts)
                 series[(protocol, name)] = ts
                 entry = {
                     "theory_mean": prediction.mean_a,

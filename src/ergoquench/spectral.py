@@ -27,10 +27,6 @@ class EigenSystem:
     energies: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
-
     def to_eigenbasis(self, entries: np.ndarray) -> np.ndarray:
         """V^dag M V without re-symmetrization (callers wrap if needed).
 
@@ -126,18 +122,6 @@ class SectorPartition:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(np.append(self.starts, self.dim))
-
-    def slices(self) -> list[slice]:
-        stops = np.append(self.starts[1:], self.dim)
-        return [slice(int(a), int(b)) for a, b in zip(self.starts, stops)]
-
-    @classmethod
-    def singletons(cls, dim: int) -> "SectorPartition":
-        return cls(dim=dim, starts=np.arange(dim, dtype=np.int64))
-
-    @classmethod
-    def whole(cls, dim: int) -> "SectorPartition":
-        return cls(dim=dim, starts=np.zeros(1, dtype=np.int64))
 
 
 def _whole(name: str, x) -> np.ndarray:

@@ -11,7 +11,24 @@ import pytest
 from ergoquench import dynamics
 from ergoquench.dynamics import TimeSeries
 from ergoquench.ergodic_ensemble import DensityMatrix
+from ergoquench.spectral import SectorPartition
 from ergoquench.spin_chain import HermitianOperator, PairOperator
+
+
+def whole_partition(dim):
+    """One sector of all dim levels."""
+    return SectorPartition(dim=dim, starts=np.zeros(1, dtype=np.int64))
+
+
+def singleton_partition(dim):
+    """dim sectors of one level each."""
+    return SectorPartition(dim=dim, starts=np.arange(dim, dtype=np.int64))
+
+
+def sector_slices(partition):
+    """The index range of each sector, in order."""
+    stops = np.append(partition.starts[1:], partition.dim)
+    return [slice(int(a), int(b)) for a, b in zip(partition.starts, stops)]
 
 
 def random_density(rng, dim, rank=None):
@@ -54,14 +71,14 @@ def block_matrix(u):
     """The dense d x d matrix of a BlockUnitary."""
     d = u.partition.dim
     out = np.zeros((d, d), dtype=np.complex128)
-    for sl, blk in zip(u.partition.slices(), u.blocks):
+    for sl, blk in zip(sector_slices(u.partition), u.blocks):
         out[sl, sl] = blk
     return out
 
 
 def block_conjugate(u, m):
     """U M U^dag for a BlockUnitary U, computed blockwise."""
-    slices = u.partition.slices()
+    slices = sector_slices(u.partition)
     out = np.empty(np.shape(m), dtype=np.complex128)
     for i, sl_i in enumerate(slices):
         for j, sl_j in enumerate(slices):

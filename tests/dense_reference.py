@@ -12,6 +12,8 @@ from ergoquench.ergodic_ensemble import _checked, _operator
 from ergoquench.haar_oracle import _group_unitaries, _size_groups
 from ergoquench.spectral import SectorPartition
 
+from conftest import sector_slices
+
 DENSE_REFERENCE_MAX_DIM = 64
 
 
@@ -55,7 +57,7 @@ def dense_second_moment_reference(rho, partition: SectorPartition) -> np.ndarray
     if d > DENSE_REFERENCE_MAX_DIM:
         raise ValueError(f"dense reference limited to dim <= {DENSE_REFERENCE_MAX_DIM}, "
                          f"got {d}")
-    slices = partition.slices()
+    slices = sector_slices(partition)
     sizes = partition.sizes
     out = np.zeros((d * d, d * d), dtype=np.complex128)
 
@@ -136,7 +138,7 @@ def dense_rotated_states(rho, partition: SectorPartition, n_samples: int,
     sigma = np.empty((n_samples, d, d), dtype=np.complex128)
     for k in range(n_samples):
         u = np.zeros((d, d), dtype=np.complex128)
-        for sl, blk in zip(partition.slices(),
+        for sl, blk in zip(sector_slices(partition),
                            sample_block_unitary(partition, seed, k).blocks):
             u[sl, sl] = blk
         sigma[k] = u @ m @ u.conj().T

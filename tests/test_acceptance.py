@@ -22,7 +22,8 @@ from ergoquench.spectral import (SectorPartition, diagonalize,
                                  level_spacing_ratio)
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
-from conftest import random_density, random_hermitian, random_pure
+from conftest import (random_density, random_hermitian, random_pure,
+                      singleton_partition, whole_partition)
 from dense_reference import (contract_with_pair, dense_second_moment_reference,
                              sample_block_unitary)
 
@@ -38,10 +39,10 @@ def test_criterion_1_ensemble_mean_vs_sampling():
     # 1e5 samples, within 4 standard errors, across four partition shapes
     started = time.perf_counter()
     shapes = [
-        ("singletons", SectorPartition.singletons(6)),
+        ("singletons", singleton_partition(6)),
         ("2+3", SectorPartition(5, np.array([0, 2]))),
         ("1+1+2", SectorPartition(4, np.array([0, 1, 2]))),
-        ("whole", SectorPartition.whole(6)),
+        ("whole", whole_partition(6)),
     ]
     rng = np.random.default_rng(100)
     failures = []
@@ -68,8 +69,8 @@ def test_criterion_2_second_moment_vs_sampling_and_dense():
     cases = [
         ("2+3", SectorPartition(5, np.array([0, 2]))),
         ("1+1+2", SectorPartition(4, np.array([0, 1, 2]))),
-        ("whole", SectorPartition.whole(6)),
-        ("singletons", SectorPartition.singletons(6)),
+        ("whole", whole_partition(6)),
+        ("singletons", singleton_partition(6)),
     ]
     rng = np.random.default_rng(200)
     failures = []
@@ -97,7 +98,7 @@ def test_criterion_3_fourth_moment_combinatorics():
     # tr(sigma P)^4 for a pure state under a single d=3 sector: the Haar
     # moment of |U_00|^8 is 4! (d-1)! / (d-1+4)! = 1/15
     expected = (math.factorial(4) * math.factorial(2)) / math.factorial(6)
-    part = SectorPartition.whole(3)
+    part = whole_partition(3)
     rho = DensityMatrix.from_state_vector(random_pure(np.random.default_rng(300), 3))
     proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
     est = estimate_moments(rho, part, [proj] * 4, order=4,
@@ -220,7 +221,7 @@ def test_criterion_7_invariants_over_random_instances():
 
     for k in range(40):  # sampling + dynamics invariants
         dim = int(rng.integers(2, 8))
-        part = SectorPartition.whole(dim)
+        part = whole_partition(dim)
         u = sample_block_unitary(part, seed=k)
         rho = random_density(rng, dim)
         obs = random_hermitian(rng, dim)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoquench import dynamics
-from ergoquench.dynamics import TimeSeries, evolve_expectation, time_stats
+from ergoquench.dynamics import (N_SUBINTERVALS, TimeSeries, evolve_expectation,
+                                time_stats)
 from ergoquench.ergodic_ensemble import (DensityMatrix, _factored,
                                          ensemble_mean,
                                          second_moment_expectation)
@@ -667,15 +668,14 @@ class TestTimeStats:
         flat = time_stats(TimeSeries(times=t, values=np.ones(1_000)))
         assert drifting.mean_ci > 0.1
         assert flat.mean_ci < 1e-12
+        # ten windows of width 0.1: their means sit at 0.05 + 0.1 k, so
+        # the rms deviation from 0.5 is 0.1 sqrt(8.25)
+        assert N_SUBINTERVALS == 10
+        assert drifting.mean_ci == pytest.approx(0.1 * np.sqrt(8.25), abs=1e-3)
 
     def test_needs_enough_points(self):
-        t = np.linspace(0.0, 1.0, 50)
-        ts = TimeSeries(times=t, values=np.zeros(50))
-        with pytest.raises(ValueError):
-            time_stats(ts, n_subintervals=10)
-        time_stats(ts, n_subintervals=5)  # 50 points cover 5 subintervals
-
-    def test_subinterval_count_validated(self):
+        # ten points in each of the ten sub-windows
         t = np.linspace(0.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            time_stats(TimeSeries(times=t, values=np.zeros(100)), n_subintervals=1)
+        with pytest.raises(ValueError, match="10 points per subinterval"):
+            time_stats(TimeSeries(times=t[:99], values=np.zeros(99)))
+        time_stats(TimeSeries(times=t, values=np.zeros(100)))

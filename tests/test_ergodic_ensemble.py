@@ -21,7 +21,8 @@ from ergoquench.haar_oracle import estimate_moments, estimate_state_mean
 from ergoquench.spectral import SectorPartition
 
 from conftest import (block_conjugate, random_density, random_hermitian,
-                      random_mixture, random_pair, random_pure)
+                      random_mixture, random_pair, random_pure,
+                      sector_slices, singleton_partition, whole_partition)
 from dense_reference import (contract_with_pair, dense_second_moment_reference,
                              quartic_overlap_reference, sample_block_unitary)
 
@@ -117,13 +118,13 @@ class TestEnsembleMean:
     def test_singleton_partition_is_dephasing(self):
         rng = np.random.default_rng(0)
         rho = random_density(rng, 5)
-        mean = ensemble_mean(rho, SectorPartition.singletons(5))
+        mean = ensemble_mean(rho, singleton_partition(5))
         assert np.allclose(mean.entries, np.diag(np.diag(rho.entries)))
 
     def test_whole_partition_is_maximally_mixed(self):
         rng = np.random.default_rng(1)
         rho = random_density(rng, 6)
-        mean = ensemble_mean(rho, SectorPartition.whole(6))
+        mean = ensemble_mean(rho, whole_partition(6))
         assert np.allclose(mean.entries, np.eye(6) / 6.0)
 
     def test_block_weights_are_sector_traces(self):
@@ -156,17 +157,17 @@ class TestEnsembleMean:
     def test_marginal_trace_renormalized(self):
         # trace off by 5e-11 passes the gate and the output is exactly valid
         m = np.diag([0.5 + 5e-11, 0.5]).astype(complex)
-        mean = ensemble_mean(m, SectorPartition.singletons(2))
+        mean = ensemble_mean(m, singleton_partition(2))
         assert abs(np.trace(mean.entries) - 1.0) < 1e-12
 
     def test_bad_trace_rejected(self):
         with pytest.raises(StateValidationError):
-            ensemble_mean(np.eye(2, dtype=complex), SectorPartition.whole(2))
+            ensemble_mean(np.eye(2, dtype=complex), whole_partition(2))
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(SectorError):
-            ensemble_mean(random_density(rng, 4), SectorPartition.whole(5))
+            ensemble_mean(random_density(rng, 4), whole_partition(5))
 
     @pytest.mark.parametrize("defect", ["NaN", "asymmetric"])
     def test_raw_non_hermitian_state_rejected(self, defect):
@@ -178,7 +179,7 @@ class TestEnsembleMean:
         else:
             m[0, 1] = 0.1
         with pytest.raises(StateValidationError, match="not Hermitian"):
-            ensemble_mean(m, SectorPartition.singletons(2))
+            ensemble_mean(m, singleton_partition(2))
 
     def test_exactly_hermitian_raw_state_matches_typed(self):
         rng = np.random.default_rng(6)
@@ -191,7 +192,7 @@ class TestEnsembleMean:
 
 def partitions_of(dim, rng, count=3):
     """A few random partitions plus the two extremes."""
-    out = [SectorPartition.singletons(dim), SectorPartition.whole(dim)]
+    out = [singleton_partition(dim), whole_partition(dim)]
     for _ in range(count):
         n_cuts = int(rng.integers(1, dim)) if dim > 1 else 0
         cuts = np.sort(rng.choice(np.arange(1, dim), size=n_cuts, replace=False)) \
@@ -203,13 +204,13 @@ def partitions_of(dim, rng, count=3):
 class TestBlockSums:
     def test_singleton_blocks_are_the_input(self):
         m = np.random.default_rng(30).normal(size=(5, 5))
-        assert np.array_equal(_block_sums(m, SectorPartition.singletons(5).starts), m)
+        assert np.array_equal(_block_sums(m, singleton_partition(5).starts), m)
 
     def test_mixed_partition_matches_a_per_block_loop(self):
         rng = np.random.default_rng(31)
         part = SectorPartition(7, np.array([0, 1, 4, 5]))
         m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        slices = part.slices()
+        slices = sector_slices(part)
         want = np.array([[m[si, sj].sum() for sj in slices] for si in slices])
         assert np.allclose(_block_sums(m, part.starts), want, rtol=0.0, atol=1e-13)
 
@@ -233,7 +234,7 @@ class TestSecondMoment:
             a = random_hermitian(rng, dim)
             b = random_hermitian(rng, dim)
             pred = second_moment_expectation(
-                rho, SectorPartition.singletons(dim), a, b).second_moment
+                rho, singleton_partition(dim), a, b).second_moment
             assert pred == pytest.approx(singleton_oracle(rho, a, b), rel=1e-12)
 
     def test_agrees_with_monte_carlo(self):
@@ -261,7 +262,7 @@ class TestSecondMoment:
         a = np.diag(rng.uniform(5.0, 10.0, size=d)) + 1e-4 * x
         rho = (DensityMatrix.from_state_vector(psi) if factored
                else np.outer(psi, psi))
-        pred = second_moment_expectation(rho, SectorPartition.singletons(d), a, a)
+        pred = second_moment_expectation(rho, singleton_partition(d), a, a)
         w = psi**2
         want = sum(w[i] * w[j] * a[i, j]**2
                    for i in range(d) for j in range(d) if i != j)
@@ -274,7 +275,7 @@ class TestSecondMoment:
         rho = DensityMatrix.from_state_vector(random_pure(rng, d))
         a = random_hermitian(rng, d)
         b = random_hermitian(rng, d)
-        pred = second_moment_expectation(rho, SectorPartition.whole(d), a, b)
+        pred = second_moment_expectation(rho, whole_partition(d), a, b)
         expected = (np.trace(a.entries) * np.trace(b.entries)
                     + np.trace(a.entries @ b.entries)).real / (d * (d + 1))
         assert pred.second_moment == pytest.approx(float(expected), rel=1e-12)
@@ -315,12 +316,12 @@ class TestSecondMoment:
     def test_one_dimensional_space_is_deterministic(self):
         rho = DensityMatrix(np.eye(1, dtype=complex))
         a = random_hermitian(np.random.default_rng(13), 1)
-        pred = second_moment_expectation(rho, SectorPartition.whole(1), a, a)
+        pred = second_moment_expectation(rho, whole_partition(1), a, a)
         assert pred.connected == pytest.approx(0.0, abs=1e-14)
         assert pred.second_moment == pytest.approx(pred.mean_a ** 2)
 
     def test_trace_gate(self):
-        part = SectorPartition.whole(3)
+        part = whole_partition(3)
         a = random_hermitian(np.random.default_rng(15), 3)
         with pytest.raises(StateValidationError):
             second_moment_expectation(np.eye(3, dtype=complex) / 2.9, part, a, a)
@@ -428,7 +429,7 @@ class TestPairOperatorMoments:
         rho = random_mixture(rng, 5, 1, False)
         a = random_pair(rng, 4, False)
         with pytest.raises(SectorError):
-            second_moment_expectation(rho, SectorPartition.whole(5), a, a)
+            second_moment_expectation(rho, whole_partition(5), a, a)
 
 
 def random_observable(rng, dim, complex_data, pair):
@@ -465,7 +466,7 @@ class TestFactoredStateMoments:
         rho = random_mixture(rng, 5, 2, True)
         a = random_pair(rng, 5, True)
         with pytest.raises(SectorError):
-            second_moment_expectation(rho, SectorPartition.whole(4), a, a)
+            second_moment_expectation(rho, whole_partition(4), a, a)
 
     def test_non_finite_moment_rejected(self):
         rho = DensityMatrix.from_state_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -473,7 +474,7 @@ class TestFactoredStateMoments:
         # the squared entries overflow on the way, as they should
         with (pytest.warns(RuntimeWarning, match="overflow"),
               pytest.raises(NumericalIntegrityError, match="not finite")):
-            second_moment_expectation(rho, SectorPartition.whole(2), huge, huge)
+            second_moment_expectation(rho, whole_partition(2), huge, huge)
 
 
 class TestDenseReference:
@@ -500,7 +501,7 @@ class TestDenseReference:
         rng = np.random.default_rng(18)
         with pytest.raises(ValueError):
             dense_second_moment_reference(random_density(rng, 65),
-                                          SectorPartition.whole(65))
+                                          whole_partition(65))
 
 
 class TestCatVarianceClosedForm:
@@ -517,7 +518,7 @@ class TestCatVarianceClosedForm:
         rho = DensityMatrix.from_state_vector(cat)
         q = np.outer(v1, v2.conj())
         q = q + q.conj().T
-        pred = second_moment_expectation(rho, SectorPartition.singletons(d), q, q)
+        pred = second_moment_expectation(rho, singleton_partition(d), q, q)
         closed = cat_q_variance_closed_form(v1, v2)
         assert closed == pytest.approx(pred.connected, rel=1e-12)
         assert pred.mean_a == pytest.approx(0.0, abs=1e-14)

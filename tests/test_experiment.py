@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -66,10 +67,10 @@ class TestConfig:
         dict(degeneracy_tol=float("nan")),
         dict(degeneracy_tol=float("inf")),
         dict(time_window=(0.0, 1.0, 100.7)),  # a point count is whole
-        dict(n_subintervals=1),
-        dict(n_subintervals=2.5),
-        dict(n_subintervals=True),
-        dict(time_window=(0.0, 49.5, 100), n_subintervals=11),
+        dict(time_window=(0.0, 1.0, 99)),  # fewer than ten per sub-window
+        dict(time_window=(5.0, 5.0, 100)),  # no span
+        dict(total_sz=0.5),
+        dict(output_dir=5),
         dict(mc_samples=MAX_COUNT + 1),  # no float64 array is that long
         dict(time_window=(0.0, 1.0, MAX_COUNT + 1)),
     ])
@@ -82,6 +83,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"L": 6, "coupling": 2.0})
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"L": 6, "prune_floor": 1e-14})
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"n_subintervals": 10})
 
     def test_dict_round_trip(self):
         cfg = fast_config(mc_samples=50)
@@ -95,12 +98,10 @@ class TestConfig:
         assert cfg.L == 6 and cfg.time_window == (100.0, 600.0, 2000)
 
     def test_whole_float_counts_are_integers(self):
-        cfg = fast_config(time_window=(0.0, 1.0, 20000.0),
-                          n_subintervals=10.0)
-        assert cfg.time_window == (0.0, 1.0, 20000)
-        assert cfg.n_subintervals == 10
+        cfg = fast_config(time_window=(0.0, 1.0, 20000.0), mc_samples=50.0)
+        assert cfg.time_window == (0.0, 1.0, 20000) and cfg.mc_samples == 50
         assert all(isinstance(x, int) for x in (cfg.time_window[2],
-                                                cfg.n_subintervals))
+                                                cfg.mc_samples))
 
     def test_single_protocol_selection(self):
         assert fast_config(protocol="cat").protocols == ("cat",)
@@ -449,7 +450,7 @@ class TestRunExperiment:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             pred = second_moment_expectation(rho0, q.partition, dense, dense)
             series = evolve_expectation(rho0, dense, q.eig.energies, grid)
-            stats = time_stats(series, config.n_subintervals)
+            stats = time_stats(series)
             want = {"theory_mean": pred.mean_a,
                     "theory_sigma": float(np.sqrt(max(pred.connected, 0.0))),
                     "numeric_mean": stats.mean, "numeric_sigma": stats.sigma}
@@ -651,8 +652,10 @@ class TestCli:
             for name, obs in q.observables.items():
                 est, = estimate_moments(rho0, q.partition, [obs] * 3, 3, 30,
                                         seed=config.disorder_seed)
+                # the cube is one np.power call, the product two multiplies
                 assert data["protocols"][protocol][name] == {
-                    "estimate": est.value, "std_error": est.std_error}
+                    "estimate": pytest.approx(est.value, rel=1e-13),
+                    "std_error": pytest.approx(est.std_error, rel=1e-13)}
 
     def test_single_sample_config_fails_under_config(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -665,9 +668,9 @@ class TestCli:
         assert "[config]" in capsys.readouterr().err and built == []
 
     @pytest.mark.parametrize("window", [
-        dict(time_window=[0, 49.5, 100], n_subintervals=11),
-        dict(n_subintervals=2.5),
-        dict(n_subintervals=1),
+        dict(time_window=[0, 49.5, 99]),
+        dict(time_window=[49.5, 0, 100]),
+        dict(time_window=[0, math.nan, 100]),
         dict(time_window=[0, 49.5, 100.7]),
         dict(time_window=[0, 49.5, 10**400]),
         dict(time_window=[0, math.inf, 100]),
@@ -729,6 +732,18 @@ class TestCli:
         assert "[config] disorder_seed " in capsys.readouterr().err
         assert built == []
 
+    def test_batch_beyond_any_seed_fails_before_a_run(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # only the last seed is checked, and no list of seeds is built
+        built = []
+        monkeypatch.setattr("ergoquench.experiment.prepare_quench",
+                            lambda *args: built.append(args))
+        path = write_config(tmp_path, {"L": 4, "disorder_seed": 0})
+        assert main(["run", "--config", str(path), "--realizations",
+                     str(2**64 + 1), "--out", str(tmp_path / "out")]) == 1
+        assert "[config] disorder_seed " in capsys.readouterr().err
+        assert built == [] and not (tmp_path / "out").exists()
+
     def test_whole_float_length_runs_like_the_int(self, tmp_path):
         reports = []
         for length in (4, 4.0):
@@ -743,9 +758,11 @@ class TestCli:
         assert reports[0][0]["config"]["L"] == 4
 
     def test_bad_oracle_arguments(self, config_file, capsys):
-        assert main(["oracle", "--config", str(config_file),
-                     "--order", "0", "--samples", "100"]) == 1
-        assert "[config]" in capsys.readouterr().err
+        for order in (0, MAX_COUNT + 1):
+            assert main(["oracle", "--config", str(config_file),
+                         "--order", str(order), "--samples", "100"]) == 1
+            err = capsys.readouterr().err
+            assert f"[config] --order must be 1 to {MAX_COUNT}" in err
 
     @pytest.mark.parametrize("samples", [MAX_COUNT + 1, 10**20])
     def test_oracle_samples_beyond_any_array_fail_before_the_quench(
@@ -762,6 +779,24 @@ class TestCli:
         assert f"[config] --samples must be 2 to {MAX_COUNT}" in err
         assert built == []
 
+    def test_huge_oracle_order_is_one_power(self, tmp_path, capsys):
+        # 10**9 multiplications would take about an hour.  At L = 8 every
+        # sample's value is below 1 in size, so each power underflows to 0;
+        # with h = 4 the H_R values pass 1 and the power overflows
+        order = ["--order", str(10**9), "--samples", "2"]
+        start = time.perf_counter()
+        path = write_config(tmp_path, {"L": 8})
+        assert main(["oracle", "--config", str(path)] + order) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {entry["estimate"] for block in data["protocols"].values()
+                for entry in block.values()} == {0.0}
+        path = write_config(tmp_path, {"L": 8, "h": 4.0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["oracle", "--config", str(path)] + order) == 1
+        captured = capsys.readouterr()
+        assert "[oracle]" in captured.err and "not finite" in captured.err
+        assert captured.out == ""
+        assert time.perf_counter() - start < 30.0
 
 SMALL_SECTORS = [{"L": 2}, {"L": 4, "total_sz": 4}]  # 2 levels, 1 level
 

@@ -30,7 +30,7 @@ from ergoquench.spin_chain import HermitianOperator
 
 from conftest import (block_conjugate, block_matrix, random_density,
                       random_hermitian, random_mixture, random_pair,
-                      random_pure)
+                      random_pure, singleton_partition, whole_partition)
 from dense_reference import (BlockUnitary, dense_state_mean,
                              dense_trace_values, sample_block_unitary)
 
@@ -61,7 +61,7 @@ class TestSampling:
             assert np.array_equal(b1, b2)
 
     def test_different_indices_differ(self):
-        part = SectorPartition.whole(4)
+        part = whole_partition(4)
         u1 = sample_block_unitary(part, seed=7, sample_index=0)
         u2 = sample_block_unitary(part, seed=7, sample_index=1)
         assert not np.allclose(u1.blocks[0], u2.blocks[0])
@@ -133,7 +133,7 @@ class TestStream:
             assert values == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_singleton_draws_are_the_phases_of_their_entries(self):
-        groups, _, n_entries = _size_groups(SectorPartition.singletons(6))
+        groups, _, n_entries = _size_groups(singleton_partition(6))
         for first, count in ((5, 4), (2, 1)):
             stack, = _group_unitaries(groups, n_entries, 9, first, count)
             g = _ginibre_entries(9, first, count, 6)
@@ -199,12 +199,12 @@ class TestStream:
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_ends_accepted(self, seed):
-        u = sample_block_unitary(SectorPartition.whole(2), seed=seed)
+        u = sample_block_unitary(whole_partition(2), seed=seed)
         assert u.max_unitarity_defect() < 1e-12
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "3"])
     def test_seed_outside_range_rejected(self, seed):
-        part = SectorPartition.whole(2)
+        part = whole_partition(2)
         with pytest.raises(ValueError, match="seed"):
             sample_block_unitary(part, seed=seed)
         with pytest.raises(ValueError, match="seed"):
@@ -220,7 +220,7 @@ class TestFirstEntryMoment:
         quad = np.trapezoid(np.cos(theta) ** 2 * np.sin(2.0 * theta), theta)
         assert quad == pytest.approx(haar_first_entry_power(2, 1), abs=1e-8)
 
-        part = SectorPartition.whole(2)
+        part = whole_partition(2)
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         proj = np.diag([1.0, 0.0]).astype(complex)
         est = estimate_moments(rho, part, [proj], order=1,
@@ -228,7 +228,7 @@ class TestFirstEntryMoment:
         assert abs(est.value - quad) <= 4.0 * est.std_error
 
     def test_d3_mean_is_one_third(self):
-        part = SectorPartition.whole(3)
+        part = whole_partition(3)
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
         est = estimate_moments(rho, part, [proj], order=1,
@@ -239,7 +239,7 @@ class TestFirstEntryMoment:
         # tr(sigma P)^4 for a rank-one state is |U_00|^8, whose Haar mean
         # is 4! 2! / 6! = 1/15 at d=3
         assert haar_first_entry_power(3, 4) == pytest.approx(1.0 / 15.0)
-        part = SectorPartition.whole(3)
+        part = whole_partition(3)
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
         proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
         est = estimate_moments(rho, part, [proj] * 4, order=4,
@@ -256,7 +256,7 @@ class TestFirstEntryMoment:
         proj = np.zeros((d, d))
         proj[j, j] = 1.0
         values, = sample_traces(DensityMatrix(proj.astype(complex)),
-                                SectorPartition.whole(d), [proj],
+                                whole_partition(d), [proj],
                                 n_samples=4000, seed=14)
         for k in (1, 2, 3):
             est = summarize(values ** k)
@@ -280,7 +280,7 @@ class TestEstimateMoments:
         rng = np.random.default_rng(4)
         rho = random_density(rng, 5)
         a = np.diag(rng.normal(size=5)).astype(complex)
-        est = estimate_moments(rho, SectorPartition.singletons(5), [a],
+        est = estimate_moments(rho, singleton_partition(5), [a],
                                order=1, n_samples=200, seed=1)[0]
         expected = float(np.sum(np.diag(rho.entries).real * np.diag(a).real))
         assert est.value == pytest.approx(expected, abs=1e-12)
@@ -321,7 +321,7 @@ class TestEstimateMoments:
 
     def test_std_error_scales_as_root_n(self):
         rng = np.random.default_rng(6)
-        part = SectorPartition.whole(4)
+        part = whole_partition(4)
         rho = DensityMatrix.from_state_vector(random_pure(rng, 4))
         a = random_hermitian(rng, 4)
         small = estimate_moments(rho, part, [a], order=1,
@@ -332,7 +332,7 @@ class TestEstimateMoments:
 
     def test_order_one_returns_per_observable(self):
         rng = np.random.default_rng(7)
-        part = SectorPartition.whole(3)
+        part = whole_partition(3)
         rho = random_density(rng, 3)
         ests = estimate_moments(rho, part,
                                 [random_hermitian(rng, 3) for _ in range(3)],
@@ -412,7 +412,7 @@ class TestEstimateMoments:
 
     def test_argument_validation(self):
         rng = np.random.default_rng(8)
-        part = SectorPartition.whole(3)
+        part = whole_partition(3)
         rho = random_density(rng, 3)
         a = random_hermitian(rng, 3)
         with pytest.raises(ValueError):
@@ -438,7 +438,7 @@ class TestEstimateStateMean:
 
     def test_preserves_trace_every_sample(self):
         rng = np.random.default_rng(10)
-        part = SectorPartition.singletons(4)
+        part = singleton_partition(4)
         rho = random_density(rng, 4)
         mc, _, _ = estimate_state_mean(rho, part, n_samples=50, seed=6)
         assert abs(np.trace(mc) - 1.0) < 1e-12
@@ -447,7 +447,7 @@ class TestEstimateStateMean:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
             estimate_state_mean(random_density(rng, 3),
-                                SectorPartition.whole(3), n_samples=1, seed=0)
+                                whole_partition(3), n_samples=1, seed=0)
 
 
 class TestWorkers:
@@ -521,7 +521,7 @@ class TestWorkers:
         monkeypatch.setattr(haar_oracle, "_group_unitaries", counting)
         monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 3)
         rng = np.random.default_rng(23)
-        estimate_moments(random_density(rng, 4), SectorPartition.whole(4),
+        estimate_moments(random_density(rng, 4), whole_partition(4),
                          [random_hermitian(rng, 4)], order=1, n_samples=60,
                          seed=0)
         assert 1 <= most[0] <= 2
@@ -556,7 +556,7 @@ class TestWorkers:
         # must hold as well
         monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
         monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 5)
-        part = SectorPartition.singletons(2)
+        part = singleton_partition(2)
         rho = 1.7e308 * np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 1.0]])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             estimate_moments(rho, part, [np.eye(2)], order=1, n_samples=40,
@@ -657,23 +657,23 @@ class TestDenseReference:
         # the states, observables, partitions and sampler seeds of
         # acceptance criteria 1-3, at fewer samples
         rng = np.random.default_rng(100)
-        for part in (SectorPartition.singletons(6),
+        for part in (singleton_partition(6),
                      SectorPartition(5, np.array([0, 2])),
                      SectorPartition(4, np.array([0, 1, 2])),
-                     SectorPartition.whole(6)):
+                     whole_partition(6)):
             rho = random_density(rng, part.dim)
             assert_matches_dense_reference(rho, part, [np.eye(part.dim)],
                                            300, 101)
         rng = np.random.default_rng(200)
         for part in (SectorPartition(5, np.array([0, 2])),
                      SectorPartition(4, np.array([0, 1, 2])),
-                     SectorPartition.whole(6),
-                     SectorPartition.singletons(6)):
+                     whole_partition(6),
+                     singleton_partition(6)):
             rho = random_density(rng, part.dim)
             a = random_hermitian(rng, part.dim)
             b = random_hermitian(rng, part.dim)
             assert_matches_dense_reference(rho, part, [a, b], 300, 201)
-        part = SectorPartition.whole(3)
+        part = whole_partition(3)
         rho = DensityMatrix.from_state_vector(
             random_pure(np.random.default_rng(300), 3))
         proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
@@ -726,7 +726,7 @@ def test_dense_chunk_holds_three_chunk_sized_arrays(monkeypatch):
     monkeypatch.setattr(haar_oracle, "_cores", lambda: 1)
     monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 512)
     d, n = 16, 512
-    part = SectorPartition.whole(d)
+    part = whole_partition(d)
     rho = random_density(np.random.default_rng(27), d)
     # a first call leaves the thread pool's imports out of the peak
     estimate_state_mean(rho, part, n, seed=0)

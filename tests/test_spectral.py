@@ -10,7 +10,8 @@ from ergoquench.spectral import (SectorPartition, cluster_sectors,
                                  diagonalize, level_spacing_ratio)
 from ergoquench.spin_chain import HermitianOperator
 
-from conftest import random_hermitian
+from conftest import (random_hermitian, sector_slices, singleton_partition,
+                      whole_partition)
 
 
 class TestDiagonalize:
@@ -143,13 +144,13 @@ class TestSectorPartition:
     def test_sizes_and_slices(self):
         p = SectorPartition(dim=9, starts=np.array([0, 5]))
         assert list(p.sizes) == [5, 4]
-        assert p.slices() == [slice(0, 5), slice(5, 9)]
+        assert sector_slices(p) == [slice(0, 5), slice(5, 9)]
         assert p.n_sectors == 2
 
     def test_singletons_and_whole(self):
-        s = SectorPartition.singletons(4)
+        s = singleton_partition(4)
         assert list(s.sizes) == [1, 1, 1, 1]
-        w = SectorPartition.whole(4)
+        w = whole_partition(4)
         assert list(w.sizes) == [4]
 
     @pytest.mark.parametrize("dim,starts", [
@@ -188,7 +189,7 @@ class TestSectorPartition:
         starts = starts[starts < dim]
         p = SectorPartition(dim=dim, starts=starts)
         assert int(p.sizes.sum()) == dim
-        covered = np.concatenate([np.arange(s.start, s.stop) for s in p.slices()])
+        covered = np.concatenate([np.arange(s.start, s.stop) for s in sector_slices(p)])
         assert np.array_equal(covered, np.arange(dim))
 
 
@@ -232,6 +233,6 @@ class TestClusterSectors:
         rng = np.random.default_rng(seed)
         e = np.sort(rng.uniform(0, 10, size=25))
         p = cluster_sectors(e, tol)
-        for sl in p.slices():
+        for sl in sector_slices(p):
             if sl.stop - sl.start > 1:
                 assert np.max(np.diff(e[sl])) <= tol
