@@ -4,9 +4,6 @@ Subcommands:
   run       full experiment for one config (optionally a batch of seeds)
   spectrum  spectral diagnostics only
   oracle    Monte-Carlo moment estimates against the analytic predictions
-
-Output directory precedence: --out flag, then the ERGOQUENCH_OUTPUT_DIR
-environment variable, then output_dir from the config file.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from .experiment import (MAX_COUNT, ExperimentConfig, _stage,
                          prepare_spectrum, run_experiment, write_artifacts)
 from .haar_oracle import sample_traces, summarize
 
-ENV_OUTPUT_DIR = "ERGOQUENCH_OUTPUT_DIR"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -39,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to a JSON config")
     p_run.add_argument("--realizations", type=int, default=None,
                        help="batch over this many consecutive disorder seeds")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default="runs",
+                       help="output directory (default: runs)")
     p_run.set_defaults(func=cmd_run)
 
     p_spec = sub.add_parser("spectrum", help="spectral diagnostics only")
@@ -61,20 +57,13 @@ def _load_config(path) -> ExperimentConfig:
         raise PipelineError("config", str(exc)) from exc
 
 
-def _resolve_out_dir(args, config: ExperimentConfig) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get(ENV_OUTPUT_DIR) or config.output_dir
-
-
 def cmd_run(args) -> int:
     config = _load_config(args.config)
-    out_root = _resolve_out_dir(args, config)
     if args.realizations is None:
         result = run_experiment(config)
-        write_artifacts(result, out_root)
+        write_artifacts(result, args.out)
         print(f"run: seed {config.disorder_seed} done in "
-              f"{result.report.runtime_seconds:.1f} s -> {out_root}")
+              f"{result.report.runtime_seconds:.1f} s -> {args.out}")
         return 0
 
     if args.realizations < 1:
@@ -88,7 +77,7 @@ def cmd_run(args) -> int:
     ratios = []
     for seed in seeds:
         result = run_experiment(dataclasses.replace(config, disorder_seed=seed))
-        write_artifacts(result, os.path.join(out_root, f"seed_{seed}"))
+        write_artifacts(result, os.path.join(args.out, f"seed_{seed}"))
         r_mean = result.report.spectral["r_mean"]
         ratios.append(r_mean)
         print(f"run: seed {seed} done in {result.report.runtime_seconds:.1f} s, "
@@ -101,8 +90,8 @@ def cmd_run(args) -> int:
         std = float(np.std(defined, ddof=1)) if len(defined) > 1 else 0.0
     aggregate = {"seeds": list(seeds), "r_mean_per_seed": ratios,
                  "r_mean_average": average, "r_mean_std": std}
-    path = os.path.join(out_root, "aggregate.json")
-    with open(path, "w") as f:
+    path = os.path.join(args.out, "aggregate.json")
+    with _stage("report"), open(path, "w") as f:
         json.dump(aggregate, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     print(f"run: batch of {args.realizations} seeds -> {path}")
@@ -163,7 +152,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite result already fails a check with a stage tag,
+        # so numpy's floating-point warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,6 +38,7 @@ from .spin_chain import (SpinBasis, build_basis, build_hamiltonian,
                          symmetrized)
 
 PROTOCOLS = ("cat", "mixed")
+# levels closer than this times the spectral width share a sector
 DEGENERACY_TOL_RELATIVE = 1e-8
 # the most values a float64 array can have and numpy still shape it
 MAX_COUNT = np.iinfo(np.intp).max // 8
@@ -54,15 +55,11 @@ class ExperimentConfig:
     total_sz: int = 0
     protocol: str = "both"  # "cat", "mixed", or "both"
     time_window: tuple = (3000.0, 13000.0, 20000)
-    degeneracy_tol: float | None = None  # None -> 1e-8 * spectral width
     mc_samples: int = 0
-    output_dir: str = "runs"
 
     def __post_init__(self):
         for name in ("L", "total_sz", "disorder_seed", "mc_samples"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.L < 2 or self.L % 2 != 0:
             raise ValueError(f"L must be even and >= 2 for the half split, got {self.L}")
         # the seed also keys the Philox stream of the oracle
@@ -87,10 +84,6 @@ class ExperimentConfig:
         if not (self.mc_samples == 0 or 2 <= self.mc_samples <= MAX_COUNT):
             raise ValueError(f"mc_samples must be 0 or 2 to {MAX_COUNT}, "
                              f"got {self.mc_samples}")
-        tol = self.degeneracy_tol
-        if tol is not None and not (0 <= _real("degeneracy_tol", tol) < math.inf):
-            raise ValueError(f"degeneracy_tol must be finite and >= 0 or null, "
-                             f"got {tol}")
         object.__setattr__(self, "time_window", (t0, t1, n))
 
     @property
@@ -287,12 +280,11 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
         eig = diagonalize(ham)
         energies = eig.energies
         width = float(energies[-1]) - float(energies[0])  # inf, not a warning
-        tol = (config.degeneracy_tol if config.degeneracy_tol is not None
-               else DEGENERACY_TOL_RELATIVE * width)
-        if not (math.isfinite(width) and math.isfinite(tol)):
+        if not math.isfinite(width):
             raise NumericalIntegrityError(
                 f"spectral width of [{energies[0]:.3e}, {energies[-1]:.3e}] "
-                f"overflows float64 (width {width}, degeneracy_tol {tol})")
+                "overflows float64")
+        tol = DEGENERACY_TOL_RELATIVE * width
         return SpectralPrefix(basis=basis, fields=h_fields, eig=eig,
                               degeneracy_tol=tol,
                               partition=cluster_sectors(energies, tol),
@@ -393,9 +385,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # the grid aliases the fastest terms of every series
         nyquist_ratio = (e_max - e_min) * (t1 - t0) / (n_points - 1) / np.pi
         report = ExperimentReport(
-            config=dict(asdict(config), degeneracy_tol=q.degeneracy_tol),
+            config=asdict(config),
             spectral={"dim": q.basis.dim, "e_min": e_min, "e_max": e_max,
-                      "r_mean": q.r_mean, "n_sectors": q.partition.n_sectors,
+                      "r_mean": q.r_mean, "degeneracy_tol": q.degeneracy_tol,
+                      "n_sectors": q.partition.n_sectors,
                       "nyquist_ratio": nyquist_ratio},
             states=states_info,
             protocols=protocols_out,
@@ -422,9 +415,9 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
     failure every file written so far is removed, so an output directory
     never holds a partial result set.
     """
-    os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
     try:
+        os.makedirs(out_dir, exist_ok=True)
         report = result.report
         report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         # allow_nan=False turns any non-finite value into a hard error here

@@ -91,10 +91,7 @@ def build_basis(n_sites: int, total_sz: int) -> SpinBasis:
         raise SectorError(f"no sector with total Sz={total_sz} on {n_sites} sites")
     n_up = (n_sites + total_sz) // 2
     configs = np.arange(1 << n_sites, dtype=np.int64)
-    ups = np.zeros_like(configs)
-    for j in range(n_sites):  # popcount by shift and sum
-        ups += (configs >> j) & 1
-    states = configs[ups == n_up]
+    states = configs[np.bitwise_count(configs) == n_up]
     return SpinBasis(n_sites=n_sites, total_sz=total_sz, states=states)
 
 

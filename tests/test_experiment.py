@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 import warnings
 
@@ -59,18 +60,18 @@ class TestConfig:
         dict(h=-1.0),
         dict(mc_samples=-5),
         dict(mc_samples=1),             # no standard error from one sample
-        dict(degeneracy_tol=-1.0),
+        dict(L=True),                   # a bool is not a number
         dict(J=float("nan")),
         dict(J=float("inf")),
         dict(h=float("nan")),
         dict(h=float("inf")),
-        dict(degeneracy_tol=float("nan")),
-        dict(degeneracy_tol=float("inf")),
+        dict(h=10**400),                # beyond float64
+        dict(disorder_seed=2**64),
         dict(time_window=(0.0, 1.0, 100.7)),  # a point count is whole
         dict(time_window=(0.0, 1.0, 99)),  # fewer than ten per sub-window
         dict(time_window=(5.0, 5.0, 100)),  # no span
         dict(total_sz=0.5),
-        dict(output_dir=5),
+        dict(time_window=(0.0, math.inf, 100)),  # no finite span
         dict(mc_samples=MAX_COUNT + 1),  # no float64 array is that long
         dict(time_window=(0.0, 1.0, MAX_COUNT + 1)),
     ])
@@ -83,8 +84,10 @@ class TestConfig:
             ExperimentConfig.from_dict({"L": 6, "coupling": 2.0})
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"L": 6, "prune_floor": 1e-14})
-        with pytest.raises(ValueError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"n_subintervals": 10})
+        for key, value in (("n_subintervals", 10), ("output_dir", "x"),
+                           ("degeneracy_tol", 0.1)):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                ExperimentConfig.from_dict({key: value})
 
     def test_dict_round_trip(self):
         cfg = fast_config(mc_samples=50)
@@ -563,7 +566,6 @@ def config_file(tmp_path):
     path.write_text(json.dumps({
         "L": 6, "h": 1.0, "disorder_seed": 1,
         "time_window": [100.0, 600.0, 2000],
-        "output_dir": str(tmp_path / "default_out"),
     }))
     return path
 
@@ -587,14 +589,50 @@ class TestCli:
         assert len(agg["r_mean_per_seed"]) == 2
 
     def test_output_dir_precedence(self, config_file, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("ERGOQUENCH_OUTPUT_DIR", str(env_dir))
+        # --out is the one route: without it the run writes ./runs, and
+        # no environment variable redirects it
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ERGOQUENCH_OUTPUT_DIR", str(tmp_path / "from_env"))
         assert main(["run", "--config", str(config_file)]) == 0
-        assert (env_dir / "report.json").exists()
+        assert (tmp_path / "runs" / "report.json").exists()
         flag_dir = tmp_path / "from_flag"
         assert main(["run", "--config", str(config_file),
                      "--out", str(flag_dir)]) == 0
         assert (flag_dir / "report.json").exists()
+        assert not (tmp_path / "from_env").exists()
+
+    def test_report_holds_the_spectrum_tolerance(self, config_file, tmp_path,
+                                                 capsys):
+        assert main(["spectrum", "--config", str(config_file)]) == 0
+        spectrum = json.loads(capsys.readouterr().out)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["spectral"]["degeneracy_tol"] == \
+            spectrum["degeneracy_tol"] > 0.0
+        assert "degeneracy_tol" not in report["config"]
+
+    @pytest.mark.parametrize("realizations", [None, "2"])
+    def test_out_naming_a_file_fails_under_report(self, realizations,
+                                                  config_file, tmp_path,
+                                                  capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        batch = [] if realizations is None else ["--realizations",
+                                                 realizations]
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(out)] + batch) == 1
+        assert "error: [report]" in capsys.readouterr().err
+
+    def test_aggregate_path_taken_fails_under_report(self, config_file,
+                                                     tmp_path, capsys):
+        out = tmp_path / "batch"
+        (out / "aggregate.json").mkdir(parents=True)
+        assert main(["run", "--config", str(config_file),
+                     "--realizations", "2", "--out", str(out)]) == 1
+        assert "error: [report]" in capsys.readouterr().err
+        assert (out / "seed_2" / "report.json").exists()
 
     def test_spectrum_prints_diagnostics(self, config_file, capsys):
         assert main(["spectrum", "--config", str(config_file)]) == 0
@@ -690,8 +728,8 @@ class TestCli:
         {"L": 4.5}, {"total_sz": 0.5}, {"disorder_seed": 1.5},
         {"disorder_seed": -1}, {"disorder_seed": 2**64, "mc_samples": 2},
         {"mc_samples": 2.5}, {"J": True}, {"h": False},
-        {"degeneracy_tol": True}, {"output_dir": 5}, {"mc_samples": 10**400},
-        {"J": 10**400}, {"h": 10**400}, {"degeneracy_tol": 10**400},
+        {"L": True}, {"total_sz": 10**400}, {"mc_samples": 10**400},
+        {"J": 10**400}, {"h": 10**400}, {"disorder_seed": 10**400},
     ])
     def test_bad_field_fails_under_config(self, raw, tmp_path, capsys,
                                           monkeypatch):
@@ -791,9 +829,10 @@ class TestCli:
         assert {entry["estimate"] for block in data["protocols"].values()
                 for entry in block.values()} == {0.0}
         path = write_config(tmp_path, {"L": 8, "h": 4.0})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["oracle", "--config", str(path)] + order) == 1
+        assert main(["oracle", "--config", str(path)] + order) == 1
         captured = capsys.readouterr()
+        # the tagged error alone: no numpy warning about the overflow
+        assert captured.err.count("\n") == 1
         assert "[oracle]" in captured.err and "not finite" in captured.err
         assert captured.out == ""
         assert time.perf_counter() - start < 30.0
@@ -841,7 +880,7 @@ class TestCliSharedPrefix:
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     @pytest.mark.parametrize("field,text", [
         ("h", "NaN"), ("J", "Infinity"), ("J", "-Infinity"),
-        ("degeneracy_tol", "NaN"),
+        ("degeneracy_tol", "NaN"),  # an old key: unknown, whatever its value
     ])
     def test_non_finite_parameter_is_a_config_error(self, command, field, text,
                                                     tmp_path, capsys):
@@ -850,7 +889,7 @@ class TestCliSharedPrefix:
                         '"time_window": [100.0, 600.0, 200]}')
         assert main(cli_args(command, path, tmp_path)) == 1
         err = capsys.readouterr().err
-        assert "[config]" in err and f"{field} " in err
+        assert "[config]" in err and re.search(rf"\b{field}\b", err)
 
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     @pytest.mark.parametrize("raw,tag", [
@@ -901,19 +940,19 @@ class TestCliSharedPrefix:
         monkeypatch.setattr("ergoquench.experiment.evolve_expectation",
                             lambda *args: evolved.append(args))
         path = write_config(tmp_path, self.OVERFLOWING_MOMENTS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(cli_args("run", path, tmp_path)) == 1
+        assert main(cli_args("run", path, tmp_path)) == 1
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert "[evolve]" in err and "not finite" in err
         assert evolved == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("order", ["1", "2"])
     def test_overflowing_moment_fails_oracle(self, order, tmp_path, capsys):
         path = write_config(tmp_path, self.OVERFLOWING_MOMENTS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["oracle", "--config", str(path), "--order", order,
-                         "--samples", "8"]) == 1
+        assert main(["oracle", "--config", str(path), "--order", order,
+                     "--samples", "8"]) == 1
         captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
         assert "[oracle]" in captured.err and "not finite" in captured.err
         assert captured.out == ""
 
