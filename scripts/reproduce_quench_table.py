@@ -16,15 +16,11 @@ def main():
     ap.add_argument("--length", type=int, default=12)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--h", type=float, default=1.0)
-    ap.add_argument("--mc-samples", type=int, default=0,
-                    help="optional sampling cross-check per observable")
     ap.add_argument("--out", default=None,
                     help="also write the artifact set to this directory")
     args = ap.parse_args()
 
-    config = ExperimentConfig(L=args.length, h=args.h,
-                              disorder_seed=args.seed,
-                              mc_samples=args.mc_samples)
+    config = ExperimentConfig(L=args.length, h=args.h, disorder_seed=args.seed)
     result = run_experiment(config)
     rep = result.report
 

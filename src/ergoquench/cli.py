@@ -19,9 +19,9 @@ import numpy as np
 from .ergodic_ensemble import second_moment_expectation
 from .errors import PipelineError
 from .experiment import (MAX_COUNT, ExperimentConfig, _stage,
-                         prepare_protocol_state, prepare_quench,
-                         prepare_spectrum, run_experiment, write_artifacts)
-from .haar_oracle import sample_traces, summarize
+                         monte_carlo_block, prepare_protocol_state,
+                         prepare_quench, prepare_spectrum, run_experiment,
+                         spectral_block, write_artifacts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="Monte-Carlo moment estimates")
     p_orc.add_argument("--config", required=True)
-    p_orc.add_argument("--order", type=int, required=True)
     p_orc.add_argument("--samples", type=int, required=True)
     p_orc.set_defaults(func=cmd_oracle)
     return parser
@@ -60,6 +59,8 @@ def _load_config(path) -> ExperimentConfig:
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.realizations is None:
+        with _stage("report"):  # an unusable --out fails before any work
+            os.makedirs(args.out, exist_ok=True)
         result = run_experiment(config)
         write_artifacts(result, args.out)
         print(f"run: seed {config.disorder_seed} done in "
@@ -74,6 +75,11 @@ def cmd_run(args) -> int:
         dataclasses.replace(config, disorder_seed=seeds[-1])
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
+    path = os.path.join(args.out, "aggregate.json")
+    with _stage("report"):
+        os.makedirs(args.out, exist_ok=True)
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
     ratios = []
     for seed in seeds:
         result = run_experiment(dataclasses.replace(config, disorder_seed=seed))
@@ -90,7 +96,6 @@ def cmd_run(args) -> int:
         std = float(np.std(defined, ddof=1)) if len(defined) > 1 else 0.0
     aggregate = {"seeds": list(seeds), "r_mean_per_seed": ratios,
                  "r_mean_average": average, "r_mean_std": std}
-    path = os.path.join(args.out, "aggregate.json")
     with _stage("report"), open(path, "w") as f:
         json.dump(aggregate, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
@@ -99,25 +104,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = _load_config(args.config)
-    spec = prepare_spectrum(config)
-    e_min, e_max = spec.bounds
-    print(json.dumps({
-        "dim": spec.basis.dim,
-        "e_min": e_min,
-        "e_max": e_max,
-        "spectral_width": e_max - e_min,
-        "r_mean": spec.r_mean,
-        "degeneracy_tol": spec.degeneracy_tol,
-        "n_sectors": spec.partition.n_sectors,
-    }, indent=2, sort_keys=True, allow_nan=False))
+    spec = prepare_spectrum(_load_config(args.config))
+    print(json.dumps(spectral_block(spec), indent=2, sort_keys=True,
+                     allow_nan=False))
     return 0
 
 
 def cmd_oracle(args) -> int:
-    if not 1 <= args.order <= MAX_COUNT:
-        raise PipelineError("config", f"--order must be 1 to {MAX_COUNT}, "
-                                      f"got {args.order}")
     # the bound mc_samples has: no float64 array holds more values
     if not 2 <= args.samples <= MAX_COUNT:
         raise PipelineError("config", f"--samples must be 2 to {MAX_COUNT}, "
@@ -125,26 +118,20 @@ def cmd_oracle(args) -> int:
     config = _load_config(args.config)
     q = prepare_quench(config)
 
-    out: dict = {"order": args.order, "n_samples": args.samples,
-                 "protocols": {}}
+    protocols: dict = {}
     with _stage("oracle"):
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
+            mc = monte_carlo_block(q, rho0, args.samples, config.disorder_seed)
             block = {}
-            # one sampling pass for every observable
-            traces = sample_traces(rho0, q.partition, q.observables.values(),
-                                   n_samples=args.samples,
-                                   seed=config.disorder_seed)
-            for (name, obs), values in zip(q.observables.items(), traces):
-                est = summarize(np.power(values, args.order))
-                entry = {"estimate": est.value, "std_error": est.std_error}
-                if args.order <= 2:
-                    pred = second_moment_expectation(rho0, q.partition, obs, obs)
-                    entry["analytic"] = (pred.mean_a if args.order == 1
-                                         else pred.second_moment)
-                block[name] = entry
-            out["protocols"][protocol] = block
-    print(json.dumps(out, indent=2, sort_keys=True, allow_nan=False))
+            for name, obs in q.observables.items():
+                pred = second_moment_expectation(rho0, q.partition, obs, obs)
+                block[name] = {"theory_mean": pred.mean_a,
+                               "theory_second_moment": pred.second_moment,
+                               "mc": mc[name]}
+            protocols[protocol] = block
+    print(json.dumps({"protocols": protocols}, indent=2, sort_keys=True,
+                     allow_nan=False))
     return 0
 
 

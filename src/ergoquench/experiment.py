@@ -8,7 +8,8 @@ and the swap operator Q between the two product states.  The run compares
 time-window statistics of the evolved expectation values against the
 analytic ensemble predictions, with optional Monte-Carlo cross-checks.
 `prepare_quench` is the one pipeline prefix that the run and the CLI's
-`spectrum` and `oracle` commands start from.
+`spectrum` and `oracle` commands start from, and `spectral_block` and
+`monte_carlo_block` build the report blocks that those two commands print.
 """
 
 from __future__ import annotations
@@ -251,6 +252,7 @@ class SpectralPrefix:
     degeneracy_tol: float
     partition: SectorPartition
     r_mean: float | None  # None for fewer than 3 levels or all levels equal
+    nyquist_ratio: float  # the aliasing margin of the config's time grid
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -280,15 +282,30 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
         eig = diagonalize(ham)
         energies = eig.energies
         width = float(energies[-1]) - float(energies[0])  # inf, not a warning
-        if not math.isfinite(width):
+        t0, t1, n_points = config.time_window
+        # the largest Bohr frequency times the grid step, over pi: above 1
+        # the grid aliases the fastest terms of every series
+        nyquist_ratio = width * (t1 - t0) / (n_points - 1) / np.pi
+        if not math.isfinite(nyquist_ratio):  # an overflowed width too
             raise NumericalIntegrityError(
-                f"spectral width of [{energies[0]:.3e}, {energies[-1]:.3e}] "
-                "overflows float64")
+                f"spectral width {width:.3e} of [{energies[0]:.3e}, "
+                f"{energies[-1]:.3e}] times the time step "
+                f"{(t1 - t0) / (n_points - 1):.3e} overflows float64")
         tol = DEGENERACY_TOL_RELATIVE * width
         return SpectralPrefix(basis=basis, fields=h_fields, eig=eig,
                               degeneracy_tol=tol,
                               partition=cluster_sectors(energies, tol),
-                              r_mean=level_spacing_ratio(energies))
+                              r_mean=level_spacing_ratio(energies),
+                              nyquist_ratio=nyquist_ratio)
+
+
+def spectral_block(spec: SpectralPrefix) -> dict:
+    """The spectral block of a report, as `spectrum` prints it."""
+    e_min, e_max = spec.bounds
+    return {"dim": spec.basis.dim, "e_min": e_min, "e_max": e_max,
+            "r_mean": spec.r_mean, "degeneracy_tol": spec.degeneracy_tol,
+            "n_sectors": spec.partition.n_sectors,
+            "nyquist_ratio": spec.nyquist_ratio}
 
 
 def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
@@ -311,6 +328,22 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
                             phi1=phi1, phi2=phi2, observables=observables)
 
 
+def monte_carlo_block(q: QuenchPrefix, rho0: DensityMatrix, n_samples: int,
+                      seed: int) -> dict:
+    """Monte-Carlo mean and second moment of every observable of `q` in
+    the block-Haar ensemble of rho0, all from one sampling pass."""
+    traces = sample_traces(rho0, q.partition, q.observables.values(),
+                           n_samples=n_samples, seed=seed)
+    block = {}
+    for name, values in zip(q.observables, traces):
+        est1, est2 = summarize(values), summarize(values * values)
+        block[name] = {"mean": est1.value, "mean_se": est1.std_error,
+                       "second_moment": est2.value,
+                       "second_moment_se": est2.std_error,
+                       "n_samples": n_samples}
+    return block
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full pipeline for one disorder realization."""
     t_begin = time.perf_counter()
@@ -325,17 +358,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "state and Q = 2 phi phi^T", UserWarning, stacklevel=2)
 
     with _stage("evolve"):
-        t0, t1, n_points = config.time_window
-        grid = np.linspace(t0, t1, n_points)
+        grid = np.linspace(*config.time_window)
         series: dict = {}
         protocols_out: dict = {}
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             if config.mc_samples > 0:
-                # one sampling pass gives both moments of every observable
-                traces = dict(zip(q.observables, sample_traces(
-                    rho0, q.partition, q.observables.values(),
-                    n_samples=config.mc_samples, seed=config.disorder_seed)))
+                mc = monte_carlo_block(q, rho0, config.mc_samples,
+                                       config.disorder_seed)
             block: dict = {}
             for name, obs in q.observables.items():
                 prediction = second_moment_expectation(rho0, q.partition, obs, obs)
@@ -351,14 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "numeric_sigma_ci": stats.sigma_ci,
                 }
                 if config.mc_samples > 0:
-                    values = traces[name]
-                    est1, est2 = summarize(values), summarize(values * values)
-                    entry["mc"] = {
-                        "mean": est1.value, "mean_se": est1.std_error,
-                        "second_moment": est2.value,
-                        "second_moment_se": est2.std_error,
-                        "n_samples": config.mc_samples,
-                    }
+                    entry["mc"] = mc[name]
                 block[name] = entry
             protocols_out[protocol] = block
 
@@ -380,16 +403,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             variance = cat_q_variance_closed_form(q.phi1, q.phi2)
             closed["sigma_q"] = float(np.sqrt(variance))
 
-        e_min, e_max = q.bounds
-        # the largest Bohr frequency times the grid step, over pi: above 1
-        # the grid aliases the fastest terms of every series
-        nyquist_ratio = (e_max - e_min) * (t1 - t0) / (n_points - 1) / np.pi
         report = ExperimentReport(
             config=asdict(config),
-            spectral={"dim": q.basis.dim, "e_min": e_min, "e_max": e_max,
-                      "r_mean": q.r_mean, "degeneracy_tol": q.degeneracy_tol,
-                      "n_sectors": q.partition.n_sectors,
-                      "nyquist_ratio": nyquist_ratio},
+            spectral=spectral_block(q),
             states=states_info,
             protocols=protocols_out,
             closed_form=closed,

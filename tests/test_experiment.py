@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import time
 import warnings
 
 import numpy as np
@@ -616,7 +615,11 @@ class TestCli:
     @pytest.mark.parametrize("realizations", [None, "2"])
     def test_out_naming_a_file_fails_under_report(self, realizations,
                                                   config_file, tmp_path,
-                                                  capsys):
+                                                  capsys, monkeypatch):
+        # the output is checked before any work
+        built = []
+        monkeypatch.setattr("ergoquench.experiment.prepare_spectrum",
+                            lambda *args: built.append(args))
         out = tmp_path / "taken"
         out.write_text("")
         batch = [] if realizations is None else ["--realizations",
@@ -624,6 +627,7 @@ class TestCli:
         assert main(["run", "--config", str(config_file),
                      "--out", str(out)] + batch) == 1
         assert "error: [report]" in capsys.readouterr().err
+        assert built == []
 
     def test_aggregate_path_taken_fails_under_report(self, config_file,
                                                      tmp_path, capsys):
@@ -632,7 +636,7 @@ class TestCli:
         assert main(["run", "--config", str(config_file),
                      "--realizations", "2", "--out", str(out)]) == 1
         assert "error: [report]" in capsys.readouterr().err
-        assert (out / "seed_2" / "report.json").exists()
+        assert list(out.glob("seed_*")) == []
 
     def test_spectrum_prints_diagnostics(self, config_file, capsys):
         assert main(["spectrum", "--config", str(config_file)]) == 0
@@ -642,11 +646,42 @@ class TestCli:
 
     def test_oracle_reports_analytic_comparison(self, config_file, capsys):
         code = main(["oracle", "--config", str(config_file),
-                     "--order", "1", "--samples", "200"])
+                     "--samples", "200"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         entry = data["protocols"]["cat"]["H_R"]
-        assert {"estimate", "std_error", "analytic"} <= set(entry)
+        assert set(entry) == {"theory_mean", "theory_second_moment", "mc"}
+        assert entry["mc"]["n_samples"] == 200
+
+    def test_oracle_prints_the_run_mc_block(self, config_file, tmp_path,
+                                            capsys):
+        assert main(["oracle", "--config", str(config_file),
+                     "--samples", "64"]) == 0
+        oracle = json.loads(capsys.readouterr().out)["protocols"]
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(dict(json.loads(config_file.read_text()),
+                                        mc_samples=64)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["protocols"]
+        assert {p: {name: e["mc"] for name, e in block.items()}
+                for p, block in oracle.items()} == \
+            {p: {name: e["mc"] for name, e in block.items()}
+             for p, block in report.items()}
+        for protocol, block in oracle.items():
+            for name, entry in block.items():
+                assert entry["theory_mean"] == \
+                    report[protocol][name]["theory_mean"]
+
+    def test_spectrum_prints_the_report_spectral_block(self, config_file,
+                                                       tmp_path, capsys):
+        assert main(["spectrum", "--config", str(config_file)]) == 0
+        spectrum = json.loads(capsys.readouterr().out)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert spectrum == report["spectral"]
 
     def test_missing_config_is_tagged_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json")])
@@ -660,25 +695,27 @@ class TestCli:
         assert "[config]" in capsys.readouterr().err
 
     def test_oracle_at_full_size(self, tmp_path, capsys):
-        # L = 12, d = 924 in singleton sectors: every estimate within 6
-        # standard errors of the analytic second moment
+        # L = 12, d = 924 in singleton sectors: both moments of every
+        # (protocol, observable) within 6 standard errors of the analytic ones
         path = tmp_path / "l12.json"
         path.write_text(json.dumps({"L": 12}))
-        code = main(["oracle", "--config", str(path), "--order", "2",
-                     "--samples", "1000"])
+        code = main(["oracle", "--config", str(path), "--samples", "1000"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["n_samples"] == 1000
         entries = [e for block in data["protocols"].values()
                    for e in block.values()]
         assert len(entries) == 4
         for entry in entries:
-            assert entry["std_error"] > 0.0
-            assert abs(entry["estimate"] - entry["analytic"]) \
-                <= 6.0 * entry["std_error"]
+            mc = entry["mc"]
+            assert mc["n_samples"] == 1000
+            for moment, theory in (("mean", "theory_mean"),
+                                   ("second_moment", "theory_second_moment")):
+                assert mc[moment + "_se"] > 0.0
+                assert abs(mc[moment] - entry[theory]) \
+                    <= 6.0 * mc[moment + "_se"]
 
     def test_oracle_is_one_pass_per_state(self, config_file, capsys, drawn):
-        assert main(["oracle", "--config", str(config_file), "--order", "3",
+        assert main(["oracle", "--config", str(config_file),
                      "--samples", "30"]) == 0
         assert sorted(drawn) == sorted(list(range(30)) * 2)
 
@@ -688,12 +725,14 @@ class TestCli:
         for protocol in ("cat", "mixed"):
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             for name, obs in q.observables.items():
-                est, = estimate_moments(rho0, q.partition, [obs] * 3, 3, 30,
-                                        seed=config.disorder_seed)
-                # the cube is one np.power call, the product two multiplies
-                assert data["protocols"][protocol][name] == {
-                    "estimate": pytest.approx(est.value, rel=1e-13),
-                    "std_error": pytest.approx(est.std_error, rel=1e-13)}
+                mc = data["protocols"][protocol][name]["mc"]
+                for order, moment in ((1, "mean"), (2, "second_moment")):
+                    est, = estimate_moments(rho0, q.partition, [obs] * order,
+                                            order, 30,
+                                            seed=config.disorder_seed)
+                    assert (mc[moment], mc[moment + "_se"]) == (
+                        pytest.approx(est.value, rel=1e-13),
+                        pytest.approx(est.std_error, rel=1e-13))
 
     def test_single_sample_config_fails_under_config(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -795,13 +834,6 @@ class TestCli:
         assert reports[0] == reports[1]
         assert reports[0][0]["config"]["L"] == 4
 
-    def test_bad_oracle_arguments(self, config_file, capsys):
-        for order in (0, MAX_COUNT + 1):
-            assert main(["oracle", "--config", str(config_file),
-                         "--order", str(order), "--samples", "100"]) == 1
-            err = capsys.readouterr().err
-            assert f"[config] --order must be 1 to {MAX_COUNT}" in err
-
     @pytest.mark.parametrize("samples", [MAX_COUNT + 1, 10**20])
     def test_oracle_samples_beyond_any_array_fail_before_the_quench(
             self, samples, tmp_path, capsys, monkeypatch):
@@ -811,31 +843,12 @@ class TestCli:
                             lambda *args: built.append(args))
         path = tmp_path / "count.json"
         path.write_text(json.dumps({"L": 4}))
-        assert main(["oracle", "--config", str(path), "--order", "2",
+        assert main(["oracle", "--config", str(path),
                      "--samples", str(samples)]) == 1
         err = capsys.readouterr().err
         assert f"[config] --samples must be 2 to {MAX_COUNT}" in err
         assert built == []
 
-    def test_huge_oracle_order_is_one_power(self, tmp_path, capsys):
-        # 10**9 multiplications would take about an hour.  At L = 8 every
-        # sample's value is below 1 in size, so each power underflows to 0;
-        # with h = 4 the H_R values pass 1 and the power overflows
-        order = ["--order", str(10**9), "--samples", "2"]
-        start = time.perf_counter()
-        path = write_config(tmp_path, {"L": 8})
-        assert main(["oracle", "--config", str(path)] + order) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert {entry["estimate"] for block in data["protocols"].values()
-                for entry in block.values()} == {0.0}
-        path = write_config(tmp_path, {"L": 8, "h": 4.0})
-        assert main(["oracle", "--config", str(path)] + order) == 1
-        captured = capsys.readouterr()
-        # the tagged error alone: no numpy warning about the overflow
-        assert captured.err.count("\n") == 1
-        assert "[oracle]" in captured.err and "not finite" in captured.err
-        assert captured.out == ""
-        assert time.perf_counter() - start < 30.0
 
 SMALL_SECTORS = [{"L": 2}, {"L": 4, "total_sz": 4}]  # 2 levels, 1 level
 
@@ -849,7 +862,7 @@ def write_config(tmp_path, raw):
 def cli_args(command, path, tmp_path):
     extra = {"run": ["--out", str(tmp_path / "out")],
              "spectrum": [],
-             "oracle": ["--order", "2", "--samples", "50"]}[command]
+             "oracle": ["--samples", "50"]}[command]
     return [command, "--config", str(path), *extra]
 
 
@@ -929,7 +942,22 @@ class TestCliSharedPrefix:
         captured = capsys.readouterr()
         assert "[diagonalize]" in captured.err and "overflows" in captured.err
         assert captured.out == ""
-        assert not (tmp_path / "out").exists()
+        # run makes --out before any work, and writes nothing into it
+        assert list((tmp_path / "out").glob("*")) == []
+
+    @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
+    def test_overflowing_aliasing_ratio_is_a_diagonalize_error(self, command,
+                                                               tmp_path,
+                                                               capsys):
+        # a spectral width of about 6e3 on a time step of about 1e306: the
+        # width is finite, its product with the step is not
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"L": 4, "J": 1e3,
+                                    "time_window": [0.0, 1e308, 100]}))
+        assert main(cli_args(command, path, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert "[diagonalize]" in captured.err and "overflows" in captured.err
+        assert captured.out == ""
 
     # a finite spectrum of width 9.5e160 whose second moments overflow
     OVERFLOWING_MOMENTS = {"L": 4, "J": 1e160}
@@ -944,16 +972,29 @@ class TestCliSharedPrefix:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "[evolve]" in err and "not finite" in err
-        assert evolved == [] and not (tmp_path / "out").exists()
+        assert evolved == [] and list((tmp_path / "out").glob("*")) == []
 
-    @pytest.mark.parametrize("order", ["1", "2"])
-    def test_overflowing_moment_fails_oracle(self, order, tmp_path, capsys):
-        path = write_config(tmp_path, self.OVERFLOWING_MOMENTS)
-        assert main(["oracle", "--config", str(path), "--order", order,
-                     "--samples", "8"]) == 1
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_overflowing_moment_fails_oracle(self, order, monkeypatch,
+                                             tmp_path, capsys):
+        # order 2: the squares of values about 1e160 overflow.  Order 1: no
+        # finite spectrum gives values whose mean overflows, so a stand-in
+        # sampler returns the largest float, whose sum overflows
+        raw = self.OVERFLOWING_MOMENTS
+        if order == 1:
+            raw = {"L": 4}
+            monkeypatch.setattr(
+                "ergoquench.experiment.sample_traces",
+                lambda rho, partition, observables, n_samples, seed: [
+                    np.full(n_samples, np.finfo(np.float64).max)
+                    for _ in observables])
+        path = write_config(tmp_path, raw)
+        assert main(["oracle", "--config", str(path), "--samples", "8"]) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
         assert "[oracle]" in captured.err and "not finite" in captured.err
+        if order == 1:  # the mean's own check, before any square is taken
+            assert "estimate inf" in captured.err
         assert captured.out == ""
 
     def test_spectrum_of_overflowing_moments_is_finite_json(self, tmp_path,
@@ -966,7 +1007,8 @@ class TestCliSharedPrefix:
             raise ValueError(f"non-finite {name} in the output")
 
         out = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert out["spectral_width"] == pytest.approx(9.46e160, rel=1e-3)
+        assert out["e_max"] - out["e_min"] == pytest.approx(9.46e160,
+                                                          rel=1e-3)
 
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     def test_fully_degenerate_spectrum_reports_null_gap_ratio(self, command,
