@@ -16,12 +16,14 @@ import sys
 
 import numpy as np
 
-from .ergodic_ensemble import second_moment_expectation
 from .errors import PipelineError
-from .experiment import (MAX_COUNT, ExperimentConfig, _stage,
-                         monte_carlo_block, prepare_protocol_state,
-                         prepare_quench, prepare_spectrum, run_experiment,
-                         spectral_block, write_artifacts)
+from .experiment import (ExperimentConfig, _stage, prediction_block,
+                         prepare_protocol_state, prepare_quench,
+                         prepare_spectrum, run_experiment, spectral_block,
+                         write_artifacts)
+
+# the columns of the table a single run prints, one row per series
+TABLE_KEYS = ("theory_mean", "numeric_mean", "theory_sigma", "numeric_sigma")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="Monte-Carlo moment estimates")
     p_orc.add_argument("--config", required=True)
-    p_orc.add_argument("--samples", type=int, required=True)
     p_orc.set_defaults(func=cmd_oracle)
     return parser
 
@@ -63,6 +64,12 @@ def cmd_run(args) -> int:
             os.makedirs(args.out, exist_ok=True)
         result = run_experiment(config)
         write_artifacts(result, args.out)
+        print(f"{'protocol':8s} {'obs':4s}"
+              + "".join(f" {key:>13s}" for key in TABLE_KEYS))
+        for protocol, block in result.report.protocols.items():
+            for name, entry in block.items():
+                print(f"{protocol:8s} {name:4s}"
+                      + "".join(f" {entry[key]:13.4e}" for key in TABLE_KEYS))
         print(f"run: seed {config.disorder_seed} done in "
               f"{result.report.runtime_seconds:.1f} s -> {args.out}")
         return 0
@@ -111,25 +118,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # the bound mc_samples has: no float64 array holds more values
-    if not 2 <= args.samples <= MAX_COUNT:
-        raise PipelineError("config", f"--samples must be 2 to {MAX_COUNT}, "
-                                      f"got {args.samples}")
     config = _load_config(args.config)
+    if config.mc_samples == 0:
+        raise PipelineError("config", "oracle needs mc_samples >= 2, got 0")
     q = prepare_quench(config)
-
-    protocols: dict = {}
     with _stage("oracle"):
-        for protocol in config.protocols:
-            rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            mc = monte_carlo_block(q, rho0, args.samples, config.disorder_seed)
-            block = {}
-            for name, obs in q.observables.items():
-                pred = second_moment_expectation(rho0, q.partition, obs, obs)
-                block[name] = {"theory_mean": pred.mean_a,
-                               "theory_second_moment": pred.second_moment,
-                               "mc": mc[name]}
-            protocols[protocol] = block
+        protocols = {p: prediction_block(
+            q, prepare_protocol_state(q.phi1, q.phi2, p), config.mc_samples,
+            config.disorder_seed) for p in config.protocols}
     print(json.dumps({"protocols": protocols}, indent=2, sort_keys=True,
                      allow_nan=False))
     return 0

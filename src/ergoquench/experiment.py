@@ -9,7 +9,7 @@ time-window statistics of the evolved expectation values against the
 analytic ensemble predictions, with optional Monte-Carlo cross-checks.
 `prepare_quench` is the one pipeline prefix that the run and the CLI's
 `spectrum` and `oracle` commands start from, and `spectral_block` and
-`monte_carlo_block` build the report blocks that those two commands print.
+`prediction_block` build the report blocks that those two commands print.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numbers
 import os
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -328,19 +328,27 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
                             phi1=phi1, phi2=phi2, observables=observables)
 
 
-def monte_carlo_block(q: QuenchPrefix, rho0: DensityMatrix, n_samples: int,
-                      seed: int) -> dict:
-    """Monte-Carlo mean and second moment of every observable of `q` in
-    the block-Haar ensemble of rho0, all from one sampling pass."""
-    traces = sample_traces(rho0, q.partition, q.observables.values(),
-                           n_samples=n_samples, seed=seed)
-    block = {}
-    for name, values in zip(q.observables, traces):
-        est1, est2 = summarize(values), summarize(values * values)
-        block[name] = {"mean": est1.value, "mean_se": est1.std_error,
-                       "second_moment": est2.value,
-                       "second_moment_se": est2.std_error,
-                       "n_samples": n_samples}
+def prediction_block(q: QuenchPrefix, rho0: DensityMatrix, mc_samples: int,
+                     seed: int) -> dict:
+    """Per observable of `q`: the mean, sigma and second moment of rho0's
+    block-Haar ensemble, and with mc_samples > 0 an `mc` block of the
+    Monte-Carlo mean and second moment, all from one sampling pass."""
+    block = {name: {} for name in q.observables}
+    if mc_samples > 0:
+        traces = sample_traces(rho0, q.partition, q.observables.values(),
+                               n_samples=mc_samples, seed=seed)
+        for name, values in zip(q.observables, traces):
+            est1, est2 = summarize(values), summarize(values * values)
+            block[name]["mc"] = {"mean": est1.value, "mean_se": est1.std_error,
+                                 "second_moment": est2.value,
+                                 "second_moment_se": est2.std_error,
+                                 "n_samples": mc_samples}
+    for name, obs in q.observables.items():
+        pred = second_moment_expectation(rho0, q.partition, obs, obs)
+        block[name].update(
+            theory_mean=pred.mean_a,
+            theory_sigma=float(np.sqrt(max(pred.connected, 0.0))),
+            theory_second_moment=pred.second_moment)
     return block
 
 
@@ -363,26 +371,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         protocols_out: dict = {}
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            if config.mc_samples > 0:
-                mc = monte_carlo_block(q, rho0, config.mc_samples,
-                                       config.disorder_seed)
-            block: dict = {}
+            block = prediction_block(q, rho0, config.mc_samples,
+                                     config.disorder_seed)
             for name, obs in q.observables.items():
-                prediction = second_moment_expectation(rho0, q.partition, obs, obs)
                 ts = evolve_expectation(rho0, obs, energies, grid)
                 stats = time_stats(ts)
                 series[(protocol, name)] = ts
-                entry = {
-                    "theory_mean": prediction.mean_a,
-                    "theory_sigma": float(np.sqrt(max(prediction.connected, 0.0))),
-                    "numeric_mean": stats.mean,
-                    "numeric_mean_ci": stats.mean_ci,
-                    "numeric_sigma": stats.sigma,
-                    "numeric_sigma_ci": stats.sigma_ci,
-                }
-                if config.mc_samples > 0:
-                    entry["mc"] = mc[name]
-                block[name] = entry
+                block[name].update(numeric_mean=stats.mean,
+                                   numeric_mean_ci=stats.mean_ci,
+                                   numeric_sigma=stats.sigma,
+                                   numeric_sigma_ci=stats.sigma_ci)
             protocols_out[protocol] = block
 
     with _stage("report"):
@@ -429,7 +427,9 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
     Numbers are written at 17 significant digits, which read back exactly.
     Every file is formatted first and then written with one write.  On any
     failure every file written so far is removed, so an output directory
-    never holds a partial result set.
+    never holds a partial result set.  The series files of the protocols
+    this run left out are removed too, so that another run's series never
+    sit beside this run's report.
     """
     written: list[str] = []
     try:
@@ -458,6 +458,11 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
             written.append(path)
             with open(path, "w") as f:
                 f.write(text)
+        series_names = {f"series_{protocol}_{name}.csv"
+                        for protocol in PROTOCOLS for name in ("H_R", "Q")}
+        for name in series_names - files.keys():
+            with suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         return written
     except Exception as exc:
         for path in written:

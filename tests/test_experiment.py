@@ -455,6 +455,7 @@ class TestRunExperiment:
             stats = time_stats(series)
             want = {"theory_mean": pred.mean_a,
                     "theory_sigma": float(np.sqrt(max(pred.connected, 0.0))),
+                    "theory_second_moment": pred.second_moment,
                     "numeric_mean": stats.mean, "numeric_sigma": stats.sigma}
             got = res.report.protocols[protocol]["Q"]
             for key, value in want.items():
@@ -558,6 +559,21 @@ class TestArtifacts:
             write_artifacts(res, out)
         assert list(out.iterdir()) == []
 
+    def test_series_of_protocols_left_out_are_removed(self, tmp_path):
+        # another run's series never sit beside this run's report, and no
+        # file outside the fixed set of series names is touched
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        write_artifacts(run_experiment(fast_config()), out)
+        kept = ["notes.txt", "series_both_Q.csv"]
+        for name in kept:
+            (out / name).write_text("kept")
+        cat = run_experiment(fast_config(protocol="cat"))
+        write_artifacts(cat, out)
+        write_artifacts(cat, fresh)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [p.name for p in fresh.iterdir()] + kept)
+        assert all((out / name).read_text() == "kept" for name in kept)
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -569,6 +585,14 @@ def config_file(tmp_path):
     return path
 
 
+def with_samples(path, n_samples):
+    """A copy of the config at `path`, beside it, with mc_samples set."""
+    copy = path.with_name(f"mc_{n_samples}.json")
+    copy.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                    mc_samples=n_samples)))
+    return copy
+
+
 class TestCli:
     def test_run_writes_artifacts(self, config_file, tmp_path, capsys):
         out = tmp_path / "cli_out"
@@ -576,7 +600,28 @@ class TestCli:
         assert (out / "report.json").exists()
         assert "seed 1 done" in capsys.readouterr().out
 
-    def test_run_batch_aggregates(self, config_file, tmp_path):
+    def test_run_prints_one_table_row_per_series(self, config_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(out)]) == 0
+        header, *rows, done = capsys.readouterr().out.splitlines()
+        assert header.split() == ["protocol", "obs", "theory_mean",
+                                  "numeric_mean", "theory_sigma",
+                                  "numeric_sigma"]
+        assert done.startswith("run: seed 1 done")
+        report = json.loads((out / "report.json").read_text())["protocols"]
+        assert [row.split()[:2] for row in rows] == [
+            ["cat", "H_R"], ["cat", "Q"], ["mixed", "H_R"], ["mixed", "Q"]]
+        for row in rows:
+            protocol, name, *values = row.split()
+            entry = report[protocol][name]
+            assert all(math.isfinite(float(v)) for v in values)
+            assert values == [f"{entry[key]:.4e}" for key in
+                              ("theory_mean", "numeric_mean", "theory_sigma",
+                               "numeric_sigma")]
+
+    def test_run_batch_aggregates(self, config_file, tmp_path, capsys):
         out = tmp_path / "batch"
         code = main(["run", "--config", str(config_file),
                      "--realizations", "2", "--out", str(out)])
@@ -586,6 +631,9 @@ class TestCli:
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["seeds"] == [1, 2]
         assert len(agg["r_mean_per_seed"]) == 2
+        # one line per seed and one for the batch, no table
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(x.startswith("run: ") for x in lines)
 
     def test_output_dir_precedence(self, config_file, tmp_path, monkeypatch):
         # --out is the one route: without it the run writes ./runs, and
@@ -645,33 +693,40 @@ class TestCli:
         assert 0.0 < data["r_mean"] < 1.0
 
     def test_oracle_reports_analytic_comparison(self, config_file, capsys):
-        code = main(["oracle", "--config", str(config_file),
-                     "--samples", "200"])
+        code = main(["oracle", "--config", str(with_samples(config_file, 200))])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         entry = data["protocols"]["cat"]["H_R"]
-        assert set(entry) == {"theory_mean", "theory_second_moment", "mc"}
+        assert set(entry) == {"theory_mean", "theory_sigma",
+                              "theory_second_moment", "mc"}
         assert entry["mc"]["n_samples"] == 200
 
-    def test_oracle_prints_the_run_mc_block(self, config_file, tmp_path,
-                                            capsys):
-        assert main(["oracle", "--config", str(config_file),
-                     "--samples", "64"]) == 0
-        oracle = json.loads(capsys.readouterr().out)["protocols"]
-        path = tmp_path / "mc.json"
-        path.write_text(json.dumps(dict(json.loads(config_file.read_text()),
-                                        mc_samples=64)))
+    def test_oracle_prints_the_run_entries(self, config_file, tmp_path,
+                                           capsys):
+        # the run's protocol entries without the dynamics
+        path = with_samples(config_file, 64)
+        assert main(["oracle", "--config", str(path)]) == 0
+        oracle = json.loads(capsys.readouterr().out)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())["protocols"]
-        assert {p: {name: e["mc"] for name, e in block.items()}
-                for p, block in oracle.items()} == \
-            {p: {name: e["mc"] for name, e in block.items()}
-             for p, block in report.items()}
-        for protocol, block in oracle.items():
-            for name, entry in block.items():
-                assert entry["theory_mean"] == \
-                    report[protocol][name]["theory_mean"]
+        assert oracle == {"protocols": {
+            protocol: {name: {key: value for key, value in entry.items()
+                              if not key.startswith("numeric_")}
+                       for name, entry in block.items()}
+            for protocol, block in report.items()}}
+        assert "mc" in report["cat"]["Q"]
+
+    def test_oracle_without_samples_fails_under_config(self, config_file,
+                                                        capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr("ergoquench.cli.prepare_quench",
+                            lambda *args: built.append(args))
+        path = with_samples(config_file, 0)
+        assert main(["oracle", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "[config] oracle needs mc_samples" in captured.err
+        assert captured.out == "" and built == []
 
     def test_spectrum_prints_the_report_spectral_block(self, config_file,
                                                        tmp_path, capsys):
@@ -698,8 +753,8 @@ class TestCli:
         # L = 12, d = 924 in singleton sectors: both moments of every
         # (protocol, observable) within 6 standard errors of the analytic ones
         path = tmp_path / "l12.json"
-        path.write_text(json.dumps({"L": 12}))
-        code = main(["oracle", "--config", str(path), "--samples", "1000"])
+        path.write_text(json.dumps({"L": 12, "mc_samples": 1000}))
+        code = main(["oracle", "--config", str(path)])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         entries = [e for block in data["protocols"].values()
@@ -715,8 +770,8 @@ class TestCli:
                     <= 6.0 * mc[moment + "_se"]
 
     def test_oracle_is_one_pass_per_state(self, config_file, capsys, drawn):
-        assert main(["oracle", "--config", str(config_file),
-                     "--samples", "30"]) == 0
+        assert main(["oracle", "--config",
+                     str(with_samples(config_file, 30))]) == 0
         assert sorted(drawn) == sorted(list(range(30)) * 2)
 
         data = json.loads(capsys.readouterr().out)
@@ -837,16 +892,16 @@ class TestCli:
     @pytest.mark.parametrize("samples", [MAX_COUNT + 1, 10**20])
     def test_oracle_samples_beyond_any_array_fail_before_the_quench(
             self, samples, tmp_path, capsys, monkeypatch):
-        # the bound of mc_samples, checked before anything is diagonalized
+        # the config's bound of mc_samples, checked before anything is
+        # diagonalized
         built = []
         monkeypatch.setattr("ergoquench.cli.prepare_quench",
                             lambda *args: built.append(args))
         path = tmp_path / "count.json"
-        path.write_text(json.dumps({"L": 4}))
-        assert main(["oracle", "--config", str(path),
-                     "--samples", str(samples)]) == 1
+        path.write_text(json.dumps({"L": 4, "mc_samples": samples}))
+        assert main(["oracle", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"[config] --samples must be 2 to {MAX_COUNT}" in err
+        assert f"[config] mc_samples must be 0 or 2 to {MAX_COUNT}" in err
         assert built == []
 
 
@@ -860,9 +915,11 @@ def write_config(tmp_path, raw):
 
 
 def cli_args(command, path, tmp_path):
-    extra = {"run": ["--out", str(tmp_path / "out")],
-             "spectrum": [],
-             "oracle": ["--samples", "50"]}[command]
+    """`command` on the config at `path`; oracle runs on a copy of it with
+    the sample count it needs."""
+    if command == "oracle":
+        return [command, "--config", str(with_samples(path, 50))]
+    extra = {"run": ["--out", str(tmp_path / "out")], "spectrum": []}[command]
     return [command, "--config", str(path), *extra]
 
 
@@ -988,8 +1045,8 @@ class TestCliSharedPrefix:
                 lambda rho, partition, observables, n_samples, seed: [
                     np.full(n_samples, np.finfo(np.float64).max)
                     for _ in observables])
-        path = write_config(tmp_path, raw)
-        assert main(["oracle", "--config", str(path), "--samples", "8"]) == 1
+        path = write_config(tmp_path, dict(raw, mc_samples=8))
+        assert main(["oracle", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
         assert "[oracle]" in captured.err and "not finite" in captured.err

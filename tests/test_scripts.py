@@ -2,9 +2,7 @@
 subprocess on a small chain, as a user would run it."""
 
 import json
-import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -50,18 +48,6 @@ def test_level_statistics_sweep_rejects_an_odd_length():
     err = run_script("level_statistics_sweep.py", "--length", "7",
                      returncode=1, stream="stderr")
     assert "L must be even and >= 2 for the half split, got 7" in err
-
-
-def test_reproduce_quench_table_prints_every_series():
-    out = run_script("reproduce_quench_table.py", "--length", "6",
-                     "--seed", "1")
-    assert "chain L=6, h=1.0, seed 1: dim 20" in out
-    rows = re.findall(r"^(cat|mixed)\s+(H_R|Q)((?:\s+\S+){4})$", out,
-                      flags=re.MULTILINE)
-    assert [row[:2] for row in rows] == [("cat", "H_R"), ("cat", "Q"),
-                                         ("mixed", "H_R"), ("mixed", "Q")]
-    for *_, values in rows:
-        assert all(math.isfinite(float(v)) for v in values.split())
 
 
 def test_count_code_lines_counts_code_only(tmp_path):
