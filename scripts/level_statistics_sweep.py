@@ -2,12 +2,12 @@
 """Sweep the disorder strength and record the mean adjacent-gap ratio.
 
 Writes a CSV with one row per disorder strength: the disorder-averaged
-ratio, its standard error, and the count of realizations averaged.  A
-realization whose spectrum has no gap ratio (all levels equal) is left
-out, as in the aggregate of `ergoquench run --realizations`; a row with
-none left has empty r_mean and r_sem fields.  The chain length must be
-even, as for every run.  The ergodic and Poisson reference values are
-0.5307 and 0.3863.
+ratio, its standard error, and the count of realizations averaged.  The
+average is the batch's of `ergoquench run --realizations`
+(`experiment.disorder_average`): a realization whose spectrum has no gap
+ratio (all levels equal) is left out, and a row with none left has empty
+r_mean and r_sem fields.  The chain length must be even, as for every
+run.  The ergodic and Poisson reference values are 0.5307 and 0.3863.
 
 Example:
     python3 scripts/level_statistics_sweep.py --length 10 --realizations 30 \
@@ -16,11 +16,11 @@ Example:
 
 import argparse
 import dataclasses
+import math
 import sys
 
-import numpy as np
-
-from ergoquench.experiment import ExperimentConfig, prepare_spectrum
+from ergoquench.experiment import (ExperimentConfig, disorder_average,
+                                   prepare_spectrum)
 
 
 def main():
@@ -39,18 +39,17 @@ def main():
     try:
         sink.write("h,r_mean,r_sem,n_realizations\n")
         for h in args.h_values:
-            specs = (prepare_spectrum(dataclasses.replace(config, h=h,
-                                                          disorder_seed=seed))
-                     for seed in range(args.realizations))
-            # spectra without a gap ratio report null and are left out
-            r = np.array([s.r_mean for s in specs if s.r_mean is not None])
-            if len(r) == 0:
+            ratios = (prepare_spectrum(dataclasses.replace(
+                config, h=h, disorder_seed=seed)).r_mean
+                for seed in range(args.realizations))
+            mean, std, count = disorder_average(ratios)
+            if count == 0:
                 sink.write(f"{h},,,0\n")
                 continue
-            sem = r.std(ddof=1) / np.sqrt(len(r)) if len(r) > 1 else 0.0
-            sink.write(f"{h},{r.mean():.6f},{sem:.6f},{len(r)}\n")
+            sem = std / math.sqrt(count)
+            sink.write(f"{h},{mean:.6f},{sem:.6f},{count}\n")
             if args.out:
-                print(f"h={h}: r_mean={r.mean():.4f} +- {sem:.4f}")
+                print(f"h={h}: r_mean={mean:.4f} +- {sem:.4f}")
     finally:
         if args.out:
             sink.close()

@@ -21,9 +21,11 @@ t[a K + b] = T_a + sigma_b, and u factors as exp(-i E T_a) exp(-i E sigma_b):
 d phases per block start T_a and per offset sigma_b, about 2 sqrt(n) d in
 all.  The offsets of a float grid differ from the table's by a few ulp of
 t; that difference eps = (t - T_a) - sigma_b is computed exactly per row
-and applied to first order, u (1 - i E eps), with an error (E eps)^2 / 2
-below OFFSET_PHASE_MAX^2 / 2, under one ulp.  A sub-block whose
-max|E| max|eps| exceeds OFFSET_PHASE_MAX evaluates its phases directly.
+(with the two-sum error of t - T_a, not 0 in the first sub-block once t
+passes 2 T_0) and applied to first order, u (1 - i E eps), with an error
+(E eps)^2 / 2 below OFFSET_PHASE_MAX^2 / 2, under one ulp.  A sub-block
+whose max|E| max|eps| exceeds OFFSET_PHASE_MAX evaluates its phases
+directly.
 eps is a few ulp of t, so that happens far from t = 0 on any float grid:
 at t ~ 1e7 a plain linspace takes 36 of its 55 sub-blocks directly (d =
 40, |E| <= 18), and a grid jittered within the uniformity tolerance
@@ -301,7 +303,10 @@ def _phase_table(e_bytes: bytes, t_bytes: bytes, k: int):
     e, t = np.frombuffer(e_bytes), np.frombuffer(t_bytes)
     offsets = t[:k] - t[0]
     index = np.arange(len(t))
-    eps = (t - t[index - index % k]) - offsets[index % k]
+    start = t[index - index % k]
+    diff = t - start  # rounds in the first sub-block once t passes 2 t[0]
+    back = diff - t  # Knuth's two-sum: diff plus its error is t - start
+    eps = (diff - offsets[index % k]) + ((t - (diff - back)) - (start + back))
     out = (_phases(e, offsets[:, None]), _phases(e, t[::k, None]), eps)
     for x in out:
         x.flags.writeable = False

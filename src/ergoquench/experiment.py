@@ -21,7 +21,7 @@ import numbers
 import os
 import time
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -39,6 +39,10 @@ from .spin_chain import (SpinBasis, build_basis, build_hamiltonian,
                          symmetrized)
 
 PROTOCOLS = ("cat", "mixed")
+# the files of one run's output directory, as write_artifacts names them
+ARTIFACTS = frozenset({"report.json", "spectrum.csv", "overlaps.csv"} | {
+    f"series_{protocol}_{name}.csv" for protocol in PROTOCOLS
+    for name in ("H_R", "Q")})
 # levels closer than this times the spectral width share a sector
 DEGENERACY_TOL_RELATIVE = 1e-8
 # the most values a float64 array can have and numpy still shape it
@@ -414,11 +418,46 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                 energies=energies, overlaps=overlaps)
 
 
+def json_text(block) -> str:
+    """`block` as the text of a JSON file: indented by 2, keys sorted, one
+    trailing newline.  allow_nan=False turns any non-finite value into a
+    hard error."""
+    return json.dumps(block, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def disorder_average(values) -> tuple:
+    """(mean, sample std, count) of the values that are not None, the
+    realizations that define the quantity; the std of one value is 0.0,
+    and no value gives (None, None, 0)."""
+    defined = [v for v in values if v is not None]
+    if not defined:
+        return None, None, 0
+    std = float(np.std(defined, ddof=1)) if len(defined) > 1 else 0.0
+    return float(np.mean(defined)), std, len(defined)
+
+
 def _csv_rows(row_format: str, *columns) -> str:
     """One `row_format` line per entry of the columns, sequences of Python
     numbers of equal length, formatted by a single % operation."""
     values = tuple(itertools.chain.from_iterable(zip(*columns)))
     return (row_format * len(columns[0])) % values
+
+
+def remove_artifacts(out_dir, keep=()) -> None:
+    """Remove from out_dir, apart from the names in `keep`, every file that
+    a run or a batch writes there: the ARTIFACTS of one run, a batch's
+    aggregate.json, and the ARTIFACTS in each seed_<k> directory, which
+    goes too once it is empty.  No other file or directory is touched."""
+    for name in set(os.listdir(out_dir)) - set(keep):
+        path = os.path.join(out_dir, name)
+        if name in ARTIFACTS | {"aggregate.json"} and os.path.isfile(path):
+            os.remove(path)
+        elif name[:5] == "seed_" and name[5:].isdigit() and os.path.isdir(path):
+            for artifact in ARTIFACTS:
+                if os.path.isfile(os.path.join(path, artifact)):
+                    os.remove(os.path.join(path, artifact))
+            if not os.listdir(path):
+                os.rmdir(path)
 
 
 def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
@@ -427,19 +466,17 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
     Numbers are written at 17 significant digits, which read back exactly.
     Every file is formatted first and then written with one write.  On any
     failure every file written so far is removed, so an output directory
-    never holds a partial result set.  The series files of the protocols
-    this run left out are removed too, so that another run's series never
-    sit beside this run's report.
+    never holds a partial result set.  Once they are written, every other
+    run's or batch's output in out_dir goes (`remove_artifacts`): the
+    series of the protocols this run left out, an aggregate.json and the
+    seed_<k> directories of a batch.
     """
     written: list[str] = []
     try:
         os.makedirs(out_dir, exist_ok=True)
         report = result.report
         report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        # allow_nan=False turns any non-finite value into a hard error here
-        files = {"report.json": json.dumps(asdict(report), indent=2,
-                                           sort_keys=True, allow_nan=False)
-                 + "\n"}
+        files = {"report.json": json_text(asdict(report))}
         for (protocol, name), ts in result.series.items():
             files[f"series_{protocol}_{name}.csv"] = "t,value\n" + _csv_rows(
                 "%.17g,%.17g\n", ts.times.tolist(), ts.values.tolist())
@@ -458,11 +495,7 @@ def write_artifacts(result: ExperimentResult, out_dir) -> list[str]:
             written.append(path)
             with open(path, "w") as f:
                 f.write(text)
-        series_names = {f"series_{protocol}_{name}.csv"
-                        for protocol in PROTOCOLS for name in ("H_R", "Q")}
-        for name in series_names - files.keys():
-            with suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, name))
+        remove_artifacts(out_dir, keep=files)
         return written
     except Exception as exc:
         for path in written:

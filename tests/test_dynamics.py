@@ -223,24 +223,30 @@ class TestEvolveExpectation:
     def test_far_uniform_grid_takes_direct_phases(self, phase_calls):
         # a plain linspace at t ~ 1e7: its offsets drift from the table's
         # by ulps of t, so 36 of its 55 sub-blocks have max|E| max|eps|
-        # above OFFSET_PHASE_MAX; energies on a 1/64 lattice make E t
-        # exact in long double, so the reference carries no phase error
+        # above OFFSET_PHASE_MAX.  From 0.1 to 1e6 no sub-block is
+        # direct, but t - t[0] rounds in the first one once t passes 0.2,
+        # and eps holds that error too: without it the first sub-block is
+        # off by 3e-13.  Energies on a 1/64 lattice make E t exact in long double, so the
+        # reference carries no phase error
         rng = np.random.default_rng(11)
         d = 40
         rho, obs = real_inputs(rng, d)
         energies = np.sort(rng.integers(-18 * 64, 18 * 64, size=d,
                                         endpoint=True)) / 64.0
-        t = np.linspace(1e7, 1e7 + 1000.0, 3001)
-        values = evolve_expectation(rho, obs, energies, t).values
-        k = sub_block_times(3001, d)
-        assert (k, len(t[::k])) == (55, 55)
-        assert count_direct_blocks(phase_calls, t, k) == 36
-        picks = np.union1d([0, k - 1, k, len(t) - 1],
-                           rng.integers(0, len(t), size=20))
-        assert len(picks) >= 24
         coeff = rho.entries * obs.T
-        ref = extended_precision_series(coeff, energies, t[picks])
-        assert np.max(np.abs(values[picks] - ref)) < 1e-13 * np.sum(np.abs(coeff))
+        for grid, k, n_direct in (((1e7, 1e7 + 1000.0, 3001), 55, 36),
+                                  ((0.1, 1e6, 20_000), 142, 0)):
+            phase_calls.clear()
+            t = np.linspace(*grid)
+            values = evolve_expectation(rho, obs, energies, t).values
+            assert sub_block_times(len(t), d) == k
+            assert count_direct_blocks(phase_calls, t, k) == n_direct
+            picks = np.union1d(np.r_[:k + 1, len(t) - 1],
+                               rng.integers(0, len(t), size=20))
+            assert len(picks) >= k + 20
+            ref = extended_precision_series(coeff, energies, t[picks])
+            assert np.max(np.abs(values[picks] - ref)) \
+                < 1e-13 * np.sum(np.abs(coeff))
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 3.0], [1.0, 0.5, 0.0], [2.0],
                                       [[0.0, 1.0], [2.0, 3.0]],

@@ -17,11 +17,12 @@ from ergoquench.dynamics import TimeSeries, evolve_expectation, time_stats
 from ergoquench.ergodic_ensemble import (PSD_ATOL, DensityMatrix,
                                          second_moment_expectation)
 from ergoquench.errors import PipelineError, StateValidationError
-from ergoquench.experiment import (MAX_COUNT, ExperimentConfig,
+from ergoquench.experiment import (ARTIFACTS, MAX_COUNT, ExperimentConfig,
                                    ExperimentReport, ExperimentResult,
-                                   find_product_eigenstates,
-                                   prepare_protocol_state, prepare_quench,
-                                   run_experiment, write_artifacts)
+                                   disorder_average, find_product_eigenstates,
+                                   json_text, prepare_protocol_state,
+                                   prepare_quench, run_experiment,
+                                   write_artifacts)
 from ergoquench.haar_oracle import estimate_moments
 from ergoquench.spectral import diagonalize
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
@@ -575,6 +576,26 @@ class TestArtifacts:
         assert all((out / name).read_text() == "kept" for name in kept)
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("values,want", [
+        ([], (None, None, 0)),
+        ([None, None], (None, None, 0)),
+        ([0.5], (0.5, 0.0, 1)),
+        ([None, 0.4, None, 0.6], (0.5, math.sqrt(0.02), 2)),
+        ([0.1, 0.2, 0.6, 0.3], (0.3, math.sqrt(0.14 / 3), 4)),
+    ])
+    def test_disorder_average_leaves_out_nulls(self, values, want):
+        got = disorder_average(iter(values))
+        assert got == pytest.approx(want, rel=1e-14)
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+    def test_json_text_is_sorted_indented_strict_json(self):
+        assert json_text({"b": 1, "a": [0.5, None]}) == (
+            '{\n  "a": [\n    0.5,\n    null\n  ],\n  "b": 1\n}\n')
+        with pytest.raises(ValueError):
+            json_text({"a": math.nan})
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -676,6 +697,31 @@ class TestCli:
                      "--out", str(out)] + batch) == 1
         assert "error: [report]" in capsys.readouterr().err
         assert built == []
+
+    def test_out_holds_the_last_layout_only(self, tmp_path, capsys):
+        # a batch after a larger batch, a single run after a batch and a
+        # batch after a single run each leave only their own outputs; files
+        # of other names stay, and so does a seed_<k> directory holding one
+        path = write_config(tmp_path, {"L": 6})
+        out = tmp_path / "out"
+
+        def run(*batch):
+            assert main(["run", "--config", str(path), "--out", str(out),
+                         *batch]) == 0
+            return sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                          if p.is_file())
+
+        run("--realizations", "3")
+        foreign = ["notes.txt", os.path.join("seed_2", "notes.txt")]
+        for name in foreign:
+            (out / name).write_text("kept")
+        batch = sorted(["aggregate.json", *foreign] + [
+            os.path.join(f"seed_{seed}", name) for seed in (0, 1)
+            for name in ARTIFACTS])
+        assert run("--realizations", "2") == batch
+        assert run() == sorted([*foreign, *ARTIFACTS])
+        assert run("--realizations", "2") == batch
+        assert all((out / name).read_text() == "kept" for name in foreign)
 
     def test_aggregate_path_taken_fails_under_report(self, config_file,
                                                      tmp_path, capsys):
@@ -863,6 +909,14 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         assert "[config] disorder_seed " in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_empty_batch_fails_under_config(self, count, tmp_path, capsys):
+        path = write_config(tmp_path, {"L": 4})
+        assert main(["run", "--config", str(path), "--realizations", count,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "[config] --realizations must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_batch_beyond_any_seed_fails_before_a_run(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -2,6 +2,7 @@
 subprocess on a small chain, as a user would run it."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -42,6 +43,21 @@ def test_level_statistics_sweep_leaves_out_spectra_without_a_gap_ratio():
     h, r_mean, r_sem, count = out.splitlines()[2].split(",")
     assert (h, count) == ("1.0", "3")
     assert 0.0 < float(r_mean) < 1.0 and float(r_sem) >= 0.0
+
+
+def test_level_statistics_sweep_averages_like_the_batch(tmp_path):
+    # the same three seeds at L = 6, h = 1: the sweep's row is the batch's
+    # aggregate, its standard error the batch's std over sqrt(3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"L": 6, "time_window": [100, 600, 200]}))
+    out = tmp_path / "batch"
+    assert main(["run", "--config", str(config), "--realizations", "3",
+                 "--out", str(out)]) == 0
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    row = run_script("level_statistics_sweep.py", "--length", "6",
+                     "--realizations", "3", "--h-values", "1.0").splitlines()[1]
+    assert row == (f"1.0,{aggregate['r_mean_average']:.6f},"
+                   f"{aggregate['r_mean_std'] / math.sqrt(3):.6f},3")
 
 
 def test_level_statistics_sweep_rejects_an_odd_length():
