@@ -8,6 +8,8 @@ to the statistical predictions.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -57,10 +59,19 @@ def diagonalize(op: HermitianOperator) -> EigenSystem:
     operator, complex for a complex Hermitian one.  A solver that fails to
     converge, or whose energies overflow to inf or NaN (entries near the
     float64 limit), raises NumericalIntegrityError.
+
+    A real operator is diagonalized by LAPACK dsyevd in place on one
+    Fortran-ordered copy of its entries, so the solver holds three d x d
+    arrays besides the operator: that copy, which becomes the
+    eigenvectors, and a 2 d^2 workspace.  The workspace is freed before
+    the vectors are copied back to C order.  A complex operator, or a
+    numpy that does not export dsyevd, takes np.linalg.eigh, which also
+    holds a separate output array.  On a real operator the two paths give
+    the same bits.
     """
     m = op.entries
     try:
-        energies, vectors = np.linalg.eigh(m)
+        energies, vectors = _eigh(m)
     except np.linalg.LinAlgError as exc:
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         raise NumericalIntegrityError(
@@ -71,6 +82,52 @@ def diagonalize(op: HermitianOperator) -> EigenSystem:
             f"eigensolver returned non-finite energies (dim={op.dim}, "
             f"max|entry|={float(np.max(np.abs(m))):.3e})")
     return EigenSystem(energies=energies, vectors=vectors)
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(m): ascending energies and C-ordered vectors, or
+    LinAlgError.  A float64 matrix goes to numpy's own dsyevd in place, with
+    the arguments eigh passes it (jobz V, uplo L, the queried workspace)."""
+    lapack = _dsyevd() if m.dtype == np.float64 else None
+    if lapack is None:
+        return np.linalg.eigh(m)
+    a = np.array(m, order="F")  # overwritten with the eigenvectors
+    w, work, iwork = np.empty(len(a)), np.empty(1), np.empty(1, dtype=np.int64)
+    _syevd(lapack, a, w, work, -1, iwork, -1)  # workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    _syevd(lapack, a, w, work, len(work), iwork, len(iwork))
+    del work, iwork  # freed before the C-ordered copy is made
+    return w, np.ascontiguousarray(a)
+
+
+def _syevd(lapack, a, w, work, lwork: int, iwork, liwork: int) -> None:
+    n, lda, info = (ctypes.c_int64(k) for k in (len(a), max(len(a), 1), 0))
+    lapack(b"V", b"L", n, a.ctypes.data, lda, w.ctypes.data, work.ctypes.data,
+           ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork),
+           info, 1, 1)  # the trailing 1s are the lengths of jobz and uplo
+    if info.value:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@functools.cache
+def _dsyevd():
+    """numpy's own LAPACK dsyevd as a ctypes function, or None.
+
+    numpy's wheels bundle scipy-openblas64, whose ILP64 symbols carry a
+    `scipy_` prefix and a `64_` suffix; the library np.linalg calls it
+    from resolves them.  Looked up on the first call, not on import.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        f = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (ImportError, AttributeError, OSError):
+        return None
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    ptr = ctypes.c_void_p
+    f.restype = None
+    f.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr,
+                  i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+    return f
 
 
 def level_spacing_ratio(energies: np.ndarray) -> float | None:

@@ -1,14 +1,18 @@
 """Diagonalization, gap-ratio statistics, and spectrum partitioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergoquench import spectral
 from ergoquench.errors import NumericalIntegrityError, SectorError
 from ergoquench.spectral import (SectorPartition, cluster_sectors,
                                  diagonalize, level_spacing_ratio)
-from ergoquench.spin_chain import HermitianOperator
+from ergoquench.spin_chain import (HermitianOperator, build_basis,
+                                   build_hamiltonian, draw_disorder)
 
 from conftest import (random_hermitian, sector_slices, singleton_partition,
                       whole_partition)
@@ -42,16 +46,85 @@ class TestDiagonalize:
         assert np.max(np.abs(rebuilt - op.entries)) < 1e-10
 
     def test_non_finite_energies_raise(self, monkeypatch):
-        real_eigh = np.linalg.eigh
+        real_eigh = spectral._eigh
 
         def overflowing_eigh(m):
             energies, vectors = real_eigh(m)
             energies[-1] = np.inf
             return energies, vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", overflowing_eigh)
+        monkeypatch.setattr(spectral, "_eigh", overflowing_eigh)
         with pytest.raises(NumericalIntegrityError, match="non-finite energies"):
             diagonalize(HermitianOperator(np.diag([3.0, 1.0, 2.0])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["dense", "repeated_blocks", "few_levels"]))
+    def test_real_path_is_eighs_bits(self, dim, seed, kind):
+        # exactly repeated eigenvalues: copies of one block, or a diagonal
+        # of a few small integers mixed by a permutation
+        rng = np.random.default_rng(seed)
+        if kind == "dense":
+            m = rng.normal(size=(dim, dim))
+        elif kind == "repeated_blocks":
+            b = rng.normal(size=(3, 3))
+            m = np.kron(np.eye(-(-dim // 3)), b)[:dim, :dim]
+        else:
+            m = np.diag(rng.integers(-2, 3, size=dim).astype(float))
+            m = m[np.ix_(*(2 * [rng.permutation(dim)]))]
+        op = HermitianOperator((m + m.T) / 2)
+        before = op.entries.copy()
+        eig = diagonalize(op)
+        energies, vectors = np.linalg.eigh(before)
+        assert np.array_equal(eig.energies, energies)
+        assert np.array_equal(eig.vectors, vectors)
+        assert eig.vectors.flags.c_contiguous
+        assert np.array_equal(op.entries, before)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_fallback_is_eigh(self, complex_data, monkeypatch):
+        # a numpy without the symbol, and any complex operator, take eigh
+        if not complex_data:
+            monkeypatch.setattr(spectral, "_dsyevd", lambda: None)
+        rng = np.random.default_rng(5)
+        op = (random_hermitian(rng, 30) if complex_data else
+              HermitianOperator(np.real(random_hermitian(rng, 30).entries)))
+        eig = diagonalize(op)
+        energies, vectors = np.linalg.eigh(op.entries)
+        assert eig.vectors.dtype == op.entries.dtype
+        assert np.array_equal(eig.energies, energies)
+        assert np.array_equal(eig.vectors, vectors)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def not_converging(*args):  # dsyevd's arguments, info eleventh
+            args[10].value = 1
+
+        monkeypatch.setattr(spectral, "_dsyevd", lambda: not_converging)
+        with pytest.raises(NumericalIntegrityError, match="did not converge"):
+            diagonalize(HermitianOperator(np.diag([3.0, 1.0, 2.0])))
+
+    @pytest.mark.skipif(spectral._dsyevd() is None,
+                        reason="numpy does not export dsyevd")
+    def test_real_path_holds_one_copy_and_the_workspace(self):
+        # the L = 10 chain (d = 252): at its peak the call holds the copy
+        # and dsyevd's 2 d^2 + 6 d + 1 workspace; afterwards the vectors.
+        # np.linalg.eigh allocates outside tracemalloc, so this pins the
+        # in-place path only.
+        basis = build_basis(10, 0)
+        op = build_hamiltonian(basis, 1.0, draw_disorder(10, 1.0, 0))
+        d2 = op.dim ** 2 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            eig = diagonalize(op)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.dim == 252
+        assert peak - start <= 3.1 * d2
+        assert current - start <= 1.02 * d2
+        assert eig.vectors.shape == (252, 252)
 
     def test_to_eigenbasis_diagonalizes_own_operator(self):
         rng = np.random.default_rng(3)
