@@ -102,11 +102,7 @@ class DensityMatrix:
         tr = m.trace()
         if not (abs(tr - 1.0) <= TRACE_ATOL):
             raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        # diagonal iff every nonzero sits on the diagonal; no copy of m
-        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
-            lo = float(m.diagonal().real.min())  # diagonal matrices need no solver
-        else:
-            lo = float(np.linalg.eigvalsh(m).min())
+        lo = float(np.linalg.eigvalsh(m).min())
         if lo < -PSD_ATOL:
             raise StateValidationError(f"negative eigenvalue {lo:.3e}")
         self._entries = m

@@ -101,8 +101,6 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "time_window" in raw:
-            raw = dict(raw, time_window=tuple(raw["time_window"]))
         return cls(**raw)
 
     @classmethod
@@ -393,13 +391,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "e1": q.prod1.energy, "e2": q.prod2.energy,
             "overlap_max": float(shared.max()),
             "overlap_sum": float(shared.sum()),
-            "product_inner": float(abs(np.vdot(q.prod1.vector, q.prod2.vector))),
             "same_product_state": same_product_state,
         }
         closed: dict = {
             "applicable": states_info["overlap_sum"] <= SHARED_SUPPORT_THRESHOLD,
             "threshold": SHARED_SUPPORT_THRESHOLD,
-            "overlap_sum": states_info["overlap_sum"],
         }
         if closed["applicable"]:
             variance = cat_q_variance_closed_form(q.phi1, q.phi2)

@@ -105,6 +105,11 @@ class TestConfig:
         assert cfg.time_window == (0.0, 1.0, 20000) and cfg.mc_samples == 50
         assert all(isinstance(x, int) for x in (cfg.time_window[2],
                                                 cfg.mc_samples))
+        # a JSON list, integer bounds included, is stored as (float, float, int)
+        window = ExperimentConfig.from_dict(
+            {"time_window": [0, 1, 20000.0]}).time_window
+        assert type(window) is tuple and window == (0.0, 1.0, 20000)
+        assert [type(x) for x in window] == [float, float, int]
 
     def test_single_protocol_selection(self):
         assert fast_config(protocol="cat").protocols == ("cat",)
@@ -349,6 +354,11 @@ class TestRunExperiment:
         assert len(res.series) == 4
         assert np.all(np.diff(res.energies) >= 0.0)
         assert res.overlaps.shape == (rep.spectral["dim"], 2)
+        # each fact once: overlap_sum lives in states only
+        assert set(rep.states) == {"e1", "e2", "overlap_max", "overlap_sum",
+                                   "same_product_state"}
+        sigma = {"sigma_q"} if rep.closed_form["applicable"] else set()
+        assert set(rep.closed_form) == {"applicable", "threshold"} | sigma
 
     def test_report_gives_the_aliasing_margin(self):
         # (e_max - e_min) dt / pi: L = 6, seed 1 has a spectral width of
