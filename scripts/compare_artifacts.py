@@ -5,7 +5,8 @@ The directories must hold the same set of files, searched recursively.
 Every report.json must match apart from its `timestamp` and
 `runtime_seconds`, which differ between any two runs; every other file
 (the CSVs, and aggregate.json of a batch) must be byte-equal.  Exits 0
-when they do, else prints the first difference and exits 1.
+when they do, else prints every difference, one a line (each key path of
+a report, each line of another file), and exits 1.
 
 Example:
     python3 scripts/compare_artifacts.py runs/before runs/after
@@ -23,56 +24,52 @@ def files_under(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
 
-def first_json_difference(a, b, where: str = "") -> str | None:
-    """The first key path at which two parsed JSON values differ, or None.
+def json_differences(a, b, where: str = ""):
+    """Every key path at which two parsed JSON values differ, in order.
     Leaves are compared by type and repr, so 0.0 and -0.0 differ too."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
-                return f"{where}/{key}: only in {'A' if key in a else 'B'}"
-            found = first_json_difference(a[key], b[key], f"{where}/{key}")
-            if found:
-                return found
-        return None
-    if isinstance(a, list) and isinstance(b, list):
+                yield f"{where}/{key}: only in {'A' if key in a else 'B'}"
+            else:
+                yield from json_differences(a[key], b[key], f"{where}/{key}")
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return f"{where}: {len(a)} entries against {len(b)}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            found = first_json_difference(x, y, f"{where}[{i}]")
-            if found:
-                return found
-        return None
-    if (type(a), repr(a)) != (type(b), repr(b)):
-        return f"{where}: {a!r} against {b!r}"
-    return None
+            yield f"{where}: {len(a)} entries against {len(b)}"
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from json_differences(x, y, f"{where}[{i}]")
+    elif (type(a), repr(a)) != (type(b), repr(b)):
+        yield f"{where}: {a!r} against {b!r}"
 
 
-def first_line_difference(a: bytes, b: bytes) -> str:
+def line_differences(a: bytes, b: bytes):
     lines_a, lines_b = a.splitlines(keepends=True), b.splitlines(keepends=True)
     for number, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
         if x != y:
-            return f"line {number}: {x!r} against {y!r}"
-    return f"{len(lines_a)} lines against {len(lines_b)}"
+            yield f"line {number}: {x!r} against {y!r}"
+    if len(lines_a) != len(lines_b):
+        yield f"{len(lines_a)} lines against {len(lines_b)}"
 
 
-def first_difference(dir_a: Path, dir_b: Path) -> str | None:
+def differences(dir_a: Path, dir_b: Path):
+    """Every difference between the two directories, one line each."""
     names_a, names_b = files_under(dir_a), files_under(dir_b)
     if names_a != names_b:
-        return (f"file sets differ: only in A {sorted(names_a - names_b)}, "
-                f"only in B {sorted(names_b - names_a)}")
-    for name in sorted(names_a):
+        yield (f"file sets differ: only in A {sorted(names_a - names_b)}, "
+               f"only in B {sorted(names_b - names_a)}")
+    for name in sorted(names_a & names_b):
         a, b = (dir_a / name).read_bytes(), (dir_b / name).read_bytes()
         if Path(name).name == "report.json":
             reports = [json.loads(text) for text in (a, b)]
             for report in reports:
                 for key in RUN_DEPENDENT:
                     report.pop(key, None)
-            found = first_json_difference(*reports)
+            found = json_differences(*reports)
         else:
-            found = None if a == b else first_line_difference(a, b)
-        if found:
-            return f"{name}: {found}"
-    return None
+            found = line_differences(a, b)
+        for difference in found:
+            yield f"{name}: {difference}"
 
 
 def main():
@@ -84,9 +81,9 @@ def main():
         if not directory.is_dir():
             ap.error(f"{directory} is not a directory")
 
-    found = first_difference(args.dir_a, args.dir_b)
+    found = list(differences(args.dir_a, args.dir_b))
     if found:
-        print(found)
+        print("\n".join(found))
         sys.exit(1)
     print(f"identical: {len(files_under(args.dir_a))} files")
 

@@ -281,7 +281,7 @@ def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
         h_fields = draw_disorder(config.L, config.h, config.disorder_seed)
         ham = build_hamiltonian(basis, config.J, h_fields)
     with _stage("diagonalize"):
-        eig = diagonalize(ham)
+        eig = diagonalize(ham, overwrite=True)  # H is not used again
         energies = eig.energies
         width = float(energies[-1]) - float(energies[0])  # inf, not a warning
         t0, t1, n_points = config.time_window
@@ -322,10 +322,13 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
                                                 spec.basis, spec.bounds)
         phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
         phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
-        observables = {
-            "H_R": symmetrized(spec.eig.to_eigenbasis(ham_right.entries)),
-            "Q": build_projector_observable(phi1, phi2),
-        }
+        # H_R V is formed over H_R's entries, which go once rotated, and
+        # the rotated matrix is averaged in place: besides V, no step
+        # holds more than two d x d arrays
+        rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
+        del ham_right
+        observables = {"H_R": symmetrized(rotated, overwrite=True),
+                       "Q": build_projector_observable(phi1, phi2)}
         return QuenchPrefix(**vars(spec), prod1=prod1, prod2=prod2,
                             phi1=phi1, phi2=phi2, observables=observables)
 

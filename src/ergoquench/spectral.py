@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError
-from .spin_chain import HermitianOperator
+from .spin_chain import HermitianOperator, hermitian_deviation
 
 # rows of M per tile of EigenSystem.to_eigenbasis's sparse product M V
 SUPPORT_TILE = 64
@@ -29,7 +29,8 @@ class EigenSystem:
     energies: np.ndarray
     vectors: np.ndarray
 
-    def to_eigenbasis(self, entries: np.ndarray) -> np.ndarray:
+    def to_eigenbasis(self, entries: np.ndarray,
+                      overwrite: bool = False) -> np.ndarray:
         """V^dag M V without re-symmetrization (callers wrap if needed).
 
         M V is formed SUPPORT_TILE rows at a time, each tile multiplied
@@ -37,22 +38,34 @@ class EigenSystem:
         dense product V^dag (M V) follows.  A local Hamiltonian in the
         sector basis has a few nonzeros per row, so M V costs far less
         than a GEMM; a dense M has full support and takes V whole.
+
+        With overwrite=True the caller gives M up.  When M is a writeable
+        C-ordered array of the result's dtype, each tile of M V is written
+        over the rows of M it was formed from, so the call holds V, M and
+        the result and no separate M V.  A caller that then drops M holds
+        two d x d arrays.  The bits are those of the default path, which
+        never changes M.
         """
         m = np.asarray(entries)
         v = self.vectors
-        mv = np.empty((len(m), v.shape[1]), dtype=np.result_type(m, v))
+        dtype = np.result_type(m, v)
+        in_place = (overwrite and m.dtype == dtype and m.flags.c_contiguous
+                    and m.flags.writeable)
+        mv = m if in_place else np.empty((len(m), v.shape[1]), dtype=dtype)
         for lo in range(0, len(m), SUPPORT_TILE):
-            tile = m[lo:lo + SUPPORT_TILE]
+            tile, out = m[lo:lo + SUPPORT_TILE], mv[lo:lo + SUPPORT_TILE]
             cols = np.flatnonzero(np.any(tile, axis=0))
-            mv[lo:lo + SUPPORT_TILE] = (tile @ v if len(cols) == len(v)
-                                        else tile[:, cols] @ v[cols])
+            if len(cols) == len(v):
+                np.matmul(tile, v, out=out)
+            else:  # the gathered copies are freed as soon as they are used
+                np.matmul(tile[:, cols], v[cols], out=out)
         return v.conj().T @ mv
 
     def vector_to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
         return self.vectors.conj().T @ np.asarray(v)
 
 
-def diagonalize(op: HermitianOperator) -> EigenSystem:
+def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
     """Full eigendecomposition of a sector operator.
 
     The vectors have the operator's dtype: real for a real-symmetric
@@ -68,30 +81,45 @@ def diagonalize(op: HermitianOperator) -> EigenSystem:
     numpy that does not export dsyevd, takes np.linalg.eigh, which also
     holds a separate output array.  On a real operator the two paths give
     the same bits.
+
+    With overwrite=True the caller gives the operator up.  A real operator
+    whose entries equal their transpose exactly, as build_hamiltonian's
+    do, is then solved in place on its own buffer read as the Fortran
+    array M^T, which holds the same matrix: no copy is made, and the call
+    holds three d x d arrays in all.  Any other operator takes the copy,
+    so the energies and vectors have the same bits either way.
     """
     m = op.entries
+    in_place = (overwrite and m.dtype == np.float64 and m.flags.writeable
+                and hermitian_deviation(m) == 0.0)
+    # the scale a failure reports, measured before a solve in place
+    # overwrites the entries
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
     try:
-        energies, vectors = _eigh(m)
+        energies, vectors = _eigh(m.T if in_place else m)
     except np.linalg.LinAlgError as exc:
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
         raise NumericalIntegrityError(
             f"eigensolver did not converge (dim={op.dim}, max|entry|={scale:.3e}): {exc}"
         ) from exc
     if not np.all(np.isfinite(energies)):  # overflow inside the solver
         raise NumericalIntegrityError(
             f"eigensolver returned non-finite energies (dim={op.dim}, "
-            f"max|entry|={float(np.max(np.abs(m))):.3e})")
+            f"max|entry|={scale:.3e})")
     return EigenSystem(energies=energies, vectors=vectors)
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(m): ascending energies and C-ordered vectors, or
     LinAlgError.  A float64 matrix goes to numpy's own dsyevd in place, with
-    the arguments eigh passes it (jobz V, uplo L, the queried workspace)."""
+    the arguments eigh passes it (jobz V, uplo L, the queried workspace):
+    on m itself when m is a writeable Fortran-ordered array that is not
+    also C-ordered (diagonalize passes one only to be overwritten), else
+    on a Fortran-ordered copy."""
     lapack = _dsyevd() if m.dtype == np.float64 else None
     if lapack is None:
         return np.linalg.eigh(m)
-    a = np.array(m, order="F")  # overwritten with the eigenvectors
+    own = m.flags.f_contiguous and not m.flags.c_contiguous and m.flags.writeable
+    a = m if own else np.array(m, order="F")  # overwritten with the eigenvectors
     w, work, iwork = np.empty(len(a)), np.empty(1), np.empty(1, dtype=np.int64)
     _syevd(lapack, a, w, work, -1, iwork, -1)  # workspace query
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -320,6 +321,26 @@ class TestPrepareQuench:
                                                       protocol).entries
         assert {k: a.dtype for k, a in arrays.items()} == \
             dict.fromkeys(arrays, np.float64)
+
+    @pytest.mark.skipif(spectral._dsyevd() is None,
+                        reason="numpy does not export dsyevd")
+    def test_holds_three_dxd_arrays_at_most(self):
+        # the L = 10 chain (d = 252): H is solved in place (H and dsyevd's
+        # 2 d^2 workspace), then H_R V is formed over H_R (V, H_R and the
+        # rotated matrix) and averaged in place.  A first small run loads
+        # the solver, whose one-time allocations are not part of the run.
+        config = ExperimentConfig(L=10, time_window=(3000.0, 3049.5, 100))
+        prepare_quench(dataclasses.replace(config, L=4))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            q = prepare_quench(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.basis.dim == 252
+        assert peak - start <= 3.1 * q.basis.dim ** 2 * 8
 
 
 @pytest.fixture

@@ -115,3 +115,21 @@ def test_compare_artifacts_passes_two_runs_and_names_a_changed_byte(tmp_path):
     out = run_script("compare_artifacts.py", str(runs[0]), str(changed),
                      returncode=1)
     assert out.startswith("series_cat_Q.csv: line 2001: ")
+
+
+def test_compare_artifacts_names_every_differing_key(tmp_path):
+    report = {"closed_form": {"overlap_sum": 0.5, "weight": 1.0},
+              "protocols": {"cat": {"numeric_mean": -1.25}},
+              "timestamp": "now"}
+    changed = json.loads(json.dumps(report))
+    changed["closed_form"]["overlap_sum"] = 0.25
+    changed["protocols"]["cat"]["numeric_mean"] = -1.5
+    changed["timestamp"] = "later"
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out, content in zip(runs, (report, changed)):
+        out.mkdir()
+        (out / "report.json").write_text(json.dumps(content))
+    out = run_script("compare_artifacts.py", *map(str, runs), returncode=1)
+    assert out.splitlines() == [
+        "report.json: /closed_form/overlap_sum: 0.5 against 0.25",
+        "report.json: /protocols/cat/numeric_mean: -1.25 against -1.5"]

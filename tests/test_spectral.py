@@ -59,8 +59,9 @@ class TestDiagonalize:
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(["dense", "repeated_blocks", "few_levels"]))
-    def test_real_path_is_eighs_bits(self, dim, seed, kind):
+           kind=st.sampled_from(["dense", "repeated_blocks", "few_levels"]),
+           overwrite=st.booleans())
+    def test_real_path_is_eighs_bits(self, dim, seed, kind, overwrite):
         # exactly repeated eigenvalues: copies of one block, or a diagonal
         # of a few small integers mixed by a permutation
         rng = np.random.default_rng(seed)
@@ -72,14 +73,29 @@ class TestDiagonalize:
         else:
             m = np.diag(rng.integers(-2, 3, size=dim).astype(float))
             m = m[np.ix_(*(2 * [rng.permutation(dim)]))]
+        # (m + m^T) / 2 is exactly symmetric, so overwrite solves in place
         op = HermitianOperator((m + m.T) / 2)
         before = op.entries.copy()
-        eig = diagonalize(op)
+        eig = diagonalize(op, overwrite=overwrite)
         energies, vectors = np.linalg.eigh(before)
         assert np.array_equal(eig.energies, energies)
         assert np.array_equal(eig.vectors, vectors)
         assert eig.vectors.flags.c_contiguous
-        assert np.array_equal(op.entries, before)
+        if not overwrite:
+            assert np.array_equal(op.entries, before)
+
+    def test_overwrite_copies_an_operator_symmetric_only_to_rounding(self):
+        # M^T is not M, so the in-place path would solve another matrix
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(40, 40))
+        m = (m + m.T) / 2
+        m[0, 1] += 1e-14
+        op = HermitianOperator(m)
+        eig = diagonalize(op, overwrite=True)
+        energies, vectors = np.linalg.eigh(m)
+        assert np.array_equal(eig.energies, energies)
+        assert np.array_equal(eig.vectors, vectors)
+        assert np.array_equal(op.entries, m)
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_fallback_is_eigh(self, complex_data, monkeypatch):
@@ -126,6 +142,27 @@ class TestDiagonalize:
         assert current - start <= 1.02 * d2
         assert eig.vectors.shape == (252, 252)
 
+    @pytest.mark.skipif(spectral._dsyevd() is None,
+                        reason="numpy does not export dsyevd")
+    def test_overwrite_holds_the_workspace_only(self):
+        # the same chain solved on its own buffer: no copy, so the call
+        # holds dsyevd's workspace and then the C-ordered vectors
+        basis = build_basis(10, 0)
+        op = build_hamiltonian(basis, 1.0, draw_disorder(10, 1.0, 0))
+        want = np.linalg.eigh(op.entries)
+        d2 = op.dim ** 2 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            eig = diagonalize(op, overwrite=True)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2.1 * d2
+        assert current - start <= 1.02 * d2
+        assert np.array_equal(eig.vectors, want[1])
+
     def test_to_eigenbasis_diagonalizes_own_operator(self):
         rng = np.random.default_rng(3)
         op = random_hermitian(rng, 12)
@@ -135,14 +172,15 @@ class TestDiagonalize:
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(["dense", "sparse", "zero_rows", "complex"]))
+           kind=st.sampled_from(["dense", "sparse", "zero_rows", "complex",
+                                 "complex_m", "complex_v"]))
     def test_to_eigenbasis_matches_the_two_sided_product(self, dim, seed, kind):
         # the support product M V must agree with V^dag M V however sparse
-        # M is: full, a few nonzeros per row, or whole tiles of zero rows
+        # M is: full, a few nonzeros per row, or whole tiles of zero rows.
+        # M and V are each real or complex ("complex": both)
         rng = np.random.default_rng(seed)
-        complex_data = kind == "complex"
         m = rng.normal(size=(dim, dim))
-        if complex_data:
+        if kind in ("complex", "complex_m"):
             m = m + 1j * rng.normal(size=(dim, dim))
         if kind != "dense":
             m[rng.random((dim, dim)) > min(1.0, 5.0 / dim)] = 0.0
@@ -150,7 +188,7 @@ class TestDiagonalize:
             m[rng.random(dim) < 0.5] = 0.0
             m[:min(dim, 70)] = 0.0  # at least one all-zero tile
         h = rng.normal(size=(dim, dim))
-        if complex_data:
+        if kind in ("complex", "complex_v"):
             h = h + 1j * rng.normal(size=(dim, dim))
         eig = diagonalize(HermitianOperator((h + h.conj().T) / 2))
         v = eig.vectors
@@ -159,6 +197,10 @@ class TestDiagonalize:
         assert got.dtype == want.dtype
         scale = max(float(np.max(np.abs(m))), 1e-300)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        # overwrite uses M's buffer where the dtypes allow; same bits
+        reused = eig.to_eigenbasis(m.copy(), overwrite=True)
+        assert reused.dtype == got.dtype
+        assert np.array_equal(reused, got)
 
     def test_vector_rotation_preserves_norm(self):
         rng = np.random.default_rng(4)

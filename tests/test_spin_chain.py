@@ -194,6 +194,18 @@ class TestTiledAdjointPasses:
                   rng.normal(size=(600, 600)) + 1j * rng.normal(size=(600, 600))):
             assert np.array_equal(symmetrized(m).entries, 0.5 * (m + m.conj().T))
 
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_symmetrized_overwrite_averages_in_place(self, complex_data):
+        rng = np.random.default_rng(601)
+        m = rng.normal(size=(300, 300))
+        if complex_data:
+            m = m + 1j * rng.normal(size=(300, 300))
+        want = symmetrized(m).entries
+        buffer = m.copy()
+        got = symmetrized(buffer, overwrite=True).entries
+        assert got is buffer
+        assert np.array_equal(got, want)
+
     def test_symmetrized_rejects_nan(self):
         m = np.eye(3)
         m[1, 2] = np.nan
@@ -294,6 +306,21 @@ class TestHamiltonian:
         basis = build_basis(4, 0)
         with pytest.raises(ConstructionError):
             build_hamiltonian(basis, 1.0, np.zeros(3))
+
+    @given(n_sites=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           per_bond=st.booleans(), data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_entries_equal_their_transpose_exactly(self, n_sites, seed,
+                                                   per_bond, data):
+        # diagonalize(overwrite=True) reads the buffer as M^T in place
+        total_sz = data.draw(st.sampled_from(range(-n_sites, n_sites + 1, 2)))
+        rng = np.random.default_rng(seed)
+        coupling = (rng.uniform(-3.0, 3.0, size=n_sites - 1) if per_bond
+                    else float(rng.uniform(-3.0, 3.0)))
+        fields = rng.uniform(-2.0, 2.0, size=n_sites)
+        m = build_hamiltonian(build_basis(n_sites, total_sz), coupling,
+                              fields).entries
+        assert np.array_equal(m, m.T)
 
     @given(seed=st.integers(0, 10_000))
     @settings(deadline=None, max_examples=30)
