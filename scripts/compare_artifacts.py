@@ -6,7 +6,7 @@ Every report.json must match apart from its `timestamp` and
 `runtime_seconds`, which differ between any two runs; every other file
 (the CSVs, and aggregate.json of a batch) must be byte-equal.  Exits 0
 when they do, else prints every difference, one a line (each key path of
-a report, each line of another file), and exits 1.
+a report, the first differing line of another file), and exits 1.
 
 Example:
     python3 scripts/compare_artifacts.py runs/before runs/after
@@ -43,13 +43,12 @@ def json_differences(a, b, where: str = ""):
         yield f"{where}: {a!r} against {b!r}"
 
 
-def line_differences(a: bytes, b: bytes):
+def first_line_difference(a: bytes, b: bytes) -> str:
     lines_a, lines_b = a.splitlines(keepends=True), b.splitlines(keepends=True)
     for number, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
         if x != y:
-            yield f"line {number}: {x!r} against {y!r}"
-    if len(lines_a) != len(lines_b):
-        yield f"{len(lines_a)} lines against {len(lines_b)}"
+            return f"line {number}: {x!r} against {y!r}"
+    return f"{len(lines_a)} lines against {len(lines_b)}"
 
 
 def differences(dir_a: Path, dir_b: Path):
@@ -65,11 +64,10 @@ def differences(dir_a: Path, dir_b: Path):
             for report in reports:
                 for key in RUN_DEPENDENT:
                     report.pop(key, None)
-            found = json_differences(*reports)
-        else:
-            found = line_differences(a, b)
-        for difference in found:
-            yield f"{name}: {difference}"
+            for difference in json_differences(*reports):
+                yield f"{name}: {difference}"
+        elif a != b:
+            yield f"{name}: {first_line_difference(a, b)}"
 
 
 def main():

@@ -322,12 +322,11 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
                                                 spec.basis, spec.bounds)
         phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
         phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
-        # H_R V is formed over H_R's entries, which go once rotated, and
-        # the rotated matrix is averaged in place: besides V, no step
-        # holds more than two d x d arrays
+        # H_R V is formed over H_R's entries, which go once rotated:
+        # besides V, no step holds more than two d x d arrays
         rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
         del ham_right
-        observables = {"H_R": symmetrized(rotated, overwrite=True),
+        observables = {"H_R": symmetrized(rotated),
                        "Q": build_projector_observable(phi1, phi2)}
         return QuenchPrefix(**vars(spec), prod1=prod1, prod2=prod2,
                             phi1=phi1, phi2=phi2, observables=observables)

@@ -92,20 +92,28 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
     m = op.entries
     in_place = (overwrite and m.dtype == np.float64 and m.flags.writeable
                 and hermitian_deviation(m) == 0.0)
-    # the scale a failure reports, measured before a solve in place
-    # overwrites the entries
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    # the scale a failure reports: a solve in place overwrites the
+    # entries, so it is measured first; any other only once it has failed
+    before = _max_abs(m) if in_place else None
+
+    def scale() -> float:
+        return _max_abs(m) if before is None else before
+
     try:
         energies, vectors = _eigh(m.T if in_place else m)
     except np.linalg.LinAlgError as exc:
         raise NumericalIntegrityError(
-            f"eigensolver did not converge (dim={op.dim}, max|entry|={scale:.3e}): {exc}"
+            f"eigensolver did not converge (dim={op.dim}, max|entry|={scale():.3e}): {exc}"
         ) from exc
     if not np.all(np.isfinite(energies)):  # overflow inside the solver
         raise NumericalIntegrityError(
             f"eigensolver returned non-finite energies (dim={op.dim}, "
-            f"max|entry|={scale:.3e})")
+            f"max|entry|={scale():.3e})")
     return EigenSystem(energies=energies, vectors=vectors)
+
+
+def _max_abs(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

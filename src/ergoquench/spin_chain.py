@@ -121,21 +121,18 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
-def symmetrized(entries: np.ndarray, overwrite: bool = False) -> HermitianOperator:
+def symmetrized(entries: np.ndarray) -> HermitianOperator:
     """Wrap (M + M^dag)/2, for matrices Hermitian only up to rounding
     (e.g. after a basis rotation).
 
     Each tile pair is averaged once and its mirror written as the adjoint,
     which is bit-identical to averaging it: 0.5 * (x + conj y) and
-    conj(0.5 * (y + conj x)) round the same.  A pair is read whole before
-    it is written, so with overwrite=True the average goes into M's own
-    buffer when M is writeable: the caller gives M up, and the call holds
-    no second d x d array.  The default path never changes M.
+    conj(0.5 * (y + conj x)) round the same.
     """
     m = as_inexact_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConstructionError(f"operator must be square, got {m.shape}")
-    out = m if overwrite and m.flags.writeable else np.empty_like(m)
+    out = np.empty_like(m)
     for r, c in tile_pairs(m.shape[0]):
         out[r, c] = 0.5 * (m[r, c] + m[c, r].conj().T)
         if r != c:

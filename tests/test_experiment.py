@@ -325,11 +325,13 @@ class TestPrepareQuench:
     @pytest.mark.skipif(spectral._dsyevd() is None,
                         reason="numpy does not export dsyevd")
     def test_holds_three_dxd_arrays_at_most(self):
-        # the L = 10 chain (d = 252): H is solved in place (H and dsyevd's
+        # the L = 12 chain (d = 924): H is solved in place (H and dsyevd's
         # 2 d^2 workspace), then H_R V is formed over H_R (V, H_R and the
-        # rotated matrix) and averaged in place.  A first small run loads
-        # the solver, whose one-time allocations are not part of the run.
-        config = ExperimentConfig(L=10, time_window=(3000.0, 3049.5, 100))
+        # rotated matrix), which goes before the average (V, the rotated
+        # matrix and its average).  At L = 10 (d = 252) the average's
+        # 128 x 128 tile temporaries would add 0.5 d^2.  A first small run
+        # loads the solver, whose one-time allocations are not part of it.
+        config = ExperimentConfig(L=12, time_window=(3000.0, 3049.5, 100))
         prepare_quench(dataclasses.replace(config, L=4))
         tracemalloc.start()
         try:
@@ -339,7 +341,7 @@ class TestPrepareQuench:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q.basis.dim == 252
+        assert q.basis.dim == 924
         assert peak - start <= 3.1 * q.basis.dim ** 2 * 8
 
 

@@ -194,18 +194,6 @@ class TestTiledAdjointPasses:
                   rng.normal(size=(600, 600)) + 1j * rng.normal(size=(600, 600))):
             assert np.array_equal(symmetrized(m).entries, 0.5 * (m + m.conj().T))
 
-    @pytest.mark.parametrize("complex_data", [False, True])
-    def test_symmetrized_overwrite_averages_in_place(self, complex_data):
-        rng = np.random.default_rng(601)
-        m = rng.normal(size=(300, 300))
-        if complex_data:
-            m = m + 1j * rng.normal(size=(300, 300))
-        want = symmetrized(m).entries
-        buffer = m.copy()
-        got = symmetrized(buffer, overwrite=True).entries
-        assert got is buffer
-        assert np.array_equal(got, want)
-
     def test_symmetrized_rejects_nan(self):
         m = np.eye(3)
         m[1, 2] = np.nan
