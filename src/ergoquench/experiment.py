@@ -7,9 +7,13 @@ classical mixture ("mixed").  Observables are the right-half energy H_R
 and the swap operator Q between the two product states.  The run compares
 time-window statistics of the evolved expectation values against the
 analytic ensemble predictions, with optional Monte-Carlo cross-checks.
-`prepare_quench` is the one pipeline prefix that the run and the CLI's
-`spectrum` and `oracle` commands start from, and `spectral_block` and
-`prediction_block` build the report blocks that those two commands print.
+The pipeline comes in steps, so that one spectrum can serve many
+questions: `prepare_spectrum` builds and diagonalizes the chain (the CLI's
+`spectrum` command stops there), `quench_states` picks the product states
+nearest a pair of target energies, and `prediction_block` gives the
+ensemble moments of a state over any partition of the spectrum.
+`prepare_quench` composes them for one config, with H_R rotated once per
+spectrum; the run and the CLI's `oracle` command start from it.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .errors import NumericalIntegrityError, PipelineError, StateValidationError
 from .haar_oracle import sample_traces, summarize
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)
-from .spin_chain import (SpinBasis, build_basis, build_hamiltonian,
-                         build_projector_observable, draw_disorder,
-                         symmetrized)
+from .spin_chain import (HermitianOperator, SpinBasis, build_basis,
+                         build_hamiltonian, build_projector_observable,
+                         draw_disorder, symmetrized)
 
 PROTOCOLS = ("cat", "mixed")
 # the files of one run's output directory, as write_artifacts names them
@@ -73,7 +77,10 @@ class ExperimentConfig:
                              f"got {self.disorder_seed}")
         if self.protocol not in PROTOCOLS + ("both",):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        t0, t1, n = self.time_window
+        window = self.time_window
+        if not isinstance(window, (list, tuple)) or len(window) != 3:
+            raise ValueError(f"time_window must be [start, end, count], got {window!r}")
+        t0, t1, n = window
         t0, t1 = _real("time window start", t0), _real("time window end", t1)
         if not (0.0 < t1 - t0 < math.inf):  # NaN fails too
             raise ValueError(f"time window [{t0}, {t1}] needs a finite, "
@@ -97,6 +104,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -140,22 +149,22 @@ class ProductEigenstate:
 
 def find_product_eigenstates(
         coupling: float, fields: np.ndarray, basis: SpinBasis,
-        bounds: tuple[float, float]) -> tuple[ProductEigenstate, ProductEigenstate]:
+        targets: tuple[float, float]) -> tuple[ProductEigenstate, ProductEigenstate]:
     """The eigenstates of H_left + H_right, the two standalone half chains,
-    whose energies are closest to the lower and to the upper spectral edge,
-    in that order, embedded in `basis`.
+    whose energies are closest to targets[0] and to targets[1], in that
+    order, embedded in `basis`.  The run passes the spectral edges.
 
     One pass over the splits of the up spins between the halves, in
     ascending left magnetization, diagonalizes both halves of each split
-    and scans its table of sums E_l + E_r once for both edges; the scan is
-    exhaustive, and only the two winners are embedded.  A split replaces
-    an edge's best only with a strictly smaller deviation, and argmin
+    and scans its table of sums E_l + E_r once for both targets; the scan
+    is exhaustive, and only the two winners are embedded.  A split replaces
+    a target's best only with a strictly smaller deviation, and argmin
     takes the first minimum in row-major order, so ties break toward the
     smaller left magnetization, then smaller left index, then right index.
     """
     half = len(fields) // 2
     n_up = (basis.n_sites + basis.total_sz) // 2
-    best = [None, None]  # per edge: (deviation, n_left, flat, sums, halves)
+    best = [None, None]  # per target: (deviation, n_left, flat, sums, halves)
     for n_left in range(max(0, n_up - half), min(half, n_up) + 1):
         halves = []
         for n, part in ((n_left, fields[:half]), (n_up - n_left, fields[half:])):
@@ -164,7 +173,7 @@ def find_product_eigenstates(
                 build_hamiltonian(sector, coupling, part))))
         (_, eig_l), (_, eig_r) = halves
         sums = eig_l.energies[:, None] + eig_r.energies[None, :]
-        for k, goal in enumerate(bounds):
+        for k, goal in enumerate(targets):
             dev = np.abs(sums - goal)
             flat = int(np.argmin(dev))
             if best[k] is None or dev.flat[flat] < best[k][0]:
@@ -262,11 +271,12 @@ class SpectralPrefix:
 
 
 @dataclass(frozen=True)
-class QuenchPrefix(SpectralPrefix):
-    """The spectrum plus both product states, their eigenbasis coordinates
-    phi1/phi2 and the observables in the eigenbasis: everything the
-    dynamics, the ensemble theory and the Monte-Carlo oracle start from."""
+class QuenchPrefix:
+    """A spectrum plus one pair of product states, their eigenbasis
+    coordinates phi1/phi2 and the observables in the eigenbasis: everything
+    the dynamics, the ensemble theory and the Monte-Carlo oracle start from."""
 
+    spec: SpectralPrefix
     prod1: ProductEigenstate
     prod2: ProductEigenstate
     phi1: np.ndarray
@@ -310,45 +320,53 @@ def spectral_block(spec: SpectralPrefix) -> dict:
             "nyquist_ratio": spec.nyquist_ratio}
 
 
+def quench_states(spec: SpectralPrefix, coupling: float, targets: tuple,
+                  h_r: HermitianOperator) -> QuenchPrefix:
+    """The product states of `spec`'s chain nearest `targets`, their
+    eigenbasis coordinates, and the observables: `h_r`, H_R already in the
+    eigenbasis, and the swap Q of the pair."""
+    prod1, prod2 = find_product_eigenstates(coupling, spec.fields, spec.basis,
+                                            targets)
+    phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
+    phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
+    return QuenchPrefix(spec, prod1, prod2, phi1, phi2, observables={
+        "H_R": h_r, "Q": build_projector_observable(phi1, phi2)})
+
+
 def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
-    """The shared pipeline prefix: spectrum, product states, observables."""
+    """The run's pipeline prefix: the spectrum, H_R in its eigenbasis, and
+    the product states nearest the spectral edges."""
     spec = prepare_spectrum(config)
     right = np.arange(config.L) >= config.L // 2  # the sites of H_R
     with _stage("build"):
         ham_right = build_hamiltonian(spec.basis, config.J * right[:-1],
                                       spec.fields * right)
     with _stage("diagonalize"):
-        prod1, prod2 = find_product_eigenstates(config.J, spec.fields,
-                                                spec.basis, spec.bounds)
-        phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
-        phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
         # H_R V is formed over H_R's entries, which go once rotated:
         # besides V, no step holds more than two d x d arrays
         rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
         del ham_right
-        observables = {"H_R": symmetrized(rotated),
-                       "Q": build_projector_observable(phi1, phi2)}
-        return QuenchPrefix(**vars(spec), prod1=prod1, prod2=prod2,
-                            phi1=phi1, phi2=phi2, observables=observables)
+        return quench_states(spec, config.J, spec.bounds, symmetrized(rotated))
 
 
-def prediction_block(q: QuenchPrefix, rho0: DensityMatrix, mc_samples: int,
-                     seed: int) -> dict:
-    """Per observable of `q`: the mean, sigma and second moment of rho0's
-    block-Haar ensemble, and with mc_samples > 0 an `mc` block of the
-    Monte-Carlo mean and second moment, all from one sampling pass."""
-    block = {name: {} for name in q.observables}
+def prediction_block(rho0: DensityMatrix, partition: SectorPartition,
+                     observables: dict, mc_samples: int, seed: int) -> dict:
+    """Per named observable: the mean, sigma and second moment of rho0's
+    block-Haar ensemble over `partition`, and with mc_samples > 0 an `mc`
+    block of the Monte-Carlo mean and second moment, all from one sampling
+    pass."""
+    block = {name: {} for name in observables}
     if mc_samples > 0:
-        traces = sample_traces(rho0, q.partition, q.observables.values(),
+        traces = sample_traces(rho0, partition, observables.values(),
                                n_samples=mc_samples, seed=seed)
-        for name, values in zip(q.observables, traces):
+        for name, values in zip(observables, traces):
             est1, est2 = summarize(values), summarize(values * values)
             block[name]["mc"] = {"mean": est1.value, "mean_se": est1.std_error,
                                  "second_moment": est2.value,
                                  "second_moment_se": est2.std_error,
                                  "n_samples": mc_samples}
-    for name, obs in q.observables.items():
-        pred = second_moment_expectation(rho0, q.partition, obs, obs)
+    for name, obs in observables.items():
+        pred = second_moment_expectation(rho0, partition, obs, obs)
         block[name].update(
             theory_mean=pred.mean_a,
             theory_sigma=float(np.sqrt(max(pred.connected, 0.0))),
@@ -360,7 +378,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full pipeline for one disorder realization."""
     t_begin = time.perf_counter()
     q = prepare_quench(config)
-    energies = q.eig.energies
+    energies = q.spec.eig.energies
     pair = [(p.n_left_up, p.left_index, p.right_index) for p in (q.prod1, q.prod2)]
     same_product_state = pair[0] == pair[1]
     if same_product_state:
@@ -375,8 +393,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         protocols_out: dict = {}
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            block = prediction_block(q, rho0, config.mc_samples,
-                                     config.disorder_seed)
+            block = prediction_block(rho0, q.spec.partition, q.observables,
+                                     config.mc_samples, config.disorder_seed)
             for name, obs in q.observables.items():
                 ts = evolve_expectation(rho0, obs, energies, grid)
                 stats = time_stats(ts)
@@ -405,7 +423,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         report = ExperimentReport(
             config=asdict(config),
-            spectral=spectral_block(q),
+            spectral=spectral_block(q.spec),
             states=states_info,
             protocols=protocols_out,
             closed_form=closed,

@@ -21,11 +21,12 @@ from ergoquench.errors import PipelineError, StateValidationError
 from ergoquench.experiment import (ARTIFACTS, MAX_COUNT, ExperimentConfig,
                                    ExperimentReport, ExperimentResult,
                                    disorder_average, find_product_eigenstates,
-                                   json_text, prepare_protocol_state,
-                                   prepare_quench, run_experiment,
+                                   json_text, prediction_block,
+                                   prepare_protocol_state, prepare_quench,
+                                   quench_states, run_experiment,
                                    write_artifacts)
 from ergoquench.haar_oracle import estimate_moments
-from ergoquench.spectral import diagonalize
+from ergoquench.spectral import cluster_sectors, diagonalize
 from ergoquench.spin_chain import build_basis, build_hamiltonian, draw_disorder
 
 from conftest import random_pure, read_series_csv
@@ -178,17 +179,22 @@ class TestProductEigenstates:
         return best
 
     @pytest.mark.parametrize("k", [0, 1], ids=["near_min", "near_max"])
-    @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_matches_exhaustive_scan(self, seed, k):
-        # one call gives both edges; each case checks the state at edge k
+    @pytest.mark.parametrize("seed,f", [(0, 0.0), (3, 0.0), (7, 0.0),
+                                        (3, 0.25)],
+                             ids=["0", "3", "7", "3-interior"])
+    def test_matches_exhaustive_scan(self, seed, f, k):
+        # one call gives both targets, (E_min + f W, E_max - f W) over the
+        # spectral width W; each case checks the state nearest target k
         fields = draw_disorder(6, 1.0, seed=seed)
         basis = build_basis(6, 0)
-        bounds = edge_bounds(basis, fields)
-        found = find_product_eigenstates(1.0, fields, basis, bounds)[k]
-        dev, n_left, a, b = self.brute_force(fields, bounds[k])
+        e_min, e_max = edge_bounds(basis, fields)
+        inset = f * (e_max - e_min)
+        targets = (e_min + inset, e_max - inset)
+        found = find_product_eigenstates(1.0, fields, basis, targets)[k]
+        dev, n_left, a, b = self.brute_force(fields, targets[k])
         assert (found.n_left_up, found.left_index, found.right_index) == \
             (n_left, a, b)
-        assert abs(found.energy - bounds[k]) == pytest.approx(dev, abs=1e-12)
+        assert abs(found.energy - targets[k]) == pytest.approx(dev, abs=1e-12)
 
     @pytest.mark.parametrize("total_sz,expected", [(0, (0, 0, 0)),
                                                    (8, (4, 0, 0))])
@@ -312,7 +318,7 @@ class TestReducedStates:
 class TestPrepareQuench:
     def test_real_pipeline_stays_real(self):
         q = prepare_quench(fast_config())
-        arrays = {"eigenvectors": q.eig.vectors,
+        arrays = {"eigenvectors": q.spec.eig.vectors,
                   "H_R": q.observables["H_R"].entries,
                   "Q u": q.observables["Q"].u,
                   "Q v": q.observables["Q"].v}
@@ -328,7 +334,8 @@ class TestPrepareQuench:
         # the L = 12 chain (d = 924): H is solved in place (H and dsyevd's
         # 2 d^2 workspace), then H_R V is formed over H_R (V, H_R and the
         # rotated matrix), which goes before the average (V, the rotated
-        # matrix and its average).  At L = 10 (d = 252) the average's
+        # matrix and its average); the product states, found last, add
+        # vectors of length d only.  At L = 10 (d = 252) the average's
         # 128 x 128 tile temporaries would add 0.5 d^2.  A first small run
         # loads the solver, whose one-time allocations are not part of it.
         config = ExperimentConfig(L=12, time_window=(3000.0, 3049.5, 100))
@@ -341,8 +348,65 @@ class TestPrepareQuench:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q.basis.dim == 924
-        assert peak - start <= 3.1 * q.basis.dim ** 2 * 8
+        assert q.spec.basis.dim == 924
+        assert peak - start <= 3.1 * q.spec.basis.dim ** 2 * 8
+
+    def test_one_spectrum_serves_many_targets_and_partitions(self,
+                                                             monkeypatch):
+        # L = 10 (d = 252): three target pairs, (E_min + f W, E_max - f W)
+        # over the spectral width W, and five partitions, all from one
+        # full-chain diagonalization and one rotation of H_R
+        solved, rotated = [], []
+        solve = experiment.diagonalize
+        rotate = spectral.EigenSystem.to_eigenbasis
+
+        def counting_solve(op, **kwargs):
+            solved.append(op.dim)
+            return solve(op, **kwargs)
+
+        def counting_rotate(eig, *args, **kwargs):
+            rotated.append(len(eig.energies))
+            return rotate(eig, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "diagonalize", counting_solve)
+        monkeypatch.setattr(spectral.EigenSystem, "to_eigenbasis",
+                            counting_rotate)
+        config = ExperimentConfig(L=10, time_window=(3000.0, 3049.5, 100))
+        q = prepare_quench(config)
+        spec, h_r = q.spec, q.observables["H_R"]
+        e_min, e_max = spec.bounds
+        width = e_max - e_min
+        pairs = [quench_states(spec, config.J, (e_min + f * width,
+                                                e_max - f * width), h_r)
+                 for f in (0.0, 0.1, 0.25)]
+        partitions = [cluster_sectors(spec.eig.energies, rel * width)
+                      for rel in (1e-8, 1e-3, 1e-2, 3e-2, 1e-1)]
+        blocks = [prediction_block(prepare_protocol_state(p.phi1, p.phi2, pr),
+                                   part, p.observables, 0, 0)
+                  for p in pairs for part in partitions
+                  for pr in ("cat", "mixed")]
+        d = spec.basis.dim
+        assert d == 252 and solved.count(d) == 1 and rotated == [d]
+        # f = 0 is the run's pair, bit for bit
+        edge = pairs[0]
+        for name in ("vector", "energy", "n_left_up", "left_index",
+                     "right_index"):
+            for got, want in ((edge.prod1, q.prod1), (edge.prod2, q.prod2)):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(edge.phi1, q.phi1)
+        assert np.array_equal(edge.phi2, q.phi2)
+        # the targets move inward, and so do the states nearest them
+        lows = [p.prod1.energy for p in pairs]
+        highs = [p.prod2.energy for p in pairs]
+        assert lows == sorted(set(lows)) and highs == sorted(set(highs))[::-1]
+        # the run's own partition first, then ever coarser ones
+        assert np.array_equal(partitions[0].starts, spec.partition.starts)
+        counts = [part.n_sectors for part in partitions]
+        assert counts == sorted(set(counts))[::-1]
+        assert len(blocks) == 30 and all(
+            math.isfinite(entry[key]) for block in blocks
+            for entry in block.values()
+            for key in ("theory_mean", "theory_sigma"))
 
 
 @pytest.fixture
@@ -427,10 +491,10 @@ class TestRunExperiment:
         for protocol in ("cat", "mixed"):
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             for name, obs in q.observables.items():
-                first, = estimate_moments(rho0, q.partition, [obs], 1, 40,
-                                          seed=config.disorder_seed)
-                second, = estimate_moments(rho0, q.partition, [obs, obs], 2,
-                                           40, seed=config.disorder_seed)
+                first, = estimate_moments(rho0, q.spec.partition, [obs], 1,
+                                          40, seed=config.disorder_seed)
+                second, = estimate_moments(rho0, q.spec.partition, [obs, obs],
+                                           2, 40, seed=config.disorder_seed)
                 assert res.report.protocols[protocol][name]["mc"] == {
                     "mean": first.value, "mean_se": first.std_error,
                     "second_moment": second.value,
@@ -484,8 +548,9 @@ class TestRunExperiment:
         grid = np.linspace(*config.time_window)
         for protocol in ("cat", "mixed"):
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            pred = second_moment_expectation(rho0, q.partition, dense, dense)
-            series = evolve_expectation(rho0, dense, q.eig.energies, grid)
+            pred = second_moment_expectation(rho0, q.spec.partition, dense,
+                                             dense)
+            series = evolve_expectation(rho0, dense, q.spec.eig.energies, grid)
             stats = time_stats(series)
             want = {"theory_mean": pred.mean_a,
                     "theory_sigma": float(np.sqrt(max(pred.connected, 0.0))),
@@ -822,11 +887,20 @@ class TestCli:
         assert code == 1
         assert "[config]" in capsys.readouterr().err
 
-    def test_invalid_config_is_tagged_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [
+        ('{"L": 7}', "L must be even"),
+        ('"abc"', "a config must be a JSON object, got str"),
+        ("5", "a config must be a JSON object, got int"),
+        ("[]", "a config must be a JSON object, got list"),
+        ('{"time_window": [1, 2]}',
+         "time_window must be [start, end, count], got [1, 2]"),
+    ], ids=["odd_length", "string", "number", "list", "two_value_window"])
+    def test_invalid_config_is_tagged_error(self, text, message, tmp_path,
+                                            capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"L": 7}))
+        path.write_text(text)
         assert main(["run", "--config", str(path)]) == 1
-        assert "[config]" in capsys.readouterr().err
+        assert f"[config] {message}" in capsys.readouterr().err
 
     def test_oracle_at_full_size(self, tmp_path, capsys):
         # L = 12, d = 924 in singleton sectors: both moments of every
@@ -861,7 +935,7 @@ class TestCli:
             for name, obs in q.observables.items():
                 mc = data["protocols"][protocol][name]["mc"]
                 for order, moment in ((1, "mean"), (2, "second_moment")):
-                    est, = estimate_moments(rho0, q.partition, [obs] * order,
+                    est, = estimate_moments(rho0, q.spec.partition, [obs] * order,
                                             order, 30,
                                             seed=config.disorder_seed)
                     assert (mc[moment], mc[moment + "_se"]) == (
