@@ -32,11 +32,13 @@ All inputs must be Hermitian.  Every operand of `ensemble_mean` and
 `second_moment_expectation`, of the Monte-Carlo oracle that checks them
 and of the phase sums (`dynamics.evolve_expectation`) passes one check
 (`_checked`): it must have the partition's dimension, and a raw array,
-not a DensityMatrix, HermitianOperator or PairOperator, must be
-Hermitian to HERMITICITY_ATOL, with no NaN or inf.  Every state operand
-is a DensityMatrix (`_checked_state`): a raw state that passes `_checked`
-becomes one, so it must also have unit trace to TRACE_ATOL and be
-positive semidefinite to PSD_ATOL.
+not a DensityMatrix, HermitianOperator or PairOperator (each checked
+when it is made), must pass `spin_chain.checked_hermitian`, the one
+Hermiticity check of the package: Hermitian to HERMITICITY_ATOL, with a
+non-finite entry named as such.  Every state operand is a DensityMatrix
+(`_checked_state`): a raw state that passes `_checked` becomes one, so
+it must also have unit trace to TRACE_ATOL and be positive semidefinite
+to PSD_ATOL.
 The pair traces are taken without a transposed read: with X^T = conj(X),
 
     R2[i, j] = tr(rho^(ij) rho^(ji)) = block sums of |rho|^2
@@ -66,8 +68,8 @@ import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError, StateValidationError
 from .spectral import SectorPartition
-from .spin_chain import (HERMITICITY_ATOL, NORM_ATOL, HermitianOperator,
-                         PairOperator, as_inexact_array, hermitian_deviation)
+from .spin_chain import (NORM_ATOL, HermitianOperator, PairOperator,
+                         as_inexact_array, checked_hermitian)
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -93,12 +95,7 @@ class DensityMatrix:
     __slots__ = ("_entries", "weights", "vectors")
 
     def __init__(self, entries):
-        m = as_inexact_array(entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateValidationError(f"density matrix must be square, got {m.shape}")
-        herm = hermitian_deviation(m)
-        if not (herm <= HERMITICITY_ATOL):  # NaN and inf fail too
-            raise StateValidationError(f"not Hermitian, max deviation {herm:.3e}")
+        m, _ = checked_hermitian(entries, StateValidationError)
         tr = m.trace()
         if not (abs(tr - 1.0) <= TRACE_ATOL):
             raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -171,8 +168,7 @@ def _checked(x, dim: int, factors: bool = True):
     (`_factored`), else its dense matrix (`_operator`).  A dimension other
     than `dim` raises SectorError.  A raw array (not a DensityMatrix,
     HermitianOperator or PairOperator, which are checked on creation) that
-    is not Hermitian to HERMITICITY_ATOL raises StateValidationError; NaN
-    and inf fail too."""
+    fails `checked_hermitian` raises StateValidationError."""
     resolved = (_factored(x) if factors else None) or _operator(x)
     shape = ((len(resolved[0]),) * 2 if isinstance(resolved, tuple)
              else resolved.shape)
@@ -180,10 +176,7 @@ def _checked(x, dim: int, factors: bool = True):
         raise SectorError(f"operand of shape {shape} does not match the "
                           f"{dim} energy levels")
     if not isinstance(x, (DensityMatrix, HermitianOperator, PairOperator)):
-        dev = hermitian_deviation(resolved)
-        if not (dev <= HERMITICITY_ATOL):
-            raise StateValidationError(
-                f"input not Hermitian, max deviation {dev:.3e}")
+        resolved, _ = checked_hermitian(resolved, StateValidationError)
     return resolved
 
 

@@ -91,8 +91,10 @@ class ExperimentConfig:
             raise ValueError(f"need 100 to {MAX_COUNT} time points, got {n}")
         if not math.isfinite(_real("J", self.J)):
             raise ValueError(f"J must be finite, got {self.J}")
-        if not (0 <= _real("h", self.h) < math.inf):
-            raise ValueError(f"h (disorder bound) must be finite and >= 0, got {self.h}")
+        # draw_disorder's uniform(-h, h) needs a finite width 2 h
+        if not (0 <= _real("h", self.h) <= np.finfo(np.float64).max / 2):
+            raise ValueError(f"h (disorder bound) must be >= 0 and at most "
+                             f"float64 max / 2, got {self.h}")
         if not (self.mc_samples == 0 or 2 <= self.mc_samples <= MAX_COUNT):
             raise ValueError(f"mc_samples must be 0 or 2 to {MAX_COUNT}, "
                              f"got {self.mc_samples}")

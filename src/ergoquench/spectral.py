@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError
-from .spin_chain import HermitianOperator, hermitian_deviation
+from .spin_chain import HermitianOperator
 
 # rows of M per tile of EigenSystem.to_eigenbasis's sparse product M V
 SUPPORT_TILE = 64
@@ -71,7 +71,9 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
     The vectors have the operator's dtype: real for a real-symmetric
     operator, complex for a complex Hermitian one.  A solver that fails to
     converge, or whose energies overflow to inf or NaN (entries near the
-    float64 limit), raises NumericalIntegrityError.
+    float64 limit), raises NumericalIntegrityError; the message gives the
+    count of non-finite energies and the largest finite |E|.  Nothing is
+    measured on the operator itself, before the solve or after it.
 
     A real operator is diagonalized by LAPACK dsyevd in place on one
     Fortran-ordered copy of its entries, so the solver holds three d x d
@@ -86,34 +88,27 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
     whose entries equal their transpose exactly, as build_hamiltonian's
     do, is then solved in place on its own buffer read as the Fortran
     array M^T, which holds the same matrix: no copy is made, and the call
-    holds three d x d arrays in all.  Any other operator takes the copy,
-    so the energies and vectors have the same bits either way.
+    holds three d x d arrays in all.  Exact symmetry is the deviation the
+    operator measured when it was made (`HermitianOperator.deviation`
+    is 0.0), so its entries must not have changed since.  Any other
+    operator takes the copy, so the energies and vectors have the same
+    bits either way.
     """
     m = op.entries
     in_place = (overwrite and m.dtype == np.float64 and m.flags.writeable
-                and hermitian_deviation(m) == 0.0)
-    # the scale a failure reports: a solve in place overwrites the
-    # entries, so it is measured first; any other only once it has failed
-    before = _max_abs(m) if in_place else None
-
-    def scale() -> float:
-        return _max_abs(m) if before is None else before
-
+                and op.deviation == 0.0)
     try:
         energies, vectors = _eigh(m.T if in_place else m)
     except np.linalg.LinAlgError as exc:
         raise NumericalIntegrityError(
-            f"eigensolver did not converge (dim={op.dim}, max|entry|={scale():.3e}): {exc}"
-        ) from exc
-    if not np.all(np.isfinite(energies)):  # overflow inside the solver
+            f"eigensolver did not converge (dim={op.dim}): {exc}") from exc
+    finite = np.isfinite(energies)
+    if not np.all(finite):  # overflow inside the solver
+        largest = float(np.max(np.abs(energies[finite]), initial=0.0))
         raise NumericalIntegrityError(
-            f"eigensolver returned non-finite energies (dim={op.dim}, "
-            f"max|entry|={scale():.3e})")
+            f"eigensolver returned {np.count_nonzero(~finite)} non-finite "
+            f"energies of {op.dim}, largest finite |E| {largest:.3e}")
     return EigenSystem(energies=energies, vectors=vectors)
-
-
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,7 @@ def tile_pairs(dim: int):
 
 def hermitian_deviation(m: np.ndarray) -> float:
     """max |m - m^dag| of a square matrix, read one tile pair at a time.
+    `checked_hermitian` is its one caller in the package.
 
     Any non-finite entry makes the result NaN or inf, so a caller's
     `not (dev <= tol)` rejects it.
@@ -58,6 +59,23 @@ def hermitian_deviation(m: np.ndarray) -> float:
     with np.errstate(invalid="ignore", over="ignore"):
         return float(np.max([np.max(np.abs(m[r, c] - m[c, r].conj().T))
                              for r, c in tile_pairs(m.shape[0])]))
+
+
+def checked_hermitian(m, error: type[Exception]) -> tuple[np.ndarray, float]:
+    """m as a square inexact array (`as_inexact_array`) and its
+    `hermitian_deviation`, or `error` unless it is Hermitian to
+    HERMITICITY_ATOL: the one check of every dense operator and state.
+    Non-finite entries are looked for only once the deviation has failed,
+    to name the cause, so an operand that passes costs one pass."""
+    m = as_inexact_array(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise error(f"operator must be square, got {m.shape}")
+    dev = hermitian_deviation(m)
+    if not (dev <= HERMITICITY_ATOL):  # NaN and inf fail too
+        if not np.all(np.isfinite(m)):
+            raise error("operator has a non-finite entry")
+        raise error(f"operator not Hermitian, max deviation {dev:.3e}")
+    return m, dev
 
 
 @dataclass(frozen=True)
@@ -102,19 +120,17 @@ def draw_disorder(n_sites: int, h_bound: float, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense operator on the sector, validated to be Hermitian on creation.
+    """A dense operator on the sector, validated to be Hermitian on creation
+    (`checked_hermitian`); `deviation` keeps the deviation measured then.
     Real input stays real."""
 
     entries: np.ndarray
+    deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = as_inexact_array(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConstructionError(f"operator must be square, got {m.shape}")
-        dev = hermitian_deviation(m)
-        if not (dev <= HERMITICITY_ATOL):  # NaN and inf fail too
-            raise ConstructionError(f"operator not Hermitian, max deviation {dev:.3e}")
+        m, dev = checked_hermitian(self.entries, ConstructionError)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "deviation", dev)
 
     @property
     def dim(self) -> int:

@@ -58,7 +58,7 @@ class TestDensityMatrix:
     def test_rejects_non_finite_entries(self, bad):
         m = np.diag([0.5, 0.5, 0.0])
         m[2, 2] = bad
-        with pytest.raises(StateValidationError, match="not Hermitian"):
+        with pytest.raises(StateValidationError, match="non-finite entry"):
             DensityMatrix(m)
 
     def test_rejects_negative_eigenvalue(self):
@@ -176,9 +176,11 @@ class TestEnsembleMean:
         m = np.diag([0.5, 0.5]).astype(complex)
         if defect == "NaN":
             m[0, 1] = np.nan
+            cause = "non-finite entry"
         else:
             m[0, 1] = 0.1
-        with pytest.raises(StateValidationError, match="not Hermitian"):
+            cause = "not Hermitian"
+        with pytest.raises(StateValidationError, match=cause):
             ensemble_mean(m, singleton_partition(2))
 
     def test_exactly_hermitian_raw_state_matches_typed(self):

@@ -894,7 +894,11 @@ class TestCli:
         ("[]", "a config must be a JSON object, got list"),
         ('{"time_window": [1, 2]}',
          "time_window must be [start, end, count], got [1, 2]"),
-    ], ids=["odd_length", "string", "number", "list", "two_value_window"])
+        # uniform(-h, h) would overflow its width 2 h
+        ('{"L": 8, "h": 1e308}', "h (disorder bound) must be >= 0 and at "
+         "most float64 max / 2, got 1e+308"),
+    ], ids=["odd_length", "string", "number", "list", "two_value_window",
+            "overflowing_disorder_width"])
     def test_invalid_config_is_tagged_error(self, text, message, tmp_path,
                                             capsys):
         path = tmp_path / "bad.json"
@@ -1125,6 +1129,8 @@ class TestCliSharedPrefix:
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     @pytest.mark.parametrize("raw,tag", [
         ({"L": 4, "total_sz": 1}, "[build]"),              # parity mismatch
+        # symmetric, but its diagonal overflows to inf and inf - inf is NaN
+        ({"L": 8, "J": 5e307}, "[build] operator has a non-finite entry"),
     ])
     def test_prefix_failure_has_the_same_stage_tag(self, command, raw, tag,
                                                    tmp_path, capsys):

@@ -351,8 +351,10 @@ class TestEstimateMoments:
         bad = inputs[which] = inputs[which].astype(complex)
         if defect == "NaN":
             bad[0, 3] = bad[3, 0] = np.nan
+            cause = "non-finite entry"
         else:
             bad[0, 3] += 1e-6j  # no conjugate partner
+            cause = "not Hermitian"
         rho, a, b = inputs["rho"], inputs["a"], inputs["b"]
         calls = [lambda: estimate_moments(rho, part, [a, b], order=1,
                                           n_samples=10, seed=0),
@@ -362,7 +364,7 @@ class TestEstimateMoments:
         if which == "rho":
             calls.append(lambda: estimate_state_mean(rho, part, 10, 0))
         for call in calls:
-            with pytest.raises(StateValidationError, match="not Hermitian"):
+            with pytest.raises(StateValidationError, match=cause):
                 call()
 
     def test_typed_and_exactly_hermitian_raw_operands_accepted(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergoquench import spectral
+from ergoquench import spectral, spin_chain
 from ergoquench.errors import NumericalIntegrityError, SectorError
 from ergoquench.spectral import (SectorPartition, cluster_sectors,
                                  diagonalize, level_spacing_ratio)
@@ -54,7 +54,9 @@ class TestDiagonalize:
             return energies, vectors
 
         monkeypatch.setattr(spectral, "_eigh", overflowing_eigh)
-        with pytest.raises(NumericalIntegrityError, match="non-finite energies"):
+        with pytest.raises(NumericalIntegrityError,
+                           match=r"1 non-finite energies of 3, "
+                                 r"largest finite \|E\| 2\.000e\+00"):
             diagonalize(HermitianOperator(np.diag([3.0, 1.0, 2.0])))
 
     @settings(max_examples=60, deadline=None)
@@ -97,6 +99,31 @@ class TestDiagonalize:
         assert np.array_equal(eig.energies, energies)
         assert np.array_equal(eig.vectors, vectors)
         assert np.array_equal(op.entries, m)
+
+    @pytest.mark.skipif(spectral._dsyevd() is None,
+                        reason="numpy does not export dsyevd")
+    def test_overwrite_takes_the_deviation_measured_on_creation(self,
+                                                                monkeypatch):
+        # the L = 10 chain: its exact symmetry is the deviation measured
+        # when it was built, and diagonalize makes no pass of its own
+        op = build_hamiltonian(build_basis(10, 0), 1.0,
+                               draw_disorder(10, 1.0, seed=0))
+        assert op.deviation == 0.0
+        before = op.entries.copy()
+
+        def no_pass(m):
+            raise AssertionError("the operator was measured again")
+
+        monkeypatch.setattr(spin_chain, "hermitian_deviation", no_pass)
+        monkeypatch.setattr(spectral, "hermitian_deviation", no_pass,
+                            raising=False)
+        eig = diagonalize(op, overwrite=True)
+        energies, vectors = np.linalg.eigh(before)
+        assert np.array_equal(eig.energies, energies)
+        assert np.array_equal(eig.vectors, vectors)
+        # solved in place: the buffer, read as the Fortran array M^T, now
+        # holds the eigenvectors
+        assert np.array_equal(op.entries.T, vectors)
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_fallback_is_eigh(self, complex_data, monkeypatch):

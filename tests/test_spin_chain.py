@@ -131,8 +131,14 @@ class TestHermitianOperator:
         with pytest.raises(ConstructionError):
             HermitianOperator(np.zeros((2, 3)))
 
+    def test_keeps_the_deviation_it_measured(self):
+        m = np.array([[1.0, 2.0], [2.0 + 1e-13, 0.0]])
+        op = HermitianOperator(m)
+        assert op.deviation == hermitian_deviation(m) > 0.0
+        assert "deviation" not in repr(op)
+
     def test_rejects_nan(self):
-        with pytest.raises(ConstructionError, match="not Hermitian"):
+        with pytest.raises(ConstructionError, match="non-finite entry"):
             HermitianOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_symmetrized_accepts_rounding_noise(self):
@@ -175,7 +181,7 @@ class TestHermitianDeviation:
         m = np.zeros((ADJOINT_TILE + 5, ADJOINT_TILE + 5))
         m[where] = m[where[::-1]] = bad  # symmetric, so only its value is wrong
         assert not (hermitian_deviation(m) <= 1.0)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="non-finite entry"):
             HermitianOperator(m)
 
     def test_overflowing_difference_is_inf_under_any_errstate(self):
@@ -183,7 +189,8 @@ class TestHermitianDeviation:
         m = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
         with np.errstate(over="raise"):
             assert hermitian_deviation(m) == np.inf
-            with pytest.raises(ConstructionError):
+            with pytest.raises(ConstructionError,
+                               match="not Hermitian, max deviation inf"):
                 HermitianOperator(m)
 
 
