@@ -49,16 +49,17 @@ series of one run, which share both, compute them once.
   forms are x.U.x over the rows x of [c; s], one product per tile column
   of U.  The operands are Hermitian, so C is too and A is symmetric: U
   holds the diagonal tiles of A and twice its upper tiles, half the GEMM
-  flops of the full product.  For complex data s.(B - B^T).c is one whole
-  product.  C is the only d x d array this kernel builds, and only its
-  tiles on and above the diagonal are formed, each once
+  flops of the full product.  For complex data s.(B - B^T).c is
+  s.B.c - c.B.s, a second product per tile column of Im U.  U, kept as
+  its tile columns, about d^2 / 2 values, is all this kernel builds of
+  C: only the tiles on and above the diagonal are formed, each once
   (`_phase_coefficients`); a factored state is never formed whole, each
   tile of rho_0 is formed from P and S where C needs it.
 
 Real data stays real: real coefficients are multiplied by the real cos
-and sin, never promoted to complex.  Only complex data reads a whole
-matrix transposed, to form B - B^T in `_dense_series`.  A series value
-that is not finite, from either kernel, raises NumericalIntegrityError.
+and sin, never promoted to complex.  No matrix is read transposed.  A
+series value that is not finite, from either kernel, raises
+NumericalIntegrityError.
 """
 
 from __future__ import annotations
@@ -170,13 +171,15 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
 
     the real part of u C u^dag with u = exp(-i E t), which is the whole
     phase sum for Hermitian inputs.  Each run of sub-blocks fills the
-    rows x of [c; s] by angle addition in one reused buffer, and the two
-    quadratic forms are x.U.x, one product per tile column of the block
-    upper triangle U that `_phase_coefficients` forms in Re C.
+    rows x of [c; s] by angle addition in one reused buffer, and the
+    quadratic forms are read one tile column of the block upper triangle
+    U of C at a time, as `_phase_coefficients` keeps it: x.A.x = x.U.x
+    takes one product per tile column of Re U, and for complex data
+    s.(B - B^T).c = s.B.c - c.B.s a second one of Im U.  Besides the
+    observable and the state, the call holds U, about d^2 / 2 values.
     """
-    coeff = _phase_coefficients(m, o)
-    upper = np.ascontiguousarray(coeff.real)  # no copy for real inputs
-    b = coeff.imag - coeff.imag.T if np.iscomplexobj(coeff) else None
+    columns = _phase_coefficients(m, o)
+    complex_data = any(im is not None for _, im in columns)
     d = len(e)
     values = np.empty(len(t))
     buffer = np.empty(0)  # fresh pages for each run cost more than its fill
@@ -198,13 +201,17 @@ def _dense_series(m, o: np.ndarray, e: np.ndarray,
                 s += ds
         x = x.reshape(2 * rows, d)
         v = np.zeros(2 * rows)
-        for lo in range(0, d, ADJOINT_TILE):
-            cols = slice(lo, lo + ADJOINT_TILE)
-            head = slice(0, cols.stop)
-            v += np.einsum("tm,tm->t", x[:, head] @ upper[head, cols], x[:, cols])
+        v_b = np.zeros(rows) if complex_data else None
+        for lo, (re, im) in zip(range(0, d, ADJOINT_TILE), columns):
+            cols, head = slice(lo, lo + ADJOINT_TILE), slice(0, len(re))
+            v += np.einsum("tm,tm->t", x[:, head] @ re, x[:, cols])
+            if v_b is not None:  # [c.B; s.B] of this tile column
+                xb = x[:, head] @ im
+                v_b += (np.einsum("tm,tm->t", xb[rows:], x[:rows, cols])
+                        - np.einsum("tm,tm->t", xb[:rows], x[rows:, cols]))
         v = v[:rows] + v[rows:]
-        if b is not None:
-            v += np.einsum("tm,tm->t", x[rows:] @ b, x[:rows])
+        if v_b is not None:
+            v += v_b
         values[start:start + rows] = v
     return values
 
@@ -338,9 +345,12 @@ def _split(x):
     return hi, x - hi
 
 
-def _phase_coefficients(m, o: np.ndarray) -> np.ndarray:
-    """C = m * o.T (elementwise, C[a, b] = rho_ab O_ba), formed only on and
-    above the diagonal tiles: the tiles above are doubled, those below 0.
+def _phase_coefficients(m, o: np.ndarray) -> list:
+    """The block upper triangle U of C = m * o.T (elementwise,
+    C[a, b] = rho_ab O_ba), one pair (Re U, Im U) per tile column: the
+    rows [0, cols.stop) of the column tile `cols`, the tiles above the
+    diagonal doubled.  Im U is None for real data.  The columns hold
+    d (d + ADJOINT_TILE) / 2 values, the whole of what the series reads.
 
     Both operands passed `ergodic_ensemble._checked`, so they are
     Hermitian: o.T = conj(o), and each tile of `spin_chain.tile_pairs` is
@@ -349,18 +359,25 @@ def _phase_coefficients(m, o: np.ndarray) -> np.ndarray:
     Re C: the diagonal tiles of A and twice its upper tiles.  In Im C the
     same layout gives B - B^T as the whole of B would.  m is a matrix, or
     the factors (P, S) of rho = P S P^dag, each tile of rho formed as
-    (P[r] @ S) @ P[c]^dag.  The tiles below the diagonal keep the 0 of
-    np.zeros, so for real data their pages are never touched.
+    (P[r] @ S) @ P[c]^dag.
     """
     p, s = m if isinstance(m, tuple) else (None, None)
-    coeff = np.zeros(o.shape, dtype=np.result_type(m if p is None else p, o))
-    for r, c in tile_pairs(len(o)):
+    d = len(o)
+    real = not np.iscomplexobj(o) and not np.iscomplexobj(m if p is None else p)
+    shapes = [(min(lo + ADJOINT_TILE, d), min(ADJOINT_TILE, d - lo))
+              for lo in range(0, d, ADJOINT_TILE)]
+    columns = [(np.empty(shape), None if real else np.empty(shape))
+               for shape in shapes]
+    for r, c in tile_pairs(d):
         rho = m[r, c] if p is None else (p[r] @ s) @ p[c].conj().T
-        tile = coeff[r, c]
-        np.multiply(rho, o[r, c].conj(), out=tile)
+        tile = rho * o[r, c].conj()
         if r != c:
             tile *= 2.0
-    return coeff
+        re, im = columns[c.start // ADJOINT_TILE]
+        re[r] = tile.real
+        if im is not None:
+            im[r] = tile.imag
+    return columns
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dynamics import evolve_expectation, time_stats
-from .ergodic_ensemble import (DensityMatrix, SHARED_SUPPORT_THRESHOLD,
+from .ergodic_ensemble import (_FLOAT_MAX, DensityMatrix,
+                               SHARED_SUPPORT_THRESHOLD,
                                cat_q_variance_closed_form,
                                second_moment_expectation)
 from .errors import NumericalIntegrityError, PipelineError, StateValidationError
 from .haar_oracle import sample_traces, summarize
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
-                       diagonalize, level_spacing_ratio)
+                       diagonalize, level_spacing_ratio, require_memory)
 from .spin_chain import (HermitianOperator, SpinBasis, build_basis,
                          build_hamiltonian, build_projector_observable,
                          draw_disorder, symmetrized)
@@ -92,9 +93,18 @@ class ExperimentConfig:
         if not math.isfinite(_real("J", self.J)):
             raise ValueError(f"J must be finite, got {self.J}")
         # draw_disorder's uniform(-h, h) needs a finite width 2 h
-        if not (0 <= _real("h", self.h) <= np.finfo(np.float64).max / 2):
+        if not (0 <= _real("h", self.h) <= _FLOAT_MAX / 2):
             raise ValueError(f"h (disorder bound) must be >= 0 and at most "
                              f"float64 max / 2, got {self.h}")
+        # the largest |entry| of H in units of float64 max, which does not
+        # overflow: a diagonal sum of L - 1 bonds and L fields, or a hop
+        # 2 J, which is larger only at L = 2
+        j, h = abs(self.J) / _FLOAT_MAX, self.h / _FLOAT_MAX
+        largest = max((self.L - 1) * j + self.L * h, 2 * j)
+        if largest > 1.0:
+            raise ValueError(
+                f"J = {self.J} and h = {self.h} give Hamiltonian entries up "
+                f"to {largest:.3g} times float64 max at L = {self.L}")
         if not (self.mc_samples == 0 or 2 <= self.mc_samples <= MAX_COUNT):
             raise ValueError(f"mc_samples must be 0 or 2 to {MAX_COUNT}, "
                              f"got {self.mc_samples}")
@@ -287,9 +297,11 @@ class QuenchPrefix:
 
 
 def prepare_spectrum(config: ExperimentConfig) -> SpectralPrefix:
-    """Build and diagonalize the full chain and partition its spectrum."""
+    """Build and diagonalize the full chain and partition its spectrum,
+    once its dimension has passed `require_memory`."""
     with _stage("build"):
         basis = build_basis(config.L, config.total_sz)
+        require_memory(basis.dim)
         h_fields = draw_disorder(config.L, config.h, config.disorder_seed)
         ham = build_hamiltonian(basis, config.J, h_fields)
     with _stage("diagonalize"):
@@ -344,11 +356,12 @@ def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
         ham_right = build_hamiltonian(spec.basis, config.J * right[:-1],
                                       spec.fields * right)
     with _stage("diagonalize"):
-        # H_R V is formed over H_R's entries, which go once rotated:
-        # besides V, no step holds more than two d x d arrays
+        # H_R is rotated and averaged over its own buffer: besides V, no
+        # step holds more than H_R and a block of its columns
         rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
         del ham_right
-        return quench_states(spec, config.J, spec.bounds, symmetrized(rotated))
+        return quench_states(spec, config.J, spec.bounds,
+                             symmetrized(rotated, overwrite=True))
 
 
 def prediction_block(rho0: DensityMatrix, partition: SectorPartition,

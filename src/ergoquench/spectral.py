@@ -16,10 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalIntegrityError, SectorError
-from .spin_chain import HermitianOperator
+from .spin_chain import ADJOINT_TILE, HermitianOperator
 
 # rows of M per tile of EigenSystem.to_eigenbasis's sparse product M V
 SUPPORT_TILE = 64
+# column blocks of EigenSystem.to_eigenbasis's V^dag (M V), one product
+# each: a block holds d^2 / ROTATION_BLOCKS values, and narrower blocks
+# make each product stream all of V for fewer columns
+ROTATION_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -34,17 +38,17 @@ class EigenSystem:
         """V^dag M V without re-symmetrization (callers wrap if needed).
 
         M V is formed SUPPORT_TILE rows at a time, each tile multiplied
-        only with the rows of V where it has a nonzero column, and one
-        dense product V^dag (M V) follows.  A local Hamiltonian in the
-        sector basis has a few nonzeros per row, so M V costs far less
-        than a GEMM; a dense M has full support and takes V whole.
+        only with the rows of V where it has a nonzero column, and then
+        V^dag (M V) in ROTATION_BLOCKS blocks of columns, each written
+        over the columns of M V it was formed from.  A local Hamiltonian
+        in the sector basis has a few nonzeros per row, so M V costs far
+        less than a GEMM; a dense M has full support and takes V whole.
 
         With overwrite=True the caller gives M up.  When M is a writeable
         C-ordered array of the result's dtype, each tile of M V is written
         over the rows of M it was formed from, so the call holds V, M and
-        the result and no separate M V.  A caller that then drops M holds
-        two d x d arrays.  The bits are those of the default path, which
-        never changes M.
+        one block of columns, 2.25 d^2, and the result is M's own buffer.  The bits are those of the default path, which never
+        changes M and forms the same tiles and blocks in a new array.
         """
         m = np.asarray(entries)
         v = self.vectors
@@ -59,10 +63,39 @@ class EigenSystem:
                 np.matmul(tile, v, out=out)
             else:  # the gathered copies are freed as soon as they are used
                 np.matmul(tile[:, cols], v[cols], out=out)
-        return v.conj().T @ mv
+        adjoint = v.conj().T  # a view for real V
+        width = max(1, -(-mv.shape[1] // ROTATION_BLOCKS))
+        for lo in range(0, mv.shape[1], width):
+            block = mv[:, lo:lo + width]
+            block[...] = adjoint @ block
+        return mv
 
     def vector_to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
         return self.vectors.conj().T @ np.asarray(v)
+
+
+# d x d float64 arrays that diagonalize holds at most, the copy of the
+# operator, its reflectors and dstedc's workspace, and that no stage of a
+# run exceeds: require_memory checks a run's size against it
+PEAK_DXD_ARRAYS = 2.5
+MEMINFO = "/proc/meminfo"
+
+
+def require_memory(dim: int) -> None:
+    """MemoryError unless PEAK_DXD_ARRAYS d x d float64 arrays fit in the
+    MemAvailable of MEMINFO, with both numbers in the message.  A host
+    without that file, or without that line in it, is not checked."""
+    try:
+        with open(MEMINFO) as f:
+            available = next(int(line.split()[1]) * 1024 for line in f
+                             if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration, ValueError, IndexError):
+        return
+    need = PEAK_DXD_ARRAYS * dim * dim * 8
+    if need > available:
+        raise MemoryError(
+            f"d = {dim} needs {need / 1e6:.1f} MB for {PEAK_DXD_ARRAYS} "
+            f"d x d arrays, and {available / 1e6:.1f} MB is available")
 
 
 def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
@@ -75,20 +108,22 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
     count of non-finite energies and the largest finite |E|.  Nothing is
     measured on the operator itself, before the solve or after it.
 
-    A real operator is diagonalized by LAPACK dsyevd in place on one
-    Fortran-ordered copy of its entries, so the solver holds three d x d
-    arrays besides the operator: that copy, which becomes the
-    eigenvectors, and a 2 d^2 workspace.  The workspace is freed before
-    the vectors are copied back to C order.  A complex operator, or a
-    numpy that does not export dsyevd, takes np.linalg.eigh, which also
-    holds a separate output array.  On a real operator the two paths give
-    the same bits.
+    A real operator is diagonalized as LAPACK dsyevd diagonalizes it, by
+    its three routines called one by one (`_eigh`), in place on one
+    Fortran-ordered copy of its entries, so the solver holds
+    PEAK_DXD_ARRAYS = 2.5 d x d arrays besides the operator: that copy,
+    which becomes the eigenvectors, the Householder reflectors (d^2 / 2)
+    and a d^2 workspace.  Both are freed before the vectors are copied
+    back to C order.  A complex operator, or a numpy that does not export
+    those routines, takes np.linalg.eigh, which holds dsyevd's 2 d^2
+    workspace and a separate output array.  On a real operator the two
+    paths give the same bits.
 
     With overwrite=True the caller gives the operator up.  A real operator
     whose entries equal their transpose exactly, as build_hamiltonian's
     do, is then solved in place on its own buffer read as the Fortran
     array M^T, which holds the same matrix: no copy is made, and the call
-    holds three d x d arrays in all.  Exact symmetry is the deviation the
+    holds 2.5 d x d arrays in all.  Exact symmetry is the deviation the
     operator measured when it was made (`HermitianOperator.deviation`
     is 0.0), so its entries must not have changed since.  Any other
     operator takes the copy, so the energies and vectors have the same
@@ -113,52 +148,116 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(m): ascending energies and C-ordered vectors, or
-    LinAlgError.  A float64 matrix goes to numpy's own dsyevd in place, with
-    the arguments eigh passes it (jobz V, uplo L, the queried workspace):
-    on m itself when m is a writeable Fortran-ordered array that is not
-    also C-ordered (diagonalize passes one only to be overwritten), else
-    on a Fortran-ordered copy."""
-    lapack = _dsyevd() if m.dtype == np.float64 else None
+    LinAlgError.  A float64 matrix of order n >= 2 is solved as numpy's
+    dsyevd solves it, by dsytrd, dstedc and dormtr with the lower triangle,
+    but called one by one, so that the eigenvectors take the buffer of the
+    matrix itself and the solver holds 2.5 n^2 float64 in all: on m when m
+    is a writeable Fortran-ordered array that is not also C-ordered
+    (diagonalize passes one only to be overwritten), else on a
+    Fortran-ordered copy.
+
+    dsytrd leaves the Householder reflectors in the lower triangle.  It is
+    copied out by column panels (n^2 / 2) before dstedc writes the
+    eigenvectors of the tridiagonal matrix over it, and copied back into
+    dstedc's n^2 workspace once dstedc returns, where dormtr reads it.
+    The bits are those of dsyevd only with the workspace lengths dsyevd
+    passes: the length eigh queries for it less 2 n to dsytrd, and less
+    2 n + n^2 to dstedc and dormtr, each capped at what the routine can
+    use.  dormtr's
+    own workspace query leaves out the 65 x 64 block T of dormqr, and with
+    that shorter workspace dormqr takes narrower panels and other bits.
+    dsyevd's scaling of a matrix whose largest entry lies outside
+    [2^-485, 2^485] is repeated too.
+    """
+    lapack = _lapack() if m.dtype == np.float64 and len(m) >= 2 else None
     if lapack is None:
         return np.linalg.eigh(m)
     own = m.flags.f_contiguous and not m.flags.c_contiguous and m.flags.writeable
     a = m if own else np.array(m, order="F")  # overwritten with the eigenvectors
-    w, work, iwork = np.empty(len(a)), np.empty(1), np.empty(1, dtype=np.int64)
-    _syevd(lapack, a, w, work, -1, iwork, -1)  # workspace query
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
-    _syevd(lapack, a, w, work, len(work), iwork, len(iwork))
-    del work, iwork  # freed before the C-ordered copy is made
+    n = len(a)
+    # column panels of the lower triangle: the rows below a panel's
+    # diagonal tile, and the tile's own lower triangle
+    tri = np.tri(ADJOINT_TILE, dtype=bool)
+    panels = [(slice(lo, lo + ADJOINT_TILE), tri[:n - lo, :n - lo])
+              for lo in range(0, n, ADJOINT_TILE)]
+    # dlansy's max |a_ij| over the lower triangle, and dsyevd's scaling
+    anrm = max(max(np.max(np.abs(a[c.stop:, c]), initial=0.0),
+                   np.max(np.abs(a[c, c][below]), initial=0.0))
+               for c, below in panels)
+    sigma = (2.0 ** -485 / anrm if 0.0 < anrm < 2.0 ** -485 else
+             2.0 ** 485 / anrm if anrm > 2.0 ** 485 else None)
+    if sigma is not None:
+        a *= sigma  # the upper triangle is never read
+    w, e, tau, query = (np.empty(k) for k in (n, n - 1, n - 1, 1))
+    _call(lapack["dsytrd"], b"L", n, a, n, w, e, tau, query, -1)
+    lwork_trd = int(query[0])
+    lwork = max(1 + 6 * n + 2 * n * n, 2 * n + lwork_trd)  # eigh's query
+    _call(lapack["dsytrd"], b"L", n, a, n, w, e, tau, np.empty(lwork_trd),
+          lwork_trd)
+    stash = [(a[c.stop:, c].copy(order="F"), a[c, c][below])
+             for c, below in panels]
+    work = np.empty(n * n + 4 * n + 1)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    _call(lapack["dstedc"], b"I", n, w, e, a, n, work, len(work), iwork,
+          len(iwork))
+    del iwork
+    reflectors = work[:n * n].reshape((n, n), order="F")
+    for (c, below), (under, own) in zip(panels, stash):
+        reflectors[c.stop:, c] = under
+        reflectors[c, c][below] = own
+    del stash
+    # dormqr's largest use: 64 columns of n and its 65 x 64 block T
+    work_ormtr = np.empty(min(lwork - 2 * n - n * n, 64 * n + 65 * 64))
+    _call(lapack["dormtr"], b"L", b"L", b"N", n, n, reflectors, n, tau, a, n,
+          work_ormtr, len(work_ormtr))
+    del work, reflectors, work_ormtr  # freed before the C-ordered copy is made
+    if sigma is not None:
+        w *= 1.0 / sigma
     return w, np.ascontiguousarray(a)
 
 
-def _syevd(lapack, a, w, work, lwork: int, iwork, liwork: int) -> None:
-    n, lda, info = (ctypes.c_int64(k) for k in (len(a), max(len(a), 1), 0))
-    lapack(b"V", b"L", n, a.ctypes.data, lda, w.ctypes.data, work.ctypes.data,
-           ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork),
-           info, 1, 1)  # the trailing 1s are the lengths of jobz and uplo
+# the argument kinds of each LAPACK routine that _eigh calls: c a
+# one-character option, i an ILP64 integer, p an array; each c adds a
+# hidden length after the last argument
+_SIGNATURES = {"dsytrd": "cipippppii", "dstedc": "cipppipipii",
+               "dormtr": "ccciipippipii"}
+
+
+def _call(routine, *args) -> None:
+    """Call a routine of `_lapack`: bytes are options, arrays pass their
+    buffers and ints are ILP64 integers; LinAlgError if info is not 0."""
+    info = ctypes.c_int64(0)
+    values = [a.ctypes.data if isinstance(a, np.ndarray) else
+              a if isinstance(a, bytes) else ctypes.c_int64(a) for a in args]
+    options = sum(isinstance(a, bytes) for a in args)
+    routine(*values, info, *[1] * options)
     if info.value:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 @functools.cache
-def _dsyevd():
-    """numpy's own LAPACK dsyevd as a ctypes function, or None.
+def _lapack():
+    """numpy's own LAPACK dsytrd, dstedc and dormtr as ctypes functions by
+    name, or None.
 
     numpy's wheels bundle scipy-openblas64, whose ILP64 symbols carry a
-    `scipy_` prefix and a `64_` suffix; the library np.linalg calls it
+    `scipy_` prefix and a `64_` suffix; the library np.linalg calls them
     from resolves them.  Looked up on the first call, not on import.
     """
     try:
         from numpy.linalg import _umath_linalg
-        f = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_")
+                    for name in _SIGNATURES}
     except (ImportError, AttributeError, OSError):
         return None
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    ptr = ctypes.c_void_p
-    f.restype = None
-    f.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, ptr, i64, ptr, ptr,
-                  i64, ptr, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
-    return f
+    kinds = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
+             "p": ctypes.c_void_p}
+    for name, f in routines.items():
+        f.restype = None
+        f.argtypes = ([kinds[k] for k in _SIGNATURES[name]]
+                      + [ctypes.c_size_t] * _SIGNATURES[name].count("c"))
+    return routines
 
 
 def level_spacing_ratio(energies: np.ndarray) -> float | None:

@@ -137,18 +137,24 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
-def symmetrized(entries: np.ndarray) -> HermitianOperator:
+def symmetrized(entries: np.ndarray,
+                overwrite: bool = False) -> HermitianOperator:
     """Wrap (M + M^dag)/2, for matrices Hermitian only up to rounding
     (e.g. after a basis rotation).
 
     Each tile pair is averaged once and its mirror written as the adjoint,
     which is bit-identical to averaging it: 0.5 * (x + conj y) and
-    conj(0.5 * (y + conj x)) round the same.
+    conj(0.5 * (y + conj x)) round the same.  A pair is read whole before
+    either tile is written, so with overwrite=True, for a caller that
+    gives M up, the average is written over M's own buffer when it is
+    writeable and of an inexact dtype (`as_inexact_array` does not copy
+    it): no d x d array is made, and the bits are those of the copy.
     """
     m = as_inexact_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConstructionError(f"operator must be square, got {m.shape}")
-    out = np.empty_like(m)
+    # a copy made by as_inexact_array is this call's own to overwrite
+    out = m if overwrite and m.flags.writeable else np.empty_like(m)
     for r, c in tile_pairs(m.shape[0]):
         out[r, c] = 0.5 * (m[r, c] + m[c, r].conj().T)
         if r != c:

@@ -76,6 +76,9 @@ class TestConfig:
         dict(time_window=(0.0, math.inf, 100)),  # no finite span
         dict(mc_samples=MAX_COUNT + 1),  # no float64 array is that long
         dict(time_window=(0.0, 1.0, MAX_COUNT + 1)),
+        dict(L=8, J=5e307),             # a diagonal sum beyond float64
+        dict(L=8, h=5e307),
+        dict(L=2, J=1e308),             # the hop 2 J beyond float64
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -328,16 +331,16 @@ class TestPrepareQuench:
         assert {k: a.dtype for k, a in arrays.items()} == \
             dict.fromkeys(arrays, np.float64)
 
-    @pytest.mark.skipif(spectral._dsyevd() is None,
-                        reason="numpy does not export dsyevd")
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="numpy does not export dsytrd, dstedc, dormtr")
     def test_holds_three_dxd_arrays_at_most(self):
-        # the L = 12 chain (d = 924): H is solved in place (H and dsyevd's
-        # 2 d^2 workspace), then H_R V is formed over H_R (V, H_R and the
-        # rotated matrix), which goes before the average (V, the rotated
-        # matrix and its average); the product states, found last, add
-        # vectors of length d only.  At L = 10 (d = 252) the average's
-        # 128 x 128 tile temporaries would add 0.5 d^2.  A first small run
-        # loads the solver, whose one-time allocations are not part of it.
+        # the L = 12 chain (d = 924): H is solved in place (H, the
+        # reflectors, d^2 / 2, and dstedc's d^2 workspace), then H_R V is
+        # formed over H_R and V^dag (H_R V) one block of columns at a time
+        # (V, H_R and the block), and H_R is averaged in place; the product
+        # states, found last, add vectors of length d only.  A first small
+        # run loads the solver, whose one-time allocations are not part of
+        # it.  (The name predates the bound of 2.5 d x d arrays.)
         config = ExperimentConfig(L=12, time_window=(3000.0, 3049.5, 100))
         prepare_quench(dataclasses.replace(config, L=4))
         tracemalloc.start()
@@ -349,7 +352,28 @@ class TestPrepareQuench:
         finally:
             tracemalloc.stop()
         assert q.spec.basis.dim == 924
-        assert peak - start <= 3.1 * q.spec.basis.dim ** 2 * 8
+        assert peak - start <= 2.6 * q.spec.basis.dim ** 2 * 8
+
+    @pytest.mark.parametrize("available_kb,fits", [(60, False), (200, True)])
+    def test_memory_check_before_the_build(self, available_kb, fits,
+                                           tmp_path, monkeypatch):
+        # L = 8 (d = 70) needs 2.5 d^2 float64, 98 kB
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text(f"MemTotal: 900 kB\nMemAvailable: {available_kb} kB\n")
+        monkeypatch.setattr(spectral, "MEMINFO", str(meminfo))
+        config = ExperimentConfig(L=8, time_window=(3000.0, 3049.5, 100))
+        if fits:
+            assert experiment.prepare_spectrum(config).basis.dim == 70
+            return
+        with pytest.raises(PipelineError,
+                           match=r"\[build\] d = 70 needs 0\.1 MB for 2\.5 "
+                                 r"d x d arrays, and 0\.1 MB is available"):
+            experiment.prepare_spectrum(config)
+
+    def test_host_without_meminfo_is_not_checked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "MEMINFO", str(tmp_path / "absent"))
+        config = ExperimentConfig(L=8, time_window=(3000.0, 3049.5, 100))
+        assert experiment.prepare_spectrum(config).basis.dim == 70
 
     def test_one_spectrum_serves_many_targets_and_partitions(self,
                                                              monkeypatch):
@@ -897,8 +921,11 @@ class TestCli:
         # uniform(-h, h) would overflow its width 2 h
         ('{"L": 8, "h": 1e308}', "h (disorder bound) must be >= 0 and at "
          "most float64 max / 2, got 1e+308"),
+        # 7 bonds of 5e307 on the diagonal
+        ('{"L": 8, "J": 5e307}', "J = 5e+307 and h = 1.0 give Hamiltonian "
+         "entries up to 1.95 times float64 max at L = 8"),
     ], ids=["odd_length", "string", "number", "list", "two_value_window",
-            "overflowing_disorder_width"])
+            "overflowing_disorder_width", "overflowing_diagonal"])
     def test_invalid_config_is_tagged_error(self, text, message, tmp_path,
                                             capsys):
         path = tmp_path / "bad.json"
@@ -1129,8 +1156,8 @@ class TestCliSharedPrefix:
     @pytest.mark.parametrize("command", ["run", "spectrum", "oracle"])
     @pytest.mark.parametrize("raw,tag", [
         ({"L": 4, "total_sz": 1}, "[build]"),              # parity mismatch
-        # symmetric, but its diagonal overflows to inf and inf - inf is NaN
-        ({"L": 8, "J": 5e307}, "[build] operator has a non-finite entry"),
+        # its diagonal would overflow: named before any build
+        ({"L": 8, "J": 5e307}, "[config] J = 5e+307 and h = 1.0"),
     ])
     def test_prefix_failure_has_the_same_stage_tag(self, command, raw, tag,
                                                    tmp_path, capsys):

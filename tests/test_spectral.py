@@ -100,8 +100,8 @@ class TestDiagonalize:
         assert np.array_equal(eig.vectors, vectors)
         assert np.array_equal(op.entries, m)
 
-    @pytest.mark.skipif(spectral._dsyevd() is None,
-                        reason="numpy does not export dsyevd")
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="numpy does not export dsytrd, dstedc, dormtr")
     def test_overwrite_takes_the_deviation_measured_on_creation(self,
                                                                 monkeypatch):
         # the L = 10 chain: its exact symmetry is the deviation measured
@@ -129,7 +129,7 @@ class TestDiagonalize:
     def test_fallback_is_eigh(self, complex_data, monkeypatch):
         # a numpy without the symbol, and any complex operator, take eigh
         if not complex_data:
-            monkeypatch.setattr(spectral, "_dsyevd", lambda: None)
+            monkeypatch.setattr(spectral, "_lapack", lambda: None)
         rng = np.random.default_rng(5)
         op = (random_hermitian(rng, 30) if complex_data else
               HermitianOperator(np.real(random_hermitian(rng, 30).entries)))
@@ -139,21 +139,36 @@ class TestDiagonalize:
         assert np.array_equal(eig.energies, energies)
         assert np.array_equal(eig.vectors, vectors)
 
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="numpy does not export dsytrd, dstedc, dormtr")
     def test_lapack_failure_raises(self, monkeypatch):
-        def not_converging(*args):  # dsyevd's arguments, info eleventh
-            args[10].value = 1
+        def not_converging(*args):  # dstedc's arguments, info second to last
+            args[-2].value = 1
 
-        monkeypatch.setattr(spectral, "_dsyevd", lambda: not_converging)
+        routines = dict(spectral._lapack(), dstedc=not_converging)
+        monkeypatch.setattr(spectral, "_lapack", lambda: routines)
         with pytest.raises(NumericalIntegrityError, match="did not converge"):
             diagonalize(HermitianOperator(np.diag([3.0, 1.0, 2.0])))
 
-    @pytest.mark.skipif(spectral._dsyevd() is None,
-                        reason="numpy does not export dsyevd")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+    def test_scaled_matrix_is_eighs_bits(self, scale):
+        # a largest entry outside [2^-485, 2^485] is scaled as dsyevd
+        # scales it, before the reduction and after the solve
+        m = np.random.default_rng(9).normal(size=(40, 40))
+        op = HermitianOperator(scale * (m + m.T) / 2)
+        eig = diagonalize(op)
+        energies, vectors = np.linalg.eigh(op.entries)
+        assert np.array_equal(eig.energies, energies)
+        assert np.array_equal(eig.vectors, vectors)
+
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="numpy does not export dsytrd, dstedc, dormtr")
     def test_real_path_holds_one_copy_and_the_workspace(self):
-        # the L = 10 chain (d = 252): at its peak the call holds the copy
-        # and dsyevd's 2 d^2 + 6 d + 1 workspace; afterwards the vectors.
+        # the L = 10 chain (d = 252): at its peak the call holds the copy,
+        # which becomes the vectors, the reflectors (d^2 / 2) and dstedc's
+        # d^2 + 4 d + 1 workspace; afterwards the C-ordered vectors.
         # np.linalg.eigh allocates outside tracemalloc, so this pins the
-        # in-place path only.
+        # LAPACK path only.
         basis = build_basis(10, 0)
         op = build_hamiltonian(basis, 1.0, draw_disorder(10, 1.0, 0))
         d2 = op.dim ** 2 * 8
@@ -166,15 +181,16 @@ class TestDiagonalize:
         finally:
             tracemalloc.stop()
         assert op.dim == 252
-        assert peak - start <= 3.1 * d2
+        assert peak - start <= 2.6 * d2
         assert current - start <= 1.02 * d2
         assert eig.vectors.shape == (252, 252)
 
-    @pytest.mark.skipif(spectral._dsyevd() is None,
-                        reason="numpy does not export dsyevd")
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="numpy does not export dsytrd, dstedc, dormtr")
     def test_overwrite_holds_the_workspace_only(self):
         # the same chain solved on its own buffer: no copy, so the call
-        # holds dsyevd's workspace and then the C-ordered vectors
+        # holds the reflectors and dstedc's workspace, and then the
+        # C-ordered vectors
         basis = build_basis(10, 0)
         op = build_hamiltonian(basis, 1.0, draw_disorder(10, 1.0, 0))
         want = np.linalg.eigh(op.entries)
@@ -187,7 +203,7 @@ class TestDiagonalize:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 2.1 * d2
+        assert peak - start <= 1.6 * d2
         assert current - start <= 1.02 * d2
         assert np.array_equal(eig.vectors, want[1])
 
@@ -228,6 +244,28 @@ class TestDiagonalize:
         # overwrite uses M's buffer where the dtypes allow; same bits
         reused = eig.to_eigenbasis(m.copy(), overwrite=True)
         assert reused.dtype == got.dtype
+        assert np.array_equal(reused, got)
+
+    @pytest.mark.parametrize("kind", ["sparse", "complex"])
+    def test_to_eigenbasis_in_column_blocks(self, kind):
+        # blocks of 76, 76, 76 and 74 columns: both paths form the same
+        # blocks, and the given-up buffer holds the result
+        dim = 302
+        rng = np.random.default_rng(10)
+        m = rng.normal(size=(dim, dim))
+        m[rng.random((dim, dim)) > 5.0 / dim] = 0.0
+        h = rng.normal(size=(dim, dim))
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=(dim, dim))
+            h = h + 1j * rng.normal(size=(dim, dim))
+        eig = diagonalize(HermitianOperator((h + h.conj().T) / 2))
+        v = eig.vectors
+        got = eig.to_eigenbasis(m)
+        want = v.conj().T @ m @ v
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(m))
+        given_up = m.copy()
+        reused = eig.to_eigenbasis(given_up, overwrite=True)
+        assert reused is given_up
         assert np.array_equal(reused, got)
 
     def test_vector_rotation_preserves_norm(self):

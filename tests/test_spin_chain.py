@@ -201,6 +201,19 @@ class TestTiledAdjointPasses:
                   rng.normal(size=(600, 600)) + 1j * rng.normal(size=(600, 600))):
             assert np.array_equal(symmetrized(m).entries, 0.5 * (m + m.conj().T))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+    def test_symmetrized_in_place_has_the_bits_of_the_copy(self, dtype):
+        rng = np.random.default_rng(601)
+        m = rng.normal(size=(300, 300)).astype(dtype)
+        if dtype == np.complex128:
+            m += 1j * rng.normal(size=(300, 300))
+        want = symmetrized(m).entries
+        given_up = m.copy()
+        got = symmetrized(given_up, overwrite=True).entries
+        assert np.array_equal(got, want)
+        # float32 is widened, so only a float64 or complex128 buffer is reused
+        assert (got is given_up) == (dtype != np.float32)
+
     def test_symmetrized_rejects_nan(self):
         m = np.eye(3)
         m[1, 2] = np.nan
