@@ -12,7 +12,7 @@ from .experiment import (ExperimentConfig, ExperimentReport, ExperimentResult,
                          ProductEigenstate, QuenchPrefix, SpectralPrefix,
                          find_product_eigenstates, prepare_protocol_state,
                          prepare_quench, prepare_spectrum, quench_states,
-                         run_experiment, write_artifacts)
+                         right_half_energy, run_experiment, write_artifacts)
 from .haar_oracle import MomentEstimate, sample_traces, summarize
 from .spectral import (EigenSystem, SectorPartition, cluster_sectors,
                        diagonalize, level_spacing_ratio)

@@ -108,7 +108,7 @@ def cmd_oracle(config, args) -> int:
     q = prepare_quench(config)
     with _stage("oracle"):
         protocols = {p: prediction_block(
-            prepare_protocol_state(q.phi1, q.phi2, p), q.spec.partition,
+            prepare_protocol_state(q.phi1, q.phi2, p), q.partition,
             q.observables, config.mc_samples, config.disorder_seed)
             for p in config.protocols}
     print(json_text({"protocols": protocols}), end="")

@@ -32,6 +32,8 @@ at t ~ 1e7 a plain linspace takes 36 of its 55 sub-blocks directly (d =
 does so sooner.  Every phase that reaches cos and sin, offset, block
 start or direct, is an exact product E t (a two-product and a
 first-order term), so the phases carry no rounding that grows with t.
+The first-order term is exact to 2^-21 only while max|E| max|t| stays
+within PHASE_PRODUCT_MAX = 2^43; a series beyond it raises instead.
 There is one phase table per grid: the offset table, the start phases
 and eps of the last (energies, grid) pair are kept, read-only, so the
 series of one run, which share both, compute them once.
@@ -79,6 +81,10 @@ GRID_RTOL = 1e-12
 # largest max|E| max|eps| that a block corrects to first order: the error
 # (E eps)^2 / 2 stays below one ulp of a cosine
 OFFSET_PHASE_MAX = 2.0 ** -26
+# largest max|E| max|t| of a series: the rounding error err of fl(E t), at
+# most half an ulp of E t, is applied to first order, and below this bound
+# the neglected err^2 / 2 stays under 2^-21
+PHASE_PRODUCT_MAX = 2.0 ** 43
 # equal sub-windows whose scatter gives the window statistics' ci fields
 N_SUBINTERVALS = 10
 
@@ -139,10 +145,12 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     StateValidationError.  The state is a DensityMatrix (`_checked_state`),
     so one without unit trace to TRACE_ATOL, or with an eigenvalue below
     -PSD_ATOL, raises StateValidationError too.  Then a grid that is not a
-    uniform, increasing 1d grid raises ConstructionError; all before any
-    work.  A state and an observable that are both factored,
-    rho0 = P S P^dag and X = Q T Q^dag (a DensityMatrix that keeps its
-    factors, a PairOperator), take the factored kernel
+    uniform, increasing 1d grid raises ConstructionError, and max|E| max|t|
+    above PHASE_PRODUCT_MAX, where the phases E t are no longer exact,
+    raises NumericalIntegrityError; all before any work.  A state and an
+    observable that are both factored, rho0 = P S P^dag and
+    X = Q T Q^dag (a DensityMatrix that keeps its factors, a
+    PairOperator), take the factored kernel
     (`_factored_series`); every other pair is taken densely
     (`_dense_series`), a factored state by its tiles.  Both take the phases
     exp(-i E t) as start phases times an offset table, one run of
@@ -154,6 +162,12 @@ def evolve_expectation(rho0, observable, energies: np.ndarray,
     state = _checked_state(rho0, len(e))
     obs = _checked(observable, len(e), factors=isinstance(state, tuple))
     _check_time_grid(t)
+    e_max = float(np.max(np.abs(e), initial=0.0))
+    t_max = max(abs(t[0]), abs(t[-1]))
+    if not (e_max * t_max <= PHASE_PRODUCT_MAX):  # NaN fails too
+        raise NumericalIntegrityError(
+            f"max|E| {e_max:.3e} times max|t| {t_max:.3e} exceeds 2^43 = "
+            f"{PHASE_PRODUCT_MAX:.3e}, where the phases E t are not exact")
     kernel = _factored_series if isinstance(obs, tuple) else _dense_series
     values = kernel(state, obs, e, t)
     if not np.isfinite(values).all():

@@ -57,9 +57,10 @@ factors.  The exchange sum over R2 o M is then one pass over whichever of
 the two is dense, or O(d) when both are factored (`_exchange_sum`).
 The formula itself is the same code for every combination: a pair whose
 members are both factored is taken from the factors, any other pair
-densely, a PairOperator by its `dense` form.  The product of a dense pair
-is formed PRODUCT_TILE rows at a time as it is read (`_ProductSums`), so
-a dense observable with a factored state takes no d x d temporary.
+densely, a PairOperator by its `dense` form.  The block sums of a dense
+pair come from its product X o conj(Y), formed whole (`_block_sums`): for
+the run's real H_R that is one d x d temporary beside H_R, once the
+eigenvectors that rotated H_R are gone.
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ PSD_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
 _FLOAT_MAX = np.finfo(np.float64).max
 SHARED_SUPPORT_THRESHOLD = 0.05
-# rows of a dense pair's product X o conj(Y) formed at a time
-PRODUCT_TILE = 64
 
 
 class DensityMatrix:
@@ -195,6 +194,13 @@ def _checked_state(x, dim: int, factors: bool = True):
     return _checked(x, dim, factors)
 
 
+def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    if len(starts) == m.shape[0]:
+        return m  # all-singleton partition: every block is one entry
+    by_rows = np.add.reduceat(m, starts, axis=0)
+    return np.add.reduceat(by_rows, starts, axis=1)
+
+
 def _sector_traces(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(np.diagonal(m), starts)
 
@@ -248,6 +254,13 @@ def second_moment_expectation(rho, partition: SectorPartition,
     difference of the second moment and mean_a mean_b.  A result that is
     not finite, or has an imaginary residue, raises
     NumericalIntegrityError.
+
+    A dense pair forms its product A o conj(B) whole, one d x d temporary
+    (and its row block sums too, unless every sector is one level), so a
+    caller that keeps the eigenvectors V alive beside a dense H_R holds
+    one d x d array more than the run does: a sweep over many pairs of
+    one spectrum should take its pairs (`experiment.quench_states`)
+    before it computes the theory, and then let V go.
     """
     _checked_state(rho, partition.dim)
     for x in (obs_a, obs_b):
@@ -262,7 +275,8 @@ def second_moment_expectation(rho, partition: SectorPartition,
     mean_a = float(np.sum(t * a_tr.real / d))
     mean_b = float(np.sum(t * b_tr.real / d))
 
-    # the covariance of a sector of one level is zero
+    # the covariance of a sector of one level is zero; taken before
+    # _exchange_sum zeroes the diagonals of R2 and M
     k = d >= 2
     dk = d[k]
     covariance = ((dk * _diagonal(r2)[k] - t[k]**2)
@@ -292,14 +306,13 @@ def _pair_traces(x, y, starts: np.ndarray):
     with F the block sums of f, the block sums are left @ right.T for
     left = F K and right = conj(F), returned as (left, right); and the
     sector traces are sector sums of the rows of (P S) o conj(P).  Unless
-    both are factored, the traces come from the dense matrices and the
-    block sums are a `_ProductSums`, formed only as they are read.
+    both are factored, all three come from the dense matrices.
     """
     fx, fy = _factored(x), _factored(y)
     if fx is None or fy is None:
         xm, ym = _operator(x), _operator(y)
         return (_sector_traces(xm, starts), _sector_traces(ym, starts),
-                _ProductSums(xm, ym, starts))
+                _block_sums(xm * ym.conj(), starts))
     x_tr, y_tr = (np.add.reduceat(np.sum((p @ s) * p.conj(), axis=1), starts)
                   for p, s in (fx, fy))
     (p, s), (q, t) = fx, fy
@@ -308,89 +321,29 @@ def _pair_traces(x, y, starts: np.ndarray):
     return x_tr, y_tr, (sums @ np.kron(s, t.conj()), sums.conj())
 
 
-class _ProductSums:
-    """The block sums M of X o conj(Y) for dense X and Y, never held as a
-    d x d product: each reader forms PRODUCT_TILE rows of it at a time,
-    in one buffer.  Their column block sums, one column per sector, are
-    summed over the rows of each sector at the end; with all-singleton
-    sectors (every block one entry) both sums are the identity and are
-    skipped."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, starts: np.ndarray):
-        self.x, self.y, self.starts = x, y, starts
-        self.singletons = len(starts) == len(x)
-        self.sector = np.repeat(np.arange(len(starts)),
-                                np.diff(starts, append=len(x)))
-
-    def _tiles(self):
-        """(rows, tile): tile[a, J] = sum over b in sector J of
-        X_ab conj(Y_ab), for the rows a of one tile.  Each tile is
-        overwritten by the next."""
-        x, y = self.x, self.y
-        buffer = np.empty((min(PRODUCT_TILE, len(x)), len(x)),
-                          dtype=np.result_type(x, y))
-        for lo in range(0, len(x), PRODUCT_TILE):
-            rows = slice(lo, lo + PRODUCT_TILE)
-            tile = np.multiply(x[rows], y[rows].conj(),
-                               out=buffer[:len(x[rows])])
-            yield rows, (tile if self.singletons else
-                         np.add.reduceat(tile, self.starts, axis=1))
-
-    def _by_sector(self, per_row: np.ndarray) -> np.ndarray:
-        return (per_row if self.singletons else
-                np.add.reduceat(per_row, self.starts, axis=0))
-
-    def _rows(self, of_tile) -> np.ndarray:
-        """of_tile(rows, tile) of every tile, stacked and summed by sector."""
-        return self._by_sector(np.concatenate(
-            [of_tile(rows, tile) for rows, tile in self._tiles()]))
-
-    def diagonal(self) -> np.ndarray:
-        if self.singletons:
-            return np.diagonal(self.x) * np.diagonal(self.y).conj()
-        return self._rows(lambda rows, tile:
-                          tile[np.arange(len(tile)), self.sector[rows]])
-
-    def matrix(self) -> np.ndarray:
-        out = np.empty((len(self.x), len(self.starts)),
-                       dtype=np.result_type(self.x, self.y))
-        for rows, tile in self._tiles():
-            out[rows] = tile
-        return self._by_sector(out)
-
-    def off_diagonal_times(self, right: np.ndarray) -> np.ndarray:
-        """(M - diag M) @ right: each M_ii is left out, not subtracted."""
-        def product(rows, tile):
-            tile[np.arange(len(tile)), self.sector[rows]] = 0.0
-            return tile @ right
-        return self._rows(product)
-
-
 def _diagonal(x) -> np.ndarray:
-    """Diagonal of left @ right.T given as (left, right), or of a
-    `_ProductSums`."""
-    return np.sum(x[0] * x[1], axis=1) if isinstance(x, tuple) else x.diagonal()
+    """Diagonal of a matrix, or of left @ right.T given as (left, right)."""
+    return np.sum(x[0] * x[1], axis=1) if isinstance(x, tuple) else np.diagonal(x)
 
 
 def _exchange_sum(x, y, s: np.ndarray):
-    """sum_{i != j} s_i s_j X_ij Y_ij, each of X and Y the factors
-    (left, right) of left @ right.T or a `_ProductSums`.  No matrix is
-    formed from factors: with X = A B^T the sum is sum(A' o (Y B')) for
-    block sums Y of a dense pair, read by row tiles, and
-    sum((A'^T C) o (B'^T D)) for Y = C D^T, primes marking rows scaled by
-    s.  Only two dense pairs form their block sums whole.  The i = i
-    terms are left out, not summed and taken away, wherever one of X and
-    Y is a dense pair.
+    """sum_{i != j} s_i s_j X_ij Y_ij, each of X and Y a matrix or the factors
+    (left, right) of left @ right.T.  No matrix is formed from factors:
+    with X = A B^T the sum is sum(A' o (Y B')) for a matrix Y and
+    sum((A'^T C) o (B'^T D)) for Y = C D^T, primes marking rows scaled by s.
+    The i = i terms are left out, not summed and taken away, wherever one
+    of X and Y is a matrix: its diagonal is zeroed in place, which the
+    fresh block sums of `_pair_traces` allow.
     """
     if not isinstance(x, tuple):
         x, y = y, x
-    if not isinstance(x, tuple):
-        xm, ym = x.matrix(), y.matrix()
-        np.fill_diagonal(ym, 0.0)
-        return s @ ((xm * ym) @ s)
+    if not isinstance(y, tuple):
+        np.fill_diagonal(y, 0.0)
+        if not isinstance(x, tuple):
+            return s @ ((x * y) @ s)
     left, right = x[0] * s[:, None], x[1] * s[:, None]
     if not isinstance(y, tuple):
-        return np.sum(left * y.off_diagonal_times(right))
+        return np.sum(left * (y @ right))
     return (np.sum((left.T @ y[0]) * (right.T @ y[1]))
             - np.sum(_diagonal(x) * _diagonal(y) * s**2))
 

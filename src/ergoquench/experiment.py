@@ -9,11 +9,16 @@ time-window statistics of the evolved expectation values against the
 analytic ensemble predictions, with optional Monte-Carlo cross-checks.
 The pipeline comes in steps, so that one spectrum can serve many
 questions: `prepare_spectrum` builds and diagonalizes the chain (the CLI's
-`spectrum` command stops there), `quench_states` picks the product states
+`spectrum` command stops there), `right_half_energy` rotates H_R into its
+eigenbasis once per spectrum, `quench_states` picks the product states
 nearest a pair of target energies, and `prediction_block` gives the
 ensemble moments of a state over any partition of the spectrum.
-`prepare_quench` composes them for one config, with H_R rotated once per
-spectrum; the run and the CLI's `oracle` command start from it.
+`prepare_quench` composes them for one config; the run and the CLI's
+`oracle` command start from it.  The eigenvectors V serve only the
+rotations: the QuenchPrefix that `quench_states` returns keeps the
+energies, the partition and the report's spectral block, not V, so V
+goes once the pair is in the eigenbasis, and no stage of a run holds
+more than `spectral.PEAK_DXD_ARRAYS` d x d arrays.
 """
 
 from __future__ import annotations
@@ -284,11 +289,15 @@ class SpectralPrefix:
 
 @dataclass(frozen=True)
 class QuenchPrefix:
-    """A spectrum plus one pair of product states, their eigenbasis
-    coordinates phi1/phi2 and the observables in the eigenbasis: everything
-    the dynamics, the ensemble theory and the Monte-Carlo oracle start from."""
+    """The energies, partition and spectral block of a spectrum, plus one
+    pair of product states, their eigenbasis coordinates phi1/phi2 and the
+    observables in the eigenbasis: everything the dynamics, the ensemble
+    theory and the Monte-Carlo oracle start from.  It does not keep the
+    eigenvectors."""
 
-    spec: SpectralPrefix
+    energies: np.ndarray
+    partition: SectorPartition
+    spectral: dict  # the report's spectral block (`spectral_block`)
     prod1: ProductEigenstate
     prod2: ProductEigenstate
     phi1: np.ndarray
@@ -334,34 +343,47 @@ def spectral_block(spec: SpectralPrefix) -> dict:
             "nyquist_ratio": spec.nyquist_ratio}
 
 
+def right_half_energy(spec: SpectralPrefix,
+                      coupling: float) -> HermitianOperator:
+    """H_R, the energy of the right half of `spec`'s chain, in its
+    eigenbasis: built, rotated and averaged with its transpose over its
+    own buffer, so that besides V no step holds more than H_R and a block
+    of its columns."""
+    # the sites of H_R
+    right = np.arange(len(spec.fields)) >= len(spec.fields) // 2
+    with _stage("build"):
+        ham_right = build_hamiltonian(spec.basis, coupling * right[:-1],
+                                      spec.fields * right)
+    with _stage("diagonalize"):
+        rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
+        del ham_right
+        return symmetrized(rotated, overwrite=True)
+
+
 def quench_states(spec: SpectralPrefix, coupling: float, targets: tuple,
                   h_r: HermitianOperator) -> QuenchPrefix:
     """The product states of `spec`'s chain nearest `targets`, their
     eigenbasis coordinates, and the observables: `h_r`, H_R already in the
-    eigenbasis, and the swap Q of the pair."""
+    eigenbasis (`right_half_energy`), and the swap Q of the pair.  The
+    result keeps `spec`'s energies, partition and spectral block, not its
+    eigenvectors."""
     prod1, prod2 = find_product_eigenstates(coupling, spec.fields, spec.basis,
                                             targets)
     phi1 = spec.eig.vector_to_eigenbasis(prod1.vector)
     phi2 = spec.eig.vector_to_eigenbasis(prod2.vector)
-    return QuenchPrefix(spec, prod1, prod2, phi1, phi2, observables={
-        "H_R": h_r, "Q": build_projector_observable(phi1, phi2)})
+    return QuenchPrefix(
+        spec.eig.energies, spec.partition, spectral_block(spec), prod1, prod2,
+        phi1, phi2, {"H_R": h_r, "Q": build_projector_observable(phi1, phi2)})
 
 
 def prepare_quench(config: ExperimentConfig) -> QuenchPrefix:
     """The run's pipeline prefix: the spectrum, H_R in its eigenbasis, and
-    the product states nearest the spectral edges."""
+    the product states nearest the spectral edges.  The spectrum, and
+    with it V, is freed on return."""
     spec = prepare_spectrum(config)
-    right = np.arange(config.L) >= config.L // 2  # the sites of H_R
-    with _stage("build"):
-        ham_right = build_hamiltonian(spec.basis, config.J * right[:-1],
-                                      spec.fields * right)
+    h_r = right_half_energy(spec, config.J)
     with _stage("diagonalize"):
-        # H_R is rotated and averaged over its own buffer: besides V, no
-        # step holds more than H_R and a block of its columns
-        rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
-        del ham_right
-        return quench_states(spec, config.J, spec.bounds,
-                             symmetrized(rotated, overwrite=True))
+        return quench_states(spec, config.J, spec.bounds, h_r)
 
 
 def prediction_block(rho0: DensityMatrix, partition: SectorPartition,
@@ -393,7 +415,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute the full pipeline for one disorder realization."""
     t_begin = time.perf_counter()
     q = prepare_quench(config)
-    energies = q.spec.eig.energies
+    energies = q.energies
     pair = [(p.n_left_up, p.left_index, p.right_index) for p in (q.prod1, q.prod2)]
     same_product_state = pair[0] == pair[1]
     if same_product_state:
@@ -408,7 +430,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         protocols_out: dict = {}
         for protocol in config.protocols:
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            block = prediction_block(rho0, q.spec.partition, q.observables,
+            block = prediction_block(rho0, q.partition, q.observables,
                                      config.mc_samples, config.disorder_seed)
             for name, obs in q.observables.items():
                 ts = evolve_expectation(rho0, obs, energies, grid)
@@ -438,7 +460,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         report = ExperimentReport(
             config=asdict(config),
-            spectral=spectral_block(q.spec),
+            spectral=q.spectral,
             states=states_info,
             protocols=protocols_out,
             closed_form=closed,

@@ -76,7 +76,10 @@ class EigenSystem:
 
 # d x d float64 arrays that diagonalize holds at most, the copy of the
 # operator, its reflectors and dstedc's workspace, and that no stage of a
-# run exceeds: require_memory checks a run's size against it
+# run exceeds: the rotation of H_R holds V, H_R and a quarter of its
+# columns, and once the pair is in the eigenbasis V goes, so the moments
+# hold H_R and H_R o H_R, and the H_R series H_R and half its
+# coefficients.  require_memory checks a run's size against it
 PEAK_DXD_ARRAYS = 2.5
 MEMINFO = "/proc/meminfo"
 

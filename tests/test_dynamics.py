@@ -202,6 +202,23 @@ class TestEvolveExpectation:
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
+    def test_phases_beyond_the_exact_range_fail_before_any_work(
+            self, phase_calls):
+        # max|E| = 2: a grid up to 2^42 keeps max|E| max|t| at 2^43, where
+        # the first-order rounding term is exact to 2^-21; one past it fails
+        rho, obs = real_inputs(np.random.default_rng(12), 4)
+        energies = np.array([-2.0, -0.5, 1.0, 1.5])
+        span = 2.0 ** 42
+        assert np.all(np.isfinite(evolve_expectation(
+            rho, obs, energies, np.linspace(span - 99.0, span, 100)).values))
+        phase_calls.clear()
+        with pytest.raises(NumericalIntegrityError,
+                           match=r"max\|E\| 2\.000e\+00 times max\|t\| "
+                                 r"4\.398e\+12 exceeds 2\^43 = 8\.796e\+12"):
+            evolve_expectation(rho, obs, energies,
+                               np.linspace(span - 98.0, span + 1.0, 100))
+        assert phase_calls == []
+
     def test_far_jittered_grid_takes_direct_phases(self, monkeypatch,
                                                    phase_calls):
         # at t ~ 1e4 the same relative jitter moves times by ~1e-8, which

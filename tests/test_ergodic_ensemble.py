@@ -5,15 +5,13 @@ d^2 x d^2 dense assembly, and Monte-Carlo sampling must all agree, and the
 all-singleton case additionally matches a hand-derived dephasing formula.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoquench import ergodic_ensemble
-from ergoquench.ergodic_ensemble import (DensityMatrix, _ProductSums,
+from ergoquench.ergodic_ensemble import (DensityMatrix, _block_sums,
                                          cat_q_variance_closed_form,
                                          ensemble_mean,
                                          second_moment_expectation)
@@ -21,7 +19,6 @@ from ergoquench.errors import (NumericalIntegrityError, SectorError,
                                StateValidationError)
 from ergoquench.haar_oracle import estimate_moments, estimate_state_mean
 from ergoquench.spectral import SectorPartition
-from ergoquench.spin_chain import HermitianOperator
 
 from conftest import (block_conjugate, random_density, random_hermitian,
                       random_mixture, random_pair, random_pure,
@@ -207,12 +204,9 @@ def partitions_of(dim, rng, count=3):
 
 
 class TestBlockSums:
-    # the block sums of m o conj(1) are those of m
     def test_singleton_blocks_are_the_input(self):
         m = np.random.default_rng(30).normal(size=(5, 5))
-        sums = _ProductSums(m, np.ones_like(m), singleton_partition(5).starts)
-        assert np.array_equal(sums.matrix(), m)
-        assert np.array_equal(sums.diagonal(), np.diagonal(m))
+        assert _block_sums(m, singleton_partition(5).starts) is m
 
     def test_mixed_partition_matches_a_per_block_loop(self):
         rng = np.random.default_rng(31)
@@ -220,29 +214,17 @@ class TestBlockSums:
         m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         slices = sector_slices(part)
         want = np.array([[m[si, sj].sum() for sj in slices] for si in slices])
-        sums = _ProductSums(m, np.ones((7, 7)), part.starts)
-        assert np.allclose(sums.matrix(), want, rtol=0.0, atol=1e-13)
-        assert np.allclose(sums.diagonal(), np.diagonal(want), rtol=0.0,
+        assert np.allclose(_block_sums(m, part.starts), want, rtol=0.0,
                            atol=1e-13)
-        right = rng.normal(size=(4, 3))
-        off = want - np.diag(np.diagonal(want))
-        assert np.allclose(sums.off_diagonal_times(right), off @ right,
-                           rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("sizes", [(1,) * 150, (3,) * 50, (150,)])
-    def test_row_tiles_cover_every_row(self, sizes):
-        # 150 rows take three tiles of 64 rows; sectors cross tile edges
+    def test_every_sector_size_matches_a_per_block_loop(self, sizes):
         rng = np.random.default_rng(32)
         starts = np.cumsum((0,) + sizes[:-1])
-        x, y = rng.normal(size=(2, 150, 150))
+        m = rng.normal(size=(150, 150))
         slices = [slice(a, a + k) for a, k in zip(starts, sizes)]
-        product = x * y
-        want = np.array([[product[si, sj].sum() for sj in slices]
-                         for si in slices])
-        sums = _ProductSums(x, y, starts)
-        assert np.allclose(sums.matrix(), want, rtol=0.0, atol=1e-11)
-        assert np.allclose(sums.diagonal(), np.diagonal(want), rtol=0.0,
-                           atol=1e-11)
+        want = np.array([[m[si, sj].sum() for sj in slices] for si in slices])
+        assert np.allclose(_block_sums(m, starts), want, rtol=0.0, atol=1e-11)
 
 
 class TestSecondMoment:
@@ -505,33 +487,6 @@ class TestFactoredStateMoments:
         with (pytest.warns(RuntimeWarning, match="overflow"),
               pytest.raises(NumericalIntegrityError, match="not finite")):
             second_moment_expectation(rho, whole_partition(2), huge, huge)
-
-
-class TestDenseObservableMemory:
-    def test_factored_state_takes_no_dxd_temporary(self):
-        # d = 1024 in singleton sectors, as a run has them: the product
-        # H o H is formed PRODUCT_TILE rows at a time, 1/16 of it
-        d = 1024
-        rng = np.random.default_rng(40)
-        h = rng.normal(size=(d, d))
-        obs = HermitianOperator((h + h.T) / 2)
-        del h
-        psi = rng.normal(size=d)
-        rho = DensityMatrix.from_state_vector(psi / np.linalg.norm(psi))
-        partition = singleton_partition(d)
-        second_moment_expectation(rho, partition, obs, obs)  # warm up
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            got = second_moment_expectation(rho, partition, obs, obs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 0.1 * d * d * 8
-        want = second_moment_expectation(
-            DensityMatrix(rho.entries), partition, obs, obs)
-        assert got.connected == pytest.approx(want.connected, rel=1e-10)
 
 
 class TestDenseReference:

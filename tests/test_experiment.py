@@ -321,7 +321,8 @@ class TestReducedStates:
 class TestPrepareQuench:
     def test_real_pipeline_stays_real(self):
         q = prepare_quench(fast_config())
-        arrays = {"eigenvectors": q.spec.eig.vectors,
+        arrays = {"eigenvectors": experiment.prepare_spectrum(
+                      fast_config()).eig.vectors,
                   "H_R": q.observables["H_R"].entries,
                   "Q u": q.observables["Q"].u,
                   "Q v": q.observables["Q"].v}
@@ -351,8 +352,29 @@ class TestPrepareQuench:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q.spec.basis.dim == 924
-        assert peak - start <= 2.6 * q.spec.basis.dim ** 2 * 8
+        assert q.spectral["dim"] == 924
+        assert peak - start <= 2.6 * q.spectral["dim"] ** 2 * 8
+
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="numpy does not export dsytrd, dstedc, dormtr")
+    def test_run_holds_two_and_a_half_dxd_arrays_at_most(self):
+        # the L = 12 chain (d = 924) on 100 points: after the prefix (the
+        # test above) V is gone, so the moments hold H_R and H_R o H_R, and
+        # the H_R series H_R and half of its coefficients.  At L = 10 the
+        # arrays of length d and fixed overheads alone pass the bound.
+        config = ExperimentConfig(L=12, time_window=(3000.0, 3049.5, 100))
+        run_experiment(dataclasses.replace(config, L=4))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = result.report.spectral["dim"]
+        assert d == 924
+        assert peak - start <= 2.6 * d ** 2 * 8
 
     @pytest.mark.parametrize("available_kb,fits", [(60, False), (200, True)])
     def test_memory_check_before_the_build(self, available_kb, fits,
@@ -379,7 +401,8 @@ class TestPrepareQuench:
                                                              monkeypatch):
         # L = 10 (d = 252): three target pairs, (E_min + f W, E_max - f W)
         # over the spectral width W, and five partitions, all from one
-        # full-chain diagonalization and one rotation of H_R
+        # full-chain diagonalization and one rotation of H_R; the run's
+        # own prefix is made afterwards, for comparison
         solved, rotated = [], []
         solve = experiment.diagonalize
         rotate = spectral.EigenSystem.to_eigenbasis
@@ -396,8 +419,8 @@ class TestPrepareQuench:
         monkeypatch.setattr(spectral.EigenSystem, "to_eigenbasis",
                             counting_rotate)
         config = ExperimentConfig(L=10, time_window=(3000.0, 3049.5, 100))
-        q = prepare_quench(config)
-        spec, h_r = q.spec, q.observables["H_R"]
+        spec = experiment.prepare_spectrum(config)
+        h_r = experiment.right_half_energy(spec, config.J)
         e_min, e_max = spec.bounds
         width = e_max - e_min
         pairs = [quench_states(spec, config.J, (e_min + f * width,
@@ -412,6 +435,8 @@ class TestPrepareQuench:
         d = spec.basis.dim
         assert d == 252 and solved.count(d) == 1 and rotated == [d]
         # f = 0 is the run's pair, bit for bit
+        q = prepare_quench(config)
+        assert np.array_equal(h_r.entries, q.observables["H_R"].entries)
         edge = pairs[0]
         for name in ("vector", "energy", "n_left_up", "left_index",
                      "right_index"):
@@ -515,9 +540,9 @@ class TestRunExperiment:
         for protocol in ("cat", "mixed"):
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
             for name, obs in q.observables.items():
-                first, = estimate_moments(rho0, q.spec.partition, [obs], 1,
+                first, = estimate_moments(rho0, q.partition, [obs], 1,
                                           40, seed=config.disorder_seed)
-                second, = estimate_moments(rho0, q.spec.partition, [obs, obs],
+                second, = estimate_moments(rho0, q.partition, [obs, obs],
                                            2, 40, seed=config.disorder_seed)
                 assert res.report.protocols[protocol][name]["mc"] == {
                     "mean": first.value, "mean_se": first.std_error,
@@ -572,9 +597,9 @@ class TestRunExperiment:
         grid = np.linspace(*config.time_window)
         for protocol in ("cat", "mixed"):
             rho0 = prepare_protocol_state(q.phi1, q.phi2, protocol)
-            pred = second_moment_expectation(rho0, q.spec.partition, dense,
+            pred = second_moment_expectation(rho0, q.partition, dense,
                                              dense)
-            series = evolve_expectation(rho0, dense, q.spec.eig.energies, grid)
+            series = evolve_expectation(rho0, dense, q.energies, grid)
             stats = time_stats(series)
             want = {"theory_mean": pred.mean_a,
                     "theory_sigma": float(np.sqrt(max(pred.connected, 0.0))),
@@ -966,12 +991,30 @@ class TestCli:
             for name, obs in q.observables.items():
                 mc = data["protocols"][protocol][name]["mc"]
                 for order, moment in ((1, "mean"), (2, "second_moment")):
-                    est, = estimate_moments(rho0, q.spec.partition, [obs] * order,
+                    est, = estimate_moments(rho0, q.partition, [obs] * order,
                                             order, 30,
                                             seed=config.disorder_seed)
                     assert (mc[moment], mc[moment + "_se"]) == (
                         pytest.approx(est.value, rel=1e-13),
                         pytest.approx(est.std_error, rel=1e-13))
+
+    @pytest.mark.parametrize("window", [[1e17, 1.0000001e17, 100],
+                                        [1e9, 1.0000001e9, 200]])
+    def test_far_window_fails_under_evolve(self, window, tmp_path, capsys):
+        # at t = 1e17 the phases E t lose their rounding error (the cat H_R
+        # mean read -1.06e4 against a theory of -0.600); the far window of
+        # the edge configs, t = 1e9, stays within 2^43 and runs
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"L": 8, "time_window": window}))
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if window[0] < 1e10:
+            assert code == 0 and err == ""
+            return
+        assert code == 1
+        assert ("[evolve] max|E| 1.377e+01 times max|t| 1.000e+17 exceeds "
+                "2^43") in err
 
     def test_single_sample_config_fails_under_config(self, tmp_path, capsys,
                                                      monkeypatch):

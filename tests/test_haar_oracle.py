@@ -700,7 +700,7 @@ class TestDenseReference:
         q = prepare_quench(ExperimentConfig(L=8))
         rho = prepare_protocol_state(q.phi1, q.phi2, protocol)
         assert_matches_dense_reference(
-            rho, q.spec.partition, [q.observables["H_R"], q.observables["Q"]],
+            rho, q.partition, [q.observables["H_R"], q.observables["Q"]],
             64, 5, chunk_size=7)
 
 
@@ -712,7 +712,7 @@ def test_full_size_sampling_holds_no_dense_stack():
     obs = q.observables["Q"]
     tracemalloc.start()
     try:
-        est = estimate_moments(rho, q.spec.partition, [obs, obs], order=2,
+        est = estimate_moments(rho, q.partition, [obs, obs], order=2,
                                n_samples=2048, seed=0)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
