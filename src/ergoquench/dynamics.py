@@ -46,7 +46,8 @@ series of one run, which share both, compute them once.
   2 sqrt(n) d phases; no (time, level) array is formed.
 * Dense.  With C = rho_0 * O^T (elementwise), the series is the real part
   of u C u^dag, c.A.c + s.A.s + s.(B - B^T).c for A = Re C, B = Im C and
-  c, s the cos and sin of E t.  Each block of PHASE_BLOCK_BYTES holds whole
+  c, s the cos and sin of E t.  Each phase block (PHASE_BLOCK_BYTES, at
+  least PHASE_BLOCK_ROWS times, at most PHASE_BLOCK_MAX_BYTES) holds whole
   sub-blocks, built by in-place angle addition, and the two quadratic
   forms are x.U.x over the rows x of [c; s], one product per tile column
   of U.  The operands are Hermitian, so C is too and A is symmetric: U
@@ -76,7 +77,12 @@ from .ergodic_ensemble import _checked, _checked_state
 from .errors import ConstructionError, NumericalIntegrityError
 from .spin_chain import ADJOINT_TILE, tile_pairs
 
-PHASE_BLOCK_BYTES = 1 << 22  # cos and sin of the phases of one block of times
+# cos and sin of the phases of one block of times: PHASE_BLOCK_BYTES, but
+# at least PHASE_BLOCK_ROWS times, whose GEMMs run near full speed, unless
+# those exceed PHASE_BLOCK_MAX_BYTES
+PHASE_BLOCK_BYTES = 1 << 22
+PHASE_BLOCK_ROWS = 256
+PHASE_BLOCK_MAX_BYTES = 1 << 26
 GRID_RTOL = 1e-12
 # largest max|E| max|eps| that a block corrects to first order: the error
 # (E eps)^2 / 2 stays below one ulp of a cosine
@@ -245,7 +251,7 @@ def _factored_series(state, obs, e: np.ndarray, t: np.ndarray) -> np.ndarray:
     2 sqrt(n) d phases.  A row's offset error eps enters to first order,
     Z - i eps Z_E, where Z_E comes from the same product with G o E.  The
     scaled G of a run holds qr columns per start (2 qr with eps), within
-    PHASE_BLOCK_BYTES while that count is at most K.
+    one phase block while that count is at most K.
     """
     (p, s_mat), (q, t_mat) = state, obs
     g = (q.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
@@ -271,7 +277,7 @@ def _phase_factors(e: np.ndarray, t: np.ndarray):
     the (k, d) offset phases; eps is None when it is 0 throughout.
 
     The grid splits as t[a K + b] = T_a + sigma_b with K = ceil(sqrt(n)),
-    capped at the rows of one PHASE_BLOCK_BYTES block, and sigma_b =
+    capped at the rows of one phase block, and sigma_b =
     t[b] - t[0]: d phases per offset and per start, about 2 sqrt(n) d in
     all.  A run holds whole sub-blocks, at most as many as fit in that
     block, and each row's exact offset error eps = (t - T_a) - sigma_b
@@ -289,7 +295,9 @@ def _phase_factors(e: np.ndarray, t: np.ndarray):
     Direct phases are evaluated on every call and not kept.
     """
     n, d = len(t), len(e)
-    block_rows = max(1, PHASE_BLOCK_BYTES // (16 * max(d, 1)))
+    row_bytes = 16 * max(d, 1)  # the cos and sin of one time
+    block_rows = max(1, min(max(PHASE_BLOCK_BYTES // row_bytes, PHASE_BLOCK_ROWS),
+                            PHASE_BLOCK_MAX_BYTES // row_bytes))
     k = min(math.isqrt(n - 1) + 1, block_rows)  # ceil(sqrt(n))
     table, start_phases, eps = _phase_table(e.tobytes(), t.tobytes(), k)
     starts = np.arange(0, n, k)

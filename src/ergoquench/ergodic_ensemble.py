@@ -53,14 +53,15 @@ with a few columns in P (`_factored`).  For two such inputs the sector
 traces and the block sums of X o conj(Y) (R2 for the state with itself, M
 for the two observables) come from sector sums of products of their
 columns (`_pair_traces`), O(d r^2) work, with the block sums as two
-factors.  The exchange sum over R2 o M is then one pass over whichever of
-the two is dense, or O(d) when both are factored (`_exchange_sum`).
+factors, and when both R2 and M are factored the exchange sum is O(d).
 The formula itself is the same code for every combination: a pair whose
-members are both factored is taken from the factors, any other pair
-densely, a PairOperator by its `dense` form.  The block sums of a dense
-pair come from its product X o conj(Y), formed whole (`_block_sums`): for
-the run's real H_R that is one d x d temporary beside H_R, once the
-eigenvectors that rotated H_R are gone.
+members are both factored is taken from the factors, any other pair from
+its dense matrices, a PairOperator by its `dense` form.  Unless R2 and M
+are both factored, they are contracted in row tiles of whole sectors,
+MOMENT_TILE rows high (`_exchange_sum`): a tile of a dense pair's
+product X o conj(Y) is formed and block-summed (`_block_rows`), a
+factored pair gives the same rows from its factors, and no d x d and no
+sectors x sectors array is formed.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ PSD_ATOL = 1e-10
 IMAG_RESIDUE_RTOL = 1e-10
 _FLOAT_MAX = np.finfo(np.float64).max
 SHARED_SUPPORT_THRESHOLD = 0.05
+# rows of the block sums per tile of `_exchange_sum`: a tile holds whole
+# sectors, and a sector taller than this is a tile of its own
+MOMENT_TILE = 64
 
 
 class DensityMatrix:
@@ -194,13 +198,6 @@ def _checked_state(x, dim: int, factors: bool = True):
     return _checked(x, dim, factors)
 
 
-def _block_sums(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    if len(starts) == m.shape[0]:
-        return m  # all-singleton partition: every block is one entry
-    by_rows = np.add.reduceat(m, starts, axis=0)
-    return np.add.reduceat(by_rows, starts, axis=1)
-
-
 def _sector_traces(m: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(np.diagonal(m), starts)
 
@@ -255,12 +252,10 @@ def second_moment_expectation(rho, partition: SectorPartition,
     not finite, or has an imaginary residue, raises
     NumericalIntegrityError.
 
-    A dense pair forms its product A o conj(B) whole, one d x d temporary
-    (and its row block sums too, unless every sector is one level), so a
-    caller that keeps the eigenvectors V alive beside a dense H_R holds
-    one d x d array more than the run does: a sweep over many pairs of
-    one spectrum should take its pairs (`experiment.quench_states`)
-    before it computes the theory, and then let V go.
+    No d x d array is formed: a dense pair's product A o conj(B) is taken
+    MOMENT_TILE rows at a time (`_exchange_sum`), so beside its inputs the
+    call holds a few tiles of MOMENT_TILE x d values, or of the rows of
+    one taller sector.
     """
     _checked_state(rho, partition.dim)
     for x in (obs_a, obs_b):
@@ -275,15 +270,15 @@ def second_moment_expectation(rho, partition: SectorPartition,
     mean_a = float(np.sum(t * a_tr.real / d))
     mean_b = float(np.sum(t * b_tr.real / d))
 
-    # the covariance of a sector of one level is zero; taken before
-    # _exchange_sum zeroes the diagonals of R2 and M
+    # sum_{i != j} R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
+    r2_diag, ab_diag, exchange = _exchange_sum(r2, ab, partition, 1.0 / d)
+    # the covariance of a sector of one level is zero
     k = d >= 2
     dk = d[k]
-    covariance = ((dk * _diagonal(r2)[k] - t[k]**2)
-                  * (dk * _diagonal(ab)[k] - a_tr[k] * b_tr[k])
+    covariance = ((dk * r2_diag[k] - t[k]**2)
+                  * (dk * ab_diag[k] - a_tr[k] * b_tr[k])
                   / (dk**2 * (dk**2 - 1.0)))
-    # sum_{i != j} R2_ij M_ji / (d_i d_j); R2 is symmetric, so M_ji -> M_ij
-    connected = covariance.sum() + _exchange_sum(r2, ab, 1.0 / d)
+    connected = covariance.sum() + exchange
     total = mean_a * mean_b + connected  # the real part is taken only at the end
     # NaN and inf fail too
     if not (np.max(np.abs([total, mean_a, mean_b])) <= _FLOAT_MAX):
@@ -306,13 +301,14 @@ def _pair_traces(x, y, starts: np.ndarray):
     with F the block sums of f, the block sums are left @ right.T for
     left = F K and right = conj(F), returned as (left, right); and the
     sector traces are sector sums of the rows of (P S) o conj(P).  Unless
-    both are factored, all three come from the dense matrices.
+    both are factored, the traces come from the dense matrices, and the
+    block sums are a function of a range of sectors (`_block_rows`).
     """
     fx, fy = _factored(x), _factored(y)
     if fx is None or fy is None:
         xm, ym = _operator(x), _operator(y)
         return (_sector_traces(xm, starts), _sector_traces(ym, starts),
-                _block_sums(xm * ym.conj(), starts))
+                lambda i, j: _block_rows(xm, ym, starts, i, j))
     x_tr, y_tr = (np.add.reduceat(np.sum((p @ s) * p.conj(), axis=1), starts)
                   for p, s in (fx, fy))
     (p, s), (q, t) = fx, fy
@@ -321,31 +317,46 @@ def _pair_traces(x, y, starts: np.ndarray):
     return x_tr, y_tr, (sums @ np.kron(s, t.conj()), sums.conj())
 
 
-def _diagonal(x) -> np.ndarray:
-    """Diagonal of a matrix, or of left @ right.T given as (left, right)."""
-    return np.sum(x[0] * x[1], axis=1) if isinstance(x, tuple) else np.diagonal(x)
+def _block_rows(xm, ym, starts: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Block sums of X o conj(Y) between sectors i..j-1 and every sector,
+    from those sectors' rows of X and Y alone."""
+    lo, hi = starts[i], starts[j] if j < len(starts) else len(xm)
+    rows = xm[lo:hi] * ym[lo:hi].conj()
+    if len(starts) == len(xm):
+        return rows  # all-singleton partition: every block is one entry
+    rows = np.add.reduceat(rows, starts[i:j] - lo, axis=0)  # the product goes
+    return np.add.reduceat(rows, starts, axis=1)
 
 
-def _exchange_sum(x, y, s: np.ndarray):
-    """sum_{i != j} s_i s_j X_ij Y_ij, each of X and Y a matrix or the factors
-    (left, right) of left @ right.T.  No matrix is formed from factors:
-    with X = A B^T the sum is sum(A' o (Y B')) for a matrix Y and
-    sum((A'^T C) o (B'^T D)) for Y = C D^T, primes marking rows scaled by s.
-    The i = i terms are left out, not summed and taken away, wherever one
-    of X and Y is a matrix: its diagonal is zeroed in place, which the
-    fresh block sums of `_pair_traces` allow.
+def _exchange_sum(x, y, partition: SectorPartition, s: np.ndarray):
+    """The diagonals of X and Y and sum_{i != j} s_i s_j X_ij Y_ij, each of
+    X and Y the factors (left, right) of left @ right.T or the function of
+    a range of sectors that gives their rows (`_pair_traces`).
+
+    Two factored operands take O(d r^2): with X = A B^T and Y = C D^T the
+    sum is sum((A'^T C) o (B'^T D)), primes marking rows scaled by s, less
+    its i = i terms.  Otherwise the rows are formed in tiles of whole
+    sectors, MOMENT_TILE rows high or one taller sector, and each tile's
+    i = i entries are read into the diagonals and then zeroed, so they
+    are left out of the sum, not summed and taken away.
     """
-    if not isinstance(x, tuple):
-        x, y = y, x
-    if not isinstance(y, tuple):
-        np.fill_diagonal(y, 0.0)
-        if not isinstance(x, tuple):
-            return s @ ((x * y) @ s)
-    left, right = x[0] * s[:, None], x[1] * s[:, None]
-    if not isinstance(y, tuple):
-        return np.sum(left * (y @ right))
-    return (np.sum((left.T @ y[0]) * (right.T @ y[1]))
-            - np.sum(_diagonal(x) * _diagonal(y) * s**2))
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        x_diag, y_diag = (np.sum(f[0] * f[1], axis=1) for f in (x, y))
+        left, right = x[0] * s[:, None], x[1] * s[:, None]
+        return x_diag, y_diag, (np.sum((left.T @ y[0]) * (right.T @ y[1]))
+                                - np.sum(x_diag * y_diag * s**2))
+    edges = np.append(partition.starts, partition.dim)
+    diagonals, total, i = ([], []), 0.0, 0
+    while i < partition.n_sectors:
+        j = max(i + 1, np.searchsorted(edges, edges[i] + MOMENT_TILE, "right") - 1)
+        tile = [f(i, j) if callable(f) else f[0][i:j] @ f[1].T for f in (x, y)]
+        for rows, diagonal in zip(tile, diagonals):
+            diagonal.append(np.diagonal(rows[:, i:j]).copy())
+            np.fill_diagonal(rows[:, i:j], 0.0)
+        # popped, so that no tile is held while the next one is formed
+        total += s[i:j] @ ((tile.pop() * tile.pop()) @ s)
+        i = j
+    return np.concatenate(diagonals[0]), np.concatenate(diagonals[1]), total
 
 
 def cat_q_variance_closed_form(phi1_overlaps: np.ndarray,

@@ -78,27 +78,36 @@ class EigenSystem:
 # operator, its reflectors and dstedc's workspace, and that no stage of a
 # run exceeds: the rotation of H_R holds V, H_R and a quarter of its
 # columns, and once the pair is in the eigenbasis V goes, so the moments
-# hold H_R and H_R o H_R, and the H_R series H_R and half its
+# hold H_R and a few tiles of 64 rows, and the H_R series H_R and half its
 # coefficients.  require_memory checks a run's size against it
 PEAK_DXD_ARRAYS = 2.5
+# the same count when np.linalg.eigh solves instead (`_lapack` is None):
+# the operator, eigh's copy, dsyevd's 2 d^2 workspace and the output;
+# an L = 14 run on 100 points peaked 5.09 and 5.18 d^2 above its start
+# by ru_maxrss
+EIGH_DXD_ARRAYS = 5.2
 MEMINFO = "/proc/meminfo"
 
 
 def require_memory(dim: int) -> None:
-    """MemoryError unless PEAK_DXD_ARRAYS d x d float64 arrays fit in the
-    MemAvailable of MEMINFO, with both numbers in the message.  A host
-    without that file, or without that line in it, is not checked."""
+    """MemoryError unless the d x d float64 arrays of the solver that
+    `diagonalize` takes for a real operator, PEAK_DXD_ARRAYS with `_lapack`
+    and EIGH_DXD_ARRAYS without it, fit in the MemAvailable of MEMINFO,
+    with the solver and both numbers in the message.  A host without that
+    file, or without that line in it, is not checked."""
     try:
         with open(MEMINFO) as f:
             available = next(int(line.split()[1]) * 1024 for line in f
                              if line.startswith("MemAvailable:"))
     except (OSError, StopIteration, ValueError, IndexError):
         return
-    need = PEAK_DXD_ARRAYS * dim * dim * 8
+    solver, count = (("np.linalg.eigh", EIGH_DXD_ARRAYS) if _lapack() is None
+                     else ("dsytrd, dstedc and dormtr", PEAK_DXD_ARRAYS))
+    need = count * dim * dim * 8
     if need > available:
         raise MemoryError(
-            f"d = {dim} needs {need / 1e6:.1f} MB for {PEAK_DXD_ARRAYS} "
-            f"d x d arrays, and {available / 1e6:.1f} MB is available")
+            f"d = {dim} needs {need / 1e6:.1f} MB for {count} d x d arrays "
+            f"in {solver}, and {available / 1e6:.1f} MB is available")
 
 
 def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
@@ -119,8 +128,8 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
     and a d^2 workspace.  Both are freed before the vectors are copied
     back to C order.  A complex operator, or a numpy that does not export
     those routines, takes np.linalg.eigh, which holds dsyevd's 2 d^2
-    workspace and a separate output array.  On a real operator the two
-    paths give the same bits.
+    workspace and a separate output array (EIGH_DXD_ARRAYS in all).  On a
+    real operator the two paths give the same bits.
 
     With overwrite=True the caller gives the operator up.  A real operator
     whose entries equal their transpose exactly, as build_hamiltonian's

@@ -64,10 +64,19 @@ def real_inputs(rng, d):
 
 
 def sub_block_times(n_points, d):
-    """K = ceil(sqrt(n)), capped at the rows of one PHASE_BLOCK_BYTES
-    block: the times of one sub-block of the phase generator."""
-    rows = dynamics.PHASE_BLOCK_BYTES // (16 * d)
+    """K = ceil(sqrt(n)), capped at the rows of one phase block: the times
+    of one sub-block of the phase generator."""
+    rows = min(max(dynamics.PHASE_BLOCK_BYTES // (16 * d),
+                   dynamics.PHASE_BLOCK_ROWS),
+               dynamics.PHASE_BLOCK_MAX_BYTES // (16 * d))
     return min(math.isqrt(n_points - 1) + 1, rows)
+
+
+def set_block_rows(monkeypatch, rows, d):
+    """Phase blocks of `rows` times at dimension d, below the floor of
+    PHASE_BLOCK_ROWS times."""
+    monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", rows * 16 * d)
+    monkeypatch.setattr(dynamics, "PHASE_BLOCK_ROWS", 1)
 
 
 def count_direct_blocks(calls, t, k):
@@ -142,7 +151,7 @@ class TestEvolveExpectation:
     def test_long_grids_cross_block_boundaries(self, monkeypatch, n_points):
         # blocks of 100 times: 4517 points end in a partial 46th block and
         # reach t = 500, 37 points fit in less than one block
-        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 100 * 16 * 3)
+        set_block_rows(monkeypatch, 100, 3)
         rng = np.random.default_rng(3)
         rho = random_density(rng, 3)
         obs = random_hermitian(rng, 3)
@@ -151,6 +160,23 @@ class TestEvolveExpectation:
         ts = evolve_expectation(rho, obs, energies, t)
         ref = dense_evolution(rho.entries, obs.entries, energies, t)
         assert np.max(np.abs(ts.values - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_phase_blocks_take_256_rows_within_64_mb(self, monkeypatch,
+                                                     phase_calls):
+        # the L = 12 chain keeps its 4 MB blocks of 283 times, the L = 14
+        # chain's 76 rise to 256, and a cap below 256 times wins; a grid
+        # of rows^2 points makes each sub-block one block
+        for d, rows, max_rows in ((924, 283, None), (3432, 256, None),
+                                  (3432, 100, 100)):
+            if max_rows is not None:
+                monkeypatch.setattr(dynamics, "PHASE_BLOCK_MAX_BYTES",
+                                    max_rows * 16 * d)
+            energies = np.sort(np.random.default_rng(13).uniform(-18.0, 18.0, d))
+            runs = dynamics._phase_factors(energies, 0.5 * np.arange(rows**2))
+            start, w, tau, eps = next(runs)
+            assert (start, w.shape, tau.shape, eps) == (0, (1, d), (rows, d),
+                                                        None)
+            assert next(runs)[0] == rows
 
     def test_grid_prefix_gives_series_prefix(self):
         rng = np.random.default_rng(6)
@@ -188,7 +214,7 @@ class TestEvolveExpectation:
         # every time moved by up to half the uniformity tolerance; 16
         # sub-blocks of 17 times, two to a block of 40 times, so each
         # sub-block's offsets differ from the table's
-        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 40 * 16 * 16)
+        set_block_rows(monkeypatch, 40, 16)
         rng = np.random.default_rng(9)
         rho = random_density(rng, 16)
         obs = random_hermitian(rng, 16)
@@ -224,7 +250,7 @@ class TestEvolveExpectation:
         # at t ~ 1e4 the same relative jitter moves times by ~1e-8, which
         # puts max|E| max|eps| above OFFSET_PHASE_MAX in all 20 sub-blocks
         # but the first (whose offsets are the table's own)
-        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", 50 * 16 * 6)
+        set_block_rows(monkeypatch, 50, 6)
         rng = np.random.default_rng(10)
         rho, obs = real_inputs(rng, 6)
         energies = np.sort(rng.uniform(-18.0, 18.0, size=6))
@@ -526,7 +552,7 @@ class TestPairSeries:
             raise AssertionError("dense kernel used for factored inputs")
 
         with pytest.MonkeyPatch.context() as mp:  # blocks of 1000 times
-            mp.setattr(dynamics, "PHASE_BLOCK_BYTES", 1000 * 16 * dim)
+            set_block_rows(mp, 1000, dim)
             want = evolve_expectation(rho, dense_obs, energies, t).values
             mp.setattr(dynamics, "_phase_coefficients", no_dense)
             got = evolve_expectation(rho, obs, energies, t).values

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergoquench import ergodic_ensemble
-from ergoquench.ergodic_ensemble import (DensityMatrix, _block_sums,
+from ergoquench.ergodic_ensemble import (MOMENT_TILE, DensityMatrix,
+                                         _block_rows, _exchange_sum,
+                                         _pair_traces,
                                          cat_q_variance_closed_form,
                                          ensemble_mean,
                                          second_moment_expectation)
@@ -19,6 +21,7 @@ from ergoquench.errors import (NumericalIntegrityError, SectorError,
                                StateValidationError)
 from ergoquench.haar_oracle import estimate_moments, estimate_state_mean
 from ergoquench.spectral import SectorPartition
+from ergoquench.spin_chain import HermitianOperator, PairOperator
 
 from conftest import (block_conjugate, random_density, random_hermitian,
                       random_mixture, random_pair, random_pure,
@@ -203,28 +206,96 @@ def partitions_of(dim, rng, count=3):
     return out
 
 
+def per_block_sums(m, partition):
+    """Block sums of m by a loop over pairs of sectors."""
+    slices = sector_slices(partition)
+    return np.array([[m[si, sj].sum() for sj in slices] for si in slices])
+
+
+def tiled_pass_against_a_per_block_loop(rho, a, b, partition):
+    """`_exchange_sum` of the pairs that `_pair_traces` gives against the
+    per-block sums R2 of |rho|^2 and M of A o conj(B): their diagonals, and
+    sum_{i != j} s_i s_j R2_ij M_ij with random weights s."""
+    s = np.random.default_rng(33).uniform(0.5, 2.0, size=partition.n_sectors)
+    pairs = [_pair_traces(x, y, partition.starts)[2]
+             for x, y in ((rho, rho), (a, b))]
+    got_r2, got_m, got = _exchange_sum(*pairs, partition, s)
+    r, am, bm = (x.dense() if isinstance(x, PairOperator) else x.entries
+                 for x in (rho, a, b))
+    r2 = per_block_sums(np.abs(r)**2, partition)
+    m = per_block_sums(am * bm.conj(), partition)
+    terms = np.outer(s, s) * r2 * m
+    np.fill_diagonal(terms, 0.0)
+    assert np.allclose(got_r2, np.diagonal(r2), rtol=1e-12, atol=1e-15)
+    assert np.allclose(got_m, np.diagonal(m), rtol=1e-12, atol=1e-12)
+    assert abs(got - terms.sum()) <= 1e-12 * np.sum(np.abs(terms))
+
+
+def real_or_complex(rng, dim, complex_data):
+    g = rng.normal(size=(dim, dim))
+    return g + 1j * rng.normal(size=(dim, dim)) if complex_data else g
+
+
+def operands(rng, dim, complex_data, factored_state, pair_observables):
+    """A state and two observables, real or complex: the state dense or
+    kept as factors, the observables dense or PairOperators."""
+    if factored_state:
+        rho = random_mixture(rng, dim, 2, complex_data)
+    else:
+        g = real_or_complex(rng, dim, complex_data)
+        rho = DensityMatrix(g @ g.conj().T / np.sum(np.abs(g)**2))
+    if pair_observables:
+        return (rho, random_pair(rng, dim, complex_data),
+                random_pair(rng, dim, complex_data))
+    g, h = (real_or_complex(rng, dim, complex_data) for _ in range(2))
+    return (rho, HermitianOperator((g + g.conj().T) / 2),
+            HermitianOperator((h + h.conj().T) / 2))
+
+
 class TestBlockSums:
+    """The tiled pass of the moments: rows of block sums formed a tile of
+    whole sectors at a time (`_block_rows`), contracted by `_exchange_sum`."""
+
     def test_singleton_blocks_are_the_input(self):
-        m = np.random.default_rng(30).normal(size=(5, 5))
-        assert _block_sums(m, singleton_partition(5).starts) is m
+        rng = np.random.default_rng(30)
+        x, y = rng.normal(size=(2, 5, 5))
+        rows = _block_rows(x, y, singleton_partition(5).starts, 1, 3)
+        assert np.array_equal(rows, x[1:3] * y[1:3])
 
     def test_mixed_partition_matches_a_per_block_loop(self):
         rng = np.random.default_rng(31)
         part = SectorPartition(7, np.array([0, 1, 4, 5]))
-        m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        slices = sector_slices(part)
-        want = np.array([[m[si, sj].sum() for sj in slices] for si in slices])
-        assert np.allclose(_block_sums(m, part.starts), want, rtol=0.0,
-                           atol=1e-13)
+        x, y = (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+                for _ in range(2))
+        want = per_block_sums(x * y.conj(), part)
+        for i in range(4):
+            for j in range(i + 1, 5):
+                assert np.allclose(_block_rows(x, y, part.starts, i, j),
+                                   want[i:j], rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("sizes", [(1,) * 150, (3,) * 50, (150,)])
     def test_every_sector_size_matches_a_per_block_loop(self, sizes):
         rng = np.random.default_rng(32)
         starts = np.cumsum((0,) + sizes[:-1])
-        m = rng.normal(size=(150, 150))
-        slices = [slice(a, a + k) for a, k in zip(starts, sizes)]
-        want = np.array([[m[si, sj].sum() for sj in slices] for si in slices])
-        assert np.allclose(_block_sums(m, starts), want, rtol=0.0, atol=1e-11)
+        part = SectorPartition(150, starts)
+        tiled_pass_against_a_per_block_loop(
+            *operands(rng, 150, False, False, False), part)
+
+    @pytest.mark.parametrize("pair_observables", [False, True])
+    @pytest.mark.parametrize("factored_state", [False, True])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_sectors_straddling_the_tile_height(self, complex_data,
+                                                factored_state,
+                                                pair_observables):
+        # sectors just below, at and above the tile height, two taller
+        # than a tile, and single levels on either side of them
+        k = MOMENT_TILE
+        sizes = (1, k - 2, 3, k, k + 1, 1, 1, 20, k // 2 + 1, 2 * k + 3, 5)
+        part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
+        rng = np.random.default_rng(34)
+        tiled_pass_against_a_per_block_loop(
+            *operands(rng, part.dim, complex_data, factored_state,
+                      pair_observables), part)
 
 
 class TestSecondMoment:

@@ -359,8 +359,9 @@ class TestPrepareQuench:
                         reason="numpy does not export dsytrd, dstedc, dormtr")
     def test_run_holds_two_and_a_half_dxd_arrays_at_most(self):
         # the L = 12 chain (d = 924) on 100 points: after the prefix (the
-        # test above) V is gone, so the moments hold H_R and H_R o H_R, and
-        # the H_R series H_R and half of its coefficients.  At L = 10 the
+        # test above) V is gone, so the moments hold H_R and a few tiles of
+        # 64 rows, and the H_R series H_R and half of its coefficients, so
+        # the run's peak is the prefix's.  At L = 10 the
         # arrays of length d and fixed overheads alone pass the bound.
         config = ExperimentConfig(L=12, time_window=(3000.0, 3049.5, 100))
         run_experiment(dataclasses.replace(config, L=4))
@@ -376,10 +377,11 @@ class TestPrepareQuench:
         assert d == 924
         assert peak - start <= 2.6 * d ** 2 * 8
 
-    @pytest.mark.parametrize("available_kb,fits", [(60, False), (200, True)])
+    @pytest.mark.parametrize("available_kb,fits", [(60, False), (250, True)])
     def test_memory_check_before_the_build(self, available_kb, fits,
                                            tmp_path, monkeypatch):
-        # L = 8 (d = 70) needs 2.5 d^2 float64, 98 kB
+        # L = 8 (d = 70) needs 2.5 d^2 float64, 98 kB, with the LAPACK
+        # routines and 5.2 d^2, 204 kB, in np.linalg.eigh without them
         meminfo = tmp_path / "meminfo"
         meminfo.write_text(f"MemTotal: 900 kB\nMemAvailable: {available_kb} kB\n")
         monkeypatch.setattr(spectral, "MEMINFO", str(meminfo))
@@ -388,9 +390,50 @@ class TestPrepareQuench:
             assert experiment.prepare_spectrum(config).basis.dim == 70
             return
         with pytest.raises(PipelineError,
-                           match=r"\[build\] d = 70 needs 0\.1 MB for 2\.5 "
-                                 r"d x d arrays, and 0\.1 MB is available"):
+                           match=r"\[build\] d = 70 needs 0\.[12] MB for "
+                                 r"(2\.5|5\.2) d x d arrays in .+, and "
+                                 r"0\.1 MB is available"):
             experiment.prepare_spectrum(config)
+
+    def test_memory_check_counts_the_solver_path(self, tmp_path,
+                                                 monkeypatch):
+        # 150 kB holds the 98 kB of the LAPACK routines at L = 8 (d = 70),
+        # not the 204 kB of np.linalg.eigh
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal: 900 kB\nMemAvailable: 150 kB\n")
+        monkeypatch.setattr(spectral, "MEMINFO", str(meminfo))
+        config = ExperimentConfig(L=8, time_window=(3000.0, 3049.5, 100))
+        if spectral._lapack() is not None:
+            assert experiment.prepare_spectrum(config).basis.dim == 70
+        monkeypatch.setattr(spectral, "_lapack", lambda: None)
+        with pytest.raises(PipelineError,
+                           match=r"\[build\] d = 70 needs 0\.2 MB for 5\.2 "
+                                 r"d x d arrays in np\.linalg\.eigh, and "
+                                 r"0\.2 MB is available"):
+            experiment.prepare_spectrum(config)
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_moments_hold_no_dxd_array(self, clustered):
+        # the L = 12 run's cat state (d = 924) over its singletons and over
+        # the 903 sectors of cluster_sectors(energies, 1e-4 W): the moments
+        # of H_R and Q hold a few tiles of 64 rows beside their inputs
+        q = prepare_quench(ExperimentConfig(
+            L=12, time_window=(3000.0, 3049.5, 100)))
+        e = q.energies
+        partition = (cluster_sectors(e, 1e-4 * (e[-1] - e[0])) if clustered
+                     else q.partition)
+        assert partition.n_sectors == (903 if clustered else 924)
+        rho0 = prepare_protocol_state(q.phi1, q.phi2, "cat")
+        prediction_block(rho0, partition, q.observables, 0, 0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            prediction_block(rho0, partition, q.observables, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 0.4 * len(e) ** 2 * 8
 
     def test_host_without_meminfo_is_not_checked(self, tmp_path, monkeypatch):
         monkeypatch.setattr(spectral, "MEMINFO", str(tmp_path / "absent"))
