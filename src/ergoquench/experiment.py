@@ -18,7 +18,8 @@ ensemble moments of a state over any partition of the spectrum.
 rotations: the QuenchPrefix that `quench_states` returns keeps the
 energies, the partition and the report's spectral block, not V, so V
 goes once the pair is in the eigenbasis, and no stage of a run holds
-more than `spectral.PEAK_DXD_ARRAYS` d x d arrays.
+more than the 2.5 d x d arrays of the solver: 2.6 d^2 at the measured
+peak, LAPACK's buffers included (`spectral.PEAK_DXD_ARRAYS`).
 """
 
 from __future__ import annotations

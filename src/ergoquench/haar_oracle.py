@@ -9,9 +9,11 @@ U = H_0 H_1 ... H_(d-2) diag(phases), each reflector from a fresh
 Gaussian column (Stewart, SIAM J. Numer. Anal. 17, 403 (1980)).  That is
 the Q of a Ginibre matrix's QR with the R-diagonal phase fix, which is
 exactly Haar (Mezzadri, math-ph/0609050), from d (d + 1) / 2 entries
-instead of d^2, with a few vectorized operations per column over a whole
-stack of blocks and no LAPACK call per matrix (`_householder_unitaries`).
-A block of one level is the phase g / |g| of its entry.  The Ginibre
+instead of d^2.  One kernel applies a block's reflectors, a row at a
+time over a whole stack of blocks and with no LAPACK call per matrix
+(`_reflected`): to the identity, which gives U, or to the rows of a
+state's factor P, which gives U P.  A block of one level is the phase
+g / |g| of its entry.  The Ginibre
 entries come from one counter-based Philox stream keyed by the seed
 (Salmon et al., SC 2011), turned into normals by Box-Muller with one
 tangent per entry: with t = tan(pi u), the angle 2 pi u has cosine
@@ -24,10 +26,13 @@ No d x d unitary is formed.  Sectors of equal size are drawn as one
 stack, and the sampled U acts block by block, in a basis reordered so that
 each size group is one contiguous range (`_size_groups`).  For the moments
 a state that keeps its factors, rho = P S P^dag, is rotated as U P, held
-as its transpose, (samples, r, d), and U rho U^dag is never formed; each
-observable is contracted with it in the form the observable is stored in.
-A dense state, and every state whose element-wise mean is asked for, is
-rotated as sigma = U rho U^dag, one product per size group on each side.
+as its transpose, (samples, r, d): the reflectors act on P's rows, in
+O(d_i^2 r) per block where forming U_i would take O(d_i^3), so neither a
+block unitary nor U rho U^dag is formed (`_group_reflected`); each
+observable is contracted with U P in the form the observable is stored
+in.  A dense state, and every state whose element-wise mean is asked
+for, is rotated as sigma = U rho U^dag, with the block unitaries formed
+and one product per size group on each side.
 The state and every observable pass the check the analytic moments apply
 (`ergodic_ensemble._checked`): the partition's dimension, and Hermiticity
 for a raw array; the state is also a DensityMatrix, with unit trace and no
@@ -35,18 +40,23 @@ negative eigenvalue (`_checked_state`).  So the oracle, the formulas it
 checks and the phase sums accept the same operands.
 
 A chunk of samples holds at most three chunk-sized arrays at once, an
-array being a chunk's unitaries (sum_i d_i^2 complex numbers a sample) or
-its rotated state, whichever is larger (`_bounded_chunk`).  By stage:
-  entries     the Ginibre entries, half the unitaries' size or less, are
-              copied once into the layout each size group is drawn in and
-              let go before any unitary is built (`_group_unitaries`);
-  unitaries   each group's stack is built on a (d, d, samples) work array
-              and copied out sample by sample, beside its own entries;
-  rotated     W = rho^T U^T, or Y = (U P)^T for a factored state, is
-              written beside the unitaries;
+array being a chunk's Ginibre entries (sum_i d_i (d_i + 1) / 2 complex
+numbers a sample) or its rotated state, whichever is larger
+(`_bounded_chunk`).  By stage:
+  entries     the Ginibre entries are drawn from as many random words,
+              copied once into the layout each size group is drawn in,
+              and the draw is let go (`_group_entries`);
+  unitaries   dense states only: each group's stack, 2 d / (d + 1) times
+              its entries and no larger than sigma, is built on a
+              (d, d, n_g, samples) work array and copied out beside the
+              entries (`_group_unitaries`);
+  rotated     W = rho^T U^T is written beside the unitaries; for a
+              factored state, Y = (U P)^T is written beside the entries
+              and a group's (d, r, n_g, samples) work array;
   sigma       U rho U^dag is formed as conj(conj(W)^T U^T) beside W and
               the unitaries, with both conjugates taken in place.
-So a dense chunk peaks at three arrays.
+So a dense chunk peaks at three arrays, and a factored one, whose Y is
+r d complex numbers a sample, at about twice its entries.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, matmul and Philox release the GIL, so
@@ -179,93 +189,104 @@ def _size_groups(partition: SectorPartition):
     return groups, np.concatenate(order), int(offsets[-1])
 
 
-def _householder_unitaries(x: np.ndarray, d: int) -> np.ndarray:
-    """(..., d, d) Haar unitaries, d > 1, from x, (d (d + 1) / 2, ...): the
-    lower triangle of one Ginibre matrix Z per block, column by column down
-    the first axis.  x is the caller's to lose: a zero column is patched in
-    it.
+def _reflected(x: np.ndarray, d: int, m: np.ndarray | None = None):
+    """U m, (d, c) + x.shape[1:], for the Haar unitaries U of d levels
+    drawn from x, (d (d + 1) / 2,) + batch: the lower triangle of one
+    Ginibre matrix Z per block, column by column down the first axis.  m
+    is a (d, c) + batch stack, or None for the identity, which gives U
+    itself.  x is the caller's to lose: a zero column is patched in it.
 
     U = H_0 H_1 ... H_(d-2) diag(-alpha_0, ..., -alpha_(d-2), Z_(d-1,d-1)
     / |Z_(d-1,d-1)|).  Column k of the triangle, x = Z[k:, k], gives the
     reflector H_k on rows k .. d - 1: with alpha = x_0 / |x_0| and
-    v = x + alpha |x| e_0, H_k = 1 - 2 v v^dag / (v^dag v) sends x to
-    -alpha |x| e_0.  That is the Householder QR of Z with the R diagonal
+    v = x + alpha |x| e_0, H_k = 1 - v v^dag / (|x| (|x| + |x_0|)) sends x
+    to -alpha |x| e_0.  That is the Householder QR of Z with the R diagonal
     made positive, except that each reflector comes from fresh entries:
     after k reflections, rows and columns k .. d - 1 are again Ginibre and
     independent of the reflectors so far, so U is exactly Haar (Stewart,
-    SIAM J. Numer. Anal. 17, 403 (1980); Mezzadri, math-ph/0609050).
+    SIAM J. Numer. Anal. 17, 403 (1980); Mezzadri, math-ph/0609050).  A
+    zero x_0 takes alpha = 1, and an all-zero x stands for e_0.  A block
+    of one level is the phase Z / |Z| of its entry.
 
-    U is accumulated from the last reflector back to the first on a
-    (d, d, samples) stack: a few vectorized operations per column and no
-    LAPACK call per matrix.  With B the block of rows and columns
-    k + 1 .. d - 1 so far, rows and columns k .. d - 1 become
-    H_k (-alpha (+) B): first column x / |x|, first row -alpha y / |x| and
-    inner block B - x_1.. y / (|x| (|x| + |x_0|)), with y = x_1..^dag B.
-    A zero x_0 takes alpha = 1, and an all-zero x stands for e_0.
+    The phases act first and H_0 last, each reflector on rows k .. d - 1
+    of the whole stack, a row at a time: a few vectorized operations per
+    row and no LAPACK call per matrix.  On the identity, rows k .. d - 1
+    are zero left of column k until H_k acts, so only columns k .. d - 1
+    are updated: about the flops of accumulating U in closed form.
     """
-    shape = x.shape[1:]
-    x = x.reshape(x.shape[0], -1)
-    samples = x.shape[1]
-    if samples == 1:
+    lone = x[0].size == 1
+    if lone:
         # numpy multiplies complex operands broadcast to a one-element result
         # without the fused multiply-add its vector loops use, so a lone
         # block is drawn twice over to get the bits it has in a stack
-        x = np.repeat(x, 2, axis=1)
-    u = np.empty((d, d, x.shape[1]), dtype=np.complex128)
-    _phase(x[-1], out=u[d - 1, d - 1])
+        x = np.repeat(x, 2, axis=-1)
+        m = None if m is None else np.repeat(m, 2, axis=-1)
     # per reflector: where its column starts, its norm and x_0's phase
-    starts = np.array([k * d - k * (k - 1) // 2 for k in range(d - 1)],
-                      dtype=np.intp)
-    body = x[:-1]
-    norm = np.sqrt(np.add.reduceat(body.real * body.real
-                                   + body.imag * body.imag, starts, axis=0))
+    starts = np.cumsum(np.arange(d + 1, 2, -1)) - (d + 1)
+    norm = np.sqrt(np.add.reduceat(x.real[:-1] * x.real[:-1]
+                                   + x.imag[:-1] * x.imag[:-1], starts, axis=0))
     dead = norm == 0.0
     if dead.any():
         x[starts] += dead
         norm[dead] = 1.0
-    head = x[starts]
-    phase = _phase(head)
-    inv = 1.0 / norm
-    # a row at a time, with one buffer: faster than one broadcast product
-    buf = np.empty((d - 1, x.shape[1]), dtype=np.complex128)
+    phase = _phase(x[starts])
+    # v_0 = x_0 + alpha |x| = alpha (|x_0| + |x|), written over x_0
+    big = norm + np.abs(x[starts])
+    x[starts] = phase * big
+    diag = np.concatenate((-phase, _phase(x[-1:])))
+    out = diag[:, None] * (np.eye(d).reshape((d, d) + (1,) * (x.ndim - 1))
+                           if m is None else m)
+    scale = 1.0 / (norm * big)
     for k in range(d - 2, -1, -1):
-        col = x[starts[k]:starts[k] + d - k]
-        inner, tail, part = u[k + 1:, k + 1:], col[1:], buf[:d - k - 1]
-        np.multiply(col, inv[k], out=u[k:, k])
-        conj = tail.conj()
-        y = conj[0] * inner[0]
-        for c, row in zip(conj[1:], inner[1:]):
-            y += np.multiply(c, row, out=part)
-        np.multiply(y, -phase[k] * inv[k], out=u[k, k + 1:])
-        y *= inv[k] / (norm[k] + np.abs(head[k]))
-        for c, row in zip(tail, inner):
-            row -= np.multiply(c, y, out=part)
-    return np.ascontiguousarray(
-        np.moveaxis(u[..., :samples], -1, 0)).reshape(shape + (d, d))
+        v = x[starts[k]:starts[k] + d - k]
+        block = out[k:, k:] if m is None else out[k:]
+        conj, buf = v.conj(), np.empty_like(block[0])
+        y = conj[0] * block[0]
+        for c, row in zip(conj[1:], block[1:]):
+            y += np.multiply(c, row, out=buf)
+        y *= scale[k]
+        for c, row in zip(v, block):
+            row -= np.multiply(c, y, out=buf)
+    return out[..., :1] if lone else out
+
+
+def _group_entries(groups, n_entries: int, seed: int, first_index: int,
+                   count: int) -> list[np.ndarray]:
+    """Each size group's Ginibre entries for samples first_index ..
+    first_index + count - 1, (d (d + 1) / 2, n_g, count), copied once out
+    of one draw by indexing the rows of its transpose (np.take would copy
+    it all first); the draw is let go when they are returned."""
+    g = _ginibre_entries(seed, first_index, count, n_entries)
+    return [g.T[grp.columns.reshape(len(grp.sectors), -1).T] for grp in groups]
 
 
 def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
                      count: int) -> list[np.ndarray]:
     """One (count, n_g, d_g, d_g) stack of Haar unitaries per size group,
-    for samples first_index .. first_index + count - 1.
+    for samples first_index .. first_index + count - 1.  Each is built on
+    a (d, d, n_g, count) work array and copied out beside the entries; it
+    comes out (n_g, count, d, d) in memory and is handed on with those two
+    axes swapped."""
+    return [np.ascontiguousarray(_reflected(z, grp.size).transpose(2, 3, 0, 1))
+            .swapaxes(0, 1) for grp, z in zip(groups, _group_entries(
+                groups, n_entries, seed, first_index, count))]
 
-    Each group's entries are copied out of g once, in the layout its draw
-    works in, and g is let go before the unitaries are built, so a chunk
-    holds its entries once.  Blocks of d > 1 levels are gathered
-    entry-major, (d (d + 1) / 2, n_g, count), by indexing the rows of g^T
-    (np.take would copy all of g^T first); their stack comes out
-    (n_g, count, d, d) in memory and is handed on with those two axes
-    swapped.  One-level blocks are gathered sample-major, (count, n_g), and
-    their phases are written over the entries.
-    """
-    g = _ginibre_entries(seed, first_index, count, n_entries)
-    zs = [np.take(g, grp.columns, axis=1) if grp.size == 1
-          else g.T[grp.columns.reshape(len(grp.sectors), -1).T]
-          for grp in groups]
-    del g
-    return [_phase(z, out=z).reshape(count, -1, 1, 1) if grp.size == 1
-            else _householder_unitaries(z, grp.size).swapaxes(0, 1)
-            for grp, z in zip(groups, zs)]
+
+def _group_reflected(groups, n_entries: int, seed: int, first_index: int,
+                     count: int, pt: np.ndarray) -> np.ndarray:
+    """Y = (U P)^T, (count, r, d), for samples first_index ..
+    first_index + count - 1 and pt = P^T in the reordered basis: each size
+    group's rows of P, (d_g, r, n_g) and broadcast over the samples, pass
+    through its blocks' reflectors, and no block unitary is formed."""
+    y = np.empty((count,) + pt.shape, dtype=np.complex128)
+    for grp, z in zip(groups, _group_entries(groups, n_entries, seed,
+                                             first_index, count)):
+        p = pt[:, grp.rows].reshape(len(pt), -1, grp.size, 1).transpose(
+            2, 0, 1, 3)
+        y[..., grp.rows].reshape(count, len(pt), -1, grp.size)[...] = (
+            _reflected(z, grp.size, np.broadcast_to(p, p.shape[:-1] + (count,)))
+            .transpose(3, 1, 2, 0))
+    return y
 
 
 def _times_blocks(groups, stacks, m: np.ndarray, out: np.ndarray):
@@ -282,20 +303,16 @@ def _times_blocks(groups, stacks, m: np.ndarray, out: np.ndarray):
                       out=dst.reshape(dst.shape[:-1] + (n, d)).swapaxes(-2, -3))
 
 
-def _rotated(groups, stacks, m: np.ndarray, factored: bool) -> np.ndarray:
-    """For a factored state, m = P^T and the (count, r, d) stack of
-    (U P)^T = P^T U^T, one row per column of P; for a dense state, m = rho
-    and the (count, d, d) stack sigma = U rho U^dag = W^T U^dag with
+def _rotated(groups, stacks, rho: np.ndarray) -> np.ndarray:
+    """The (count, d, d) stack sigma = U rho U^dag = W^T U^dag with
     W = rho^T U^T, formed as conj(conj(W)^T U^T): the conjugates are taken
     in place, on W and on sigma, so no conjugate of the unitaries is held
     beside them."""
     transposed = [u.swapaxes(-1, -2) for u in stacks]
-    x = np.empty((len(stacks[0]),) + m.shape, dtype=np.complex128)
-    _times_blocks(groups, transposed, m if factored else m.T, x)
-    if factored:
-        return x
-    sigma = np.empty_like(x)
-    _times_blocks(groups, transposed, np.conjugate(x, out=x).transpose(0, 2, 1),
+    w = np.empty((len(stacks[0]),) + rho.shape, dtype=np.complex128)
+    _times_blocks(groups, transposed, rho.T, w)
+    sigma = np.empty_like(w)
+    _times_blocks(groups, transposed, np.conjugate(w, out=w).transpose(0, 2, 1),
                   sigma)
     return np.conjugate(sigma, out=sigma)
 
@@ -326,24 +343,21 @@ def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
     factored rho = P S P^dag (S real symmetric, as `_factored` gives it),
     unless `factored` is False, s is S and that is Y = (U P)^T of shape
     (count, r, d); for a dense rho s is None and it is sigma.  The chunk is
-    bounded by its largest array: the unitaries (sum_i d_i^2 entries a
-    sample, at least as many as the Ginibre entries), sigma or Y.
+    bounded by its largest array: the Ginibre entries, or sigma (d^2
+    entries a sample, more than the unitaries) or Y.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     groups, order, n_entries = _size_groups(partition)
     m = _in_basis(_checked_state(rho, partition.dim, factored), order)
-    s = None
-    if isinstance(m, tuple):
-        p, s = m
-        m = np.ascontiguousarray(p.T)
-    step = _bounded_chunk(max(int(partition.sizes @ partition.sizes),
-                              m.size))
+    m, s = ((np.ascontiguousarray(m[0].T), m[1]) if isinstance(m, tuple)
+            else (m, None))
+    step = _bounded_chunk(max(n_entries, m.size))
 
     def rotated(first):
-        count = min(step, n_samples - first)
-        stacks = _group_unitaries(groups, n_entries, seed, first, count)
-        return _rotated(groups, stacks, m, s is not None)
+        args = groups, n_entries, seed, first, min(step, n_samples - first)
+        return (_rotated(groups, _group_unitaries(*args), m) if s is None
+                else _group_reflected(*args, m))
 
     return order, s, rotated, range(0, n_samples, step)
 

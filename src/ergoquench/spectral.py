@@ -74,13 +74,16 @@ class EigenSystem:
         return self.vectors.conj().T @ np.asarray(v)
 
 
-# d x d float64 arrays that diagonalize holds at most, the copy of the
-# operator, its reflectors and dstedc's workspace, and that no stage of a
-# run exceeds: the rotation of H_R holds V, H_R and a quarter of its
-# columns, and once the pair is in the eigenbasis V goes, so the moments
-# hold H_R and a few tiles of 64 rows, and the H_R series H_R and half its
-# coefficients.  require_memory checks a run's size against it
-PEAK_DXD_ARRAYS = 2.5
+# d x d float64 arrays that a run holds at most, as measured: diagonalize
+# keeps 2.5 of them, the copy of the operator, its reflectors and dstedc's
+# workspace, and no later stage keeps more (the rotation of H_R holds V,
+# H_R and a quarter of its columns; once the pair is in the eigenbasis V
+# goes, so the moments hold H_R and a few tiles of 64 rows, and the H_R
+# series H_R and half its coefficients).  An L = 14 run on 100 points
+# peaked at 2.60 d^2 above its start (VmHWM and ru_maxrss, at the end of
+# prepare_spectrum), LAPACK's own buffers included.  require_memory checks
+# a run's size against it
+PEAK_DXD_ARRAYS = 2.6
 # the same count when np.linalg.eigh solves instead (`_lapack` is None):
 # the operator, eigh's copy, dsyevd's 2 d^2 workspace and the output;
 # an L = 14 run on 100 points peaked 5.09 and 5.18 d^2 above its start
@@ -122,10 +125,11 @@ def diagonalize(op: HermitianOperator, overwrite: bool = False) -> EigenSystem:
 
     A real operator is diagonalized as LAPACK dsyevd diagonalizes it, by
     its three routines called one by one (`_eigh`), in place on one
-    Fortran-ordered copy of its entries, so the solver holds
-    PEAK_DXD_ARRAYS = 2.5 d x d arrays besides the operator: that copy,
-    which becomes the eigenvectors, the Householder reflectors (d^2 / 2)
-    and a d^2 workspace.  Both are freed before the vectors are copied
+    Fortran-ordered copy of its entries, so the solver holds 2.5 d x d
+    arrays besides the operator: that copy, which becomes the
+    eigenvectors, the Householder reflectors (d^2 / 2) and a d^2
+    workspace; with LAPACK's own buffers a run peaks at PEAK_DXD_ARRAYS =
+    2.6 d x d arrays, as measured.  Both are freed before the vectors are copied
     back to C order.  A complex operator, or a numpy that does not export
     those routines, takes np.linalg.eigh, which holds dsyevd's 2 d^2
     workspace and a separate output array (EIGH_DXD_ARRAYS in all).  On a

@@ -1,15 +1,16 @@
 """Dense references the tests check the package against: the literal
 d^2 x d^2 second moment behind `second_moment_expectation` at small
-dimension, and the Monte-Carlo oracle's dense path behind
-`estimate_moments` and `estimate_state_mean`, built on one sample's
-block unitaries drawn as the estimators draw them."""
+dimension, the Monte-Carlo oracle's dense path behind `estimate_moments`
+and `estimate_state_mean`, built on one sample's block unitaries drawn as
+the estimators draw them, and the closed-form accumulation of a block's
+Householder reflectors behind the oracle's reflector kernel."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from ergoquench.ergodic_ensemble import _checked, _operator
-from ergoquench.haar_oracle import _group_unitaries, _size_groups
+from ergoquench.haar_oracle import _group_unitaries, _phase, _size_groups
 from ergoquench.spectral import SectorPartition
 
 from conftest import sector_slices
@@ -30,6 +31,73 @@ class BlockUnitary:
             eye = np.eye(blk.shape[0])
             worst = max(worst, float(np.max(np.abs(blk @ blk.conj().T - eye))))
         return worst
+
+
+def householder_unitaries(x: np.ndarray, d: int) -> np.ndarray:
+    """(..., d, d) Haar unitaries, d > 1, from x, (d (d + 1) / 2, ...): the
+    lower triangle of one Ginibre matrix Z per block, column by column down
+    the first axis.  x is the caller's to lose: a zero column is patched in
+    it.
+
+    U = H_0 H_1 ... H_(d-2) diag(-alpha_0, ..., -alpha_(d-2), Z_(d-1,d-1)
+    / |Z_(d-1,d-1)|).  Column k of the triangle, x = Z[k:, k], gives the
+    reflector H_k on rows k .. d - 1: with alpha = x_0 / |x_0| and
+    v = x + alpha |x| e_0, H_k = 1 - 2 v v^dag / (v^dag v) sends x to
+    -alpha |x| e_0.  That is the Householder QR of Z with the R diagonal
+    made positive, except that each reflector comes from fresh entries:
+    after k reflections, rows and columns k .. d - 1 are again Ginibre and
+    independent of the reflectors so far, so U is exactly Haar (Stewart,
+    SIAM J. Numer. Anal. 17, 403 (1980); Mezzadri, math-ph/0609050).
+
+    U is accumulated in closed form from the last reflector back to the
+    first on a (d, d, samples) stack, as the oracle formed its unitaries
+    before its kernel (`haar_oracle._reflected`) applied the reflectors
+    one by one; it stays as an independent reference for that kernel.
+    With B the block of rows and columns k + 1 .. d - 1 so far, rows and
+    columns k .. d - 1 become
+    H_k (-alpha (+) B): first column x / |x|, first row -alpha y / |x| and
+    inner block B - x_1.. y / (|x| (|x| + |x_0|)), with y = x_1..^dag B.
+    A zero x_0 takes alpha = 1, and an all-zero x stands for e_0.
+    """
+    shape = x.shape[1:]
+    x = x.reshape(x.shape[0], -1)
+    samples = x.shape[1]
+    if samples == 1:
+        # numpy multiplies complex operands broadcast to a one-element result
+        # without the fused multiply-add its vector loops use, so a lone
+        # block is drawn twice over to get the bits it has in a stack
+        x = np.repeat(x, 2, axis=1)
+    u = np.empty((d, d, x.shape[1]), dtype=np.complex128)
+    _phase(x[-1], out=u[d - 1, d - 1])
+    # per reflector: where its column starts, its norm and x_0's phase
+    starts = np.array([k * d - k * (k - 1) // 2 for k in range(d - 1)],
+                      dtype=np.intp)
+    body = x[:-1]
+    norm = np.sqrt(np.add.reduceat(body.real * body.real
+                                   + body.imag * body.imag, starts, axis=0))
+    dead = norm == 0.0
+    if dead.any():
+        x[starts] += dead
+        norm[dead] = 1.0
+    head = x[starts]
+    phase = _phase(head)
+    inv = 1.0 / norm
+    # a row at a time, with one buffer: faster than one broadcast product
+    buf = np.empty((d - 1, x.shape[1]), dtype=np.complex128)
+    for k in range(d - 2, -1, -1):
+        col = x[starts[k]:starts[k] + d - k]
+        inner, tail, part = u[k + 1:, k + 1:], col[1:], buf[:d - k - 1]
+        np.multiply(col, inv[k], out=u[k:, k])
+        conj = tail.conj()
+        y = conj[0] * inner[0]
+        for c, row in zip(conj[1:], inner[1:]):
+            y += np.multiply(c, row, out=part)
+        np.multiply(y, -phase[k] * inv[k], out=u[k, k + 1:])
+        y *= inv[k] / (norm[k] + np.abs(head[k]))
+        for c, row in zip(tail, inner):
+            row -= np.multiply(c, y, out=part)
+    return np.ascontiguousarray(
+        np.moveaxis(u[..., :samples], -1, 0)).reshape(shape + (d, d))
 
 
 def sample_block_unitary(partition: SectorPartition, seed: int,

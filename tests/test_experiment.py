@@ -380,7 +380,7 @@ class TestPrepareQuench:
     @pytest.mark.parametrize("available_kb,fits", [(60, False), (250, True)])
     def test_memory_check_before_the_build(self, available_kb, fits,
                                            tmp_path, monkeypatch):
-        # L = 8 (d = 70) needs 2.5 d^2 float64, 98 kB, with the LAPACK
+        # L = 8 (d = 70) needs 2.6 d^2 float64, 102 kB, with the LAPACK
         # routines and 5.2 d^2, 204 kB, in np.linalg.eigh without them
         meminfo = tmp_path / "meminfo"
         meminfo.write_text(f"MemTotal: 900 kB\nMemAvailable: {available_kb} kB\n")
@@ -391,13 +391,13 @@ class TestPrepareQuench:
             return
         with pytest.raises(PipelineError,
                            match=r"\[build\] d = 70 needs 0\.[12] MB for "
-                                 r"(2\.5|5\.2) d x d arrays in .+, and "
+                                 r"(2\.6|5\.2) d x d arrays in .+, and "
                                  r"0\.1 MB is available"):
             experiment.prepare_spectrum(config)
 
     def test_memory_check_counts_the_solver_path(self, tmp_path,
                                                  monkeypatch):
-        # 150 kB holds the 98 kB of the LAPACK routines at L = 8 (d = 70),
+        # 150 kB holds the 102 kB of the LAPACK routines at L = 8 (d = 70),
         # not the 204 kB of np.linalg.eigh
         meminfo = tmp_path / "meminfo"
         meminfo.write_text("MemTotal: 900 kB\nMemAvailable: 150 kB\n")

@@ -22,7 +22,7 @@ from ergoquench.experiment import (ExperimentConfig, prepare_protocol_state,
                                    prepare_quench)
 from ergoquench import haar_oracle
 from ergoquench.haar_oracle import (DEFAULT_CHUNK, _ginibre_entries,
-                                    _group_unitaries, _size_groups,
+                                    _group_unitaries, _reflected, _size_groups,
                                     estimate_moments, estimate_state_mean,
                                     sample_traces, summarize)
 from ergoquench.spectral import SectorPartition
@@ -32,7 +32,8 @@ from conftest import (block_conjugate, block_matrix, random_density,
                       random_hermitian, random_mixture, random_pair,
                       random_pure, singleton_partition, whole_partition)
 from dense_reference import (BlockUnitary, dense_state_mean,
-                             dense_trace_values, sample_block_unitary)
+                             dense_trace_values, householder_unitaries,
+                             sample_block_unitary)
 
 
 def haar_first_entry_power(d, k):
@@ -210,6 +211,55 @@ class TestStream:
         with pytest.raises(ValueError, match="seed"):
             estimate_moments(np.eye(2) / 2.0, part, [np.eye(2)], order=1,
                              n_samples=4, seed=seed)
+
+
+class TestReflectorKernel:
+    """`_reflected` against the closed-form accumulation of the same
+    reflectors (`dense_reference.householder_unitaries`), on the same
+    entries: U itself, from the identity, and U P for a rank-2 P."""
+
+    @staticmethod
+    def entries(d, samples, seed):
+        """(d (d + 1) / 2, samples) Ginibre entries; with more than one
+        sample, sample 1 has an all-zero first column and sample 2 a zero
+        head x_0 on its last reflector."""
+        rng = np.random.default_rng(seed)
+        shape = (d * (d + 1) // 2, samples)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if samples > 1:
+            x[:d, 1] = 0.0
+            x[d * (d + 1) // 2 - 3, 2] = 0.0
+        return x
+
+    @pytest.mark.parametrize("samples", [1, 4])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 57])
+    def test_matches_the_closed_form(self, d, samples):
+        x = self.entries(d, samples, d)
+        want = householder_unitaries(x.copy(), d)
+        u = _reflected(x.copy(), d)
+        assert np.max(np.abs(np.moveaxis(u, -1, 0) - want)) <= 1e-14
+        rng = np.random.default_rng(d + 1)
+        p = rng.normal(size=(d, 2, samples)) + 1j * rng.normal(
+            size=(d, 2, samples))
+        p /= np.linalg.norm(p, axis=0)
+        up = _reflected(x.copy(), d, p)
+        assert np.max(np.abs(np.moveaxis(up, -1, 0)
+                             - want @ np.moveaxis(p, -1, 0))) <= 1e-14
+
+    # one column of P makes every product of a lone draw a one-element one
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 57])
+    def test_a_lone_draw_has_the_bits_it_has_in_a_stack(self, d, columns):
+        x = self.entries(d, 4, d + 2)
+        p = np.random.default_rng(d).normal(size=(d, columns, 4)) + 0.5j
+        stack = _reflected(x.copy(), d)
+        applied = _reflected(x.copy(), d, p)
+        for k in range(4):
+            assert np.array_equal(_reflected(x[:, k:k + 1].copy(), d),
+                                  stack[..., k:k + 1])
+            assert np.array_equal(
+                _reflected(x[:, k:k + 1].copy(), d, p[..., k:k + 1]),
+                applied[..., k:k + 1])
 
 
 class TestFirstEntryMoment:
@@ -695,6 +745,18 @@ class TestDenseReference:
             rho, part, [random_pair(rng, part.dim, True),
                         random_hermitian(rng, part.dim)], 40, 16, chunk_size=7)
 
+    def test_matches_on_a_rank_two_state_over_large_blocks(self):
+        # the factored path applies the reflectors to P, the dense
+        # reference assembles each U: blocks of 1, 2, 13 and 57 levels out
+        # of order, drawn in chunks of 7
+        sizes = (2, 1, 57, 2, 13, 1)
+        part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
+        rng = np.random.default_rng(17)
+        rho = random_mixture(rng, part.dim, 2, True)
+        assert_matches_dense_reference(
+            rho, part, [random_pair(rng, part.dim, True),
+                        random_hermitian(rng, part.dim)], 16, 18, chunk_size=7)
+
     @pytest.mark.parametrize("protocol", ["cat", "mixed"])
     def test_matches_on_pipeline_states(self, protocol):
         q = prepare_quench(ExperimentConfig(L=8))
@@ -739,3 +801,27 @@ def test_dense_chunk_holds_three_chunk_sized_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3.1 * n * d * d * 16
+
+
+def test_factored_chunk_forms_no_unitary_stack(monkeypatch):
+    # one chunk of 512 samples of a rank-2 state over one 64-level sector:
+    # the chunk's Ginibre entries are 512 * 64 * 65 / 2 complex numbers
+    # (17 MB), drawn from as many random words; Y is 512 * 2 * 64.  A stack
+    # of the unitaries, 512 * 64^2 complex numbers, and its copy would
+    # take four times the entries
+    monkeypatch.setattr(haar_oracle, "_cores", lambda: 1)
+    monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 512)
+    d, n = 64, 512
+    part = whole_partition(d)
+    rng = np.random.default_rng(29)
+    rho = random_mixture(rng, d, 2, True)
+    q = random_pair(rng, d, True)
+    # a first call leaves the thread pool's imports out of the peak
+    sample_traces(rho, part, [q], n, seed=0)
+    tracemalloc.start()
+    try:
+        sample_traces(rho, part, [q], n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * d * (d + 1) // 2 * 16
