@@ -6,14 +6,20 @@ Every report.json must match apart from its `timestamp` and
 `runtime_seconds`, which differ between any two runs; every other file
 (the CSVs, and aggregate.json of a batch) must be byte-equal.  Exits 0
 when they do, else prints every difference, one a line (each key path of
-a report, the first differing line of another file), and exits 1.
+a report, the first differing line of another file), and exits 1.  A CSV
+that differs but keeps its header and row count also gets one line per
+numeric column: the largest absolute difference |a - b| of its entries
+and the largest relative one, |a - b| / max(|a|, |b|).
 
 Example:
     python3 scripts/compare_artifacts.py runs/before runs/after
 """
 
 import argparse
+import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +57,41 @@ def first_line_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} lines against {len(lines_b)}"
 
 
+def csv_columns(text: bytes) -> tuple[list[str], int, list[list[str]]]:
+    """The header of a CSV, its number of rows and its columns of entries
+    as written."""
+    header, *rows = list(csv.reader(io.StringIO(text.decode()))) or [[]]
+    return header, len(rows), [[row[j] if j < len(row) else ""
+                                for row in rows] for j in range(len(header))]
+
+
+def column_differences(a: bytes, b: bytes):
+    """The largest absolute and relative difference of each numeric column
+    of two CSVs with the same header and row count, one line each; none
+    when the header or the row count differs.  Entries written alike are
+    equal, NaN too; any other difference that is not finite counts as
+    inf."""
+    (header, rows, columns_a), (header_b, rows_b, columns_b) = (
+        csv_columns(a), csv_columns(b))
+    if (header, rows) != (header_b, rows_b):
+        return
+    for name, x, y in zip(header, columns_a, columns_b):
+        try:
+            pairs = [(float(p), float(q)) for p, q in zip(x, y) if p != q]
+        except ValueError:
+            continue  # not a numeric column
+        largest, relative = 0.0, 0.0
+        for p, q in pairs:
+            diff = abs(p - q)
+            if not math.isfinite(diff):
+                largest = relative = math.inf
+            elif diff:
+                largest = max(largest, diff)
+                relative = max(relative, diff / max(abs(p), abs(q)))
+        yield (f"column {name}: largest difference {largest:.3e}, "
+               f"relative {relative:.3e}")
+
+
 def differences(dir_a: Path, dir_b: Path):
     """Every difference between the two directories, one line each."""
     names_a, names_b = files_under(dir_a), files_under(dir_b)
@@ -68,6 +109,9 @@ def differences(dir_a: Path, dir_b: Path):
                 yield f"{name}: {difference}"
         elif a != b:
             yield f"{name}: {first_line_difference(a, b)}"
+            if name.endswith(".csv"):
+                for line in column_differences(a, b):
+                    yield f"{name}: {line}"
 
 
 def main():

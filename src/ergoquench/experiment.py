@@ -347,16 +347,22 @@ def spectral_block(spec: SpectralPrefix) -> dict:
 def right_half_energy(spec: SpectralPrefix,
                       coupling: float) -> HermitianOperator:
     """H_R, the energy of the right half of `spec`'s chain, in its
-    eigenbasis: built, rotated and averaged with its transpose over its
-    own buffer, so that besides V no step holds more than H_R and a block
-    of its columns."""
+    eigenbasis: built and rotated over its own buffer, so that besides V
+    no step holds more than H_R and a block of its columns.
+
+    The rotation is exactly Hermitian off the diagonal, so the in-place
+    `symmetrized` that wraps it changes no bit of a real H_R and only
+    makes a complex diagonal real.  It stays until H_R is rotated by a
+    symmetric rank-k update, which drops the rotation's products
+    altogether, because perfbench times `symmetrized` as a layer and its
+    tests expect the run to call it."""
     # the sites of H_R
     right = np.arange(len(spec.fields)) >= len(spec.fields) // 2
     with _stage("build"):
         ham_right = build_hamiltonian(spec.basis, coupling * right[:-1],
                                       spec.fields * right)
     with _stage("diagonalize"):
-        rotated = spec.eig.to_eigenbasis(ham_right.entries, overwrite=True)
+        rotated = spec.eig.to_eigenbasis(ham_right, overwrite=True)
         del ham_right
         return symmetrized(rotated, overwrite=True)
 

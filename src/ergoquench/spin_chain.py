@@ -139,8 +139,11 @@ class HermitianOperator:
 
 def symmetrized(entries: np.ndarray,
                 overwrite: bool = False) -> HermitianOperator:
-    """Wrap (M + M^dag)/2, for matrices Hermitian only up to rounding
-    (e.g. after a basis rotation).
+    """Wrap (M + M^dag)/2, for matrices Hermitian only up to rounding,
+    such as a product formed in floating point.  On a matrix whose
+    entries below the diagonal are already the adjoints of their mirrors
+    (`EigenSystem.to_eigenbasis`'s result) the average leaves every real
+    entry's bits as they are and only makes a complex diagonal real.
 
     Each tile pair is averaged once and its mirror written as the adjoint,
     which is bit-identical to averaging it: 0.5 * (x + conj y) and

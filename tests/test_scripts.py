@@ -110,11 +110,43 @@ def test_compare_artifacts_passes_two_runs_and_names_a_changed_byte(tmp_path):
     shutil.copytree(runs[0], changed)
     path = changed / "series_cat_Q.csv"
     text = bytearray(path.read_bytes())
-    text[-2] = ord("0") if text[-2] != ord("0") else ord("1")
+    # a digit of the last value that its float keeps (the 17th may not)
+    text[-5] = ord("0") if text[-5] != ord("0") else ord("1")
     path.write_bytes(bytes(text))
     out = run_script("compare_artifacts.py", str(runs[0]), str(changed),
                      returncode=1)
-    assert out.startswith("series_cat_Q.csv: line 2001: ")
+    first, *columns = out.splitlines()
+    assert first.startswith("series_cat_Q.csv: line 2001: ")
+    # then the largest difference of each numeric column: only the last
+    # value moved
+    was, now = (float(series.read_text().splitlines()[-1].split(",")[1])
+                for series in (runs[0] / "series_cat_Q.csv", path))
+    assert was != now
+    moved = abs(was - now)
+    assert columns == [
+        "series_cat_Q.csv: column t: largest difference 0.000e+00, "
+        "relative 0.000e+00",
+        f"series_cat_Q.csv: column value: largest difference {moved:.3e}, "
+        f"relative {moved / max(abs(was), abs(now)):.3e}"]
+
+
+def test_compare_artifacts_column_differences_of_a_csv(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    files = ("t,value,label\n0,1.0,x\n1,-2.0,y\n2,nan,z\n3,4.0,w\n",
+             "t,value,label\n0,1.5,x\n1,-2.0,q\n2,nan,z\n3,-4.0,w\n")
+    for out, text in zip(runs, files):
+        out.mkdir()
+        (out / "series.csv").write_text(text)
+    out = run_script("compare_artifacts.py", *map(str, runs), returncode=1)
+    # the label column is not numeric; nan written alike is no difference
+    assert out.splitlines()[1:] == [
+        "series.csv: column t: largest difference 0.000e+00, relative 0.000e+00",
+        "series.csv: column value: largest difference 8.000e+00, "
+        "relative 2.000e+00"]
+    # a changed row count leaves only the first differing line
+    (runs[1] / "series.csv").write_text(files[0] + "4,5.0,v\n")
+    out = run_script("compare_artifacts.py", *map(str, runs), returncode=1)
+    assert out.splitlines() == ["series.csv: 5 lines against 6"]
 
 
 def test_compare_artifacts_names_every_differing_key(tmp_path):

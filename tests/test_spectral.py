@@ -18,6 +18,12 @@ from conftest import (random_hermitian, sector_slices, singleton_partition,
                       whole_partition)
 
 
+def assert_hermitian_off_diagonal(x):
+    """Every strict-lower entry of x is the conjugate of its mirror."""
+    lower = np.tril_indices(len(x), -1)
+    assert np.array_equal(x[lower], x.conj().T[lower])
+
+
 class TestDiagonalize:
     def test_pauli_x(self):
         eig = diagonalize(HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]])))
@@ -211,8 +217,9 @@ class TestDiagonalize:
         rng = np.random.default_rng(3)
         op = random_hermitian(rng, 12)
         eig = diagonalize(op)
-        rotated = eig.to_eigenbasis(op.entries)
+        rotated = eig.to_eigenbasis(op)
         assert np.max(np.abs(rotated - np.diag(eig.energies))) < 1e-10
+        assert_hermitian_off_diagonal(rotated)
 
     @settings(max_examples=40, deadline=None)
     @given(dim=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
@@ -220,8 +227,9 @@ class TestDiagonalize:
                                  "complex_m", "complex_v"]))
     def test_to_eigenbasis_matches_the_two_sided_product(self, dim, seed, kind):
         # the support product M V must agree with V^dag M V however sparse
-        # M is: full, a few nonzeros per row, or whole tiles of zero rows.
-        # M and V are each real or complex ("complex": both)
+        # M is: full, a few nonzeros per row, or whole tiles of zero rows
+        # (and columns, so that they stay zero in (m + m^dag) / 2).  M and
+        # V are each real or complex ("complex": both)
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(dim, dim))
         if kind in ("complex", "complex_m"):
@@ -229,42 +237,53 @@ class TestDiagonalize:
         if kind != "dense":
             m[rng.random((dim, dim)) > min(1.0, 5.0 / dim)] = 0.0
         if kind == "zero_rows":
-            m[rng.random(dim) < 0.5] = 0.0
-            m[:min(dim, 70)] = 0.0  # at least one all-zero tile
+            zero = rng.random(dim) < 0.5
+            zero[:min(dim, 70)] = True  # at least one all-zero tile
+            m[zero] = 0.0
+            m[:, zero] = 0.0
+        m = (m + m.conj().T) / 2
         h = rng.normal(size=(dim, dim))
         if kind in ("complex", "complex_v"):
             h = h + 1j * rng.normal(size=(dim, dim))
         eig = diagonalize(HermitianOperator((h + h.conj().T) / 2))
         v = eig.vectors
         want = v.conj().T @ m @ v
-        got = eig.to_eigenbasis(m)
+        got = eig.to_eigenbasis(HermitianOperator(m))
         assert got.dtype == want.dtype
         scale = max(float(np.max(np.abs(m))), 1e-300)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert_hermitian_off_diagonal(got)
         # overwrite uses M's buffer where the dtypes allow; same bits
-        reused = eig.to_eigenbasis(m.copy(), overwrite=True)
+        reused = eig.to_eigenbasis(HermitianOperator(m.copy()), overwrite=True)
         assert reused.dtype == got.dtype
         assert np.array_equal(reused, got)
 
-    @pytest.mark.parametrize("kind", ["sparse", "complex"])
+    @pytest.mark.parametrize("kind", ["sparse", "complex", "dense",
+                                      "complex_dense"])
     def test_to_eigenbasis_in_column_blocks(self, kind):
-        # blocks of 76, 76, 76 and 74 columns: both paths form the same
-        # blocks, and the given-up buffer holds the result
+        # blocks of 76, 76, 76 and 74 columns, 16-row support tiles of
+        # which the last holds 14 rows, and 128 x 128 mirror tiles of which
+        # the last holds 46: both paths form the same blocks, the given-up
+        # buffer holds the result, and every entry below the diagonal is
+        # the adjoint of its mirror, bit for bit
         dim = 302
         rng = np.random.default_rng(10)
         m = rng.normal(size=(dim, dim))
-        m[rng.random((dim, dim)) > 5.0 / dim] = 0.0
+        if "dense" not in kind:
+            m[rng.random((dim, dim)) > 5.0 / dim] = 0.0
         h = rng.normal(size=(dim, dim))
-        if kind == "complex":
+        if "complex" in kind:
             m = m + 1j * rng.normal(size=(dim, dim))
             h = h + 1j * rng.normal(size=(dim, dim))
+        m = (m + m.conj().T) / 2
         eig = diagonalize(HermitianOperator((h + h.conj().T) / 2))
         v = eig.vectors
-        got = eig.to_eigenbasis(m)
+        got = eig.to_eigenbasis(HermitianOperator(m))
         want = v.conj().T @ m @ v
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(m))
+        assert_hermitian_off_diagonal(got)
         given_up = m.copy()
-        reused = eig.to_eigenbasis(given_up, overwrite=True)
+        reused = eig.to_eigenbasis(HermitianOperator(given_up), overwrite=True)
         assert reused is given_up
         assert np.array_equal(reused, got)
 
