@@ -24,15 +24,17 @@ samples are batched.
 
 No d x d unitary is formed.  Sectors of equal size are drawn as one
 stack, and the sampled U acts block by block, in a basis reordered so that
-each size group is one contiguous range (`_size_groups`).  For the moments
-a state that keeps its factors, rho = P S P^dag, is rotated as U P, held
-as its transpose, (samples, r, d): the reflectors act on P's rows, in
-O(d_i^2 r) per block where forming U_i would take O(d_i^3), so neither a
-block unitary nor U rho U^dag is formed (`_group_reflected`); each
-observable is contracted with U P in the form the observable is stored
-in.  A dense state, and every state whose element-wise mean is asked
-for, is rotated as sigma = U rho U^dag, with the block unitaries formed
-and one product per size group on each side.
+each size group is one contiguous range (`_size_groups`).  Every state is
+held by its factors, rho = P diag(w) P^dag: a DensityMatrix that keeps
+its vectors by them and its weights, any other state by `eigh`, once per
+call (`_samples`).  It is rotated as U P, held as its transpose
+Y = (U P)^T, (samples, r, d) (`_group_reflected`).  A size group of more
+levels than P has columns passes P's rows through its reflectors, in
+O(d_g^2 r) a block where forming U would take O(d_g^3); any other group
+forms its blocks' U and takes U P in one batched product.  Each
+observable is contracted with Y in the form it is stored in (`_traces`),
+and the element-wise mean forms sigma = Y^T diag(w) conj(Y) chunk by
+chunk.
 The state and every observable pass the check the analytic moments apply
 (`ergodic_ensemble._checked`): the partition's dimension, and Hermiticity
 for a raw array; the state is also a DensityMatrix, with unit trace and no
@@ -41,22 +43,22 @@ checks and the phase sums accept the same operands.
 
 A chunk of samples holds at most three chunk-sized arrays at once, an
 array being a chunk's Ginibre entries (sum_i d_i (d_i + 1) / 2 complex
-numbers a sample) or its rotated state, whichever is larger
-(`_bounded_chunk`).  By stage:
+numbers a sample), its Y (r d) or, for the element-wise mean, its sigma
+(d^2), whichever is largest (`_bounded_chunk`).  By stage:
   entries     the Ginibre entries are drawn from as many random words,
               copied once into the layout each size group is drawn in,
               and the draw is let go (`_group_entries`);
-  unitaries   dense states only: each group's stack, 2 d / (d + 1) times
-              its entries and no larger than sigma, is built on a
-              (d, d, n_g, samples) work array and copied out beside the
-              entries (`_group_unitaries`);
-  rotated     W = rho^T U^T is written beside the unitaries; for a
-              factored state, Y = (U P)^T is written beside the entries
-              and a group's (d, r, n_g, samples) work array;
-  sigma       U rho U^dag is formed as conj(conj(W)^T U^T) beside W and
-              the unitaries, with both conjugates taken in place.
-So a dense chunk peaks at three arrays, and a factored one, whose Y is
-r d complex numbers a sample, at about twice its entries.
+  unitaries   the groups of no more levels than P has columns form their
+              (d_g, d_g, n_g, samples) stacks of U beside the entries,
+              and those groups' entries are let go;
+  rotated     Y is written beside the unitaries, or beside the remaining
+              entries and a group's (d_g, r, n_g, samples) reflected rows
+              of P;
+  sigma       Y diag(w) is taken, Y is conjugated in place, and sigma is
+              formed beside both.
+So a chunk of a full-rank state peaks at three arrays, and one of a
+low-rank state, whose Y is r d complex numbers a sample, at about twice
+its entries.
 
 The chunks of one call run at the same time, one per core on a thread pool
 (`_in_order`): numpy's ufuncs, matmul and Philox release the GIL, so
@@ -260,61 +262,35 @@ def _group_entries(groups, n_entries: int, seed: int, first_index: int,
     return [g.T[grp.columns.reshape(len(grp.sectors), -1).T] for grp in groups]
 
 
-def _group_unitaries(groups, n_entries: int, seed: int, first_index: int,
-                     count: int) -> list[np.ndarray]:
-    """One (count, n_g, d_g, d_g) stack of Haar unitaries per size group,
-    for samples first_index .. first_index + count - 1.  Each is built on
-    a (d, d, n_g, count) work array and copied out beside the entries; it
-    comes out (n_g, count, d, d) in memory and is handed on with those two
-    axes swapped."""
-    return [np.ascontiguousarray(_reflected(z, grp.size).transpose(2, 3, 0, 1))
-            .swapaxes(0, 1) for grp, z in zip(groups, _group_entries(
-                groups, n_entries, seed, first_index, count))]
-
-
 def _group_reflected(groups, n_entries: int, seed: int, first_index: int,
                      count: int, pt: np.ndarray) -> np.ndarray:
     """Y = (U P)^T, (count, r, d), for samples first_index ..
-    first_index + count - 1 and pt = P^T in the reordered basis: each size
-    group's rows of P, (d_g, r, n_g) and broadcast over the samples, pass
-    through its blocks' reflectors, and no block unitary is formed."""
+    first_index + count - 1 and pt = P^T in the reordered basis.  A size
+    group of more levels than P has columns passes its rows of P,
+    (d_g, r, n_g) and broadcast over the samples, through its blocks'
+    reflectors, in O(d_g^2 r) a block.  Any other group forms its blocks'
+    U, in O(d_g^3), before Y is allocated, so that Y, a unitary stack and
+    the entries are never held at once; U P is then one batched product
+    that reads U in the (d_g, d_g, n_g, count) layout the kernel leaves it
+    in (a block of one level is a phase, and the product element-wise)."""
+    r = len(pt)
+    draws = [_reflected(z, grp.size) if grp.size <= r else z
+             for grp, z in zip(groups, _group_entries(
+                 groups, n_entries, seed, first_index, count))]
     y = np.empty((count,) + pt.shape, dtype=np.complex128)
-    for grp, z in zip(groups, _group_entries(groups, n_entries, seed,
-                                             first_index, count)):
-        p = pt[:, grp.rows].reshape(len(pt), -1, grp.size, 1).transpose(
-            2, 0, 1, 3)
-        y[..., grp.rows].reshape(count, len(pt), -1, grp.size)[...] = (
-            _reflected(z, grp.size, np.broadcast_to(p, p.shape[:-1] + (count,)))
-            .transpose(3, 1, 2, 0))
-    return y
-
-
-def _times_blocks(groups, stacks, m: np.ndarray, out: np.ndarray):
-    """out = m V in the reordered basis, V = (+) of the blocks in `stacks`
-    acting on the columns of m: m is (k, d) or (count, k, d), out a
-    (count, k, d) array or a view of one whose columns split in place."""
-    for grp, v in zip(groups, stacks):
-        count, n, d = v.shape[:3]
-        src, dst = m[..., grp.rows], out[..., grp.rows]
-        if d == 1:
-            np.multiply(src, v.reshape(count, 1, n), out=dst)
+    for grp, x in zip(groups, draws):
+        d = grp.size
+        p = pt[:, grp.rows].reshape(r, -1, d)
+        dst = y[..., grp.rows].reshape(count, r, -1, d)
+        if d > r:
+            p = p.transpose(2, 0, 1)[..., None]
+            dst[...] = _reflected(x, d, np.broadcast_to(
+                p, p.shape[:-1] + (count,))).transpose(3, 1, 2, 0)
         else:
-            np.matmul(src.reshape(src.shape[:-1] + (n, d)).swapaxes(-2, -3), v,
-                      out=dst.reshape(dst.shape[:-1] + (n, d)).swapaxes(-2, -3))
-
-
-def _rotated(groups, stacks, rho: np.ndarray) -> np.ndarray:
-    """The (count, d, d) stack sigma = U rho U^dag = W^T U^dag with
-    W = rho^T U^T, formed as conj(conj(W)^T U^T): the conjugates are taken
-    in place, on W and on sigma, so no conjugate of the unitaries is held
-    beside them."""
-    transposed = [u.swapaxes(-1, -2) for u in stacks]
-    w = np.empty((len(stacks[0]),) + rho.shape, dtype=np.complex128)
-    _times_blocks(groups, transposed, rho.T, w)
-    sigma = np.empty_like(w)
-    _times_blocks(groups, transposed, np.conjugate(w, out=w).transpose(0, 2, 1),
-                  sigma)
-    return np.conjugate(sigma, out=sigma)
+            (np.multiply if d == 1 else np.matmul)(
+                p.swapaxes(0, 1), x.transpose(3, 2, 1, 0),
+                out=dst.swapaxes(1, 2))
+    return y
 
 
 def _bounded_chunk(per_sample: int) -> int:
@@ -334,32 +310,35 @@ def _in_basis(m, order: np.ndarray):
 
 
 def _samples(rho, partition: SectorPartition, n_samples: int, seed: int,
-             factored: bool = True):
-    """(order, s, rotated, firsts) for rho rotated by the sampled block
-    unitaries, everything in the reordered basis `order` (`_size_groups`).
+             held: int):
+    """(order, w, rotated, firsts) for rho = P diag(w) P^dag rotated by the
+    sampled block unitaries, everything in the reordered basis `order`
+    (`_size_groups`).
 
-    `firsts` are the first sample indices of the chunks and `rotated(first)`
-    is rho rotated by the samples of the chunk starting there.  For a
-    factored rho = P S P^dag (S real symmetric, as `_factored` gives it),
-    unless `factored` is False, s is S and that is Y = (U P)^T of shape
-    (count, r, d); for a dense rho s is None and it is sigma.  The chunk is
-    bounded by its largest array: the Ginibre entries, or sigma (d^2
-    entries a sample, more than the unitaries) or Y.
+    A DensityMatrix that keeps its factors gives its vectors and weights;
+    any other state is factored here, once, by `eigh` of its complex cast,
+    so a real state and its complex cast give the same bits.  `firsts` are
+    the first sample indices of the chunks and `rotated(first)` is
+    Y = (U P)^T, (count, r, d), for the samples of the chunk starting
+    there.  The chunk is bounded by its largest array: the Ginibre entries,
+    Y, or the `held` complex numbers a sample that the caller forms from Y.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     groups, order, n_entries = _size_groups(partition)
-    m = _in_basis(_checked_state(rho, partition.dim, factored), order)
-    m, s = ((np.ascontiguousarray(m[0].T), m[1]) if isinstance(m, tuple)
-            else (m, None))
-    step = _bounded_chunk(max(n_entries, m.size))
+    state = _checked_state(rho, partition.dim)
+    if isinstance(state, tuple):
+        p, w = state[0], np.diagonal(state[1])
+    else:
+        w, p = np.linalg.eigh(state.astype(np.complex128))
+    pt = np.ascontiguousarray(p[order].T)
+    step = _bounded_chunk(max(n_entries, pt.size, held))
 
     def rotated(first):
-        args = groups, n_entries, seed, first, min(step, n_samples - first)
-        return (_rotated(groups, _group_unitaries(*args), m) if s is None
-                else _group_reflected(*args, m))
+        return _group_reflected(groups, n_entries, seed, first,
+                                min(step, n_samples - first), pt)
 
-    return order, s, rotated, range(0, n_samples, step)
+    return order, w, rotated, range(0, n_samples, step)
 
 
 def _cores() -> int:
@@ -392,51 +371,62 @@ def _in_order(work, firsts):
             yield running.popleft().result()
 
 
-def _traces(y: np.ndarray, s: np.ndarray, a) -> np.ndarray:
-    """tr(sigma A) per sample for sigma = Y^T S conj(Y), Y (count, r, d),
-    S real symmetric: sum_kl S_kl Re G_lk with G_lk = y_l^dag A y_k for the
-    rows y of Y.  A = Q T Q^dag given as (Q, T) goes through Q^dag y, O(d)
-    per row; a dense Hermitian A through one GEMM of the rows, as
-    conj(Y conj(A)) so that the product is conjugated in place and not Y;
-    a real one through one real GEMM of their real and imaginary parts
-    stacked, Re G_lk = Re y_l . A Re y_k + Im y_l . A Im y_k."""
-    d = y.shape[-1]
+def _times(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """m A for a stack m of r x d matrices, one per sample.  Fewer rows
+    than columns are stacked over the samples into one GEMM; with r >= d
+    each matrix is a GEMM of its own.  Stacked, the rows of a full-rank
+    16-level state made a GEMM that BLAS shared out among its threads,
+    which then held the core of the second sampling worker: the
+    `oracle-haar` benchmark ran 9 % slower and 3.5 MB larger."""
+    r, d = m.shape[-2:]
+    return m @ a if r >= d else (m.reshape(-1, d) @ a).reshape(m.shape)
+
+
+def _traces(y: np.ndarray, w: np.ndarray, a) -> np.ndarray:
+    """tr(sigma A) per sample for sigma = Y^T diag(w) conj(Y), Y
+    (count, r, d): sum_k w_k Re G_kk with G_kk = y_k^dag A y_k for the
+    rows y_k of Y, so only the diagonal of G is formed.  A = Q T Q^dag
+    given as (Q, T) goes through Q^dag y, O(d) per row; a dense Hermitian
+    A through one product of the rows (`_times`), as conj(Y conj(A)) so
+    that the product is conjugated in place and not Y; a real one through
+    one real product of their real and imaginary parts stacked,
+    Re G_kk = Re y_k . A Re y_k + Im y_k . A Im y_k.  The sums are
+    einsum's: summed by BLAS (g @ w), the values changed in their last
+    bits with the number of sampling workers."""
     if isinstance(a, tuple):
         q, t = a
         z = y @ q.conj()
-        g = np.einsum("blx,xy,bky->blk", z.conj(), t, z).real
+        g = np.einsum("bkx,xy,bky->bk", z.conj(), t, z).real
     elif np.isrealobj(a):
         parts = np.stack((y.real, y.imag))
-        ap = (parts.reshape(-1, d) @ a).reshape(parts.shape)
-        g = (parts @ ap.swapaxes(-1, -2)).sum(axis=0)
+        g = np.einsum("pbkx,pbkx->bk", parts, _times(parts, a))
     else:
-        p = (y.reshape(-1, d) @ a.conj()).reshape(y.shape)
-        g = (np.conjugate(p, out=p) @ y.swapaxes(-1, -2)).real
-    return np.einsum("kl,blk->b", s, g)
+        p = _times(y, a.conj())
+        g = np.einsum("bkx,bkx->bk", np.conjugate(p, out=p), y).real
+    return np.einsum("k,bk->b", w, g)
 
 
 def sample_traces(rho, partition: SectorPartition, observables,
                   n_samples: int, seed: int) -> list[np.ndarray]:
     """tr(U rho U^dag A) for samples 0 .. n_samples - 1 of the seed's
     stream: one array of n_samples values per observable, in the order
-    given.  An observable listed more than once is evaluated once per
-    sample, and its array is listed that many times.
+    given, each from Y = (U P)^T (`_samples`, `_traces`).  An observable
+    listed more than once is evaluated once per sample, and its array is
+    listed that many times.
     """
     observables = list(observables)
     if not observables:
         raise ValueError("no observables given")
-    basis, s, rotated, firsts = _samples(rho, partition, n_samples, seed)
-    forms = {id(o): _in_basis(_checked(o, partition.dim, s is not None),
-                              basis)
+    basis, w, rotated, firsts = _samples(rho, partition, n_samples, seed,
+                                         held=0)
+    forms = {id(o): _in_basis(_checked(o, partition.dim), basis)
              for o in observables}
     values = {key: np.empty(n_samples) for key in forms}
 
     def traces(first):
-        x = rotated(first)
+        y = rotated(first)
         for key, a in forms.items():
-            values[key][first:first + len(x)] = (
-                np.einsum("bij,ji->b", x, a).real if s is None
-                else _traces(x, s, a))
+            values[key][first:first + len(y)] = _traces(y, w, a)
 
     for _ in _in_order(traces, firsts):
         pass
@@ -494,16 +484,18 @@ def estimate_state_mean(rho, partition: SectorPartition, n_samples: int,
 
     Returns (mean, se_real, se_imag): the averaged matrix plus standard
     errors of the real and imaginary parts of every element, for direct
-    element-wise comparison against ensemble_mean.  A factored rho is
-    rotated densely too: its squared elements cost d^2 per sample either
-    way.
+    element-wise comparison against ensemble_mean.  Each chunk forms
+    sigma = Y^T diag(w) conj(Y) from Y = (U P)^T (`_samples`), so its
+    samples are bounded by sigma's d^2 complex numbers a sample.
     """
     d = partition.dim
-    basis, _, rotated, firsts = _samples(rho, partition, n_samples, seed,
-                                         factored=False)
+    basis, w, rotated, firsts = _samples(rho, partition, n_samples, seed,
+                                         held=d * d)
 
     def sums(first):
-        x = rotated(first)
+        y = rotated(first)
+        # Y diag(w) is taken before Y is conjugated in place
+        x = (y * w[:, None]).swapaxes(1, 2) @ np.conjugate(y, out=y)
         return (x.sum(axis=0), np.einsum("bij,bij->ij", x.real, x.real),
                 np.einsum("bij,bij->ij", x.imag, x.imag))
 

@@ -1,16 +1,18 @@
 """Dense references the tests check the package against: the literal
 d^2 x d^2 second moment behind `second_moment_expectation` at small
-dimension, the Monte-Carlo oracle's dense path behind `estimate_moments`
-and `estimate_state_mean`, built on one sample's block unitaries drawn as
-the estimators draw them, and the closed-form accumulation of a block's
-Householder reflectors behind the oracle's reflector kernel."""
+dimension, the dense rotation sigma = U rho U^dag behind
+`estimate_moments` and `estimate_state_mean`, built on one sample's block
+unitaries drawn by the estimators' kernel from the entries they draw, and
+the closed-form accumulation of a block's Householder reflectors behind
+that kernel."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from ergoquench.ergodic_ensemble import _checked, _operator
-from ergoquench.haar_oracle import _group_unitaries, _phase, _size_groups
+from ergoquench.haar_oracle import (_group_entries, _phase, _reflected,
+                                    _size_groups)
 from ergoquench.spectral import SectorPartition
 
 from conftest import sector_slices
@@ -100,16 +102,25 @@ def householder_unitaries(x: np.ndarray, d: int) -> np.ndarray:
         np.moveaxis(u[..., :samples], -1, 0)).reshape(shape + (d, d))
 
 
+def group_unitaries(partition: SectorPartition, seed: int, first_index: int,
+                    count: int):
+    """(groups, stacks): each size group of `_size_groups` and its Haar
+    unitaries for samples first_index .. first_index + count - 1, a
+    (d, d, n_g, count) stack drawn by the estimators' kernel from the
+    entries the estimators draw (`_group_entries`, `_reflected`)."""
+    groups, _, n_entries = _size_groups(partition)
+    return groups, [_reflected(z, grp.size) for grp, z in zip(
+        groups, _group_entries(groups, n_entries, seed, first_index, count))]
+
+
 def sample_block_unitary(partition: SectorPartition, seed: int,
                          sample_index: int = 0) -> BlockUnitary:
     """Draw sample number sample_index of the seed's stream; the same
     sample as the estimators draw at that index."""
-    groups, _, n_entries = _size_groups(partition)
     blocks = [None] * partition.n_sectors
-    for grp, stack in zip(groups, _group_unitaries(groups, n_entries, seed,
-                                                   sample_index, 1)):
+    for grp, stack in zip(*group_unitaries(partition, seed, sample_index, 1)):
         for k, i in enumerate(grp.sectors):
-            blocks[i] = stack[0, k]
+            blocks[i] = stack[:, :, k, 0]
     return BlockUnitary(partition=partition, blocks=tuple(blocks))
 
 

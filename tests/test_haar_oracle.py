@@ -22,7 +22,7 @@ from ergoquench.experiment import (ExperimentConfig, prepare_protocol_state,
                                    prepare_quench)
 from ergoquench import haar_oracle
 from ergoquench.haar_oracle import (DEFAULT_CHUNK, _ginibre_entries,
-                                    _group_unitaries, _reflected, _size_groups,
+                                    _reflected, _size_groups,
                                     estimate_moments, estimate_state_mean,
                                     sample_traces, summarize)
 from ergoquench.spectral import SectorPartition
@@ -32,8 +32,8 @@ from conftest import (block_conjugate, block_matrix, random_density,
                       random_hermitian, random_mixture, random_pair,
                       random_pure, singleton_partition, whole_partition)
 from dense_reference import (BlockUnitary, dense_state_mean,
-                             dense_trace_values, householder_unitaries,
-                             sample_block_unitary)
+                             dense_trace_values, group_unitaries,
+                             householder_unitaries, sample_block_unitary)
 
 
 def haar_first_entry_power(d, k):
@@ -94,15 +94,14 @@ class TestStream:
         (1,), (1, 2), (2, 1, 57, 2, 13, 1)])
     def test_chunks_match_single_samples_bit_for_bit(self, sizes):
         part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
-        groups, _, n_entries = _size_groups(part)
-        first = _group_unitaries(groups, n_entries, 9, 0, 3)
-        second = _group_unitaries(groups, n_entries, 9, 3, 4)
+        groups, first = group_unitaries(part, 9, 0, 3)
+        _, second = group_unitaries(part, 9, 3, 4)
         for k in range(7):
             single = sample_block_unitary(part, seed=9, sample_index=k).blocks
             chunk, j = (first, k) if k < 3 else (second, k - 3)
             for grp, stack in zip(groups, chunk):
                 for pos, i in enumerate(grp.sectors):
-                    assert np.array_equal(stack[j, pos], single[i])
+                    assert np.array_equal(stack[:, :, pos, j], single[i])
 
     # blocks of 1, 2 and 3 levels, sizes 1 and 2 twice, drawn in chunks of
     # 2 so that the second chunk starts at sample 2: the seed's stream,
@@ -134,11 +133,11 @@ class TestStream:
             assert values == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_singleton_draws_are_the_phases_of_their_entries(self):
-        groups, _, n_entries = _size_groups(singleton_partition(6))
         for first, count in ((5, 4), (2, 1)):
-            stack, = _group_unitaries(groups, n_entries, 9, first, count)
+            _, (stack,) = group_unitaries(singleton_partition(6), 9, first,
+                                          count)
             g = _ginibre_entries(9, first, count, 6)
-            assert np.array_equal(stack.reshape(count, 6), g / np.abs(g))
+            assert np.array_equal(stack.reshape(6, count).T, g / np.abs(g))
 
     def test_zero_entries_give_unitary_draws(self, monkeypatch):
         # an entry is exactly 0 when its radius word is 0 (chance 2^-53)
@@ -169,7 +168,8 @@ class TestStream:
             return g
 
         monkeypatch.setattr(haar_oracle, "_ginibre_entries", with_zeros)
-        for stack in _group_unitaries(groups, n_entries, 3, 0, len(zeros)):
+        for stack in group_unitaries(part, 3, 0, len(zeros))[1]:
+            stack = np.moveaxis(stack, (0, 1), (-2, -1))
             assert np.all(np.isfinite(stack))
             eye = np.eye(stack.shape[-1])
             assert np.max(np.abs(stack @ stack.conj().swapaxes(-1, -2)
@@ -181,10 +181,9 @@ class TestStream:
 
     def test_different_seeds_differ(self):
         part = SectorPartition(3, np.array([0, 1]))
-        groups, _, n_entries = _size_groups(part)
-        for stack, other in zip(_group_unitaries(groups, n_entries, 4, 0, 2),
-                                _group_unitaries(groups, n_entries, 5, 0, 2)):
-            assert not np.allclose(stack[..., 0, 0], other[..., 0, 0])
+        for stack, other in zip(group_unitaries(part, 4, 0, 2)[1],
+                                group_unitaries(part, 5, 0, 2)[1]):
+            assert not np.allclose(stack[0, 0], other[0, 0])
 
     def test_normals_have_gaussian_moments(self):
         # sqrt(2) Re g and sqrt(2) Im g are standard normals; 1e5 of them
@@ -557,7 +556,7 @@ class TestWorkers:
     def test_no_more_chunks_in_flight_than_workers(self, monkeypatch):
         monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
         lock, running, most = threading.Lock(), [0], [0]
-        draw = haar_oracle._group_unitaries
+        draw = haar_oracle._group_reflected
 
         def counting(*args):
             with lock:
@@ -570,7 +569,7 @@ class TestWorkers:
                 with lock:
                     running[0] -= 1
 
-        monkeypatch.setattr(haar_oracle, "_group_unitaries", counting)
+        monkeypatch.setattr(haar_oracle, "_group_reflected", counting)
         monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 3)
         rng = np.random.default_rng(23)
         estimate_moments(random_density(rng, 4), whole_partition(4),
@@ -581,14 +580,14 @@ class TestWorkers:
     @pytest.mark.parametrize("call", ["moments", "state_mean"])
     def test_error_in_a_chunk_reaches_the_caller(self, monkeypatch, call):
         monkeypatch.setattr(haar_oracle, "_cores", lambda: 2)
-        draw = haar_oracle._group_unitaries
+        draw = haar_oracle._group_reflected
 
-        def failing(groups, n_entries, seed, first_index, count):
+        def failing(groups, n_entries, seed, first_index, count, pt):
             if first_index == 7:  # the second chunk
                 raise RuntimeError("chunk failed")
-            return draw(groups, n_entries, seed, first_index, count)
+            return draw(groups, n_entries, seed, first_index, count, pt)
 
-        monkeypatch.setattr(haar_oracle, "_group_unitaries", failing)
+        monkeypatch.setattr(haar_oracle, "_group_reflected", failing)
         monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 7)
         rng = np.random.default_rng(24)
         rho, a = random_density(rng, 3), random_hermitian(rng, 3)
@@ -757,6 +756,27 @@ class TestDenseReference:
             rho, part, [random_pair(rng, part.dim, True),
                         random_hermitian(rng, part.dim)], 16, 18, chunk_size=7)
 
+    @pytest.mark.parametrize("rank", [7, 8])
+    def test_matches_on_both_sides_of_the_rank_rule(self, rank):
+        # an 8-level block passes a rank-7 state's rows through its
+        # reflectors and forms its U for a rank-8 one
+        rng = np.random.default_rng(40 + rank)
+        rho = random_mixture(rng, 8, rank, True)
+        assert_matches_dense_reference(
+            rho, whole_partition(8), [random_pair(rng, 8, True),
+                                      random_observable(rng, 8, "real")],
+            40, 41, chunk_size=7)
+
+    def test_matches_on_a_dense_state_over_split_blocks(self):
+        # factored by eigh, rank 16 over blocks of 1, 3, 4 and 8 levels
+        sizes = (1, 3, 4, 8)
+        part = SectorPartition(sum(sizes), np.cumsum((0,) + sizes[:-1]))
+        rng = np.random.default_rng(42)
+        assert_matches_dense_reference(
+            random_density(rng, part.dim), part,
+            [random_hermitian(rng, part.dim),
+             random_observable(rng, part.dim, "real")], 40, 43, chunk_size=7)
+
     @pytest.mark.parametrize("protocol", ["cat", "mixed"])
     def test_matches_on_pipeline_states(self, protocol):
         q = prepare_quench(ExperimentConfig(L=8))
@@ -825,3 +845,27 @@ def test_factored_chunk_forms_no_unitary_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * d * (d + 1) // 2 * 16
+
+
+def test_state_mean_chunk_is_bounded_by_sigma(monkeypatch):
+    # a rank-1 state over 192 one-level sectors: its Y and its entries are
+    # 192 complex numbers a sample, sigma 192^2.  The chunk is bounded by
+    # sigma, so 512 samples run as chunks of 113 and the call holds about
+    # one sigma of such a chunk; a chunk bounded by Y would be all 512
+    # samples, and its sigma alone 4.5 times that
+    monkeypatch.setattr(haar_oracle, "_cores", lambda: 1)
+    monkeypatch.setattr(haar_oracle, "DEFAULT_CHUNK", 512)
+    d, n = 192, 512
+    part = singleton_partition(d)
+    rho = random_mixture(np.random.default_rng(44), d, 1, True)
+    chunk = haar_oracle._bounded_chunk(d * d)
+    # a first call leaves the thread pool's imports out of the peak
+    estimate_state_mean(rho, part, n, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_state_mean(rho, part, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk < n
+    assert peak <= 3.1 * chunk * d * d * 16
